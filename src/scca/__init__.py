@@ -9,9 +9,9 @@ a simulation harness and plot-data emission are included.
 
 __version__ = "0.1.0"
 
-from .covariance import (CrossCovariance, SparsityPattern, ViewMatrix,
-                         center_scale, cross_covariance, load_view, shrink,
-                         write_view)
+from .covariance import (CrossCovariance, CrossOperator, SparsityPattern,
+                         ViewMatrix, center_scale, cross_covariance, load_view,
+                         shrink, write_view)
 from .directed import (AccessoryVector, DirectedParams, StackedProblem,
                        UnivariateSelector, compute_beta, directed_fit,
                        directed_pattern_dot, directed_pattern_reg,

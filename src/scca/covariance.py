@@ -129,6 +129,39 @@ def _is_number(token: str) -> bool:
     return np.isfinite(value)
 
 
+def _parse_body(lines: list[str], delimiter: str, p: int) -> np.ndarray | None:
+    """Vectorised parse of the data rows; None when the rows need the
+    per-cell path (any parse failure, ragged or blank row, non-finite value),
+    which then reports the exact line and column."""
+    try:
+        data = np.loadtxt(lines, dtype=float, delimiter=delimiter, comments=None, ndmin=2)
+    except (ValueError, TypeError):
+        return None
+    if data.shape != (len(lines), p) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _parse_cells(lines: list[str], delimiter: str, p: int, first_line: int) -> np.ndarray:
+    data = np.empty((len(lines), p), dtype=float)
+    for k, line in enumerate(lines):
+        row = line.split(delimiter)
+        lineno = first_line + k
+        if len(row) != p:
+            raise ParseError(f"expected {p} fields, got {len(row)}", line=lineno)
+        for j, tok in enumerate(row):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise ParseError(f"non-numeric value {tok.strip()!r} in column {j + 1}",
+                                 line=lineno) from None
+            if not np.isfinite(value):
+                raise ParseError(f"non-finite value {tok.strip()!r} in column {j + 1}",
+                                 line=lineno)
+            data[k, j] = value
+    return data
+
+
 def load_view(path, delimiter: str | None = None, header: bool | None = None) -> ViewMatrix:
     """Read a delimited numeric matrix into a ViewMatrix.
 
@@ -146,34 +179,22 @@ def load_view(path, delimiter: str | None = None, header: bool | None = None) ->
     if not lines:
         raise ParseError("empty file", line=1)
 
-    rows = [line.split(delimiter) for line in lines]
+    first_row = lines[0].split(delimiter)
     if header is None:
-        header = not all(_is_number(tok) for tok in rows[0])
+        header = not all(_is_number(tok) for tok in first_row)
     if header:
-        names = [tok.strip() for tok in rows[0]]
-        body, first_line = rows[1:], 2
+        names = [tok.strip() for tok in first_row]
+        body, first_line = lines[1:], 2
     else:
         names = None
-        body, first_line = rows, 1
+        body, first_line = lines, 1
     if not body:
         raise DimensionError("need at least 2 samples, got 0")
 
-    p = len(body[0])
-    data = np.empty((len(body), p), dtype=float)
-    for k, row in enumerate(body):
-        lineno = first_line + k
-        if len(row) != p:
-            raise ParseError(f"expected {p} fields, got {len(row)}", line=lineno)
-        for j, tok in enumerate(row):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise ParseError(f"non-numeric value {tok.strip()!r} in column {j + 1}",
-                                 line=lineno) from None
-            if not np.isfinite(value):
-                raise ParseError(f"non-finite value {tok.strip()!r} in column {j + 1}",
-                                 line=lineno)
-            data[k, j] = value
+    p = len(body[0].split(delimiter))
+    data = _parse_body(body, delimiter, p)
+    if data is None:
+        data = _parse_cells(body, delimiter, p, first_line)
 
     if names is None:
         names = _default_names(p)
@@ -220,21 +241,125 @@ def center_scale(v: ViewMatrix, scale: bool = False) -> ViewMatrix:
                       warnings=tuple(warnings))
 
 
-def cross_covariance(a: ViewMatrix, b: ViewMatrix, divisor: str = "n",
-                     view_ids: tuple[int, int] = (0, 1)) -> CrossCovariance:
-    """Sample cross-covariance block of two centered views sharing samples."""
+def _divisor(n: int, divisor: str) -> int:
+    if divisor == "n":
+        return n
+    if divisor in ("n-1", "nm1"):
+        return n - 1
+    raise ValueError(f"unknown divisor {divisor!r}")
+
+
+def _check_pair(a: ViewMatrix, b: ViewMatrix) -> None:
     if a.n != b.n:
         raise DimensionError(f"sample counts differ: {a.n} vs {b.n}")
     if not (a.centered and b.centered):
         raise StateError("cross_covariance requires centered views")
-    if divisor == "n":
-        div = a.n
-    elif divisor in ("n-1", "nm1"):
-        div = a.n - 1
-    else:
-        raise ValueError(f"unknown divisor {divisor!r}")
-    block = a.data.T @ b.data / div
+
+
+def cross_covariance(a: ViewMatrix, b: ViewMatrix, divisor: str = "n",
+                     view_ids: tuple[int, int] = (0, 1)) -> CrossCovariance:
+    """Sample cross-covariance block of two centered views sharing samples."""
+    _check_pair(a, b)
+    block = a.data.T @ b.data / _divisor(a.n, divisor)
     return CrossCovariance(block, view_ids=view_ids)
+
+
+@dataclass(frozen=True, eq=False)
+class CrossOperator:
+    """The cross-covariance C = A'B/div - U diag(s) V', kept as its parts.
+
+    A (n x p_r) and B (n x p_s) are the centred (and scaled) data and
+    (U, s, V) a rank-k deflation correction. The p_r x p_s block is never
+    formed: a product with a vector costs O(n (p_r + p_s)), column norms come
+    from the n x n Gram AA', the Frobenius norm from the R factors of [A', U]
+    and [B', V], a row or column subset selects columns of A/B and rows of
+    U/V, and ``dense`` forms only the (shrunken) block it is asked for.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    div: float
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        k = self.s.shape[0]
+        if (self.a.shape[0] != self.b.shape[0] or self.u.shape != (self.a.shape[1], k)
+                or self.v.shape != (self.b.shape[1], k)):
+            raise DimensionError("cross operator parts do not match")
+
+    @classmethod
+    def from_views(cls, a: ViewMatrix, b: ViewMatrix, divisor: str = "n") -> "CrossOperator":
+        """The operator of ``cross_covariance(a, b, divisor)``; shares the views' data."""
+        _check_pair(a, b)
+        return cls(a.data, b.data, _divisor(a.n, divisor),
+                   np.empty((a.p, 0)), np.empty(0), np.empty((b.p, 0)))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.shape[1], self.b.shape[1]
+
+    @property
+    def T(self) -> "CrossOperator":
+        return CrossOperator(self.b, self.a, self.div, self.v, self.s, self.u)
+
+    def __matmul__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 1:
+            raise DimensionError("a cross operator multiplies vectors only")
+        out = self.a.T @ (self.b @ z) / self.div
+        if self.s.size:
+            out -= self.u @ (self.s * (self.v.T @ z))
+        return out
+
+    def column(self, j: int) -> np.ndarray:
+        return self.a.T @ self.b[:, j] / self.div - self.u @ (self.s * self.v[j])
+
+    def col_norms(self) -> np.ndarray:
+        """Euclidean column norms, from the Gram AA' and the correction terms."""
+        sq = np.einsum("ij,ij->j", self.b, (self.a @ self.a.T) @ self.b) / self.div ** 2
+        if self.s.size:
+            sv = self.v * self.s
+            cross = self.b.T @ (self.a @ self.u) / self.div
+            sq = sq + np.einsum("jk,jk->j", sv @ (self.u.T @ self.u) - 2.0 * cross, sv)
+        return np.sqrt(np.maximum(sq, 0.0))
+
+    def fro_norm(self) -> float:
+        """Frobenius norm.
+
+        With a correction it is the norm of R1 diag(1/div, ..., 1/div, -s) R2',
+        for the R factors of [A', U] and [B', V], whose rounding stays at the
+        size of C's entries. The Gram form of ``col_norms`` would carry that of
+        a difference of squares, about sqrt(eps) of the uncorrected norm, which
+        an exhausted residual could not get below. Without a correction the
+        Gram form has no such difference.
+        """
+        if not self.s.size:
+            return float(np.linalg.norm(self.col_norms()))
+        r1 = np.linalg.qr(np.hstack([self.a.T, self.u]), mode="r")
+        r2 = np.linalg.qr(np.hstack([self.b.T, self.v]), mode="r")
+        weights = np.concatenate([np.full(self.a.shape[0], 1.0 / self.div), -self.s])
+        return float(np.linalg.norm((r1 * weights) @ r2.T))
+
+    def rows(self, idx) -> "CrossOperator":
+        return CrossOperator(self.a[:, idx], self.b, self.div, self.u[idx], self.s, self.v)
+
+    def cols(self, idx) -> "CrossOperator":
+        return CrossOperator(self.a, self.b[:, idx], self.div, self.u, self.s, self.v[idx])
+
+    def dense(self) -> np.ndarray:
+        """The explicit block: call it on a row/column subset, not on a wide operator."""
+        block = self.a.T @ self.b / self.div
+        if self.s.size:
+            block -= (self.u * self.s) @ self.v.T
+        return block
+
+    def deflated(self, u: np.ndarray, v: np.ndarray) -> "CrossOperator":
+        """C - (u'Cv) uv', by appending one correction term."""
+        scale = float(u @ (self @ v))
+        return CrossOperator(self.a, self.b, self.div, np.column_stack([self.u, u]),
+                             np.append(self.s, scale), np.column_stack([self.v, v]))
 
 
 def _compose_support(existing: SparsityPattern | None, keep: SparsityPattern) -> SparsityPattern:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CrossCovariance, SparsityPattern, ViewMatrix, cross_covariance
+from .covariance import CrossCovariance, CrossOperator, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 
 _UNIT_TOL = 1e-8
@@ -75,13 +75,32 @@ class PatternResult:
     objective_trace: np.ndarray | None = None
 
 
-def _as_block(c) -> np.ndarray:
+def _as_block(c) -> np.ndarray | CrossOperator:
+    """The dense block of ``c``; a CrossOperator passes through as is."""
+    if isinstance(c, CrossOperator):
+        return c
     if isinstance(c, CrossCovariance):
         return c.block
     block = np.asarray(c, dtype=float)
     if block.ndim != 2:
         raise DimensionError("covariance block must be 2-d")
     return block
+
+
+def _col_norms(c) -> np.ndarray:
+    return c.col_norms() if isinstance(c, CrossOperator) else np.linalg.norm(c, axis=0)
+
+
+def _column(c, j: int) -> np.ndarray:
+    return c.column(j) if isinstance(c, CrossOperator) else c[:, j]
+
+
+def _rows(c, idx):
+    return c.rows(idx) if isinstance(c, CrossOperator) else c[idx, :]
+
+
+def _cols(c, idx):
+    return c.cols(idx) if isinstance(c, CrossOperator) else c[:, idx]
 
 
 def _require_unit(z: np.ndarray, what: str) -> np.ndarray:
@@ -98,11 +117,11 @@ def init_direction(c) -> Direction:
     the largest column norm. Ties break toward the lowest column index.
     """
     block = _as_block(c)
-    norms = np.linalg.norm(block, axis=0)
+    norms = _col_norms(block)
     if not norms.max() > 0:
         raise DegenerateInputError("all columns of the block are zero")
     i_star = int(np.argmax(norms))
-    return Direction(block[:, i_star] / norms[i_star])
+    return Direction(_column(block, i_star) / norms[i_star])
 
 
 def _ascend(step, z0: np.ndarray, conv: ConvergenceSpec, side: str):
@@ -221,7 +240,7 @@ def pattern_l1(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
 
     Parameters
     ----------
-    c : CrossCovariance or array
+    c : CrossCovariance, CrossOperator or array
         p_lead x p_partner cross-covariance block.
     gamma2 : float
         Non-negative sparsity threshold applied to |c_i' z|.
@@ -337,7 +356,8 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
 
     One side's pattern is computed on the full block; the block is then
     restricted to that support and the other side is solved on the
-    transposed, shrunken block. ``order`` picks which side goes first:
+    transposed, shrunken block. ``c12`` may be a CrossOperator, which is
+    shrunk without forming the block. ``order`` picks which side goes first:
     "auto" patterns the larger side first, "2-first"/"1-first" force it.
     """
     if penalty not in _PATTERN_FN:
@@ -363,14 +383,14 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
 
     if first == 2:
         res2 = run(block, gamma2, side=2)
-        sub = block[:, res2.pattern.indices()]
+        sub = _cols(block, res2.pattern.indices())
         res1 = run(sub.T, gamma1, side=1)
         tau1, tau2 = res1.pattern, res2.pattern
         iterations = {"side2": res2.iterations, "side1": res1.iterations}
         traces = {"side2": res2.objective_trace, "side1": res1.objective_trace}
     else:
         res1 = run(block.T, gamma1, side=1)
-        sub = block[res1.pattern.indices(), :]
+        sub = _rows(block, res1.pattern.indices())
         res2 = run(sub, gamma2, side=2)
         tau1, tau2 = res1.pattern, res2.pattern
         iterations = {"side1": res1.iterations, "side2": res2.iterations}
@@ -383,7 +403,7 @@ def scca_pair(x1: ViewMatrix, x2: ViewMatrix, gamma1: float, gamma2: float,
               order: str = "auto", restarts: int = 0, seed: int = 0,
               ) -> tuple[SparsityPattern, SparsityPattern]:
     """Stage-one patterns for a pair of centered views (full-length both sides)."""
-    c12 = cross_covariance(x1, x2)
-    pair = pattern_pair(c12.block, gamma1, gamma2, penalty=penalty, conv=conv,
+    c12 = CrossOperator.from_views(x1, x2)
+    pair = pattern_pair(c12, gamma1, gamma2, penalty=penalty, conv=conv,
                         order=order, restarts=restarts, seed=seed)
     return pair.tau1, pair.tau2

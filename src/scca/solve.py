@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .covariance import SparsityPattern, ViewMatrix, cross_covariance
+from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
 from .pattern import (ConvergenceSpec, Direction, _as_block, init_direction,
@@ -72,14 +72,22 @@ class ResidualState:
         return float(np.abs(acc - self.current).max(initial=0.0))
 
 
-def deflate(state: ResidualState, z1, z2) -> ResidualState:
-    """Subtract the fitted rank-one term scaled by z1' C z2 from the residual."""
+def deflate(state, z1, z2):
+    """Subtract the fitted rank-one term scaled by z1' C z2 from the residual.
+
+    ``state`` is a ResidualState, or a CrossOperator, which gains one
+    correction term instead of being rebuilt.
+    """
     z1 = np.asarray(z1.values if isinstance(z1, Direction) else z1, dtype=float)
     z2 = np.asarray(z2.values if isinstance(z2, Direction) else z2, dtype=float)
-    if z1.shape != (state.current.shape[0],) or z2.shape != (state.current.shape[1],):
+    operator = isinstance(state, CrossOperator)
+    shape = state.shape if operator else state.current.shape
+    if z1.shape != (shape[0],) or z2.shape != (shape[1],):
         raise DimensionError("deflation directions do not match the block")
     if abs(np.linalg.norm(z1) - 1.0) > _UNIT_TOL or abs(np.linalg.norm(z2) - 1.0) > _UNIT_TOL:
         raise DimensionError("deflation directions must have unit Euclidean norm")
+    if operator:
+        return state.deflated(z1, z2)
     scale = float(z1 @ state.current @ z2)
     return ResidualState(base=state.base,
                          history=state.history + [(z1.copy(), z2.copy(), scale)],
@@ -346,6 +354,12 @@ def _expand(values: np.ndarray, indices: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _within(x: ViewMatrix, ix: np.ndarray, div: float) -> np.ndarray:
+    """Within-view covariance of the active columns only."""
+    a = x.data[:, ix]
+    return a.T @ a / div
+
+
 def _stage_two(sub: np.ndarray, c11_sub, c22_sub, stage2: str, ridge: float,
                conv: ConvergenceSpec):
     """Estimate active entries on the doubly shrunken block.
@@ -386,9 +400,10 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
 
     Each factor's patterns come from the current residual cross-covariance;
     the residual is then deflated by the fitted rank-one term (directions
-    renormalized to unit Euclidean norm). A factor whose support collapses
-    truncates the solution with a diagnostic instead of raising. Factors are
-    ordered by decreasing sample canonical correlation.
+    renormalized to unit Euclidean norm). The residual is a CrossOperator,
+    so only the blocks shrunk to each factor's supports are formed. A factor
+    whose support collapses truncates the solution with a diagnostic instead
+    of raising. Factors are ordered by decreasing sample canonical correlation.
     """
     gammas1 = list(gammas1)
     gammas2 = list(gammas2)
@@ -400,31 +415,28 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
         raise DimensionError(f"factor count must be in [1, {bound}]")
     conv = conv or ConvergenceSpec()
 
-    c12 = cross_covariance(x1, x2, divisor=divisor)
+    residual = CrossOperator.from_views(x1, x2, divisor=divisor)
     need_gep = stage2 == "gep"
-    c11 = cross_covariance(x1, x1, divisor=divisor).block if need_gep else None
-    c22 = cross_covariance(x2, x2, divisor=divisor).block if need_gep else None
-
-    state = ResidualState.from_block(c12)
-    base_scale = np.linalg.norm(state.base)
+    base_scale = residual.fro_norm()
     factors = []
     warnings: tuple[str, ...] = ()
     normalization = "unit"
     for i, (g1, g2) in enumerate(zip(gammas1, gammas2)):
-        if np.linalg.norm(state.current) <= 1e-7 * max(base_scale, 1e-300):
+        left = residual.fro_norm() if i else base_scale
+        if left <= 1e-7 * max(base_scale, 1e-300):
             warnings += (f"factor {i + 1}: residual numerically exhausted "
                          "(data rank reached)",)
             break
         try:
-            pair = pattern_pair(state.current, g1, g2, penalty=penalty, conv=conv,
+            pair = pattern_pair(residual, g1, g2, penalty=penalty, conv=conv,
                                 order=order, restarts=restarts, seed=seed)
         except (EmptySupportError, DegenerateInputError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break
         ix1, ix2 = pair.tau1.indices(), pair.tau2.indices()
-        sub = state.current[np.ix_(ix1, ix2)]
-        c11_sub = c11[np.ix_(ix1, ix1)] if need_gep else None
-        c22_sub = c22[np.ix_(ix2, ix2)] if need_gep else None
+        sub = residual.rows(ix1).cols(ix2).dense()
+        c11_sub = _within(x1, ix1, residual.div) if need_gep else None
+        c22_sub = _within(x2, ix2, residual.div) if need_gep else None
         try:
             a1, a2, normalization, extra = _stage_two(sub, c11_sub, c22_sub,
                                                       stage2, ridge, conv)
@@ -440,9 +452,10 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
         rho, flagged = _pearson(cov1, cov2)
         if flagged:
             warnings += (f"factor {i + 1}: degenerate covariate, correlation set to 0",)
-        u1 = z1 / np.linalg.norm(z1) if np.linalg.norm(z1) else z1
-        u2 = z2 / np.linalg.norm(z2) if np.linalg.norm(z2) else z2
-        state = deflate(state, u1, u2)
+        if i + 1 < m:
+            u1 = z1 / np.linalg.norm(z1) if np.linalg.norm(z1) else z1
+            u2 = z2 / np.linalg.norm(z2) if np.linalg.norm(z2) else z2
+            residual = deflate(residual, u1, u2)
         info = dict(pair.iterations)
         if conv.objective_track:
             info["traces"] = pair.traces
