@@ -233,6 +233,8 @@ def cmd_mscca(args) -> int:
     out = _out_dir(r)
     _write_json(_solution_dict(sol, [v.names for v in views], r["seed"], echo),
                 out / "solution.json")
+    for warning in sol.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     print(out / "solution.json")
     return 0
 

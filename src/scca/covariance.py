@@ -274,7 +274,12 @@ class CrossOperator:
     from the n x n Gram AA', the Frobenius norm from the R factors of [A', U]
     and [B', V], a row or column subset selects columns of A/B and rows of
     U/V, and ``dense`` forms only the (shrunken) block it is asked for.
+
+    ``np.asarray(op)`` is ``op.dense()``; ``ndarray @ op`` raises TypeError
+    rather than forming the block behind the caller's back.
     """
+
+    __array_ufunc__ = None
 
     a: np.ndarray
     b: np.ndarray
@@ -354,6 +359,10 @@ class CrossOperator:
         if self.s.size:
             block -= (self.u * self.s) @ self.v.T
         return block
+
+    def __array__(self, dtype=None, copy=None):
+        block = self.dense()
+        return block if dtype is None else block.astype(dtype, copy=False)
 
     def deflated(self, u: np.ndarray, v: np.ndarray) -> "CrossOperator":
         """C - (u'Cv) uv', by appending one correction term."""

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (SparsityPattern, ViewMatrix, cross_covariance)
+from .covariance import CrossOperator, SparsityPattern, ViewMatrix, cross_covariance
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, SingularityError)
-from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block,
+from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
                       _partner_l1, _solve)
-from .solve import CcaSolution, _expand, _fix_sign, _pearson, _stage_two, fit_pair
+from .solve import (CcaSolution, _expand, _fix_sign, _pearson, _stage_two, _within,
+                    fit_pair)
 
 
 @dataclass(eq=False)
@@ -76,7 +77,7 @@ def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
     projections by eps2*x2ty and add a constant pull eps1*x1ty to the
     update; with both eps at zero this is bit-for-bit the undirected solver.
     The tracked functional doubles the linear alignment term, making it the
-    exact ascent functional of the update.
+    exact ascent functional of the update. ``c`` may be a CrossOperator.
     """
     block = _as_block(c)
     x1ty = np.asarray(x1ty, dtype=float)
@@ -87,7 +88,7 @@ def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
         raise DimensionError("x2ty length does not match block columns")
     conv = conv or ConvergenceSpec()
     gamma2, eps1, eps2 = params.gamma2, params.eps1, params.eps2
-    if z0 is None and not np.any(block):
+    if z0 is None and not _col_norms(block).max() > 0:
         # a zero block is still solvable when the alignment term drives the update
         pull = eps1 * x1ty
         if not np.any(pull):
@@ -131,6 +132,9 @@ def compute_beta(x: ViewMatrix, y: AccessoryVector, ridge: float = 0.0,
         if np.any(col_ss == 0.0):
             raise SingularityError("zero-variance column with ridge=0 in univariate mode")
         return x.data.T @ yv / col_ss
+    if ridge == 0 and x.p > x.n:
+        # rank(X'X) <= n < p: singular without forming the p x p Gram matrix
+        raise SingularityError("normal equations are singular; re-run with ridge > 0")
     gram = x.data.T @ x.data + ridge * np.eye(x.p)
     vals = np.linalg.eigvalsh(gram)
     if vals[0] <= 1e-10 * max(vals[-1], 1e-300):
@@ -269,6 +273,8 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     vectors are the view-accessory cross-covariances for ``mode="dot"`` and
     ridge regression coefficients for ``mode="reg"``), shrinks, solves the
     transposed problem for view 1, then stage two fills in active entries.
+    The cross-covariance is a CrossOperator: only the doubly shrunken block
+    and, for GEP, the within-view blocks on the supports are formed.
     """
     if penalty != "l1":
         raise ValueError("directed stage one is defined for the 'l1' penalty only")
@@ -279,28 +285,27 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     conv = conv or ConvergenceSpec()
     y = y.center()
 
-    c12 = cross_covariance(x1, x2, divisor=divisor)
-    div = x1.n if divisor == "n" else x1.n - 1
+    c12 = CrossOperator.from_views(x1, x2, divisor=divisor)
     if mode == "dot":
-        a1 = x1.data.T @ y.values / div
-        a2 = x2.data.T @ y.values / div
+        a1 = x1.data.T @ y.values / c12.div
+        a2 = x2.data.T @ y.values / c12.div
     else:
         a1 = compute_beta(x1, y, ridge=beta_ridge)
         a2 = compute_beta(x2, y, ridge=beta_ridge)
 
-    res2 = directed_pattern_dot(c12.block, a1, a2, params, conv=conv,
+    res2 = directed_pattern_dot(c12, a1, a2, params, conv=conv,
                                 restarts=restarts, seed=seed)
     tau2 = res2.pattern
-    sub = c12.block[:, tau2.indices()]
+    sub = c12.cols(tau2.indices())
     res1 = directed_pattern_dot(sub.T, a2[tau2.indices()], a1, params.swapped(),
                                 conv=conv, restarts=restarts, seed=seed)
     tau1 = res1.pattern
 
     ix1, ix2 = tau1.indices(), tau2.indices()
-    sub2 = c12.block[np.ix_(ix1, ix2)]
+    sub2 = c12.rows(ix1).cols(ix2).dense()
     need_gep = stage2 == "gep"
-    c11s = cross_covariance(x1, x1, divisor=divisor).block[np.ix_(ix1, ix1)] if need_gep else None
-    c22s = cross_covariance(x2, x2, divisor=divisor).block[np.ix_(ix2, ix2)] if need_gep else None
+    c11s = _within(x1, ix1, c12.div) if need_gep else None
+    c22s = _within(x2, ix2, c12.div) if need_gep else None
     a1v, a2v, normalization, warn = _stage_two(sub2, c11s, c22s, stage2, ridge, conv)
     z1 = _expand(a1v, ix1, x1.p)
     z2 = _expand(a2v, ix2, x2.p)

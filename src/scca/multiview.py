@@ -4,6 +4,9 @@ For a target view s, all other views' iterates are swept cyclically; the
 summed projections of view s's coordinates are thresholded by the row sum
 of the sparsity parameter matrix. Patterns are computed last view first,
 each one shrinking every block that touches its view before the next solve.
+Every pair's cross-covariance is a factored ``CrossOperator``, so a sweep
+costs O(n sum p) and no p_r x p_s block is formed before stage two, which
+gets the doubly shrunken blocks only.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SparsityPattern, ViewMatrix, cross_covariance
+from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 from .pattern import ConvergenceSpec, init_direction
-from .solve import CcaSolution, _fix_sign, _pearson, multiview_gep, multiview_power
+from .solve import (CcaSolution, _fix_sign, _pearson, _within, multiview_gep,
+                    multiview_power)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,15 +56,16 @@ class GammaMatrix:
 
 @dataclass(eq=False)
 class MultiViewProblem:
-    """Views plus their (possibly shrunken) upper-triangular covariance blocks.
+    """Views plus their (possibly shrunken) upper-triangular cross-covariances.
 
     ``active[r]`` maps the current coordinates of view r back to global
-    indices; blocks are stored once per unordered pair and re-oriented on
-    access so that ``tilde(r, s)`` always has view r's coordinates as rows.
+    indices; each unordered pair's covariance is stored once, as a
+    ``CrossOperator``, and re-oriented on access so that ``tilde(r, s)``
+    always has view r's coordinates as rows.
     """
 
     views: list[ViewMatrix]
-    blocks: dict[tuple[int, int], np.ndarray]
+    blocks: dict[tuple[int, int], CrossOperator]
     active: list[np.ndarray]
 
     @classmethod
@@ -71,8 +76,7 @@ class MultiViewProblem:
         blocks = {}
         for r in range(len(views)):
             for s in range(r + 1, len(views)):
-                blocks[(r, s)] = cross_covariance(views[r], views[s], divisor=divisor,
-                                                  view_ids=(r, s)).block
+                blocks[(r, s)] = CrossOperator.from_views(views[r], views[s], divisor)
         return cls(views=views, blocks=blocks,
                    active=[np.arange(v.p) for v in views])
 
@@ -83,8 +87,8 @@ class MultiViewProblem:
     def dim(self, r: int) -> int:
         return int(self.active[r].size)
 
-    def tilde(self, r: int, s: int) -> np.ndarray:
-        """Block between views r and s oriented with r's coordinates as rows."""
+    def tilde(self, r: int, s: int) -> CrossOperator:
+        """Operator between views r and s oriented with r's coordinates as rows."""
         return self.blocks[(r, s)] if r < s else self.blocks[(s, r)].T
 
     def restrict(self, s: int, bits: np.ndarray) -> "MultiViewProblem":
@@ -98,9 +102,9 @@ class MultiViewProblem:
         blocks = {}
         for (r, t), block in self.blocks.items():
             if r == s:
-                blocks[(r, t)] = block[bits, :]
+                blocks[(r, t)] = block.rows(bits)
             elif t == s:
-                blocks[(r, t)] = block[:, bits]
+                blocks[(r, t)] = block.cols(bits)
             else:
                 blocks[(r, t)] = block
         active = list(self.active)
@@ -119,7 +123,7 @@ def _sweep_objective(problem: MultiViewProblem, s: int, zs: dict[int, np.ndarray
     value = float(w @ w)
     for a_i, a in enumerate(others):
         for b in others[a_i + 1:]:
-            value += 2.0 * float(zs[a] @ problem.tilde(a, b) @ zs[b])
+            value += 2.0 * float(zs[a] @ (problem.tilde(a, b) @ zs[b]))
     return value
 
 
@@ -198,7 +202,7 @@ def multiview_screen(problem: MultiViewProblem, gam: GammaMatrix, s: int) -> Spa
     norms = np.zeros(problem.dim(s))
     for r in range(problem.m):
         if r != s:
-            norms += np.linalg.norm(problem.tilde(r, s), axis=0)
+            norms += problem.tilde(r, s).col_norms()
     return SparsityPattern(norms > gam.threshold(s))
 
 
@@ -207,12 +211,13 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
                    ridge: float = 0.0, divisor: str = "n") -> CcaSolution:
     """Two-stage multi-view fit: successive-shrinkage patterns, then stage two.
 
-    Patterns are computed for the last view first; every block touching that
-    view is restricted to its support before the next view is solved. Stage
-    two runs on the doubly shrunken blocks via the cyclic power method
-    (default) or the block generalized eigenproblem, and directions are
-    re-expanded to full length. Only the absolute-value threshold rule is
-    defined for more than two views.
+    Patterns are computed for the last view first; every operator touching
+    that view is restricted to its support before the next view is solved.
+    Stage two runs on the doubly shrunken blocks, formed explicitly, via the
+    cyclic power method (default) or the block generalized eigenproblem, and
+    directions are re-expanded to full length. A view whose stage one used
+    all ``conv.max_iter`` sweeps is reported in the warnings. Only the
+    absolute-value threshold rule is defined for more than two views.
     """
     if penalty != "l1":
         raise ValueError("multi-view stage one is defined for the 'l1' penalty only")
@@ -229,6 +234,7 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
     patterns: list[SparsityPattern | None] = [None] * m
     iterations: dict = {}
     traces: dict = {}
+    warnings: tuple[str, ...] = ()
     for s in range(m - 1, -1, -1):
         try:
             pat, _zs, sweeps, trace = multiview_pattern(problem, gam, s, conv=conv)
@@ -237,21 +243,20 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
         # view s is still full length when its own pattern is solved
         patterns[s] = pat
         iterations[f"view{s + 1}"] = sweeps
+        if sweeps == conv.max_iter:
+            warnings += (f"view {s + 1}: stage one reached max_iter ({sweeps} sweeps)",)
         if trace is not None:
             traces[f"view{s + 1}"] = trace
         problem = problem.restrict(s, pat.bits)
 
-    warnings: tuple[str, ...] = ()
+    blocks = {pair: op.dense() for pair, op in problem.blocks.items()}
     if stage2 == "power":
-        actives = multiview_power(problem.blocks, conv=conv)
+        actives = multiview_power(blocks, conv=conv)
         normalization = "unit"
     else:
-        diag = []
-        for r in range(m):
-            sub = problem.views[r].data[:, problem.active[r]]
-            div = sub.shape[0] if divisor == "n" else sub.shape[0] - 1
-            diag.append(sub.T @ sub / div)
-        result = multiview_gep(problem.blocks, diag, ridge=ridge)
+        div = problem.blocks[(0, 1)].div
+        diag = [_within(problem.views[r], problem.active[r], div) for r in range(m)]
+        result = multiview_gep(blocks, diag, ridge=ridge)
         actives = result.directions
         normalization = "cov"
         if result.uninformative:

@@ -249,3 +249,32 @@ def test_simulate_three_view_and_sweep(tmp_path):
                  "--supports", "4:4,4:4,4:4", "--out", str(out)]) == 0
     for name in ("x1.csv", "x2.csv", "x3.csv", "truth3.csv"):
         assert (out / name).exists()
+
+
+def test_mscca_prints_stage_one_max_iter_warnings(tmp_path, capsys):
+    out = tmp_path / "three"
+    assert main(["simulate", "--model", "three", "--n", "20",
+                 "--p", "30,24,36", "--sigma", "0.1,0.1,0.1",
+                 "--supports", "4:4,4:4,4:4", "--out", str(out)]) == 0
+    views = ["--views", *(str(out / f"x{i}.csv") for i in (1, 2, 3)),
+             "--gamma-matrix", "[[0,0.1,0.1],[0.1,0,0.1],[0.1,0.1,0]]"]
+    capsys.readouterr()
+    assert main(["mscca", *views, "--max-iter", "1", "--out", str(tmp_path / "cut")]) == 0
+    expected = [f"view {s}: stage one reached max_iter (1 sweeps)" for s in (3, 2, 1)]
+    assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in expected]
+    doc = json.loads((tmp_path / "cut" / "solution.json").read_text())
+    assert doc["warnings"] == expected
+    assert main(["mscca", *views, "--out", str(tmp_path / "full")]) == 0
+    assert "max_iter" not in capsys.readouterr().err
+
+
+def test_dscca_reg_wide_view_error_line(tmp_path, capsys):
+    _write_small_views(tmp_path, seed=5)   # n=20 < p
+    y = np.random.default_rng(5).standard_normal(20)
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+    capsys.readouterr()
+    assert main(["dscca", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+                 "--y", str(tmp_path / "y.csv"), "--mode", "reg", "--gamma1", "0.1",
+                 "--gamma2", "0.1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: normal equations are singular; re-run with ridge > 0\n")

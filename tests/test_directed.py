@@ -8,8 +8,10 @@ from scca import (AccessoryVector, ConvergenceSpec, DirectedParams,
                   directed_fit, directed_pattern_dot, directed_pattern_reg,
                   directed_stacked, directed_two_stage, gen_rank_one,
                   multiview_scca, pattern_l1)
+from scca.covariance import CrossOperator
 from scca.directed import UnivariateSelector
 from scca.simulate import RankOneSpec
+from scca.solve import _expand, _fix_sign, _pearson, _stage_two
 
 
 def _directed_inputs(n=20, p1=6, p2=8, seed=0):
@@ -158,6 +160,96 @@ def test_compute_beta_singular_and_univariate(rng):
     uni = compute_beta(x, y, ridge=0.1, univariate=True)
     oracle = [data[:, j] @ y.values / (data[:, j] @ data[:, j] + 0.1) for j in range(3)]
     np.testing.assert_allclose(uni, oracle, atol=1e-12)
+
+
+def test_compute_beta_wide_view_fails_before_the_gram(rng, monkeypatch):
+    x, _ = make_views(10, 14, 2, seed=3)
+    y = AccessoryVector(rng.standard_normal(10)).center()
+
+    def no_eigvalsh(_m):
+        raise AssertionError("the p x p Gram matrix was decomposed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    with pytest.raises(SingularityError) as err:
+        compute_beta(x, y)
+    assert str(err.value) == "normal equations are singular; re-run with ridge > 0"
+    monkeypatch.undo()
+    beta = compute_beta(x, y, ridge=0.5)
+    oracle = np.linalg.solve(x.data.T @ x.data + 0.5 * np.eye(14), x.data.T @ y.values)
+    assert np.abs(beta - oracle).max() < 1e-10
+
+
+def test_compute_beta_narrow_view_unchanged(rng):
+    x, _ = make_views(10, 4, 2, seed=6)
+    y = AccessoryVector(rng.standard_normal(10)).center()
+    gram = x.data.T @ x.data + 0.0 * np.eye(4)
+    assert compute_beta(x, y).tobytes() == np.linalg.solve(gram, x.data.T @ y.values).tobytes()
+    # p = n: the centred view has rank n - 1, which the spectrum check still finds
+    square, _ = make_views(10, 10, 2, seed=6)
+    with pytest.raises(SingularityError) as err:
+        compute_beta(square, y)
+    assert str(err.value) == "normal equations are singular; re-run with ridge > 0"
+
+
+def _dense_directed(x1, x2, y, params, stage2, div):
+    """Reference dot-mode fit on the explicit blocks (full within-view blocks
+    subset for GEP): (patterns, directions, rho, stage-two warnings)."""
+    block = x1.data.T @ x2.data / div
+    a1, a2 = x1.data.T @ y.values / div, x2.data.T @ y.values / div
+    res2 = directed_pattern_dot(block, a1, a2, params)
+    ix2 = res2.pattern.indices()
+    res1 = directed_pattern_dot(block[:, ix2].T, a2[ix2], a1, params.swapped())
+    ix1 = res1.pattern.indices()
+    c11, c22 = x1.data.T @ x1.data / div, x2.data.T @ x2.data / div
+    v1, v2, _norm, warn = _stage_two(block[np.ix_(ix1, ix2)], c11[np.ix_(ix1, ix1)],
+                                     c22[np.ix_(ix2, ix2)], stage2, 0.0, ConvergenceSpec())
+    z1, z2 = _expand(v1, ix1, x1.p), _expand(v2, ix2, x2.p)
+    _fix_sign(z1, [z2])
+    rho, _ = _pearson(x1.data @ z1, x2.data @ z2)
+    return (res1.pattern.bits, res2.pattern.bits), (z1, z2), rho, warn
+
+
+@pytest.mark.parametrize("n,p1,p2", [(40, 12, 10), (15, 40, 30)])
+@pytest.mark.parametrize("stage2", ["svd", "gep"])
+@pytest.mark.parametrize("divisor", ["n", "n-1"])
+def test_directed_fit_on_operator_matches_dense(n, p1, p2, stage2, divisor):
+    # full-rank noise plus a latent signal on four columns of each view
+    rng = np.random.default_rng(p1)
+    latent = 2.0 * rng.standard_normal(n)
+    d1, d2 = rng.standard_normal((n, p1)), rng.standard_normal((n, p2))
+    d1[:, :4] += latent[:, None]
+    d2[:, :4] += latent[:, None]
+    x1 = center_scale(ViewMatrix(d1, [f"A{j}" for j in range(p1)]))
+    x2 = center_scale(ViewMatrix(d2, [f"B{j}" for j in range(p2)]))
+    y = AccessoryVector(latent + rng.standard_normal(n)).center()
+    div = n if divisor == "n" else n - 1
+    op = CrossOperator.from_views(x1, x2, divisor=divisor)
+    params = DirectedParams(0.35 * op.T.col_norms().max(), 0.35 * op.col_norms().max())
+    bits, dirs, rho, warn = _dense_directed(x1, x2, y, params, stage2, div)
+    sol = directed_fit(x1, x2, y, params, mode="dot", stage2=stage2, divisor=divisor)
+    assert list(sol.warnings) == list(warn)
+    for i in range(2):
+        assert sol.patterns[i][0].bits.tolist() == bits[i].tolist()
+        np.testing.assert_allclose(sol.directions[i][:, 0], dirs[i], rtol=0, atol=1e-10)
+    assert abs(sol.correlations[0] - rho) <= 1e-10
+
+
+def test_directed_stage_one_never_densifies_the_operator(monkeypatch):
+    x1, x2, _y, block, a1, a2 = _directed_inputs(seed=5)
+    params = DirectedParams(0.2, 0.3 * np.linalg.norm(block, axis=0).max())
+    want = directed_pattern_dot(block, a1, a2, params)
+
+    def no_dense(_self):
+        raise AssertionError("stage one formed the block")
+
+    monkeypatch.setattr(CrossOperator, "dense", no_dense)
+    got = directed_pattern_dot(CrossOperator.from_views(x1, x2), a1, a2, params)
+    assert got.pattern.bits.tolist() == want.pattern.bits.tolist()
+    np.testing.assert_allclose(got.z_lead.values, want.z_lead.values, rtol=0, atol=1e-12)
+    # a zero block still starts from the alignment pull
+    zero = ViewMatrix(np.zeros_like(x1.data), x1.names, centered=True)
+    from_zero = directed_pattern_dot(CrossOperator.from_views(zero, x2), a1, a2, params)
+    np.testing.assert_allclose(from_zero.z_lead.values, a1 / np.linalg.norm(a1), atol=1e-12)
 
 
 # ---------------------------------------------------------------- stacked form

@@ -3,7 +3,7 @@ import pytest
 from conftest import assert_monotone, make_views
 
 from scca import (ConvergenceSpec, DimensionError, EmptySupportError, GammaMatrix,
-                  MultiViewProblem, center_scale, gen_rank_one_threeview,
+                  MultiViewProblem, ViewMatrix, center_scale, gen_rank_one_threeview,
                   multiview_pattern, multiview_scca, multiview_screen, pattern_l1,
                   scca_pair)
 from scca.simulate import RankOneSpec
@@ -67,7 +67,7 @@ def test_multiview_screen_examples(rng):
     pat = multiview_screen(problem, gam, s=2)
     norms = np.zeros(6)
     for r_i in (0, 1):
-        t = problem.tilde(r_i, 2)
+        t = np.asarray(problem.tilde(r_i, 2))
         for i in range(6):
             norms[i] += np.sqrt(sum(t[a, i] ** 2 for a in range(t.shape[0])))
     assert pat.bits.tolist() == (norms > 0.5).tolist()
@@ -198,6 +198,34 @@ def test_shrinkage_order_invariance_on_well_separated_model():
     for s in range(3):
         support = truths[s] != 0
         assert (down[s] & support).tolist() == (up[s] & support).tolist()
+
+
+def _fixture_gamma(problem, frac=0.42):
+    rows = []
+    for s in range(problem.m):
+        norms = sum(np.linalg.norm(problem.tilde(r, s), axis=0)
+                    for r in range(problem.m) if r != s)
+        rows.append(frac * norms.max())
+    m = problem.m
+    return GammaMatrix(np.array([[0.0 if r == s else rows[s] / (m - 1) for r in range(m)]
+                                 for s in range(m)]))
+
+
+def test_stage_one_reaching_max_iter_is_a_warning():
+    problem, views, _truths = _three_view_problem()
+    assert not any("max_iter" in w for w in multiview_scca(views, _fixture_gamma(problem)).warnings)
+    # the fixture's views are exactly rank one and every sweep stops after one
+    # pass; full-rank noise makes stage one need several, so max_iter=1 cuts it
+    rng = np.random.default_rng(0)
+    noisy = [center_scale(ViewMatrix(v.data + 0.3 * rng.standard_normal(v.data.shape), v.names))
+             for v in views]
+    gam = _fixture_gamma(MultiViewProblem.from_views(noisy))
+    full = multiview_scca(noisy, gam)
+    assert min(full.iterations[0].values()) > 1
+    assert not any("max_iter" in w for w in full.warnings)
+    cut = multiview_scca(noisy, gam, conv=ConvergenceSpec(max_iter=1))
+    assert list(cut.warnings) == [f"view {s}: stage one reached max_iter (1 sweeps)"
+                                  for s in (3, 2, 1)]
 
 
 def test_multiview_rejects_l0():

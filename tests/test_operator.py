@@ -61,6 +61,17 @@ def test_operator_algebra_matches_dense(rng):
         op @ np.ones((5, 2))
 
 
+def test_numpy_forms_the_block_only_when_asked(rng):
+    x1, x2 = make_views(6, 5, 4, seed=2)
+    op = CrossOperator.from_views(x1, x2).deflated(_unit(rng, 5), _unit(rng, 4))
+    assert np.asarray(op).tobytes() == op.dense().tobytes()
+    np.testing.assert_array_equal(np.linalg.norm(op, axis=0), np.linalg.norm(op.dense(), axis=0))
+    with pytest.raises(TypeError):
+        rng.standard_normal(5) @ op
+    with pytest.raises(TypeError):
+        rng.standard_normal((3, 5)) @ op
+
+
 def test_operator_deflation_through_deflate(rng):
     x1, x2 = make_views(6, 5, 4, seed=9)
     u, v = _unit(rng, 5), _unit(rng, 4)
