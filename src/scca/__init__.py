@@ -9,9 +9,8 @@ a simulation harness and plot-data emission are included.
 
 __version__ = "0.1.0"
 
-from .covariance import (CrossCovariance, CrossOperator, SparsityPattern,
-                         ViewMatrix, center_scale, cross_covariance, load_view,
-                         shrink, write_view)
+from .covariance import (CrossOperator, SparsityPattern, ViewMatrix, center_scale,
+                         cross_covariance, load_view, write_view)
 from .directed import (AccessoryVector, DirectedParams, StackedProblem,
                        UnivariateSelector, compute_beta, directed_fit,
                        directed_pattern_dot, directed_pattern_reg,
@@ -30,8 +29,8 @@ from .report import (BiplotData, InterpolationData, biplot_coords, interp_coords
 from .simulate import (MetricReport, NoiseSweepSpec, RankOneSpec,
                        StabilitySweepSpec, evaluate, gen_null, gen_rank_one,
                        gen_rank_one_threeview, planted_direction, sweep)
-from .solve import (CcaSolution, ResidualState, cca_gep, deflate, fit_pair,
-                    multi_factor, multiview_gep, multiview_power, power_svd)
+from .solve import (CcaSolution, cca_gep, deflate, fit_pair, multi_factor,
+                    multiview_gep, multiview_power, power_svd)
 from .tuning import (FitConfig, TuneGrid, TuneReport, cv_tune, grid_orchestrate,
                      perm_tune)
 

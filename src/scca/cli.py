@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .covariance import SparsityPattern, ViewMatrix, center_scale, load_view, write_view
 from .directed import (AccessoryVector, DirectedParams, StackedProblem,
-                       UnivariateSelector, directed_fit, directed_stacked,
-                       directed_two_stage)
+                       UnivariateSelector, _require_l1, directed_fit,
+                       directed_stacked, directed_two_stage)
 from .errors import (DegenerateInputError, EmptySupportError,
                      InsufficientFactorsError, SccaError)
 from .multiview import GammaMatrix, multiview_scca
@@ -28,7 +28,7 @@ from .pattern import ConvergenceSpec
 from .report import biplot_coords, interp_coords, write_report
 from .simulate import (NoiseSweepSpec, RankOneSpec, StabilitySweepSpec,
                        gen_null, gen_rank_one, gen_rank_one_threeview, sweep)
-from .solve import CcaSolution, fit_pair
+from .solve import CcaSolution, _pearson, fit_pair
 from .tuning import FitConfig, TuneGrid, cv_tune, perm_tune
 
 
@@ -153,7 +153,9 @@ def _common(p: argparse.ArgumentParser):
     p.add_argument("--gamma2", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="seed for tune and simulate; fits use no random restarts, "
+                        "so scca, mscca and dscca only echo it")
     p.add_argument("--scale", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--stage2", choices=["svd", "gep", "power"])
     p.add_argument("--out")
@@ -253,18 +255,20 @@ def cmd_dscca(args) -> int:
     conv = _conv(r)
     params = DirectedParams(r["gamma1"], r["gamma2"], eps1, eps2)
     if mode in ("dot", "reg"):
-        sol = directed_fit(x1, x2, y, params, mode=mode, conv=conv, stage2=stage2)
+        sol = directed_fit(x1, x2, y, params, mode=mode, penalty=r["penalty"],
+                           conv=conv, stage2=stage2)
     elif mode == "stacked":
+        _require_l1(r["penalty"])
         sp = StackedProblem.build(x1, x2, eps1, eps2)
         pattern, _v, z = directed_stacked(sp, y, r["gamma1"], r["gamma2"], conv=conv)
         z1, z2 = z.values[:x1.p], z.values[x1.p:]
+        rho, flagged = _pearson(x1.data @ z1, x2.data @ z2)
         sol = CcaSolution(
             directions=[z1[:, None], z2[:, None]],
-            correlations=np.array([0.0]), factor_count=1, normalization="stacked",
+            correlations=np.array([rho]), factor_count=1, normalization="stacked",
             patterns=[[SparsityPattern(pattern.bits[:x1.p])],
-                      [SparsityPattern(pattern.bits[x1.p:])]])
-        rho = np.corrcoef(x1.data @ z1, x2.data @ z2)[0, 1] if z1.any() and z2.any() else 0.0
-        sol.correlations = np.array([float(rho)])
+                      [SparsityPattern(pattern.bits[x1.p:])]],
+            warnings=("degenerate covariate, correlation set to 0",) if flagged else ())
     elif mode == "two-stage":
         selector = UnivariateSelector(float(_opt(args, config, "keep_fraction", 0.5)))
         sol = directed_two_stage(x1, x2, y, selector, r["gamma1"], r["gamma2"],

@@ -2,19 +2,19 @@
 
 Views are n x p observation matrices (rows = samples). Cross-covariance
 blocks use the divisor n by default; ``divisor="n-1"`` is available for
-cross-tool comparison. Sparsity patterns restrict blocks to active
-coordinates while remembering the original (global) indices, so directions
-estimated on shrunken problems can be re-expanded to full length.
+cross-tool comparison. ``CrossOperator`` keeps a cross-covariance as the
+centred data plus a low-rank deflation correction, so restricting it to a
+sparsity pattern selects data columns instead of copying a block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, EmptySupportError, ParseError, StateError
+from .errors import DimensionError, ParseError, StateError
 
 _MEAN_TOL = 1e-10
 
@@ -40,18 +40,8 @@ class SparsityPattern:
         return int(self.bits.sum())
 
     def indices(self) -> np.ndarray:
-        """Global indices of the active coordinates, in original order."""
+        """Indices of the active coordinates, in increasing order."""
         return np.flatnonzero(self.bits)
-
-    @classmethod
-    def all_true(cls, p: int) -> "SparsityPattern":
-        return cls(np.ones(p, dtype=bool))
-
-    @classmethod
-    def from_indices(cls, indices, p: int) -> "SparsityPattern":
-        bits = np.zeros(p, dtype=bool)
-        bits[np.asarray(indices, dtype=int)] = True
-        return cls(bits)
 
 
 @dataclass(eq=False)
@@ -92,29 +82,6 @@ class ViewMatrix:
     @property
     def p(self) -> int:
         return int(self.data.shape[1])
-
-
-@dataclass(eq=False)
-class CrossCovariance:
-    """A p_r x p_s sample cross-covariance block with shrinkage provenance."""
-
-    block: np.ndarray
-    view_ids: tuple[int, int] = (0, 1)
-    row_support: SparsityPattern | None = None
-    col_support: SparsityPattern | None = None
-
-    def __post_init__(self):
-        self.block = np.asarray(self.block, dtype=float)
-        if self.block.ndim != 2:
-            raise DimensionError("covariance block must be 2-d")
-        if self.row_support is not None and self.row_support.active_count != self.block.shape[0]:
-            raise DimensionError("row support does not match block height")
-        if self.col_support is not None and self.col_support.active_count != self.block.shape[1]:
-            raise DimensionError("column support does not match block width")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.block.shape
 
 
 def _default_names(p: int) -> list[str]:
@@ -256,12 +223,10 @@ def _check_pair(a: ViewMatrix, b: ViewMatrix) -> None:
         raise StateError("cross_covariance requires centered views")
 
 
-def cross_covariance(a: ViewMatrix, b: ViewMatrix, divisor: str = "n",
-                     view_ids: tuple[int, int] = (0, 1)) -> CrossCovariance:
+def cross_covariance(a: ViewMatrix, b: ViewMatrix, divisor: str = "n") -> np.ndarray:
     """Sample cross-covariance block of two centered views sharing samples."""
     _check_pair(a, b)
-    block = a.data.T @ b.data / _divisor(a.n, divisor)
-    return CrossCovariance(block, view_ids=view_ids)
+    return a.data.T @ b.data / _divisor(a.n, divisor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,32 +334,3 @@ class CrossOperator:
         scale = float(u @ (self @ v))
         return CrossOperator(self.a, self.b, self.div, np.column_stack([self.u, u]),
                              np.append(self.s, scale), np.column_stack([self.v, v]))
-
-
-def _compose_support(existing: SparsityPattern | None, keep: SparsityPattern) -> SparsityPattern:
-    """Express a restriction of the current axis in the original index space."""
-    if existing is None:
-        return keep
-    idx = existing.indices()[keep.bits]
-    return SparsityPattern.from_indices(idx, existing.size)
-
-
-def shrink(c: CrossCovariance, rows: SparsityPattern, cols: SparsityPattern) -> CrossCovariance:
-    """Restrict a block to the active rows/columns of two patterns.
-
-    All-true patterns are a no-op on their axis. The returned block carries
-    composed supports so entries keep their original global indices.
-    """
-    if rows.size != c.block.shape[0]:
-        raise DimensionError(f"row pattern length {rows.size} != block rows {c.block.shape[0]}")
-    if cols.size != c.block.shape[1]:
-        raise DimensionError(f"col pattern length {cols.size} != block cols {c.block.shape[1]}")
-    if rows.active_count == 0:
-        raise EmptySupportError("row pattern has no active coordinates", side="rows")
-    if cols.active_count == 0:
-        raise EmptySupportError("column pattern has no active coordinates", side="cols")
-    sub = c.block[np.ix_(rows.indices(), cols.indices())]
-    return CrossCovariance(
-        sub, view_ids=c.view_ids,
-        row_support=_compose_support(c.row_support, rows),
-        col_support=_compose_support(c.col_support, cols))

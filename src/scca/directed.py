@@ -18,7 +18,7 @@ from .covariance import CrossOperator, SparsityPattern, ViewMatrix, cross_covari
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, SingularityError)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
-                      _partner_l1, _solve)
+                      _hinge_ascent)
 from .solve import (CcaSolution, _expand, _fix_sign, _pearson, _stage_two, _within,
                     fit_pair)
 
@@ -58,13 +58,9 @@ class DirectedParams:
         return DirectedParams(self.gamma2, self.gamma1, self.eps2, self.eps1)
 
 
-def _directed_result(block, proj, z, gamma2, its, trace) -> PatternResult:
-    bits = np.abs(proj) > gamma2
-    if not bits.any():
-        raise EmptySupportError("every aligned projection is at or below the threshold",
-                                side="partner", last_iterate=z)
-    return PatternResult(Direction(z), SparsityPattern(bits),
-                         Direction(_partner_l1(proj, gamma2)), its, trace)
+def _require_l1(penalty: str) -> None:
+    if penalty != "l1":
+        raise ValueError("directed stage one is defined for the 'l1' penalty only")
 
 
 def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
@@ -86,25 +82,16 @@ def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
         raise DimensionError("x1ty length does not match block rows")
     if x2ty.shape != (block.shape[1],):
         raise DimensionError("x2ty length does not match block columns")
-    conv = conv or ConvergenceSpec()
-    gamma2, eps1, eps2 = params.gamma2, params.eps1, params.eps2
     if z0 is None and not _col_norms(block).max() > 0:
         # a zero block is still solvable when the alignment term drives the update
-        pull = eps1 * x1ty
+        pull = params.eps1 * x1ty
         if not np.any(pull):
             raise DegenerateInputError("zero block and zero alignment")
         z0 = pull / np.linalg.norm(pull)
-
-    def step(z):
-        proj = block.T @ z + eps2 * x2ty
-        w = np.maximum(np.abs(proj) - gamma2, 0.0)
-        obj = float(w @ w) + 2.0 * eps1 * float(x1ty @ z)
-        return obj, block @ (w * np.sign(proj)) + eps1 * x1ty
-
-    z, its, trace = _solve(block, step, lambda z: step(z)[0], z0, conv,
-                           restarts, seed, side="partner")
-    proj = block.T @ z + eps2 * x2ty
-    return _directed_result(block, proj, z, gamma2, its, trace)
+    return _hinge_ascent(block, params.gamma2, "l1", z0=z0, conv=conv,
+                         restarts=restarts, seed=seed, side="partner",
+                         empty="every aligned projection is at or below the threshold",
+                         offset=params.eps2 * x2ty, pull=(params.eps1, x1ty))
 
 
 def directed_pattern_reg(c, beta1, beta2, params: DirectedParams, z0=None,
@@ -172,9 +159,9 @@ class StackedProblem:
     @classmethod
     def build(cls, x1: ViewMatrix, x2: ViewMatrix, eps1: float, eps2: float,
               divisor: str = "n") -> "StackedProblem":
-        c11 = cross_covariance(x1, x1, divisor=divisor).block
-        c22 = cross_covariance(x2, x2, divisor=divisor).block
-        c12 = cross_covariance(x1, x2, divisor=divisor).block
+        c11 = cross_covariance(x1, x1, divisor=divisor)
+        c22 = cross_covariance(x2, x2, divisor=divisor)
+        c12 = cross_covariance(x1, x2, divisor=divisor)
         tilde_c = np.block([[eps1 * c11, c12], [c12.T, eps2 * c22]])
         tilde_x = np.hstack([eps1 * x1.data, eps2 * x2.data])
         return cls(tilde_c, tilde_x, x1.p)
@@ -209,31 +196,16 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("thresholds must be non-negative")
-    conv = conv or ConvergenceSpec()
     y = y.center()
     if y.values.size != sp.tilde_x.shape[0]:
         raise DimensionError("accessory length does not match the stacked views")
     root = _symmetric_sqrt(sp.tilde_c)
-    offsets = 2.0 * (sp.tilde_x.T @ y.values)
-    p = root.shape[0]
-    gamma_vec = np.where(np.arange(p) < sp.split, gamma1, gamma2)
-
-    def step(v):
-        proj = root @ v + offsets
-        w = np.maximum(np.abs(proj) - gamma_vec, 0.0)
-        return float(w @ w), root @ (w * np.sign(proj))
-
-    v, its, _trace = _solve(root, step, lambda v: step(v)[0], v0, conv,
-                            restarts, seed, side="stacked")
-    proj = root @ v + offsets
-    bits = np.abs(proj) > gamma_vec
-    if not bits.any():
-        raise EmptySupportError("both sides of the stacked pattern are empty",
-                                side="stacked", last_iterate=v)
-    w = np.maximum(np.abs(proj) - gamma_vec, 0.0)
-    denom = np.sqrt(float(w @ w))
-    z = np.sign(proj) * w / denom if denom > 0 else np.zeros_like(proj)
-    return SparsityPattern(bits), Direction(v), Direction(z)
+    gamma_vec = np.where(np.arange(root.shape[0]) < sp.split, gamma1, gamma2)
+    res = _hinge_ascent(root, gamma_vec, "l1", z0=v0, conv=conv, restarts=restarts,
+                        seed=seed, side="stacked",
+                        empty="both sides of the stacked pattern are empty",
+                        offset=2.0 * (sp.tilde_x.T @ y.values))
+    return res.pattern, res.z_lead, res.z_partner
 
 
 @dataclass(frozen=True)
@@ -276,8 +248,7 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     The cross-covariance is a CrossOperator: only the doubly shrunken block
     and, for GEP, the within-view blocks on the supports are formed.
     """
-    if penalty != "l1":
-        raise ValueError("directed stage one is defined for the 'l1' penalty only")
+    _require_l1(penalty)
     if mode not in ("dot", "reg"):
         raise ValueError("mode must be 'dot' or 'reg'")
     if y.values.size != x1.n:

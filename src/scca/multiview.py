@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
-from .pattern import ConvergenceSpec, init_direction
+from .pattern import ConvergenceSpec, _hinge, init_direction
 from .solve import (CcaSolution, _fix_sign, _pearson, _within, multiview_gep,
                     multiview_power)
 
@@ -119,8 +119,7 @@ def _sweep_objective(problem: MultiViewProblem, s: int, zs: dict[int, np.ndarray
     proj = np.zeros(problem.dim(s))
     for q in others:
         proj += problem.tilde(q, s).T @ zs[q]
-    w = np.maximum(np.abs(proj) - thresh, 0.0)
-    value = float(w @ w)
+    value = _hinge(proj, thresh, "l1")[0]
     for a_i, a in enumerate(others):
         for b in others[a_i + 1:]:
             value += 2.0 * float(zs[a] @ (problem.tilde(a, b) @ zs[b]))
@@ -130,12 +129,14 @@ def _sweep_objective(problem: MultiViewProblem, s: int, zs: dict[int, np.ndarray
 def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
                       inits: dict[int, np.ndarray] | None = None,
                       conv: ConvergenceSpec | None = None,
-                      ) -> tuple[SparsityPattern, dict[int, np.ndarray], int, np.ndarray | None]:
+                      ) -> tuple[SparsityPattern, dict[int, np.ndarray], int,
+                                 np.ndarray | None, bool]:
     """Sparsity pattern of view s from a cyclic sweep over the other views.
 
     Returns (pattern over view s's current coordinates, final per-view
-    iterates, sweep count, optional objective trace). Joint convergence is
-    the maximum per-view direction change falling below tol.
+    iterates, sweep count, optional objective trace, converged). Joint
+    convergence is the maximum per-view direction change falling below tol;
+    ``converged`` is False when ``conv.max_iter`` sweeps ran without it.
     """
     if gam.m != problem.m:
         raise DimensionError("gamma matrix size does not match the number of views")
@@ -157,6 +158,7 @@ def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
 
     trace = [] if conv.objective_track else None
     sweeps = 0
+    converged = False
     for _ in range(conv.max_iter):
         if trace is not None:
             trace.append(_sweep_objective(problem, s, zs, thresh))
@@ -165,8 +167,7 @@ def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
             proj = np.zeros(problem.dim(s))
             for q in others:
                 proj += problem.tilde(q, s).T @ zs[q]
-            w = np.maximum(np.abs(proj) - thresh, 0.0)
-            update = problem.tilde(r, s) @ (w * np.sign(proj))
+            update = problem.tilde(r, s) @ _hinge(proj, thresh, "l1")[1]
             for l in others:
                 if l != r:
                     update = update + problem.tilde(r, l) @ zs[l]
@@ -177,7 +178,8 @@ def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
             max_move = max(max_move, float(np.linalg.norm(z_new - zs[r])))
             zs[r] = z_new
         sweeps += 1
-        if max_move <= conv.tol:
+        converged = max_move <= conv.tol
+        if converged:
             break
     if trace is not None:
         trace.append(_sweep_objective(problem, s, zs, thresh))
@@ -185,13 +187,13 @@ def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
     proj = np.zeros(problem.dim(s))
     for q in others:
         proj += problem.tilde(q, s).T @ zs[q]
-    bits = np.abs(proj) > thresh
+    bits = _hinge(proj, thresh, "l1")[1] != 0
     if not bits.any():
         raise EmptySupportError(
             f"every coordinate of view {s + 1} is at or below the threshold",
             side=f"view {s + 1}")
     return (SparsityPattern(bits), zs, sweeps,
-            np.asarray(trace) if trace is not None else None)
+            np.asarray(trace) if trace is not None else None, converged)
 
 
 def multiview_screen(problem: MultiViewProblem, gam: GammaMatrix, s: int) -> SparsityPattern:
@@ -216,8 +218,9 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
     Stage two runs on the doubly shrunken blocks, formed explicitly, via the
     cyclic power method (default) or the block generalized eigenproblem, and
     directions are re-expanded to full length. A view whose stage one used
-    all ``conv.max_iter`` sweeps is reported in the warnings. Only the
-    absolute-value threshold rule is defined for more than two views.
+    all ``conv.max_iter`` sweeps without converging is reported in the
+    warnings. Only the absolute-value threshold rule is defined for more
+    than two views.
     """
     if penalty != "l1":
         raise ValueError("multi-view stage one is defined for the 'l1' penalty only")
@@ -237,13 +240,14 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
     warnings: tuple[str, ...] = ()
     for s in range(m - 1, -1, -1):
         try:
-            pat, _zs, sweeps, trace = multiview_pattern(problem, gam, s, conv=conv)
+            pat, _zs, sweeps, trace, converged = multiview_pattern(problem, gam, s,
+                                                                   conv=conv)
         except (EmptySupportError, DegenerateInputError) as err:
             raise type(err)(f"stage one failed at view {s + 1}: {err}") from err
         # view s is still full length when its own pattern is solved
         patterns[s] = pat
         iterations[f"view{s + 1}"] = sweeps
-        if sweeps == conv.max_iter:
+        if not converged:
             warnings += (f"view {s + 1}: stage one reached max_iter ({sweeps} sweeps)",)
         if trace is not None:
             traces[f"view{s + 1}"] = trace

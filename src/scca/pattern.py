@@ -10,11 +10,11 @@ two-sided pattern pass used by the full pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CrossCovariance, CrossOperator, SparsityPattern, ViewMatrix
+from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 
 _UNIT_TOL = 1e-8
@@ -46,16 +46,14 @@ class ConvergenceSpec:
 
 @dataclass(eq=False)
 class Direction:
-    """A direction vector with its Euclidean norm cached."""
+    """A direction vector (1-d float array)."""
 
     values: np.ndarray
-    norm: float = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise DimensionError("direction must be a 1-d vector")
-        self.norm = float(np.linalg.norm(self.values))
 
 
 @dataclass(eq=False)
@@ -76,11 +74,9 @@ class PatternResult:
 
 
 def _as_block(c) -> np.ndarray | CrossOperator:
-    """The dense block of ``c``; a CrossOperator passes through as is."""
+    """``c`` as a 2-d float array; a CrossOperator passes through as is."""
     if isinstance(c, CrossOperator):
         return c
-    if isinstance(c, CrossCovariance):
-        return c.block
     block = np.asarray(c, dtype=float)
     if block.ndim != 2:
         raise DimensionError("covariance block must be 2-d")
@@ -124,12 +120,12 @@ def init_direction(c) -> Direction:
     return Direction(_column(block, i_star) / norms[i_star])
 
 
-def _ascend(step, z0: np.ndarray, conv: ConvergenceSpec, side: str):
-    """Iterate z <- update(z)/||update(z)|| until the tracked functional stalls.
+def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, side: str):
+    """Iterate z <- u/||u|| until the tracked functional stalls.
 
-    ``step(z)`` returns ``(functional value at z, update vector)``; the update
-    maximizes the linearization of a convex functional over the sphere, so
-    the tracked values are non-decreasing.
+    ``value(z)`` returns ``(functional value at z, update weights)`` and
+    ``update(weights)`` the update u, which maximizes the linearization of a
+    convex functional over the sphere, so the tracked values are non-decreasing.
     """
     z = np.array(z0, dtype=float)
     trace = [] if conv.objective_track else None
@@ -137,15 +133,16 @@ def _ascend(step, z0: np.ndarray, conv: ConvergenceSpec, side: str):
     stall_run = 0
     iterations = 0
     for _ in range(conv.max_iter):
-        obj, update = step(z)
+        obj, weights = value(z)
         if trace is not None:
             trace.append(obj)
-        nrm = np.linalg.norm(update)
+        u = update(weights)
+        nrm = np.linalg.norm(u)
         if nrm == 0.0:
             raise EmptySupportError(
                 f"update vanished while solving for {side}: the threshold exceeds "
                 "every projection", side=side, last_iterate=z.copy())
-        z_new = update / nrm
+        z_new = u / nrm
         iterations += 1
         move = float(np.linalg.norm(z_new - z))
         stalled = prev_obj is not None and abs(obj - prev_obj) <= conv.tol * max(1.0, abs(prev_obj))
@@ -158,7 +155,7 @@ def _ascend(step, z0: np.ndarray, conv: ConvergenceSpec, side: str):
         else:
             stall_run = 0
     if trace is not None:
-        trace.append(step(z)[0])
+        trace.append(value(z)[0])
     return z, iterations, (np.asarray(trace) if trace is not None else None)
 
 
@@ -174,9 +171,9 @@ def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarr
     return inits
 
 
-def _solve(block, step, program_objective, z0, conv, restarts, seed, side):
+def _solve(block, value, update, z0, conv, restarts, seed, side):
     """Run the ascent from the deterministic init plus optional random restarts,
-    keeping the candidate with the best program objective."""
+    keeping the candidate whose tracked functional is largest."""
     if z0 is None:
         start = init_direction(block).values
     else:
@@ -192,12 +189,12 @@ def _solve(block, step, program_objective, z0, conv, restarts, seed, side):
     first_err: EmptySupportError | None = None
     for z_init in inits:
         try:
-            z, its, trace = _ascend(step, z_init, conv, side)
+            z, its, trace = _ascend(value, update, z_init, conv, side)
         except EmptySupportError as err:
             if first_err is None:
                 first_err = err
             continue
-        score = program_objective(z)
+        score = value(z)[0]
         if best is None or score > best[0]:
             best = (score, z, its, trace)
     if best is None:
@@ -205,33 +202,74 @@ def _solve(block, step, program_objective, z0, conv, restarts, seed, side):
     return best[1], best[2], best[3]
 
 
-def _partner_l1(proj: np.ndarray, gamma2: float) -> np.ndarray:
-    w = np.maximum(np.abs(proj) - gamma2, 0.0)
-    denom = np.sqrt(float(w @ w))
-    if denom == 0.0:
-        return np.zeros_like(proj)
-    return np.sign(proj) * w / denom
+def _hinge(proj: np.ndarray, gamma, rule: str) -> tuple[float, np.ndarray]:
+    """The threshold rule at projections ``proj``: (program objective, update weights).
+
+    ``gamma`` is a scalar or one threshold per coordinate. "l1" soft-thresholds
+    |proj| (objective: the sum of squared hinges; weights: the signed hinges),
+    "l0" clips proj^2 (objective: the sum of clipped squares; weights: the
+    active projections). A coordinate is active exactly when its weight is
+    non-zero.
+    """
+    if rule == "l1":
+        w = np.maximum(np.abs(proj) - gamma, 0.0)
+        return float(w @ w), w * np.sign(proj)
+    clipped = np.maximum(proj * proj - gamma, 0.0)
+    return float(clipped.sum()), np.where(clipped > 0, proj, 0.0)
 
 
-def _partner_l0(proj: np.ndarray, gamma2: float) -> np.ndarray:
-    active = (proj * proj - gamma2) > 0
-    denom = np.sqrt(float((proj * proj)[active].sum()))
-    if denom == 0.0:
-        return np.zeros_like(proj)
-    return np.where(active, proj, 0.0) / denom
+def _partner(proj: np.ndarray, gamma, rule: str) -> np.ndarray:
+    """Closed-form partner direction: the normalised update weights, all-zero
+    when every coordinate is thresholded."""
+    weights = _hinge(proj, gamma, rule)[1]
+    denom = np.sqrt(float(weights @ weights))
+    return weights / denom if denom > 0 else np.zeros_like(proj)
+
+
+def _hinge_ascent(c, gamma, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,
+                  seed: int, side: str, empty: str, offset=None, pull=None) -> PatternResult:
+    """The generalized power method that every stage-one solver runs.
+
+    A step projects z onto the columns of ``c``, shifted by ``offset``, takes
+    the update weights of the threshold rule and moves to the update
+    ``c @ weights``. A ``pull`` (eps, a) adds the constant eps*a to the update
+    and 2 eps a'z to the tracked functional, which is otherwise the program
+    objective; the update maximizes its linearization, so it is
+    non-decreasing. ``side`` names the solve in errors and ``empty`` is the
+    message raised when the maximizer thresholds every coordinate.
+    """
+    def project(z):
+        proj = c.T @ z
+        return proj if offset is None else proj + offset
+
+    def value(z):
+        obj, weights = _hinge(project(z), gamma, rule)
+        if pull is not None:
+            obj += 2.0 * pull[0] * float(pull[1] @ z)
+        return obj, weights
+
+    def update(weights):
+        u = c @ weights
+        return u if pull is None else u + pull[0] * pull[1]
+
+    z, its, trace = _solve(c, value, update, z0, conv or ConvergenceSpec(), restarts, seed,
+                           side)
+    proj = project(z)
+    bits = _hinge(proj, gamma, rule)[1] != 0
+    if not bits.any():
+        raise EmptySupportError(empty, side=side, last_iterate=z)
+    return PatternResult(Direction(z), SparsityPattern(bits),
+                         Direction(_partner(proj, gamma, rule)), its, trace)
 
 
 def objective_l1(c, z: np.ndarray, gamma2: float) -> float:
     """Sum of squared soft-thresholded projections (the L1 program objective)."""
-    proj = _as_block(c).T @ np.asarray(z, dtype=float)
-    w = np.maximum(np.abs(proj) - gamma2, 0.0)
-    return float(w @ w)
+    return _hinge(_as_block(c).T @ np.asarray(z, dtype=float), gamma2, "l1")[0]
 
 
 def objective_l0(c, z: np.ndarray, gamma2: float) -> float:
     """Sum of clipped squared projections (the L0 program objective)."""
-    proj = _as_block(c).T @ np.asarray(z, dtype=float)
-    return float(np.maximum(proj * proj - gamma2, 0.0).sum())
+    return _hinge(_as_block(c).T @ np.asarray(z, dtype=float), gamma2, "l0")[0]
 
 
 def pattern_l1(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
@@ -240,7 +278,7 @@ def pattern_l1(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
 
     Parameters
     ----------
-    c : CrossCovariance, CrossOperator or array
+    c : CrossOperator or array
         p_lead x p_partner cross-covariance block.
     gamma2 : float
         Non-negative sparsity threshold applied to |c_i' z|.
@@ -253,25 +291,11 @@ def pattern_l1(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
     Coordinates with |c_i' z*| <= gamma2 are inactive (the boundary counts
     as inactive). Raises EmptySupportError when everything is thresholded.
     """
-    block = _as_block(c)
     if gamma2 < 0:
         raise ValueError("gamma2 must be non-negative")
-    conv = conv or ConvergenceSpec()
-
-    def step(z):
-        proj = block.T @ z
-        w = np.maximum(np.abs(proj) - gamma2, 0.0)
-        return float(w @ w), block @ (w * np.sign(proj))
-
-    z, its, trace = _solve(block, step, lambda z: objective_l1(block, z, gamma2),
-                           z0, conv, restarts, seed, side="partner")
-    proj = block.T @ z
-    bits = np.abs(proj) > gamma2
-    if not bits.any():
-        raise EmptySupportError("every coordinate is at or below the threshold",
-                                side="partner", last_iterate=z)
-    return PatternResult(Direction(z), SparsityPattern(bits),
-                         Direction(_partner_l1(proj, gamma2)), its, trace)
+    return _hinge_ascent(_as_block(c), gamma2, "l1", z0=z0, conv=conv,
+                         restarts=restarts, seed=seed, side="partner",
+                         empty="every coordinate is at or below the threshold")
 
 
 def pattern_l0(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
@@ -283,26 +307,11 @@ def pattern_l0(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
     indicator, the exact subgradient of the program objective, so the
     tracked objective is non-decreasing.
     """
-    block = _as_block(c)
     if gamma2 < 0:
         raise ValueError("gamma2 must be non-negative")
-    conv = conv or ConvergenceSpec()
-
-    def step(z):
-        proj = block.T @ z
-        clipped = np.maximum(proj * proj - gamma2, 0.0)
-        active = clipped > 0
-        return float(clipped.sum()), block @ np.where(active, proj, 0.0)
-
-    z, its, trace = _solve(block, step, lambda z: objective_l0(block, z, gamma2),
-                           z0, conv, restarts, seed, side="partner")
-    proj = block.T @ z
-    bits = (proj * proj) > gamma2
-    if not bits.any():
-        raise EmptySupportError("every squared projection is at or below the threshold",
-                                side="partner", last_iterate=z)
-    return PatternResult(Direction(z), SparsityPattern(bits),
-                         Direction(_partner_l0(proj, gamma2)), its, trace)
+    return _hinge_ascent(_as_block(c), gamma2, "l0", z0=z0, conv=conv,
+                         restarts=restarts, seed=seed, side="partner",
+                         empty="every squared projection is at or below the threshold")
 
 
 def reconstruct_l1(c, z1, gamma2: float) -> Direction:
@@ -311,16 +320,14 @@ def reconstruct_l1(c, z1, gamma2: float) -> Direction:
     Returns the all-zero vector when every projection is thresholded; the
     caller decides whether that is an error.
     """
-    block = _as_block(c)
     z = np.asarray(z1.values if isinstance(z1, Direction) else z1, dtype=float)
-    return Direction(_partner_l1(block.T @ z, gamma2))
+    return Direction(_partner(_as_block(c).T @ z, gamma2, "l1"))
 
 
 def reconstruct_l0(c, z1, gamma2: float) -> Direction:
     """Closed-form partner direction for the squared rule (zero when clipped out)."""
-    block = _as_block(c)
     z = np.asarray(z1.values if isinstance(z1, Direction) else z1, dtype=float)
-    return Direction(_partner_l0(block.T @ z, gamma2))
+    return Direction(_partner(_as_block(c).T @ z, gamma2, "l0"))
 
 
 def screen_l1(c, gamma2: float) -> SparsityPattern:

@@ -52,46 +52,23 @@ class CcaSolution:
             raise ValueError("correlations must be sorted non-increasing")
 
 
-@dataclass(eq=False)
-class ResidualState:
-    """A cross-covariance block minus the rank-one terms fitted so far."""
-
-    base: np.ndarray
-    history: list[tuple[np.ndarray, np.ndarray, float]]
-    current: np.ndarray
-
-    @classmethod
-    def from_block(cls, c) -> "ResidualState":
-        block = np.array(_as_block(c), dtype=float)
-        return cls(base=block.copy(), history=[], current=block)
-
-    def reconstruction_error(self) -> float:
-        acc = self.base.copy()
-        for z1, z2, scale in self.history:
-            acc -= scale * np.outer(z1, z2)
-        return float(np.abs(acc - self.current).max(initial=0.0))
-
-
-def deflate(state, z1, z2):
+def deflate(c, z1, z2):
     """Subtract the fitted rank-one term scaled by z1' C z2 from the residual.
 
-    ``state`` is a ResidualState, or a CrossOperator, which gains one
-    correction term instead of being rebuilt.
+    ``c`` is a dense block, returned as a new deflated array, or a
+    CrossOperator, which gains one correction term instead of being rebuilt.
     """
     z1 = np.asarray(z1.values if isinstance(z1, Direction) else z1, dtype=float)
     z2 = np.asarray(z2.values if isinstance(z2, Direction) else z2, dtype=float)
-    operator = isinstance(state, CrossOperator)
-    shape = state.shape if operator else state.current.shape
-    if z1.shape != (shape[0],) or z2.shape != (shape[1],):
+    block = _as_block(c)
+    if z1.shape != (block.shape[0],) or z2.shape != (block.shape[1],):
         raise DimensionError("deflation directions do not match the block")
     if abs(np.linalg.norm(z1) - 1.0) > _UNIT_TOL or abs(np.linalg.norm(z2) - 1.0) > _UNIT_TOL:
         raise DimensionError("deflation directions must have unit Euclidean norm")
-    if operator:
-        return state.deflated(z1, z2)
-    scale = float(z1 @ state.current @ z2)
-    return ResidualState(base=state.base,
-                         history=state.history + [(z1.copy(), z2.copy(), scale)],
-                         current=state.current - scale * np.outer(z1, z2))
+    if isinstance(block, CrossOperator):
+        return block.deflated(z1, z2)
+    scale = float(z1 @ block @ z2)
+    return block - scale * np.outer(z1, z2)
 
 
 def power_svd(c, conv: ConvergenceSpec | None = None,

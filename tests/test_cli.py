@@ -179,6 +179,25 @@ def test_dscca_stacked_and_two_stage_modes(tmp_path):
         assert sol.factor_count == 1
 
 
+def test_dscca_l0_penalty_fails_loudly_outside_two_stage(tmp_path, capsys):
+    x1, x2, truths = _write_small_views(tmp_path, seed=10)
+    y = center_scale(x1).data @ truths[0]
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+    data = ["--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+            "--y", str(tmp_path / "y.csv"), "--gamma1", "0.05", "--gamma2", "0.05",
+            "--no-scale", "--penalty", "l0"]
+    capsys.readouterr()
+    for mode in ("dot", "reg", "stacked"):
+        out = tmp_path / mode
+        assert main(["dscca", *data, "--mode", mode, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: directed stage one is defined for the 'l1' penalty only\n")
+        assert not (out / "solution.json").exists()
+    assert main(["dscca", *data, "--mode", "two-stage", "--out", str(tmp_path / "ts")]) == 0
+    doc = json.loads((tmp_path / "ts" / "solution.json").read_text())
+    assert doc["metadata"]["config"]["penalty"] == "l0"
+
+
 def test_tune_single_cell_and_reproducible(tmp_path):
     _write_small_views(tmp_path, seed=12)
     args = ["tune", "--x1", str(tmp_path / "x1.csv"), "--x2",
@@ -260,7 +279,8 @@ def test_mscca_prints_stage_one_max_iter_warnings(tmp_path, capsys):
              "--gamma-matrix", "[[0,0.1,0.1],[0.1,0,0.1],[0.1,0.1,0]]"]
     capsys.readouterr()
     assert main(["mscca", *views, "--max-iter", "1", "--out", str(tmp_path / "cut")]) == 0
-    expected = [f"view {s}: stage one reached max_iter (1 sweeps)" for s in (3, 2, 1)]
+    # view 2 converges in its single sweep (the default run needs one sweep there too)
+    expected = [f"view {s}: stage one reached max_iter (1 sweeps)" for s in (3, 1)]
     assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in expected]
     doc = json.loads((tmp_path / "cut" / "solution.json").read_text())
     assert doc["warnings"] == expected

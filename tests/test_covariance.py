@@ -3,7 +3,7 @@ import pytest
 
 from scca import (DimensionError, EmptySupportError, ParseError, SparsityPattern,
                   StateError, ViewMatrix, center_scale, cross_covariance,
-                  gen_rank_one, load_view, shrink, write_view)
+                  gen_rank_one, load_view, write_view)
 from scca.simulate import RankOneSpec
 
 
@@ -103,21 +103,21 @@ def test_center_scale_idempotent(rng):
 
 def test_cross_covariance_single_column():
     a = ViewMatrix(np.array([[-1.0], [0.0], [1.0]]), ["a"], centered=True)
-    block = cross_covariance(a, a).block
+    block = cross_covariance(a, a)
     np.testing.assert_allclose(block, [[2.0 / 3.0]])
 
 
 def test_cross_covariance_sign_flip():
     a = ViewMatrix(np.array([[-1.0], [0.0], [1.0]]), ["a"], centered=True)
     b = ViewMatrix(np.array([[1.0], [0.0], [-1.0]]), ["b"], centered=True)
-    np.testing.assert_allclose(cross_covariance(a, b).block, [[-2.0 / 3.0]])
+    np.testing.assert_allclose(cross_covariance(a, b), [[-2.0 / 3.0]])
 
 
 def test_cross_covariance_matches_outer_product_sum(rng):
     # elementwise double-loop oracle
     from conftest import make_views
     a, b = make_views(10, 3, 2, seed=4)
-    block = cross_covariance(a, b).block
+    block = cross_covariance(a, b)
     oracle = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
@@ -128,16 +128,16 @@ def test_cross_covariance_matches_outer_product_sum(rng):
 def test_cross_covariance_transpose_symmetry():
     from conftest import make_views
     a, b = make_views(12, 5, 4, seed=9)
-    ab = cross_covariance(a, b).block
-    ba = cross_covariance(b, a).block
+    ab = cross_covariance(a, b)
+    ba = cross_covariance(b, a)
     assert np.abs(ab.T - ba).max() < 1e-14
 
 
 def test_cross_covariance_divisor_override():
     from conftest import make_views
     a, b = make_views(10, 2, 2, seed=1)
-    n_block = cross_covariance(a, b).block
-    nm1_block = cross_covariance(a, b, divisor="n-1").block
+    n_block = cross_covariance(a, b)
+    nm1_block = cross_covariance(a, b, divisor="n-1")
     np.testing.assert_allclose(n_block * 10 / 9, nm1_block)
 
 
@@ -150,45 +150,6 @@ def test_cross_covariance_errors():
     raw = ViewMatrix(np.arange(6.0).reshape(3, 2), ["a", "b"])
     with pytest.raises(StateError):
         cross_covariance(raw, raw)
-
-
-def test_shrink_selects_submatrix():
-    from scca import CrossCovariance
-    block = np.arange(9.0).reshape(3, 3)
-    c = CrossCovariance(block)
-    out = shrink(c, SparsityPattern([1, 0, 1]), SparsityPattern([0, 1, 0]))
-    np.testing.assert_array_equal(out.block, [[1.0], [7.0]])
-    assert out.row_support.indices().tolist() == [0, 2]
-    assert out.col_support.indices().tolist() == [1]
-
-
-def test_shrink_all_true_is_identity_and_idempotent():
-    from scca import CrossCovariance
-    block = np.arange(6.0).reshape(2, 3)
-    c = CrossCovariance(block)
-    once = shrink(c, SparsityPattern.all_true(2), SparsityPattern.all_true(3))
-    np.testing.assert_array_equal(once.block, block)
-    twice = shrink(once, SparsityPattern.all_true(2), SparsityPattern.all_true(3))
-    np.testing.assert_array_equal(twice.block, block)
-    assert twice.row_support.indices().tolist() == [0, 1]
-
-
-def test_shrink_composes_global_indices():
-    from scca import CrossCovariance
-    block = np.arange(16.0).reshape(4, 4)
-    c = CrossCovariance(block)
-    first = shrink(c, SparsityPattern([1, 0, 1, 1]), SparsityPattern.all_true(4))
-    second = shrink(first, SparsityPattern([0, 1, 1]), SparsityPattern.all_true(4))
-    assert second.row_support.indices().tolist() == [2, 3]
-
-
-def test_shrink_errors():
-    from scca import CrossCovariance
-    c = CrossCovariance(np.ones((3, 3)))
-    with pytest.raises(EmptySupportError):
-        shrink(c, SparsityPattern([0, 0, 0]), SparsityPattern.all_true(3))
-    with pytest.raises(DimensionError):
-        shrink(c, SparsityPattern([1, 0]), SparsityPattern.all_true(3))
 
 
 def test_view_matrix_invariants():

@@ -1,0 +1,90 @@
+"""Exact invariances of the stage-one hinge ascent, on dense blocks and operators.
+
+Scaling a cross-covariance by 2^k (and the threshold by 2^k for the L1 rule,
+4^k for the L0 rule) and flipping the sign of one partner column are exact
+in floating point, so ``pattern_l1`` and ``pattern_l0`` must return the same
+patterns after the same number of iterations. The stall test compares
+objective changes against max(1, |objective|), which is scale-free only
+once the objective is at least 1, so every problem is first scaled by a
+power of two until its objective starts (and, being non-decreasing, stays)
+above 4.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scca import ConvergenceSpec, CrossOperator, ViewMatrix, pattern_l0, pattern_l1
+
+from conftest import make_views
+
+TRACK = ConvergenceSpec(objective_track=True)
+SOLVERS = {"l1": pattern_l1, "l0": pattern_l0}
+
+
+def _problem(kind, a, b):
+    """The cross-covariance a'b/n as an explicit block or as a CrossOperator."""
+    n = a.shape[0]
+    if kind == "dense":
+        return a.T @ b / n
+    views = [ViewMatrix(d, [f"v{j}" for j in range(d.shape[1])], centered=True)
+             for d in (a, b)]
+    return CrossOperator.from_views(*views)
+
+
+def _base(n, p1, p2, seed, frac, rule):
+    """Views scaled by a power of two so that the objective at the start,
+    at least (M - gamma)^2 (L1) or M^2 - gamma (L0) for the largest column
+    norm M, is at least 4; and the threshold at ``frac`` of M."""
+    x1, x2 = make_views(n, p1, p2, seed=seed)
+    a, b = x1.data, x2.data
+    big = np.linalg.norm(a.T @ b / n, axis=0).max()
+    room = big * (1.0 - frac) if rule == "l1" else big * math.sqrt(1.0 - frac ** 2)
+    a = a * 2.0 ** max(0, math.ceil(math.log2(2.0 / room)))
+    big = np.linalg.norm(a.T @ b / n, axis=0).max()
+    gamma = frac * big if rule == "l1" else (frac * big) ** 2
+    return a, b, gamma
+
+
+PROBLEMS = dict(n=st.integers(4, 30), p1=st.integers(2, 25), p2=st.integers(2, 25),
+                seed=st.integers(0, 2**16), frac=st.floats(0.05, 0.7),
+                rule=st.sampled_from(["l1", "l0"]),
+                kind=st.sampled_from(["dense", "operator"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 30), **PROBLEMS)
+def test_scaling_block_and_threshold_by_a_power_of_two(n, p1, p2, seed, frac, rule, kind, k):
+    a, b, gamma = _base(n, p1, p2, seed, frac, rule)
+    solve = SOLVERS[rule]
+    ref = solve(_problem(kind, a, b), gamma, conv=TRACK)
+    out = solve(_problem(kind, a * 2.0 ** k, b), gamma * 2.0 ** (k if rule == "l1" else 2 * k),
+                conv=TRACK)
+    assert out.pattern.bits.tolist() == ref.pattern.bits.tolist()
+    assert out.iterations == ref.iterations
+    np.testing.assert_array_equal(out.z_lead.values, ref.z_lead.values)
+    np.testing.assert_array_equal(out.z_partner.values, ref.z_partner.values)
+    np.testing.assert_array_equal(out.objective_trace, ref.objective_trace * 4.0 ** k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(column=st.integers(0, 10**6), **PROBLEMS)
+def test_flipping_one_partner_column(n, p1, p2, seed, frac, rule, kind, column):
+    a, b, gamma = _base(n, p1, p2, seed, frac, rule)
+    j = column % p2
+    flipped = b.copy()
+    flipped[:, j] *= -1.0
+    solve = SOLVERS[rule]
+    ref = solve(_problem(kind, a, b), gamma, conv=TRACK)
+    out = solve(_problem(kind, a, flipped), gamma, conv=TRACK)
+    assert out.pattern.bits.tolist() == ref.pattern.bits.tolist()
+    assert out.iterations == ref.iterations
+    np.testing.assert_array_equal(out.objective_trace, ref.objective_trace)
+    # the lead iterate flips as a whole when the flipped column was its start
+    sign = 1.0 if np.array_equal(out.z_lead.values, ref.z_lead.values) else -1.0
+    np.testing.assert_array_equal(out.z_lead.values, sign * ref.z_lead.values)
+    partner = sign * ref.z_partner.values
+    partner[j] *= -1.0
+    np.testing.assert_array_equal(out.z_partner.values, partner)

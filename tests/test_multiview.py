@@ -40,7 +40,7 @@ def test_two_view_specialization_matches_pattern_l1():
     gamma2 = 0.3 * np.linalg.norm(block, axis=0).max()
     gam = GammaMatrix(np.array([[0.0, 0.0], [gamma2, 0.0]]))
     conv = ConvergenceSpec(tol=1e-12)
-    pat, iterates, _sweeps, _ = multiview_pattern(problem, gam, s=1, conv=conv)
+    pat, iterates, _sweeps, _, _converged = multiview_pattern(problem, gam, s=1, conv=conv)
     ref = pattern_l1(block, gamma2, conv=conv)
     assert pat.bits.tolist() == ref.pattern.bits.tolist()
     assert np.abs(iterates[0] - ref.z_lead.values).max() < 1e-10
@@ -98,7 +98,7 @@ def test_three_view_planted_pattern_recovery():
         [0.0, gam_rows[0] / 2, gam_rows[0] / 2],
         [gam_rows[1] / 2, 0.0, gam_rows[1] / 2],
         [gam_rows[2] / 2, gam_rows[2] / 2, 0.0]]))
-    pat, _zs, _sweeps, _tr = multiview_pattern(problem, gam, s=2)
+    pat, _zs, _sweeps, _tr, _converged = multiview_pattern(problem, gam, s=2)
     true_support = truths[2] != 0
     assert (pat.bits & true_support).sum() >= 7
     assert (pat.bits & ~true_support).sum() <= 2
@@ -107,7 +107,7 @@ def test_three_view_planted_pattern_recovery():
 def test_pattern_equals_projection_zero_set():
     problem, _views, _truths = _three_view_problem(seed=3)
     gam = GammaMatrix(np.full((3, 3), 0.3) - 0.3 * np.eye(3))
-    pat, zs, _sweeps, _tr = multiview_pattern(problem, gam, s=1)
+    pat, zs, _sweeps, _tr, _converged = multiview_pattern(problem, gam, s=1)
     proj = np.zeros(problem.dim(1))
     for q in (0, 2):
         proj += problem.tilde(q, 1).T @ zs[q]
@@ -118,7 +118,7 @@ def test_multiview_objective_monotone_per_sweep():
     problem, _views, _truths = _three_view_problem(seed=9)
     gam = GammaMatrix(np.full((3, 3), 0.2) - 0.2 * np.eye(3))
     conv = ConvergenceSpec(objective_track=True)
-    _pat, _zs, _sweeps, trace = multiview_pattern(problem, gam, s=2, conv=conv)
+    _pat, _zs, _sweeps, trace, _converged = multiview_pattern(problem, gam, s=2, conv=conv)
     assert_monotone(trace)
 
 
@@ -188,7 +188,7 @@ def test_shrinkage_order_invariance_on_well_separated_model():
                 [0.0, rows[0] / 2, rows[0] / 2],
                 [rows[1] / 2, 0.0, rows[1] / 2],
                 [rows[2] / 2, rows[2] / 2, 0.0]]))
-            pat, _zs, _sw, _tr = multiview_pattern(prob, gam, s)
+            pat, _zs, _sw, _tr, _converged = multiview_pattern(prob, gam, s)
             patterns[s] = pat.bits
             prob = prob.restrict(s, pat.bits)
         return patterns
@@ -226,6 +226,20 @@ def test_stage_one_reaching_max_iter_is_a_warning():
     cut = multiview_scca(noisy, gam, conv=ConvergenceSpec(max_iter=1))
     assert list(cut.warnings) == [f"view {s}: stage one reached max_iter (1 sweeps)"
                                   for s in (3, 2, 1)]
+
+
+def test_stage_one_converged_in_its_only_sweep_is_not_a_warning():
+    # every view of the exactly rank-one fixture converges in its first sweep,
+    # so a one-sweep budget is enough and nothing reached max_iter
+    problem, views, _truths = _three_view_problem()
+    gam = _fixture_gamma(problem)
+    for s in range(problem.m):
+        _pat, _zs, sweeps, _tr, converged = multiview_pattern(
+            problem, gam, s, conv=ConvergenceSpec(max_iter=1))
+        assert (sweeps, converged) == (1, True)
+    cut = multiview_scca(views, gam, conv=ConvergenceSpec(max_iter=1))
+    assert not any("max_iter" in w for w in cut.warnings)
+    assert cut.iterations[0] == multiview_scca(views, gam).iterations[0]
 
 
 def test_multiview_rejects_l0():

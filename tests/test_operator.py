@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scca import (ConvergenceSpec, CrossOperator, DegenerateInputError, DimensionError,
-                  EmptySupportError, ParseError, ResidualState, ViewMatrix, center_scale,
+                  EmptySupportError, ParseError, ViewMatrix, center_scale,
                   deflate, fit_pair, load_view)
 from scca.covariance import _parse_cells
 from scca.pattern import pattern_pair
@@ -75,26 +75,26 @@ def test_numpy_forms_the_block_only_when_asked(rng):
 def test_operator_deflation_through_deflate(rng):
     x1, x2 = make_views(6, 5, 4, seed=9)
     u, v = _unit(rng, 5), _unit(rng, 4)
-    dense = deflate(ResidualState.from_block(x1.data.T @ x2.data / 6), u, v)
+    block = x1.data.T @ x2.data / 6
     op = deflate(CrossOperator.from_views(x1, x2), u, v)
-    np.testing.assert_allclose(op.dense(), dense.current, atol=1e-12)
-    assert op.s[0] == pytest.approx(dense.history[0][2], abs=1e-12)
+    np.testing.assert_allclose(op.dense(), deflate(block, u, v), atol=1e-12)
+    assert op.s[0] == pytest.approx(float(u @ block @ v), abs=1e-12)
 
 
 def _dense_fit(x1, x2, g1, g2, factors, div, stage2="svd", **kw):
-    """Reference multi-factor fit on the explicit blocks (cross block through
-    ResidualState, full within-view blocks for GEP); also returns the warnings."""
-    state = ResidualState.from_block(x1.data.T @ x2.data / div)
+    """Reference multi-factor fit on the explicit blocks (cross block deflated
+    as an array, full within-view blocks for GEP); also returns the warnings."""
+    residual = x1.data.T @ x2.data / div
     c11, c22 = x1.data.T @ x1.data / div, x2.data.T @ x2.data / div
-    base = np.linalg.norm(state.current)
+    base = np.linalg.norm(residual)
     out, warnings = [], ()
     for i in range(factors):
-        if np.linalg.norm(state.current) <= 1e-7 * max(base, 1e-300):
+        if np.linalg.norm(residual) <= 1e-7 * max(base, 1e-300):
             break
         try:
-            pair = pattern_pair(state.current, g1, g2, **kw)
+            pair = pattern_pair(residual, g1, g2, **kw)
             ix1, ix2 = pair.tau1.indices(), pair.tau2.indices()
-            a1, a2, _, extra = _stage_two(state.current[np.ix_(ix1, ix2)],
+            a1, a2, _, extra = _stage_two(residual[np.ix_(ix1, ix2)],
                                           c11[np.ix_(ix1, ix1)], c22[np.ix_(ix2, ix2)],
                                           stage2, 0.0, ConvergenceSpec())
         except (EmptySupportError, DegenerateInputError):
@@ -105,7 +105,7 @@ def _dense_fit(x1, x2, g1, g2, factors, div, stage2="svd", **kw):
         rho, _ = _pearson(x1.data @ z1, x2.data @ z2)
         out.append((rho, z1, z2, pair.tau1.bits, pair.tau2.bits))
         if i + 1 < factors:
-            state = deflate(state, z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2))
+            residual = deflate(residual, z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2))
     return sorted(out, key=lambda f: -f[0]), warnings
 
 

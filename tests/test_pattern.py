@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from conftest import assert_monotone, make_views
 
-from scca import (ConvergenceSpec, CrossCovariance, DegenerateInputError,
-                  DimensionError, EmptySupportError, center_scale, gen_rank_one,
+from scca import (ConvergenceSpec, DegenerateInputError, DimensionError, EmptySupportError, center_scale, gen_rank_one,
                   init_direction, pattern_l0, pattern_l1, reconstruct_l0,
                   reconstruct_l1, scca_pair, screen_l0, screen_l1)
 from scca.pattern import objective_l0, objective_l1, pattern_pair
