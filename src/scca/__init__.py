@@ -14,7 +14,7 @@ from .covariance import (CrossOperator, SparsityPattern, ViewMatrix, center_scal
 from .directed import (AccessoryVector, DirectedParams, StackedProblem,
                        UnivariateSelector, compute_beta, directed_fit,
                        directed_pattern_dot, directed_pattern_reg,
-                       directed_stacked, directed_two_stage)
+                       directed_stacked, directed_stacked_fit, directed_two_stage)
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, InsufficientFactorsError, IoError,
                      ParseError, SccaError, SingularityError, StateError)
@@ -30,7 +30,7 @@ from .simulate import (MetricReport, NoiseSweepSpec, RankOneSpec,
                        StabilitySweepSpec, evaluate, gen_null, gen_rank_one,
                        gen_rank_one_threeview, planted_direction, sweep)
 from .solve import (CcaSolution, cca_gep, deflate, fit_pair, multi_factor,
-                    multiview_gep, multiview_power, power_svd)
+                    multiview_gep, multiview_power, pearson, power_svd, stage_two)
 from .tuning import (FitConfig, TuneGrid, TuneReport, cv_tune, grid_orchestrate,
                      perm_tune)
 

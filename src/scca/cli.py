@@ -18,9 +18,8 @@ import numpy as np
 
 from . import __version__
 from .covariance import SparsityPattern, ViewMatrix, center_scale, load_view, write_view
-from .directed import (AccessoryVector, DirectedParams, StackedProblem,
-                       UnivariateSelector, _require_l1, directed_fit,
-                       directed_stacked, directed_two_stage)
+from .directed import (AccessoryVector, DirectedParams, UnivariateSelector,
+                       directed_fit, directed_stacked_fit, directed_two_stage)
 from .errors import (DegenerateInputError, EmptySupportError,
                      InsufficientFactorsError, SccaError)
 from .multiview import GammaMatrix, multiview_scca
@@ -28,7 +27,7 @@ from .pattern import ConvergenceSpec
 from .report import biplot_coords, interp_coords, write_report
 from .simulate import (NoiseSweepSpec, RankOneSpec, StabilitySweepSpec,
                        gen_null, gen_rank_one, gen_rank_one_threeview, sweep)
-from .solve import CcaSolution, _pearson, fit_pair
+from .solve import CcaSolution, fit_pair
 from .tuning import FitConfig, TuneGrid, cv_tune, perm_tune
 
 
@@ -146,7 +145,12 @@ def _load_accessory(path: str, delimiter=None) -> AccessoryVector:
     return AccessoryVector(view.data[:, 0]).center()
 
 
-def _common(p: argparse.ArgumentParser):
+# stage-two back-ends of the subcommands that have a stage two; the first is the default
+_STAGE2 = {"scca": ("svd", "gep"), "mscca": ("power", "gep"), "dscca": ("svd", "gep"),
+           "tune": ("svd", "gep")}
+
+
+def _common(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config", help="JSON file with option defaults (flags win)")
     p.add_argument("--penalty", choices=["l1", "l0"])
     p.add_argument("--gamma1", type=float)
@@ -157,9 +161,10 @@ def _common(p: argparse.ArgumentParser):
                    help="seed for tune and simulate; fits use no random restarts, "
                         "so scca, mscca and dscca only echo it")
     p.add_argument("--scale", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--stage2", choices=["svd", "gep", "power"])
+    if command in _STAGE2:
+        p.add_argument("--stage2", help="stage-two back-end: "
+                       + " or ".join(_STAGE2[command]) + f" (default {_STAGE2[command][0]})")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--delimiter")
 
 
@@ -174,20 +179,22 @@ def _resolve_common(args, config) -> dict:
         "scale": bool(_opt(args, config, "scale", True)),
         "stage2": _opt(args, config, "stage2", None),
         "out": _opt(args, config, "out", "."),
-        "jobs": _opt(args, config, "jobs", None),
         "delimiter": _opt(args, config, "delimiter", None),
     }
     if resolved["gamma1"] < 0 or resolved["gamma2"] < 0:
         raise ValueError("sparsity parameters must be non-negative")
     if resolved["tol"] <= 0 or resolved["max_iter"] < 1:
         raise ValueError("tol must be positive and max-iter at least 1")
+    choices = _STAGE2.get(args.command)
+    if choices and resolved["stage2"] not in (None, *choices):
+        raise ValueError("--stage2 must be " + " or ".join(map(repr, choices)))
     return resolved
 
 
 def _echo(resolved: dict, **extra) -> dict:
-    """Effective configuration for the output file; the output directory and
-    worker count are excluded so reruns elsewhere stay byte-identical."""
-    echo = {k: v for k, v in resolved.items() if k not in ("out", "jobs")}
+    """Effective configuration for the output file; the output directory is
+    excluded so reruns elsewhere stay byte-identical."""
+    echo = {k: v for k, v in resolved.items() if k != "out"}
     echo.update(extra)
     return echo
 
@@ -199,8 +206,6 @@ def cmd_scca(args) -> int:
     if factors < 1:
         raise ValueError("--factors must be at least 1")
     stage2 = r["stage2"] or "svd"
-    if stage2 not in ("svd", "gep"):
-        raise ValueError("pair stage two must be 'svd' or 'gep'")
     x1, x2 = _load_centered([args.x1, args.x2], r["delimiter"], r["scale"])
     conv = _conv(r)
     sol = fit_pair(x1, x2, r["gamma1"], r["gamma2"], factors=factors,
@@ -223,8 +228,6 @@ def cmd_mscca(args) -> int:
     if factors != 1:
         raise ValueError("the multi-view pipeline fits a single factor")
     stage2 = r["stage2"] or "power"
-    if stage2 not in ("power", "gep"):
-        raise ValueError("multi-view stage two must be 'power' or 'gep'")
     views = _load_centered(args.views, r["delimiter"], r["scale"])
     gam = _gamma_matrix(_opt(args, config, "gamma_matrix", None) or args.gamma_matrix,
                         len(views), r["gamma1"], r["gamma2"])
@@ -247,6 +250,8 @@ def cmd_dscca(args) -> int:
     mode = _opt(args, config, "mode", "dot")
     eps1 = float(_opt(args, config, "eps1", 1.0))
     eps2 = float(_opt(args, config, "eps2", 1.0))
+    if mode == "stacked" and r["stage2"] is not None:
+        raise ValueError("--stage2 does not apply to --mode stacked, which has no stage two")
     stage2 = r["stage2"] or "svd"
     x1, x2 = _load_centered([args.x1, args.x2], r["delimiter"], r["scale"])
     y = _load_accessory(args.y, r["delimiter"])
@@ -258,17 +263,7 @@ def cmd_dscca(args) -> int:
         sol = directed_fit(x1, x2, y, params, mode=mode, penalty=r["penalty"],
                            conv=conv, stage2=stage2)
     elif mode == "stacked":
-        _require_l1(r["penalty"])
-        sp = StackedProblem.build(x1, x2, eps1, eps2)
-        pattern, _v, z = directed_stacked(sp, y, r["gamma1"], r["gamma2"], conv=conv)
-        z1, z2 = z.values[:x1.p], z.values[x1.p:]
-        rho, flagged = _pearson(x1.data @ z1, x2.data @ z2)
-        sol = CcaSolution(
-            directions=[z1[:, None], z2[:, None]],
-            correlations=np.array([rho]), factor_count=1, normalization="stacked",
-            patterns=[[SparsityPattern(pattern.bits[:x1.p])],
-                      [SparsityPattern(pattern.bits[x1.p:])]],
-            warnings=("degenerate covariate, correlation set to 0",) if flagged else ())
+        sol = directed_stacked_fit(x1, x2, y, params, penalty=r["penalty"], conv=conv)
     elif mode == "two-stage":
         selector = UnivariateSelector(float(_opt(args, config, "keep_fraction", 0.5)))
         sol = directed_two_stage(x1, x2, y, selector, r["gamma1"], r["gamma2"],
@@ -300,7 +295,7 @@ def cmd_tune(args) -> int:
                     scale=r["scale"])
     tune = cv_tune if method == "cv" else perm_tune
     report = tune(x1, x2, grid, penalty=r["penalty"], conv=_conv(r), cfg=cfg,
-                  jobs=r["jobs"])
+                  jobs=_opt(args, config, "jobs", None))
     echo = _echo(r, method=method, gamma1_grid=g1_grid, gamma2_grid=g2_grid,
                  subcommand="tune")
     doc = {"metadata": {"tool_version": __version__, "seed": r["seed"], "config": echo},
@@ -410,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--factors", type=int)
-    _common(p)
+    _common(p, "scca")
     p.set_defaults(func=cmd_scca)
 
     p = sub.add_parser("mscca", help="multi-view sparse CCA")
     p.add_argument("--views", nargs="+", required=True)
     p.add_argument("--gamma-matrix", dest="gamma_matrix")
     p.add_argument("--factors", type=int)
-    _common(p)
+    _common(p, "mscca")
     p.set_defaults(func=cmd_mscca)
 
     p = sub.add_parser("dscca", help="directed sparse CCA")
@@ -428,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=float)
     p.add_argument("--eps2", type=float)
     p.add_argument("--keep-fraction", dest="keep_fraction", type=float)
-    _common(p)
+    _common(p, "dscca")
     p.set_defaults(func=cmd_dscca)
 
     p = sub.add_parser("tune", help="hyperparameter search")
@@ -439,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma2-grid", dest="gamma2_grid", required=True)
     p.add_argument("--folds", type=int)
     p.add_argument("--permutations", type=int)
-    _common(p)
+    p.add_argument("--jobs", type=int)
+    _common(p, "tune")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("simulate", help="generate synthetic datasets")
@@ -449,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma")
     p.add_argument("--supports", help="planted pos:neg runs per view, e.g. 25:25,25:25")
     p.add_argument("--sweep", choices=["noise", "stability"])
-    _common(p)
+    _common(p, "simulate")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="emit plot coordinates from a solution")
@@ -458,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["biplot", "interp"])
     p.add_argument("--format", choices=["csv", "json", "svg"])
     p.add_argument("--markers", type=int)
-    _common(p)
+    _common(p, "report")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -19,8 +19,7 @@ from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, SingularityError)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
                       _hinge_ascent)
-from .solve import (CcaSolution, _expand, _fix_sign, _pearson, _stage_two, _within,
-                    fit_pair)
+from .solve import CcaSolution, fit_pair, pearson, stage_two
 
 
 @dataclass(eq=False)
@@ -208,6 +207,25 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     return res.pattern, res.z_lead, res.z_partner
 
 
+def directed_stacked_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
+                         params: DirectedParams, penalty: str = "l1",
+                         conv: ConvergenceSpec | None = None) -> CcaSolution:
+    """Stacked pipeline as a solution: build the stacked problem, solve it,
+    and split the closed-form direction z* per view. The stacked form has no
+    stage two; its normalization is ``"stacked"``."""
+    _require_l1(penalty)
+    sp = StackedProblem.build(x1, x2, params.eps1, params.eps2)
+    pattern, _v, z = directed_stacked(sp, y, params.gamma1, params.gamma2, conv=conv)
+    z1, z2 = z.values[:x1.p], z.values[x1.p:]
+    rho, flagged = pearson(x1.data @ z1, x2.data @ z2)
+    return CcaSolution(
+        directions=[z1[:, None], z2[:, None]],
+        correlations=np.array([rho]), factor_count=1, normalization="stacked",
+        patterns=[[SparsityPattern(pattern.bits[:x1.p])],
+                  [SparsityPattern(pattern.bits[x1.p:])]],
+        warnings=("degenerate covariate, correlation set to 0",) if flagged else ())
+
+
 @dataclass(frozen=True)
 class UnivariateSelector:
     """Marginal-association ranking: keep the top fraction per view."""
@@ -245,8 +263,9 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     vectors are the view-accessory cross-covariances for ``mode="dot"`` and
     ridge regression coefficients for ``mode="reg"``), shrinks, solves the
     transposed problem for view 1, then stage two fills in active entries.
-    The cross-covariance is a CrossOperator: only the doubly shrunken block
-    and, for GEP, the within-view blocks on the supports are formed.
+    Stage two is ``stage_two`` on the CrossOperator, so only the doubly
+    shrunken block and, for GEP, the within-view blocks on the supports are
+    formed.
     """
     _require_l1(penalty)
     if mode not in ("dot", "reg"):
@@ -272,17 +291,12 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
                                 conv=conv, restarts=restarts, seed=seed)
     tau1 = res1.pattern
 
-    ix1, ix2 = tau1.indices(), tau2.indices()
-    sub2 = c12.rows(ix1).cols(ix2).dense()
-    need_gep = stage2 == "gep"
-    c11s = _within(x1, ix1, c12.div) if need_gep else None
-    c22s = _within(x2, ix2, c12.div) if need_gep else None
-    a1v, a2v, normalization, warn = _stage_two(sub2, c11s, c22s, stage2, ridge, conv)
-    z1 = _expand(a1v, ix1, x1.p)
-    z2 = _expand(a2v, ix2, x2.p)
-    _fix_sign(z1, [z2])
+    est = stage_two([x1, x2], {(0, 1): c12}, [tau1.indices(), tau2.indices()], stage2,
+                    ridge, conv)
+    z1, z2 = est.directions
     cov1, cov2 = x1.data @ z1, x2.data @ z2
-    rho, flagged = _pearson(cov1, cov2)
+    rho, flagged = pearson(cov1, cov2)
+    warn = est.warnings
     if flagged:
         warn += ("degenerate covariate, correlation set to 0",)
     info = {"side2": res2.iterations, "side1": res1.iterations}
@@ -290,7 +304,7 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
         info["traces"] = {"side2": res2.objective_trace, "side1": res1.objective_trace}
     return CcaSolution(directions=[z1[:, None], z2[:, None]],
                        correlations=np.array([rho]), factor_count=1,
-                       normalization=normalization,
+                       normalization=est.normalization,
                        covariates=[cov1[:, None], cov2[:, None]],
                        patterns=[[tau1], [tau2]], iterations=[info], warnings=warn)
 
@@ -319,8 +333,8 @@ def directed_two_stage(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
                    penalty=penalty, conv=conv, stage2=stage2, ridge=ridge,
                    order=order, restarts=restarts, seed=seed, divisor=divisor)
 
-    z1 = _expand(sol.directions[0][:, 0], q1, x1.p)
-    z2 = _expand(sol.directions[1][:, 0], q2, x2.p)
+    z1, z2 = np.zeros(x1.p), np.zeros(x2.p)
+    z1[q1], z2[q2] = sol.directions[0][:, 0], sol.directions[1][:, 0]
     patterns = [[SparsityPattern(z1 != 0)], [SparsityPattern(z2 != 0)]]
     return CcaSolution(directions=[z1[:, None], z2[:, None]],
                        correlations=sol.correlations, factor_count=1,

@@ -18,8 +18,7 @@ import numpy as np
 from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 from .pattern import ConvergenceSpec, _hinge, init_direction
-from .solve import (CcaSolution, _fix_sign, _pearson, _within, multiview_gep,
-                    multiview_power)
+from .solve import CcaSolution, pearson, stage_two
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,12 +214,12 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
 
     Patterns are computed for the last view first; every operator touching
     that view is restricted to its support before the next view is solved.
-    Stage two runs on the doubly shrunken blocks, formed explicitly, via the
-    cyclic power method (default) or the block generalized eigenproblem, and
-    directions are re-expanded to full length. A view whose stage one used
-    all ``conv.max_iter`` sweeps without converging is reported in the
-    warnings. Only the absolute-value threshold rule is defined for more
-    than two views.
+    ``stage_two`` then runs on the doubly shrunken blocks with ``stage2``
+    (default ``"power"``, the cyclic power method; ``"gep"``, the block
+    generalized eigenproblem with its automatic ridge retry; ``"svd"`` for
+    two views). A view whose stage one used all ``conv.max_iter`` sweeps
+    without converging is reported in the warnings. Only the absolute-value
+    threshold rule is defined for more than two views.
     """
     if penalty != "l1":
         raise ValueError("multi-view stage one is defined for the 'l1' penalty only")
@@ -229,18 +228,15 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
     m = problem.m
     if gam.m != m:
         raise DimensionError("gamma matrix size does not match the number of views")
-    if stage2 is None:
-        stage2 = "power"
-    if stage2 not in ("power", "gep"):
-        raise ValueError("stage2 must be 'power' or 'gep'")
 
+    shrunk = problem
     patterns: list[SparsityPattern | None] = [None] * m
     iterations: dict = {}
     traces: dict = {}
     warnings: tuple[str, ...] = ()
     for s in range(m - 1, -1, -1):
         try:
-            pat, _zs, sweeps, trace, converged = multiview_pattern(problem, gam, s,
+            pat, _zs, sweeps, trace, converged = multiview_pattern(shrunk, gam, s,
                                                                    conv=conv)
         except (EmptySupportError, DegenerateInputError) as err:
             raise type(err)(f"stage one failed at view {s + 1}: {err}") from err
@@ -251,42 +247,18 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
             warnings += (f"view {s + 1}: stage one reached max_iter ({sweeps} sweeps)",)
         if trace is not None:
             traces[f"view{s + 1}"] = trace
-        problem = problem.restrict(s, pat.bits)
+        shrunk = shrunk.restrict(s, pat.bits)
 
-    blocks = {pair: op.dense() for pair, op in problem.blocks.items()}
-    if stage2 == "power":
-        actives = multiview_power(blocks, conv=conv)
-        normalization = "unit"
-    else:
-        div = problem.blocks[(0, 1)].div
-        diag = [_within(problem.views[r], problem.active[r], div) for r in range(m)]
-        result = multiview_gep(blocks, diag, ridge=ridge)
-        actives = result.directions
-        normalization = "cov"
-        if result.uninformative:
-            warnings += ("leading eigenvalue is ~0: cross blocks are uninformative",)
-
-    directions = []
-    covariates = []
-    for r in range(m):
-        z = np.zeros(problem.views[r].p)
-        z[problem.active[r]] = actives[r]
-        directions.append(z)
-    _fix_sign(directions[0], [])
-    covariates.append(problem.views[0].data @ directions[0])
-    for r in range(1, m):
-        cov = problem.views[r].data @ directions[r]
-        # per-view signs from stage two are arbitrary; align to the first view
-        if float(covariates[0] @ cov) < 0:
-            directions[r] *= -1.0
-            cov *= -1.0
-        covariates.append(cov)
+    est = stage_two(problem.views, problem.blocks, shrunk.active, stage2 or "power",
+                    ridge, conv)
+    warnings += est.warnings
+    covariates = [view.data @ z for view, z in zip(problem.views, est.directions)]
 
     pair_rho = np.zeros((m, m))
     flags = []
     for r in range(m):
         for s in range(r + 1, m):
-            rho, flagged = _pearson(covariates[r], covariates[s])
+            rho, flagged = pearson(covariates[r], covariates[s])
             pair_rho[r, s] = pair_rho[s, r] = rho
             if flagged:
                 flags.append(f"degenerate covariate pair ({r + 1},{s + 1})")
@@ -297,10 +269,10 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
     if traces:
         info["traces"] = traces
     return CcaSolution(
-        directions=[z[:, None] for z in directions],
+        directions=[z[:, None] for z in est.directions],
         correlations=np.array([mean_rho]),
         factor_count=1,
-        normalization=normalization,
+        normalization=est.normalization,
         covariates=[cv[:, None] for cv in covariates],
         patterns=[[patterns[r]] for r in range(m)],
         iterations=[info],

@@ -15,7 +15,7 @@ import numpy as np
 
 from .covariance import ViewMatrix
 from .errors import DimensionError, InsufficientFactorsError, IoError
-from .solve import CcaSolution, _pearson
+from .solve import CcaSolution, pearson
 
 
 @dataclass(eq=False)
@@ -76,8 +76,8 @@ def biplot_coords(solution: CcaSolution, views) -> BiplotData:
         active = _active_two(solution, i, view.p)
         for j in np.flatnonzero(active):
             col = view.data[:, j]
-            r1, d1 = _pearson(col, covs[i][:, 0])
-            r2, d2 = _pearson(col, covs[i][:, 1])
+            r1, d1 = pearson(col, covs[i][:, 0])
+            r2, d2 = pearson(col, covs[i][:, 1])
             if d1 or d2:
                 flags.append(f"view {i + 1} variable {view.names[j]!r} is constant")
             coords[j] = (r1, r2)
@@ -86,8 +86,8 @@ def biplot_coords(solution: CcaSolution, views) -> BiplotData:
     for r in range(len(views)):
         for s in range(r + 1, len(views)):
             rho_pairs[(r, s)] = (
-                _pearson(covs[r][:, 0], covs[s][:, 0])[0],
-                _pearson(covs[r][:, 1], covs[s][:, 1])[0])
+                pearson(covs[r][:, 0], covs[s][:, 0])[0],
+                pearson(covs[r][:, 1], covs[s][:, 1])[0])
     return BiplotData(variable_coords, covs, rho_pairs,
                       [list(v.names) for v in views], tuple(flags))
 

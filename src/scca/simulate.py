@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import ViewMatrix, center_scale
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 from .pattern import ConvergenceSpec
-from .solve import CcaSolution, _pearson, fit_pair, power_svd
+from .solve import CcaSolution, fit_pair, pearson, power_svd
 
 
 def planted_direction(p: int, positives: int = 25, negatives: int = 25,
@@ -278,7 +278,7 @@ def _sweep_stability(spec: StabilitySweepSpec, penalty, conv, stage2) -> SweepTa
                 rows.append(["replicate", frac, seed, np.nan, np.nan, np.nan, str(err)])
                 continue
             z2 = sol.directions[1][:, 0]
-            corr, _ = _pearson(z2, v_dense.values)
+            corr, _ = pearson(z2, v_dense.values)
             card = int(sol.patterns[1][0].active_count)
             rows.append(["replicate", frac, seed, card, abs(corr),
                          float(sol.correlations[0]), ""])

@@ -1,11 +1,14 @@
 """Stage-two estimation on shrunken problems and multi-factor deflation.
 
-Active entries of the canonical directions are filled in on the doubly
-shrunken cross-covariance, either by a power-iteration SVD (inversion-free
-default) or by the block generalized eigenvalue formulation that normalizes
-against the within-view covariances. Additional factors come from deflating
-the cross-covariance by fitted rank-one terms. Multi-view stage-two
-back-ends (block GEP and cyclic power iteration) live here too.
+``stage_two`` is the one stage two of every pipeline (``multi_factor``,
+so ``fit_pair``; ``directed_fit``; ``multiview_scca``): it shrinks each
+pair's cross-covariance operator to the supports found by stage one and
+fills in the active entries by a power-iteration SVD (two views,
+inversion-free default), cyclic multi-view power sweeps, or the block
+generalized eigenvalue pencil that normalizes against the within-view
+covariances (``cca_gep`` is its two-view case), retrying a singular
+pencil with an automatic ridge. Additional factors come from deflating
+the cross-covariance by fitted rank-one terms.
 """
 
 from __future__ import annotations
@@ -119,14 +122,6 @@ def power_svd(c, conv: ConvergenceSpec | None = None,
     return Direction(u), Direction(v), float(sigma)
 
 
-def _check_square_symmetric(m: np.ndarray, name: str):
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square")
-    scale = np.abs(m).max(initial=0.0) + 1.0
-    if np.abs(m - m.T).max(initial=0.0) > 1e-10 * scale:
-        raise DimensionError(f"{name} must be symmetric")
-
-
 def _fix_sign(z1: np.ndarray, partners: list[np.ndarray]) -> None:
     """Flip the factor jointly so z1's first non-zero entry is positive."""
     nz = np.flatnonzero(z1)
@@ -136,35 +131,70 @@ def _fix_sign(z1: np.ndarray, partners: list[np.ndarray]) -> None:
             z *= -1.0
 
 
-def cca_gep(c11, c12, c22, ridge: float = 0.0, factors: int | None = None) -> CcaSolution:
-    """Canonical directions from the block generalized eigenvalue problem.
+def _multiview_dims(cross: Mapping[tuple[int, int], np.ndarray]) -> list[int]:
+    m = max(max(pair) for pair in cross) + 1
+    dims = [0] * m
+    for (r, s), block in cross.items():
+        if not (0 <= r < s < m):
+            raise DimensionError("cross blocks must be keyed by (r, s) with r < s")
+        for idx, size in ((r, block.shape[0]), (s, block.shape[1])):
+            if dims[idx] and dims[idx] != size:
+                raise DimensionError(f"inconsistent dimensions for view {idx}")
+            dims[idx] = size
+    if any(d == 0 for d in dims):
+        raise DimensionError("every view must appear in at least one cross block")
+    return dims
 
-    Solves [[0, C12],[C21, 0]] w = rho [[C11+ridge I, 0],[0, C22+ridge I]] w;
-    the positive generalized eigenvalues are the canonical correlations and
-    each direction is normalized so z'(C_ii+ridge I)z = 1. Intended for
-    shrunken blocks of size O(n).
+
+def _pencil(cross: Mapping[tuple[int, int], np.ndarray], diag: Sequence[np.ndarray],
+            ridge: float) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Generalized eigenpairs of the m-view block pencil A w = rho B w.
+
+    A stacks the cross blocks with a zero diagonal; B is block-diagonal in
+    the within-view blocks plus ridge I. Returns the eigenvalues (ascending),
+    each view's rows of the eigenvector matrix, and B's diagonal blocks.
     """
-    c11 = _as_block(c11)
-    c22 = _as_block(c22)
-    c12 = _as_block(c12)
-    _check_square_symmetric(c11, "c11")
-    _check_square_symmetric(c22, "c22")
-    p1, p2 = c12.shape
-    if c11.shape[0] != p1 or c22.shape[0] != p2:
-        raise DimensionError("within-view blocks do not match the cross block")
+    dims = _multiview_dims(cross)
+    m = len(dims)
+    if m < 2:
+        raise DimensionError("need at least two views")
+    if len(diag) != m:
+        raise DimensionError(f"expected {m} within-view blocks, got {len(diag)}")
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-
-    a = np.zeros((p1 + p2, p1 + p2))
-    a[:p1, p1:] = c12
-    a[p1:, :p1] = c12.T
-    b = scipy.linalg.block_diag(c11 + ridge * np.eye(p1), c22 + ridge * np.eye(p2))
+    offs = np.concatenate([[0], np.cumsum(dims)])
+    a = np.zeros((offs[-1], offs[-1]))
+    for (r, s), block in cross.items():
+        a[offs[r]:offs[r + 1], offs[s]:offs[s + 1]] = block
+        a[offs[s]:offs[s + 1], offs[r]:offs[r + 1]] = block.T
+    b_parts = []
+    for r, d in enumerate(diag):
+        d = _as_block(d)
+        if d.shape != (dims[r], dims[r]):
+            raise DimensionError(f"diag[{r}] does not match view dimension")
+        if np.abs(d - d.T).max(initial=0.0) > 1e-10 * (np.abs(d).max(initial=0.0) + 1.0):
+            raise DimensionError(f"diag[{r}] must be symmetric")
+        b_parts.append(d + ridge * np.eye(dims[r]))
     try:
-        vals, vecs = scipy.linalg.eigh(a, b)
+        vals, vecs = scipy.linalg.eigh(a, scipy.linalg.block_diag(*b_parts))
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
         raise SingularityError(
             "within-view covariance is singular; re-run with ridge > 0") from err
+    return vals, [vecs[offs[r]:offs[r + 1]] for r in range(m)], b_parts
 
+
+def cca_gep(c11, c12, c22, ridge: float = 0.0, factors: int | None = None) -> CcaSolution:
+    """Canonical directions from the block generalized eigenvalue problem.
+
+    Solves [[0, C12],[C21, 0]] w = rho [[C11+ridge I, 0],[0, C22+ridge I]] w,
+    the two-view pencil of ``multiview_gep``; the positive generalized
+    eigenvalues are the canonical correlations and each direction is
+    normalized so z'(C_ii+ridge I)z = 1. Intended for shrunken blocks of
+    size O(n).
+    """
+    c12 = _as_block(c12)
+    vals, (w1, w2), (b1, b2) = _pencil({(0, 1): c12}, [c11, c22], ridge)
+    p1, p2 = c12.shape
     order = np.argsort(vals)[::-1]
     k_max = min(p1, p2)
     k = k_max if factors is None else min(factors, k_max)
@@ -173,10 +203,9 @@ def cca_gep(c11, c12, c22, ridge: float = 0.0, factors: int | None = None) -> Cc
     z2s = np.zeros((p2, k))
     rhos = np.empty(k)
     for j in range(k):
-        w = vecs[:, order[j]]
-        z1, z2 = w[:p1].copy(), w[p1:].copy()
-        n1 = float(z1 @ (c11 + ridge * np.eye(p1)) @ z1)
-        n2 = float(z2 @ (c22 + ridge * np.eye(p2)) @ z2)
+        z1, z2 = w1[:, order[j]].copy(), w2[:, order[j]].copy()
+        n1 = float(z1 @ b1 @ z1)
+        n2 = float(z2 @ b2 @ z2)
         if n1 <= 0 or n2 <= 0:
             raise SingularityError("eigenvector has zero within-view norm; increase ridge")
         z1 /= np.sqrt(n1)
@@ -202,21 +231,6 @@ def _oriented(cross: Mapping[tuple[int, int], np.ndarray], r: int, s: int) -> np
     return cross[(r, s)] if r < s else cross[(s, r)].T
 
 
-def _multiview_dims(cross: Mapping[tuple[int, int], np.ndarray]) -> list[int]:
-    m = max(max(pair) for pair in cross) + 1
-    dims = [0] * m
-    for (r, s), block in cross.items():
-        if not (0 <= r < s < m):
-            raise DimensionError("cross blocks must be keyed by (r, s) with r < s")
-        for idx, size in ((r, block.shape[0]), (s, block.shape[1])):
-            if dims[idx] and dims[idx] != size:
-                raise DimensionError(f"inconsistent dimensions for view {idx}")
-            dims[idx] = size
-    if any(d == 0 for d in dims):
-        raise DimensionError("every view must appear in at least one cross block")
-    return dims
-
-
 def multiview_gep(cross: Mapping[tuple[int, int], np.ndarray],
                   diag: Sequence[np.ndarray], ridge: float = 0.0) -> MultiviewGepResult:
     """Top eigenvector of the m-view block pencil, split per view.
@@ -225,37 +239,12 @@ def multiview_gep(cross: Mapping[tuple[int, int], np.ndarray],
     the right is block-diagonal in the within-view blocks. A zero leading
     eigenvalue is flagged as uninformative rather than raised.
     """
-    dims = _multiview_dims(cross)
-    m = len(dims)
-    if m < 2:
-        raise DimensionError("need at least two views")
-    if len(diag) != m:
-        raise DimensionError(f"expected {m} within-view blocks, got {len(diag)}")
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    total = offs[-1]
-    a = np.zeros((total, total))
-    for (r, s), block in cross.items():
-        a[offs[r]:offs[r + 1], offs[s]:offs[s + 1]] = block
-        a[offs[s]:offs[s + 1], offs[r]:offs[r + 1]] = block.T
-    b_parts = []
-    for r, d in enumerate(diag):
-        d = _as_block(d)
-        _check_square_symmetric(d, f"diag[{r}]")
-        if d.shape[0] != dims[r]:
-            raise DimensionError(f"diag[{r}] does not match view dimension")
-        b_parts.append(d + ridge * np.eye(dims[r]))
-    b = scipy.linalg.block_diag(*b_parts)
-    try:
-        vals, vecs = scipy.linalg.eigh(a, b)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
-        raise SingularityError(
-            "within-view covariance is singular; re-run with ridge > 0") from err
+    vals, parts, b_parts = _pencil(cross, diag, ridge)
     top = int(np.argmax(vals))
-    w = vecs[:, top]
     directions = []
-    for r in range(m):
-        z = w[offs[r]:offs[r + 1]].copy()
-        nrm = float(z @ b_parts[r] @ z)
+    for w, b in zip(parts, b_parts):
+        z = w[:, top].copy()
+        nrm = float(z @ b @ z)
         if nrm > 0:
             z /= np.sqrt(nrm)
         directions.append(z)
@@ -315,7 +304,7 @@ def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
     return zs
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
+def pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     """Sample correlation; returns (0.0, True-flag) for degenerate inputs."""
     a = a - a.mean()
     b = b - b.mean()
@@ -325,40 +314,65 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     return float(a @ b / (na * nb)), False
 
 
-def _expand(values: np.ndarray, indices: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(p)
-    out[indices] = values
-    return out
+class StageTwo(NamedTuple):
+    """One factor's full-length directions, their normalization and warnings."""
+
+    directions: list[np.ndarray]
+    normalization: str
+    warnings: tuple[str, ...]
 
 
-def _within(x: ViewMatrix, ix: np.ndarray, div: float) -> np.ndarray:
-    """Within-view covariance of the active columns only."""
-    a = x.data[:, ix]
-    return a.T @ a / div
+def stage_two(views: Sequence[ViewMatrix], blocks: Mapping[tuple[int, int], CrossOperator],
+              active: Sequence[np.ndarray], method: str, ridge: float = 0.0,
+              conv: ConvergenceSpec | None = None) -> StageTwo:
+    """Estimate one factor's active entries on the doubly shrunken blocks.
 
-
-def _stage_two(sub: np.ndarray, c11_sub, c22_sub, stage2: str, ridge: float,
-               conv: ConvergenceSpec):
-    """Estimate active entries on the doubly shrunken block.
-
-    Returns (z1_active, z2_active, warnings). The GEP back-end retries once
-    with an automatic ridge when the within-view blocks are singular.
+    ``blocks`` maps each pair (r, s), r < s, to the CrossOperator between
+    views r and s over their full coordinates; ``active[r]`` holds view r's
+    support indices. ``method`` is ``"svd"`` (power_svd, two views only,
+    unit norm), ``"power"`` (multiview_power, unit norm) or ``"gep"`` (the
+    block pencil with the within-view blocks on the supports, z'C_rr z = 1;
+    a singular pencil is retried once with a ridge of 1e-8 of the mean
+    active variance, reported in the warnings). Directions come back full
+    length with zeros off the supports, signed so that view 1's first
+    non-zero entry is positive and z_1'C_1r z_r >= 0 for every other view r.
     """
+    m = len(views)
+    if method not in ("svd", "power", "gep") or (method == "svd" and m != 2):
+        raise ValueError("stage2 must be 'svd' (two views), 'power' or 'gep'")
+    conv = conv or ConvergenceSpec()
+    cross = {(r, s): op.rows(active[r]).cols(active[s]).dense()
+             for (r, s), op in blocks.items()}
     warnings: tuple[str, ...] = ()
-    if stage2 == "svd":
-        u, v, _sigma = power_svd(sub, conv)
-        return u.values, v.values, "unit", warnings
-    if stage2 != "gep":
-        raise ValueError("stage2 must be 'svd' or 'gep'")
-    try:
-        sol = cca_gep(c11_sub, sub, c22_sub, ridge=ridge, factors=1)
-    except SingularityError:
-        auto = 1e-8 * (np.trace(c11_sub) / c11_sub.shape[0]
-                       + np.trace(c22_sub) / c22_sub.shape[0]) / 2.0
-        auto = max(auto, 1e-12)
-        sol = cca_gep(c11_sub, sub, c22_sub, ridge=ridge + auto, factors=1)
-        warnings += (f"singular within-view covariance: applied ridge {ridge + auto:.3e}",)
-    return sol.directions[0][:, 0], sol.directions[1][:, 0], "cov", warnings
+    if method == "svd":
+        u, v, _sigma = power_svd(cross[(0, 1)], conv)
+        parts, normalization = [u.values, v.values], "unit"
+    elif method == "power":
+        parts, normalization = multiview_power(cross, conv=conv), "unit"
+    else:
+        div = blocks[(0, 1)].div
+        subs = [view.data[:, ix] for view, ix in zip(views, active)]
+        diag = [a.T @ a / div for a in subs]
+        try:
+            result = multiview_gep(cross, diag, ridge=ridge)
+        except SingularityError:
+            auto = max(1e-8 * sum(np.trace(d) / d.shape[0] for d in diag) / m, 1e-12)
+            result = multiview_gep(cross, diag, ridge=ridge + auto)
+            warnings += (f"singular within-view covariance: applied ridge {ridge + auto:.3e}",)
+        if result.uninformative:
+            warnings += ("leading eigenvalue is ~0: cross blocks are uninformative",)
+        if not all(np.any(z) for z in result.directions):
+            raise SingularityError("eigenvector has zero within-view norm; increase ridge")
+        parts, normalization = result.directions, "cov"
+
+    zs = [np.zeros(view.p) for view in views]
+    for z, ix, part in zip(zs, active, parts):
+        z[ix] = part
+    _fix_sign(zs[0], zs[1:])
+    for r in range(1, m):
+        if zs[0][active[0]] @ cross[(0, r)] @ zs[r][active[r]] < 0:
+            zs[r] *= -1.0
+    return StageTwo(zs, normalization, warnings)
 
 
 def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
@@ -372,8 +386,8 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
     ----------
     gammas1, gammas2 : sequences of float
         Per-factor sparsity thresholds (equal length m <= min(n, p1, p2)).
-    stage2 : {"svd", "gep"}
-        Back-end filling in active entries on each shrunken residual.
+    stage2 : {"svd", "power", "gep"}
+        ``stage_two`` back-end filling in active entries on each shrunken residual.
 
     Each factor's patterns come from the current residual cross-covariance;
     the residual is then deflated by the fitted rank-one term (directions
@@ -393,7 +407,6 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
     conv = conv or ConvergenceSpec()
 
     residual = CrossOperator.from_views(x1, x2, divisor=divisor)
-    need_gep = stage2 == "gep"
     base_scale = residual.fro_norm()
     factors = []
     warnings: tuple[str, ...] = ()
@@ -410,29 +423,22 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
         except (EmptySupportError, DegenerateInputError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break
-        ix1, ix2 = pair.tau1.indices(), pair.tau2.indices()
-        sub = residual.rows(ix1).cols(ix2).dense()
-        c11_sub = _within(x1, ix1, residual.div) if need_gep else None
-        c22_sub = _within(x2, ix2, residual.div) if need_gep else None
         try:
-            a1, a2, normalization, extra = _stage_two(sub, c11_sub, c22_sub,
-                                                      stage2, ridge, conv)
+            est = stage_two([x1, x2], {(0, 1): residual},
+                            [pair.tau1.indices(), pair.tau2.indices()], stage2, ridge, conv)
         except (DegenerateInputError, SingularityError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break
-        warnings += extra
-        z1 = _expand(a1, ix1, x1.p)
-        z2 = _expand(a2, ix2, x2.p)
-        _fix_sign(z1, [z2])
+        warnings += est.warnings
+        normalization = est.normalization
+        z1, z2 = est.directions
         cov1 = x1.data @ z1
         cov2 = x2.data @ z2
-        rho, flagged = _pearson(cov1, cov2)
+        rho, flagged = pearson(cov1, cov2)
         if flagged:
             warnings += (f"factor {i + 1}: degenerate covariate, correlation set to 0",)
         if i + 1 < m:
-            u1 = z1 / np.linalg.norm(z1) if np.linalg.norm(z1) else z1
-            u2 = z2 / np.linalg.norm(z2) if np.linalg.norm(z2) else z2
-            residual = deflate(residual, u1, u2)
+            residual = deflate(residual, z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2))
         info = dict(pair.iterations)
         if conv.objective_track:
             info["traces"] = pair.traces

@@ -20,7 +20,7 @@ import numpy as np
 from .covariance import ViewMatrix, center_scale
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 from .pattern import ConvergenceSpec
-from .solve import _pearson, fit_pair
+from .solve import fit_pair, pearson
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def _cv_cell(x1: np.ndarray, x2: np.ndarray, g1: float, g2: float,
             continue
         h1 = (x1[hold] - t1[0]) / t1[1]
         h2 = (x2[hold] - t2[0]) / t2[1]
-        rho, degenerate = _pearson(h1 @ z1, h2 @ z2)
+        rho, degenerate = pearson(h1 @ z1, h2 @ z2)
         if degenerate:
             flags.append(f"fold {k + 1}: degenerate held-out covariate; rho recorded as 0")
         fold_rhos[k] = rho
@@ -180,7 +180,7 @@ def _perm_cell(x1: np.ndarray, x2: np.ndarray, g1: float, g2: float,
         return {"score": np.nan, "trace": np.zeros(grid.permutations),
                 "flags": [f"matched fit failed: {err}"], "failed": True,
                 "matched_rho": np.nan}
-    rho, _ = _pearson(((x1 - t1[0]) / t1[1]) @ z1, ((x2 - t2[0]) / t2[1]) @ z2)
+    rho, _ = pearson(((x1 - t1[0]) / t1[1]) @ z1, ((x2 - t2[0]) / t2[1]) @ z2)
     rho = abs(rho)
     rng = np.random.default_rng(_cell_seed(grid.seed, cell_index))
     perm_rhos = np.zeros(grid.permutations)
@@ -190,7 +190,7 @@ def _perm_cell(x1: np.ndarray, x2: np.ndarray, g1: float, g2: float,
         try:
             z1p, z2p, t1p, t2p = _fit_directions(x1p, x2, g1, g2, cfg, conv,
                                                  seed=cell_index)
-            rp, _ = _pearson(((x1p - t1p[0]) / t1p[1]) @ z1p,
+            rp, _ = pearson(((x1p - t1p[0]) / t1p[1]) @ z1p,
                              ((x2 - t2p[0]) / t2p[1]) @ z2p)
             perm_rhos[p] = abs(rp)
         except (EmptySupportError, DegenerateInputError):

@@ -1,4 +1,5 @@
-"""Shared helpers: data builders and the monotone-trace assertion."""
+"""Shared helpers: data builders, a dense stage-two reference and the
+monotone-trace assertion."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from scca import ViewMatrix
+from scca import SingularityError, ViewMatrix, cca_gep, power_svd
 
 
 def make_views(n, p1, p2, seed=0):
@@ -56,6 +57,32 @@ def classical_correlations(c11, c12, c22) -> np.ndarray:
     w1 = scipy.linalg.fractional_matrix_power(c11, -0.5).real
     w2 = scipy.linalg.fractional_matrix_power(c22, -0.5).real
     return np.linalg.svd(w1 @ c12 @ w2, compute_uv=False)
+
+
+def dense_stage_two(block, c11, c22, stage2, ix1, ix2, p1, p2):
+    """Reference stage two of one two-view factor on explicit shrunken blocks:
+    power_svd or cca_gep called directly, the GEP retried once with a ridge of
+    1e-8 of the mean active variance, the active entries expanded to length
+    p1/p2 and the pair flipped so z1's first non-zero entry is positive.
+    Returns (z1, z2, warnings)."""
+    warnings = ()
+    if stage2 == "svd":
+        u, v, _sigma = power_svd(block)
+        a1, a2 = u.values, v.values
+    else:
+        try:
+            sol = cca_gep(c11, block, c22, factors=1)
+        except SingularityError:
+            ridge = max(1e-8 * (np.trace(c11) / c11.shape[0]
+                                + np.trace(c22) / c22.shape[0]) / 2, 1e-12)
+            sol = cca_gep(c11, block, c22, ridge=ridge, factors=1)
+            warnings = (f"singular within-view covariance: applied ridge {ridge:.3e}",)
+        a1, a2 = sol.directions[0][:, 0], sol.directions[1][:, 0]
+    z1, z2 = np.zeros(p1), np.zeros(p2)
+    z1[ix1], z2[ix2] = a1, a2
+    if z1[np.flatnonzero(z1)[0]] < 0:
+        z1, z2 = -z1, -z2
+    return z1, z2, warnings
 
 
 def assert_monotone(trace, tol=1e-12, label="objective"):

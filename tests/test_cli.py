@@ -298,3 +298,60 @@ def test_dscca_reg_wide_view_error_line(tmp_path, capsys):
                  "--gamma2", "0.1", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "error: normal equations are singular; re-run with ridge > 0\n")
+
+
+def test_mscca_gep_applies_the_automatic_ridge(tmp_path, capsys):
+    out = tmp_path / "three"
+    assert main(["simulate", "--model", "three", "--n", "20", "--p", "30,24,36",
+                 "--supports", "3:3,3:3,3:3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["mscca", "--views", *(str(out / f"x{i}.csv") for i in (1, 2, 3)),
+                 "--gamma-matrix", "[[0,0.1,0.1],[0.1,0,0.1],[0.1,0.1,0]]",
+                 "--stage2", "gep", "--out", str(tmp_path / "fit")]) == 0
+    err = capsys.readouterr().err
+    doc = json.loads((tmp_path / "fit" / "solution.json").read_text())
+    ridge = [w for w in doc["warnings"] if w.startswith("singular within-view covariance")]
+    assert len(ridge) == 1 and f"warning: {ridge[0]}" in err.splitlines()
+    assert doc["normalization"] == "cov"
+
+
+def test_dscca_stacked_rejects_stage2(tmp_path, capsys):
+    x1, x2, truths = _write_small_views(tmp_path, seed=10)
+    y = center_scale(x1).data @ truths[0]
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+    data = ["dscca", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+            "--y", str(tmp_path / "y.csv"), "--mode", "stacked", "--gamma1", "0.05",
+            "--gamma2", "0.05", "--no-scale"]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"stage2": "svd"}))
+    capsys.readouterr()
+    assert main([*data, "--stage2", "power", "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    for extra in (["--stage2", "gep"], ["--config", str(config)]):
+        out = tmp_path / "o"
+        assert main([*data, *extra, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --stage2 does not apply to --mode stacked, which has no stage two\n")
+        assert not (out / "solution.json").exists()
+    assert main([*data, "--out", str(tmp_path / "plain")]) == 0
+    doc = json.loads((tmp_path / "plain" / "solution.json").read_text())
+    assert doc["metadata"]["config"]["stage2"] == "svd"
+
+
+def test_flags_only_where_they_are_read(tmp_path, capsys):
+    x = str(tmp_path / "missing.csv")
+    for argv in (["scca", "--x1", x, "--x2", x, "--jobs", "2"],
+                 ["report", "--solution", x, "--views", x, "--stage2", "power"],
+                 ["simulate", "--jobs", "4"]):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # the stage-two value is checked before any input file is read, from a flag or a config
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"stage2": "svd"}))
+    for argv, choices in ((["tune", "--x1", x, "--x2", x, "--gamma1-grid", "0.1",
+                            "--gamma2-grid", "0.1", "--stage2", "power"], "'svd' or 'gep'"),
+                          (["scca", "--x1", x, "--x2", x, "--stage2", "power"], "'svd' or 'gep'"),
+                          (["mscca", "--views", x, x, "--config", str(config)],
+                           "'power' or 'gep'")):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: --stage2 must be {choices}\n"

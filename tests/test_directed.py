@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import assert_monotone, make_views, orthonormal_columns
+from conftest import assert_monotone, dense_stage_two, make_views, orthonormal_columns
 
 from scca import (AccessoryVector, ConvergenceSpec, DirectedParams,
                   EmptySupportError, GammaMatrix, SingularityError,
@@ -11,7 +11,7 @@ from scca import (AccessoryVector, ConvergenceSpec, DirectedParams,
 from scca.covariance import CrossOperator
 from scca.directed import UnivariateSelector
 from scca.simulate import RankOneSpec
-from scca.solve import _expand, _fix_sign, _pearson, _stage_two
+from scca.solve import pearson
 
 
 def _directed_inputs(n=20, p1=6, p2=8, seed=0):
@@ -201,11 +201,9 @@ def _dense_directed(x1, x2, y, params, stage2, div):
     res1 = directed_pattern_dot(block[:, ix2].T, a2[ix2], a1, params.swapped())
     ix1 = res1.pattern.indices()
     c11, c22 = x1.data.T @ x1.data / div, x2.data.T @ x2.data / div
-    v1, v2, _norm, warn = _stage_two(block[np.ix_(ix1, ix2)], c11[np.ix_(ix1, ix1)],
-                                     c22[np.ix_(ix2, ix2)], stage2, 0.0, ConvergenceSpec())
-    z1, z2 = _expand(v1, ix1, x1.p), _expand(v2, ix2, x2.p)
-    _fix_sign(z1, [z2])
-    rho, _ = _pearson(x1.data @ z1, x2.data @ z2)
+    z1, z2, warn = dense_stage_two(block[np.ix_(ix1, ix2)], c11[np.ix_(ix1, ix1)],
+                                   c22[np.ix_(ix2, ix2)], stage2, ix1, ix2, x1.p, x2.p)
+    rho, _ = pearson(x1.data @ z1, x2.data @ z2)
     return (res1.pattern.bits, res2.pattern.bits), (z1, z2), rho, warn
 
 

@@ -3,7 +3,8 @@ import pytest
 from conftest import assert_monotone, make_views
 
 from scca import (ConvergenceSpec, DimensionError, EmptySupportError, GammaMatrix,
-                  MultiViewProblem, ViewMatrix, center_scale, gen_rank_one_threeview,
+                  MultiViewProblem, ViewMatrix, center_scale, gen_rank_one,
+                  gen_rank_one_threeview,
                   multiview_pattern, multiview_scca, multiview_screen, pattern_l1,
                   scca_pair)
 from scca.simulate import RankOneSpec
@@ -246,3 +247,22 @@ def test_multiview_rejects_l0():
     x1, x2 = make_views(10, 3, 3, seed=0)
     with pytest.raises(ValueError):
         multiview_scca([x1, x2], GammaMatrix.for_pair(0.0, 0.0), penalty="l0")
+
+
+def test_two_view_gep_retries_with_the_pair_pipelines_ridge():
+    # criterion 7's m=2 fixture: supports of n or more coordinates leave the
+    # within-view blocks singular, and both pipelines apply the same ridge
+    x1, x2, _truths = gen_rank_one(RankOneSpec(p=(80, 100), n=30, sigma=(0.15, 0.15),
+                                               seed=77, supports=((8, 8), (8, 8))))
+    x1c, x2c = center_scale(x1), center_scale(x2)
+    block = x1c.data.T @ x2c.data / 30
+    g1 = 0.35 * np.linalg.norm(block, axis=1).max()
+    g2 = 0.35 * np.linalg.norm(block, axis=0).max()
+    pair = fit_pair(x1c, x2c, g1, g2, stage2="gep", order="2-first")
+    multi = multiview_scca([x1c, x2c], GammaMatrix.for_pair(g1, g2), stage2="gep")
+    assert pair.warnings == ("singular within-view covariance: applied ridge 1.306e-08",)
+    assert multi.warnings == pair.warnings
+    assert multi.normalization == pair.normalization == "cov"
+    assert multi.correlations[0] == pair.correlations[0]
+    for i in range(2):
+        assert multi.directions[i].tobytes() == pair.directions[i].tobytes()

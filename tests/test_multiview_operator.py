@@ -11,7 +11,7 @@ from scca import (ConvergenceSpec, DegenerateInputError, EmptySupportError, Gamm
                   MultiViewProblem, SingularityError, ViewMatrix, center_scale,
                   multiview_gep, multiview_power, multiview_scca)
 from scca.pattern import init_direction
-from scca.solve import _fix_sign, _pearson
+from scca.solve import _fix_sign, pearson
 
 
 def _planted(n, ps, seed, active):
@@ -100,7 +100,12 @@ def _dense_mscca(views, gam, div, stage2, ridge, conv):
         for v, a in zip(views, active):
             sub = v.data[:, a]
             diag.append(sub.T @ sub / div)
-        actives = multiview_gep(blocks, diag, ridge=ridge).directions
+        try:
+            actives = multiview_gep(blocks, diag, ridge=ridge).directions
+        except SingularityError:
+            # the automatic ridge: 1e-8 of the mean active variance
+            auto = max(1e-8 * sum(np.trace(d) / d.shape[0] for d in diag) / m, 1e-12)
+            actives = multiview_gep(blocks, diag, ridge=ridge + auto).directions
     directions = []
     for r in range(m):
         z = np.zeros(views[r].p)
@@ -117,7 +122,7 @@ def _dense_mscca(views, gam, div, stage2, ridge, conv):
     rho = np.zeros((m, m))
     for r in range(m):
         for s in range(r + 1, m):
-            rho[r, s] = rho[s, r] = _pearson(covariates[r], covariates[s])[0]
+            rho[r, s] = rho[s, r] = pearson(covariates[r], covariates[s])[0]
     return patterns, sweeps, directions, rho
 
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scca import (ConvergenceSpec, CrossOperator, DegenerateInputError, DimensionError,
+from scca import (CrossOperator, DegenerateInputError, DimensionError,
                   EmptySupportError, ParseError, ViewMatrix, center_scale,
                   deflate, fit_pair, load_view)
 from scca.covariance import _parse_cells
 from scca.pattern import pattern_pair
-from scca.solve import _expand, _fix_sign, _pearson, _stage_two
+from scca.solve import pearson
 
-from conftest import make_views
+from conftest import dense_stage_two, make_views
 
 
 def _unit(rng, p):
@@ -94,15 +94,13 @@ def _dense_fit(x1, x2, g1, g2, factors, div, stage2="svd", **kw):
         try:
             pair = pattern_pair(residual, g1, g2, **kw)
             ix1, ix2 = pair.tau1.indices(), pair.tau2.indices()
-            a1, a2, _, extra = _stage_two(residual[np.ix_(ix1, ix2)],
-                                          c11[np.ix_(ix1, ix1)], c22[np.ix_(ix2, ix2)],
-                                          stage2, 0.0, ConvergenceSpec())
+            z1, z2, extra = dense_stage_two(residual[np.ix_(ix1, ix2)],
+                                            c11[np.ix_(ix1, ix1)], c22[np.ix_(ix2, ix2)],
+                                            stage2, ix1, ix2, x1.p, x2.p)
         except (EmptySupportError, DegenerateInputError):
             break
         warnings += extra
-        z1, z2 = _expand(a1, ix1, x1.p), _expand(a2, ix2, x2.p)
-        _fix_sign(z1, [z2])
-        rho, _ = _pearson(x1.data @ z1, x2.data @ z2)
+        rho, _ = pearson(x1.data @ z1, x2.data @ z2)
         out.append((rho, z1, z2, pair.tau1.bits, pair.tau2.bits))
         if i + 1 < factors:
             residual = deflate(residual, z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from conftest import classical_correlations, make_views, whitened_views
 
-from scca import (CcaSolution, ConvergenceSpec, DegenerateInputError,
-                  DimensionError, SingularityError, ViewMatrix,
-                  cca_gep, deflate, fit_pair, multi_factor, multiview_gep,
-                  multiview_power, power_svd)
+from scca import (AccessoryVector, CcaSolution, ConvergenceSpec, DegenerateInputError,
+                  DimensionError, DirectedParams, GammaMatrix, SingularityError,
+                  ViewMatrix, cca_gep, deflate, directed_fit, fit_pair, multi_factor,
+                  multiview_gep, multiview_power, multiview_scca, power_svd)
 
 
 # ---------------------------------------------------------------- power_svd
@@ -220,6 +220,18 @@ def test_multi_factor_zero_gamma_reproduces_classical_cca():
         sol = multi_factor(x1, x2, [0.0] * 3, [0.0] * 3, stage2=stage2)
         assert sol.factor_count == 3
         np.testing.assert_allclose(sol.correlations, oracle, atol=1e-6)
+    # every other caller of the shared stage two: full supports at gamma 0
+    # and the classical leading correlation
+    y = AccessoryVector(np.random.default_rng(5).standard_normal(10)).center()
+    undirected = DirectedParams(0.0, 0.0, eps1=0.0, eps2=0.0)
+    fits = {f"directed_fit {st}": lambda st=st: directed_fit(x1, x2, y, undirected, stage2=st)
+            for st in ("svd", "gep")}
+    fits.update({f"multiview_scca {st}": lambda st=st: multiview_scca(
+        [x1, x2], GammaMatrix.for_pair(0.0, 0.0), stage2=st) for st in ("power", "gep")})
+    for label, fit in fits.items():
+        sol = fit()
+        assert [p[0].active_count for p in sol.patterns] == [3, 3], label
+        assert abs(sol.correlations[0] - oracle[0]) <= 1e-6, label
 
 
 # ---------------------------------------------------------------- multi-view back-ends
