@@ -145,6 +145,9 @@ def _load_accessory(path: str, delimiter=None) -> AccessoryVector:
     return AccessoryVector(view.data[:, 0]).center()
 
 
+_DSCCA_MODES = ("dot", "reg", "stacked", "two-stage")
+_TUNE_METHODS = ("cv", "perm")
+
 # stage-two back-ends of the subcommands that have a stage two; the first is the default
 _STAGE2 = {"scca": ("svd", "gep"), "mscca": ("power", "gep"), "dscca": ("svd", "gep"),
            "tune": ("svd", "gep")}
@@ -248,6 +251,8 @@ def cmd_dscca(args) -> int:
     config = _load_config(args.config)
     r = _resolve_common(args, config)
     mode = _opt(args, config, "mode", "dot")
+    if mode not in _DSCCA_MODES:
+        raise ValueError("mode must be dot, reg, stacked or two-stage")
     eps1 = float(_opt(args, config, "eps1", 1.0))
     eps2 = float(_opt(args, config, "eps2", 1.0))
     if mode == "stacked" and r["stage2"] is not None:
@@ -264,12 +269,10 @@ def cmd_dscca(args) -> int:
                            conv=conv, stage2=stage2)
     elif mode == "stacked":
         sol = directed_stacked_fit(x1, x2, y, params, penalty=r["penalty"], conv=conv)
-    elif mode == "two-stage":
+    else:
         selector = UnivariateSelector(float(_opt(args, config, "keep_fraction", 0.5)))
         sol = directed_two_stage(x1, x2, y, selector, r["gamma1"], r["gamma2"],
                                  penalty=r["penalty"], conv=conv, stage2=stage2)
-    else:
-        raise ValueError("mode must be dot, reg, stacked or two-stage")
     echo = _echo(r, mode=mode, eps1=eps1, eps2=eps2, stage2=stage2,
                  x1=args.x1, x2=args.x2, y=args.y, subcommand="dscca")
     out = _out_dir(r)
@@ -283,6 +286,8 @@ def cmd_tune(args) -> int:
     config = _load_config(args.config)
     r = _resolve_common(args, config)
     method = _opt(args, config, "method", "perm")
+    if method not in _TUNE_METHODS:
+        raise ValueError("method must be 'cv' or 'perm'")
     g1_grid = _floats(_opt(args, config, "gamma1_grid", None) or args.gamma1_grid)
     g2_grid = _floats(_opt(args, config, "gamma2_grid", None) or args.gamma2_grid)
     grid = TuneGrid(tuple(g1_grid), tuple(g2_grid),
@@ -419,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--mode", choices=["dot", "reg", "stacked", "two-stage"])
+    p.add_argument("--mode", choices=_DSCCA_MODES)
     p.add_argument("--eps1", type=float)
     p.add_argument("--eps2", type=float)
     p.add_argument("--keep-fraction", dest="keep_fraction", type=float)
@@ -429,12 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="hyperparameter search")
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
-    p.add_argument("--method", choices=["cv", "perm"])
+    p.add_argument("--method", choices=_TUNE_METHODS)
     p.add_argument("--gamma1-grid", dest="gamma1_grid", required=True)
     p.add_argument("--gamma2-grid", dest="gamma2_grid", required=True)
     p.add_argument("--folds", type=int)
     p.add_argument("--permutations", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help="grid cells run on this many threads (default 1); each cell's "
+                        "batched refits already use every core through BLAS, so on "
+                        "2 cores --jobs 2 measured slower (0.63-0.76x on the "
+                        "tune-pipeline benchmark)")
     _common(p, "tune")
     p.set_defaults(func=cmd_tune)
 

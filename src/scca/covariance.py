@@ -5,11 +5,13 @@ blocks use the divisor n by default; ``divisor="n-1"`` is available for
 cross-tool comparison. ``CrossOperator`` keeps a cross-covariance as the
 centred data plus a low-rank deflation correction, so restricting it to a
 sparsity pattern selects data columns instead of copying a block.
+``PermutedCross`` is a batch of such blocks, one per row permutation of
+the first view, for permutation tuning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,25 @@ def write_view(view: ViewMatrix, path, delimiter: str | None = None,
     return path
 
 
+def standardize(data: np.ndarray, scale: bool = False):
+    """Centre the columns of ``data`` and, with ``scale``, divide them by
+    their sample sd. Returns (data, means, sds, constant): the sds are 1
+    where nothing was divided, and constant columns (sd at rounding level)
+    come back all-zero, so rows held out of ``data`` map as (x - means) / sds.
+    """
+    mean = data.mean(axis=0)
+    out = data - mean
+    sd = np.ones(data.shape[1])
+    constant = np.zeros(data.shape[1], dtype=bool)
+    if scale:
+        sd = out.std(axis=0, ddof=1)
+        constant = sd <= 1e-12 * (np.abs(data).max(axis=0, initial=0.0) + 1.0)
+        out[:, constant] = 0.0
+        sd = np.where(constant, 1.0, sd)
+        out = out / sd
+    return out, mean, sd, constant
+
+
 def center_scale(v: ViewMatrix, scale: bool = False) -> ViewMatrix:
     """Remove column means; optionally rescale columns to unit sample sd.
 
@@ -192,18 +213,10 @@ def center_scale(v: ViewMatrix, scale: bool = False) -> ViewMatrix:
     all-zero and reported in the returned view's warning list rather than
     rejected, so column indices stay stable.
     """
-    data = v.data - v.data.mean(axis=0)
+    data, _mean, _sd, constant = standardize(v.data, scale)
     warnings = list(v.warnings)
-    if scale:
-        sd = data.std(axis=0, ddof=1)
-        tol = 1e-12 * (np.abs(v.data).max(axis=0, initial=0.0) + 1.0)
-        constant = sd <= tol
-        if constant.any():
-            for j in np.flatnonzero(constant):
-                warnings.append(f"constant column {v.names[j]!r} zeroed during scaling")
-            data[:, constant] = 0.0
-        safe = np.where(constant, 1.0, sd)
-        data = data / safe
+    warnings += [f"constant column {v.names[j]!r} zeroed during scaling"
+                 for j in np.flatnonzero(constant)]
     return ViewMatrix(data, list(v.names), centered=True, scaled=scale or v.scaled,
                       warnings=tuple(warnings))
 
@@ -275,12 +288,13 @@ class CrossOperator:
         return CrossOperator(self.b, self.a, self.div, self.v, self.s, self.u)
 
     def __matmul__(self, z) -> np.ndarray:
+        """C z for a vector, or C Z for a p_s x B block of vectors."""
         z = np.asarray(z, dtype=float)
-        if z.ndim != 1:
-            raise DimensionError("a cross operator multiplies vectors only")
+        if z.ndim not in (1, 2):
+            raise DimensionError("a cross operator multiplies vectors or blocks of vectors")
         out = self.a.T @ (self.b @ z) / self.div
         if self.s.size:
-            out -= self.u @ (self.s * (self.v.T @ z))
+            out -= self.u @ (self.s * (self.v.T @ z).T).T
         return out
 
     def column(self, j: int) -> np.ndarray:
@@ -334,3 +348,96 @@ class CrossOperator:
         scale = float(u @ (self @ v))
         return CrossOperator(self.a, self.b, self.div, np.column_stack([self.u, u]),
                              np.append(self.s, scale), np.column_stack([self.v, v]))
+
+
+@dataclass(frozen=True, eq=False)
+class PermutedCross:
+    """A batch of K cross-covariances: member k is C_k = A[idx_k]'B/div, with
+    its rows and columns optionally masked, diag(r_k) C_k diag(c_k).
+
+    Column k of ``idx`` (n x K) permutes the rows of A and column k of ``inv``
+    is its inverse, so C_k = A'B[inv_k]/div too. A product with a p_s x K
+    block, one column per member, is two GEMMs and a per-column row gather;
+    permuted copies of A or B are never stacked. ``gram_a`` and ``gram_b`` are
+    AA' and BB', shared by every member: member k's column norms come from
+    gram_a gathered by idx_k. The masks (p_r x K and p_s x K booleans) restrict
+    each member to its own support, which stands in for shrinking members to
+    different sizes.
+    """
+
+    __array_ufunc__ = None
+
+    a: np.ndarray
+    b: np.ndarray
+    div: float
+    idx: np.ndarray
+    inv: np.ndarray
+    gram_a: np.ndarray
+    gram_b: np.ndarray
+    rmask: np.ndarray | None = None
+    cmask: np.ndarray | None = None
+
+    def __post_init__(self):
+        # y[inv_k, k] for every k as one flat take from an n x K block
+        k = self.inv.shape[1]
+        object.__setattr__(self, "_gather", self.inv * k + np.arange(k))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.shape[1], self.b.shape[1]
+
+    @property
+    def T(self) -> "PermutedCross":
+        # B'A[idx] = B[inv]'A: the transpose permutes B by the inverses
+        return PermutedCross(self.b, self.a, self.div, self.inv, self.idx, self.gram_b,
+                             self.gram_a, self.cmask, self.rmask)
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """C_k z_k for every member k, z_k being column k of the p_s x K block z."""
+        if self.cmask is not None:
+            z = z * self.cmask
+        return self._lift(self.b @ z)
+
+    def _lift(self, y: np.ndarray) -> np.ndarray:
+        """A[idx_k]'y_k/div for every column k of the n x K block y, row-masked."""
+        out = self.a.T @ y.take(self._gather) / self.div
+        return out if self.rmask is None else out * self.rmask
+
+    def take(self, members) -> "PermutedCross":
+        """The batch of the members listed in ``members``, in that order."""
+        return PermutedCross(self.a, self.b, self.div, self.idx[:, members],
+                             self.inv[:, members], self.gram_a, self.gram_b,
+                             None if self.rmask is None else self.rmask[:, members],
+                             None if self.cmask is None else self.cmask[:, members])
+
+    def cols(self, mask: np.ndarray) -> "PermutedCross":
+        """Every member k with the columns outside column k of ``mask`` zeroed."""
+        return replace(self, cmask=mask)
+
+    def col_norms(self) -> np.ndarray:
+        """Euclidean column norms of every member (p_s x K): member k's from
+        the Gram of A's kept columns with its rows gathered by idx_k."""
+        sq = np.empty((self.b.shape[1], self.idx.shape[1]))
+        for k, idx in enumerate(self.idx.T):
+            if self.rmask is None:
+                gram = self.gram_a[np.ix_(idx, idx)]
+            else:
+                kept = self.a[np.ix_(idx, np.flatnonzero(self.rmask[:, k]))]
+                gram = kept @ kept.T
+            sq[:, k] = np.einsum("ij,ij->j", self.b, gram @ self.b)
+        if self.cmask is not None:
+            sq *= self.cmask
+        return np.sqrt(np.maximum(sq / self.div ** 2, 0.0))
+
+    def columns(self, js: np.ndarray) -> np.ndarray:
+        """Column js[k] of every member k, as a p_r x K block."""
+        y = self.b[:, js]
+        if self.cmask is not None:
+            y = y * self.cmask[js, np.arange(js.size)]
+        return self._lift(y)
+
+    def member(self, k: int) -> CrossOperator:
+        """Member k, masks left out, as a CrossOperator on A[idx_k] and B."""
+        return CrossOperator(self.a[self.idx[:, k]], self.b, self.div,
+                             np.empty((self.a.shape[1], 0)), np.empty(0),
+                             np.empty((self.b.shape[1], 0)))

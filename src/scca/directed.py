@@ -18,8 +18,8 @@ from .covariance import CrossOperator, SparsityPattern, ViewMatrix, cross_covari
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, SingularityError)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
-                      _hinge_ascent)
-from .solve import CcaSolution, fit_pair, pearson, stage_two
+                      _solve)
+from .solve import CcaSolution, check_stage2, fit_pair, pearson, stage_two
 
 
 @dataclass(eq=False)
@@ -87,10 +87,10 @@ def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
         if not np.any(pull):
             raise DegenerateInputError("zero block and zero alignment")
         z0 = pull / np.linalg.norm(pull)
-    return _hinge_ascent(block, params.gamma2, "l1", z0=z0, conv=conv,
-                         restarts=restarts, seed=seed, side="partner",
-                         empty="every aligned projection is at or below the threshold",
-                         offset=params.eps2 * x2ty, pull=(params.eps1, x1ty))
+    return _solve(block, params.gamma2, "l1", z0=z0, conv=conv,
+                  restarts=restarts, seed=seed, side="partner",
+                  empty="every aligned projection is at or below the threshold",
+                  offset=params.eps2 * x2ty, pull=(params.eps1, x1ty))
 
 
 def directed_pattern_reg(c, beta1, beta2, params: DirectedParams, z0=None,
@@ -200,10 +200,10 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
         raise DimensionError("accessory length does not match the stacked views")
     root = _symmetric_sqrt(sp.tilde_c)
     gamma_vec = np.where(np.arange(root.shape[0]) < sp.split, gamma1, gamma2)
-    res = _hinge_ascent(root, gamma_vec, "l1", z0=v0, conv=conv, restarts=restarts,
-                        seed=seed, side="stacked",
-                        empty="both sides of the stacked pattern are empty",
-                        offset=2.0 * (sp.tilde_x.T @ y.values))
+    res = _solve(root, gamma_vec, "l1", z0=v0, conv=conv, restarts=restarts,
+                 seed=seed, side="stacked",
+                 empty="both sides of the stacked pattern are empty",
+                 offset=2.0 * (sp.tilde_x.T @ y.values))
     return res.pattern, res.z_lead, res.z_partner
 
 
@@ -272,6 +272,7 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
         raise ValueError("mode must be 'dot' or 'reg'")
     if y.values.size != x1.n:
         raise DimensionError("accessory length does not match the views")
+    check_stage2(stage2, 2)
     conv = conv or ConvergenceSpec()
     y = y.center()
 
@@ -291,8 +292,7 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
                                 conv=conv, restarts=restarts, seed=seed)
     tau1 = res1.pattern
 
-    est = stage_two([x1, x2], {(0, 1): c12}, [tau1.indices(), tau2.indices()], stage2,
-                    ridge, conv)
+    est = stage_two({(0, 1): c12}, [tau1.indices(), tau2.indices()], stage2, ridge, conv)
     z1, z2 = est.directions
     cov1, cov2 = x1.data @ z1, x2.data @ z2
     rho, flagged = pearson(cov1, cov2)

@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 from .pattern import ConvergenceSpec, _hinge, init_direction
-from .solve import CcaSolution, pearson, stage_two
+from .solve import CcaSolution, check_stage2, pearson, stage_two
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +224,12 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
     if penalty != "l1":
         raise ValueError("multi-view stage one is defined for the 'l1' penalty only")
     conv = conv or ConvergenceSpec()
+    stage2 = stage2 or "power"
     problem = MultiViewProblem.from_views(views, divisor=divisor)
     m = problem.m
     if gam.m != m:
         raise DimensionError("gamma matrix size does not match the number of views")
+    check_stage2(stage2, m)
 
     shrunk = problem
     patterns: list[SparsityPattern | None] = [None] * m
@@ -249,8 +251,7 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
             traces[f"view{s + 1}"] = trace
         shrunk = shrunk.restrict(s, pat.bits)
 
-    est = stage_two(problem.views, problem.blocks, shrunk.active, stage2 or "power",
-                    ridge, conv)
+    est = stage_two(problem.blocks, shrunk.active, stage2, ridge, conv)
     warnings += est.warnings
     covariates = [view.data @ z for view, z in zip(problem.views, est.directions)]
 

@@ -5,16 +5,20 @@ convex functional of the partner direction over the sphere; the maximizer's
 thresholded projections give the pattern, and the partner direction itself
 has a closed form. Both an absolute-value (L1) and a squared (L0) threshold
 rule are provided, together with data-only screening bounds and the
-two-sided pattern pass used by the full pipeline.
+two-sided pattern pass used by the full pipeline. The ascent runs on a
+block of iterates, so one fit is a single column and ``pattern_pair_batch``
+solves a whole batch of permuted problems at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .covariance import CrossOperator, SparsityPattern, ViewMatrix
+from .covariance import CrossOperator, PermutedCross, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 
 _UNIT_TOL = 1e-8
@@ -120,43 +124,98 @@ def init_direction(c) -> Direction:
     return Direction(_column(block, i_star) / norms[i_star])
 
 
-def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, side: str):
-    """Iterate z <- u/||u|| until the tracked functional stalls.
+def _sq_norms(x: np.ndarray):
+    """x'x of a vector, or of each column of a p x B block. A single column
+    goes through the dot product as well, so B=1 keeps a vector's bits."""
+    if x.ndim == 1:
+        return x @ x
+    if x.shape[1] == 1:
+        return (x.T @ x)[0]
+    return np.einsum("ij,ij->j", x, x)
 
-    ``value(z)`` returns ``(functional value at z, update weights)`` and
-    ``update(weights)`` the update u, which maximizes the linearization of a
-    convex functional over the sphere, so the tracked values are non-decreasing.
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| through the dot product, as np.linalg.norm takes it."""
+    d = a - b
+    return math.sqrt(d @ d)
+
+
+class Ascent(NamedTuple):
+    """Where a p x B hinge ascent stopped, column by column."""
+
+    z: np.ndarray           # final iterates
+    objective: np.ndarray   # tracked functional at z
+    weights: np.ndarray     # update weights at z, non-zero exactly on the support
+    iterations: np.ndarray
+    vanished: np.ndarray    # the update vanished; z is the iterate before it
+    traces: list | None     # per column: the functional at every visited iterate
+
+
+def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec) -> Ascent:
+    """Iterate each column of the p x B block z <- u/||u|| until its tracked
+    functional stalls.
+
+    ``value(z, cols)`` returns the functional of each column of z and their
+    update weights, and ``update(weights, cols)`` the updates u, which
+    maximize the linearization of a convex functional over the sphere, so
+    each column's tracked values are non-decreasing. ``cols`` lists the batch
+    columns that z holds, so that a batch of operators can pick the members
+    that go with them; it stays the same object until a column stops. Each
+    column stops on its own: once the relative change of its functional and
+    its step are both at most ``tol``, after _STALL_LIMIT stalled steps in a
+    row, after ``max_iter`` updates, or when its update vanishes.
     """
     z = np.array(z0, dtype=float)
-    trace = [] if conv.objective_track else None
-    prev_obj = None
-    stall_run = 0
-    iterations = 0
-    for _ in range(conv.max_iter):
-        obj, weights = value(z)
-        if trace is not None:
-            trace.append(obj)
-        u = update(weights)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            raise EmptySupportError(
-                f"update vanished while solving for {side}: the threshold exceeds "
-                "every projection", side=side, last_iterate=z.copy())
+    width = z.shape[1]
+    iterations = np.zeros(width, dtype=int)
+    vanished = np.zeros(width, dtype=bool)
+    traces = [[] for _ in range(width)] if conv.objective_track else None
+    # the live columns' iterates and stop state, written back when a column
+    # stops; every live column has made one update per step
+    live, zl = np.arange(width), z.copy()
+    prev, run = [None] * width, [0] * width
+    step = 0
+    for step in range(1, conv.max_iter + 1):
+        obj, weights = value(zl, live)
+        objs = obj.tolist()
+        if traces is not None:
+            for col, val in zip(live.tolist(), objs):
+                traces[col].append(val)
+        u = update(weights, live)
+        nrm = np.sqrt(_sq_norms(u))
+        sizes = nrm.tolist()
+        gone = [i for i, size in enumerate(sizes) if size == 0.0]
+        if gone:
+            # a vanished update stops its column at the iterate before it
+            u[:, gone], nrm[gone] = zl[:, gone], 1.0
         z_new = u / nrm
-        iterations += 1
-        move = float(np.linalg.norm(z_new - z))
-        stalled = prev_obj is not None and abs(obj - prev_obj) <= conv.tol * max(1.0, abs(prev_obj))
-        z = z_new
-        prev_obj = obj
-        if stalled:
-            stall_run += 1
-            if move <= conv.tol or stall_run >= _STALL_LIMIT:
+        stop = list(gone)
+        for i, (val, last, size) in enumerate(zip(objs, prev, sizes)):
+            prev[i] = val
+            if size == 0.0:
+                continue
+            if last is not None and abs(val - last) <= conv.tol * max(1.0, abs(last)):
+                run[i] += 1
+                if run[i] >= _STALL_LIMIT or _distance(z_new[:, i], zl[:, i]) <= conv.tol:
+                    stop.append(i)
+            else:
+                run[i] = 0
+        zl = z_new
+        if stop:
+            z[:, live[stop]], iterations[live[stop]] = zl[:, stop], step
+            iterations[live[gone]] -= 1
+            vanished[live[gone]] = True
+            keep = [i for i in range(live.size) if i not in stop]
+            live, zl = live[keep], zl[:, keep]
+            if not keep:
                 break
-        else:
-            stall_run = 0
-    if trace is not None:
-        trace.append(value(z)[0])
-    return z, iterations, (np.asarray(trace) if trace is not None else None)
+            prev, run = [prev[i] for i in keep], [run[i] for i in keep]
+    z[:, live], iterations[live] = zl, step
+    obj, weights = value(z, np.arange(width))
+    if traces is not None:
+        for trace, val in zip(traces, obj):
+            trace.append(float(val))
+    return Ascent(z, obj, weights, iterations, vanished, traces)
 
 
 def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarray]:
@@ -171,51 +230,21 @@ def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarr
     return inits
 
 
-def _solve(block, value, update, z0, conv, restarts, seed, side):
-    """Run the ascent from the deterministic init plus optional random restarts,
-    keeping the candidate whose tracked functional is largest."""
-    if z0 is None:
-        start = init_direction(block).values
-    else:
-        start = _require_unit(z0.values if isinstance(z0, Direction) else z0, "z0")
-        if start.size != block.shape[0]:
-            raise DimensionError(f"z0 has length {start.size}, block has {block.shape[0]} rows")
-    inits = [start]
-    if restarts > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        inits.extend(_random_units(rng, block.shape[0], restarts))
-
-    best = None
-    first_err: EmptySupportError | None = None
-    for z_init in inits:
-        try:
-            z, its, trace = _ascend(value, update, z_init, conv, side)
-        except EmptySupportError as err:
-            if first_err is None:
-                first_err = err
-            continue
-        score = value(z)[0]
-        if best is None or score > best[0]:
-            best = (score, z, its, trace)
-    if best is None:
-        raise first_err
-    return best[1], best[2], best[3]
-
-
-def _hinge(proj: np.ndarray, gamma, rule: str) -> tuple[float, np.ndarray]:
+def _hinge(proj: np.ndarray, gamma, rule: str):
     """The threshold rule at projections ``proj``: (program objective, update weights).
 
-    ``gamma`` is a scalar or one threshold per coordinate. "l1" soft-thresholds
-    |proj| (objective: the sum of squared hinges; weights: the signed hinges),
-    "l0" clips proj^2 (objective: the sum of clipped squares; weights: the
-    active projections). A coordinate is active exactly when its weight is
-    non-zero.
+    ``proj`` is one vector, or a p x B block with one objective per column.
+    ``gamma`` is a scalar or one threshold per coordinate (p x 1 for a block).
+    "l1" soft-thresholds |proj| (objective: the sum of squared hinges;
+    weights: the signed hinges), "l0" clips proj^2 (objective: the sum of
+    clipped squares; weights: the active projections). A coordinate is active
+    exactly when its weight is non-zero.
     """
     if rule == "l1":
         w = np.maximum(np.abs(proj) - gamma, 0.0)
-        return float(w @ w), w * np.sign(proj)
+        return _sq_norms(w), w * np.sign(proj)
     clipped = np.maximum(proj * proj - gamma, 0.0)
-    return float(clipped.sum()), np.where(clipped > 0, proj, 0.0)
+    return clipped.sum(axis=0), np.where(clipped > 0, proj, 0.0)
 
 
 def _partner(proj: np.ndarray, gamma, rule: str) -> np.ndarray:
@@ -226,40 +255,92 @@ def _partner(proj: np.ndarray, gamma, rule: str) -> np.ndarray:
     return weights / denom if denom > 0 else np.zeros_like(proj)
 
 
-def _hinge_ascent(c, gamma, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,
-                  seed: int, side: str, empty: str, offset=None, pull=None) -> PatternResult:
-    """The generalized power method that every stage-one solver runs.
+def _members(c, cols):
+    """The operator of batch columns ``cols``: those members of a
+    PermutedCross; any other operator serves every column."""
+    return c.take(cols) if isinstance(c, PermutedCross) else c
 
-    A step projects z onto the columns of ``c``, shifted by ``offset``, takes
-    the update weights of the threshold rule and moves to the update
-    ``c @ weights``. A ``pull`` (eps, a) adds the constant eps*a to the update
+
+def _hinge_ascent(c, gamma, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
+                  offset=None, pull=None) -> Ascent:
+    """The generalized power method that every stage-one solver runs, on a
+    p x B block of iterates.
+
+    A step projects each column z onto the columns of its operator, shifted
+    by ``offset``, takes the update weights of the threshold rule and moves
+    to the update ``c @ weights``. ``c`` is one operator (a dense block or a
+    CrossOperator) for every column, or a PermutedCross whose member k goes
+    with column k. A ``pull`` (eps, a) adds the constant eps*a to the update
     and 2 eps a'z to the tracked functional, which is otherwise the program
     objective; the update maximizes its linearization, so it is
-    non-decreasing. ``side`` names the solve in errors and ``empty`` is the
-    message raised when the maximizer thresholds every coordinate.
+    non-decreasing.
     """
-    def project(z):
-        proj = c.T @ z
-        return proj if offset is None else proj + offset
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim:
+        gamma = gamma[:, None]
+    shift = None if offset is None else offset[:, None]
+    push = None if pull is None else (pull[0] * pull[1])[:, None]
+    picked = [None, None, None]  # the columns last asked for, their operator and its transpose
 
-    def value(z):
-        obj, weights = _hinge(project(z), gamma, rule)
+    def members(cols):
+        if picked[0] is not cols:
+            op = _members(c, cols)
+            picked[:] = cols, op, op.T
+        return picked[1], picked[2]
+
+    def value(z, cols):
+        proj = members(cols)[1] @ z
+        obj, weights = _hinge(proj if shift is None else proj + shift, gamma, rule)
         if pull is not None:
-            obj += 2.0 * pull[0] * float(pull[1] @ z)
+            obj = obj + 2.0 * pull[0] * (pull[1] @ z)
         return obj, weights
 
-    def update(weights):
-        u = c @ weights
-        return u if pull is None else u + pull[0] * pull[1]
+    def update(weights, cols):
+        u = members(cols)[0] @ weights
+        return u if push is None else u + push
 
-    z, its, trace = _solve(c, value, update, z0, conv or ConvergenceSpec(), restarts, seed,
-                           side)
-    proj = project(z)
-    bits = _hinge(proj, gamma, rule)[1] != 0
+    return _ascend(value, update, z0, conv)
+
+
+def _solve(c, gamma, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,
+           seed: int, side: str, empty: str, offset=None, pull=None) -> PatternResult:
+    """One stage-one solve: the ascent from the deterministic init and from
+    optional random restarts, each a B=1 hinge ascent, keeping the candidate
+    whose tracked functional is largest. ``side`` names the solve in errors
+    and ``empty`` is the message raised when the maximizer thresholds every
+    coordinate.
+    """
+    if z0 is None:
+        start = init_direction(c).values
+    else:
+        start = _require_unit(z0.values if isinstance(z0, Direction) else z0, "z0")
+        if start.size != c.shape[0]:
+            raise DimensionError(f"z0 has length {start.size}, block has {c.shape[0]} rows")
+    inits = [start]
+    if restarts > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        inits.extend(_random_units(rng, c.shape[0], restarts))
+    conv = conv or ConvergenceSpec()
+
+    best = failed = None
+    for z_init in inits:
+        run = _hinge_ascent(c, gamma, rule, z_init[:, None], conv, offset=offset, pull=pull)
+        if run.vanished[0]:
+            failed = failed or run
+        elif best is None or run.objective[0] > best.objective[0]:
+            best = run
+    if best is None:
+        raise EmptySupportError(
+            f"update vanished while solving for {side}: the threshold exceeds "
+            "every projection", side=side, last_iterate=failed.z[:, 0].copy())
+    z, weights = best.z[:, 0], best.weights[:, 0]
+    bits = weights != 0
     if not bits.any():
         raise EmptySupportError(empty, side=side, last_iterate=z)
+    trace = np.asarray(best.traces[0]) if best.traces is not None else None
     return PatternResult(Direction(z), SparsityPattern(bits),
-                         Direction(_partner(proj, gamma, rule)), its, trace)
+                         Direction(weights / np.sqrt(float(weights @ weights))),
+                         int(best.iterations[0]), trace)
 
 
 def objective_l1(c, z: np.ndarray, gamma2: float) -> float:
@@ -293,9 +374,9 @@ def pattern_l1(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
     """
     if gamma2 < 0:
         raise ValueError("gamma2 must be non-negative")
-    return _hinge_ascent(_as_block(c), gamma2, "l1", z0=z0, conv=conv,
-                         restarts=restarts, seed=seed, side="partner",
-                         empty="every coordinate is at or below the threshold")
+    return _solve(_as_block(c), gamma2, "l1", z0=z0, conv=conv,
+                  restarts=restarts, seed=seed, side="partner",
+                  empty="every coordinate is at or below the threshold")
 
 
 def pattern_l0(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
@@ -309,9 +390,9 @@ def pattern_l0(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
     """
     if gamma2 < 0:
         raise ValueError("gamma2 must be non-negative")
-    return _hinge_ascent(_as_block(c), gamma2, "l0", z0=z0, conv=conv,
-                         restarts=restarts, seed=seed, side="partner",
-                         empty="every squared projection is at or below the threshold")
+    return _solve(_as_block(c), gamma2, "l0", z0=z0, conv=conv,
+                  restarts=restarts, seed=seed, side="partner",
+                  empty="every squared projection is at or below the threshold")
 
 
 def reconstruct_l1(c, z1, gamma2: float) -> Direction:
@@ -356,6 +437,16 @@ class PairPatterns:
     traces: dict
 
 
+def _first_side(order: str, p1: int, p2: int) -> int:
+    """The view whose pattern the two-sided pass finds first: "auto" takes the
+    larger one, "1-first"/"2-first" force it."""
+    if order == "auto":
+        return 1 if p1 > p2 else 2
+    if order in ("1-first", "2-first"):
+        return int(order[0])
+    raise ValueError("order must be 'auto', '1-first' or '2-first'")
+
+
 def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
                  conv: ConvergenceSpec | None = None, order: str = "auto",
                  restarts: int = 0, seed: int = 0) -> PairPatterns:
@@ -371,13 +462,7 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
         raise ValueError(f"penalty must be one of {PENALTIES}")
     solver = _PATTERN_FN[penalty]
     block = _as_block(c12)
-    p1, p2 = block.shape
-    if order == "auto":
-        first = 1 if p1 > p2 else 2
-    elif order in ("1-first", "2-first"):
-        first = int(order[0])
-    else:
-        raise ValueError("order must be 'auto', '1-first' or '2-first'")
+    first = _first_side(order, *block.shape)
     conv = conv or ConvergenceSpec()
 
     def run(b, gamma, side):
@@ -403,6 +488,54 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
         iterations = {"side1": res1.iterations, "side2": res2.iterations}
         traces = {"side1": res1.objective_trace, "side2": res2.objective_trace}
     return PairPatterns(tau1, tau2, first, iterations, traces)
+
+
+class BatchPatterns(NamedTuple):
+    """Stage-one supports of every member of a batch (p1 x K and p2 x K),
+    all-False for the members that failed."""
+
+    tau1: np.ndarray
+    tau2: np.ndarray
+    ok: np.ndarray
+
+
+def _batch_side(c: PermutedCross, gamma: float, rule: str,
+                conv: ConvergenceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One side for every member, each started from its largest-norm column as
+    ``init_direction`` starts it: the support masks and the members that have
+    one (a zero member, a vanished update or an empty support has none)."""
+    norms = c.col_norms()
+    js = np.argmax(norms, axis=0)
+    top = norms[js, np.arange(js.size)]
+    run = _hinge_ascent(c, gamma, rule, c.columns(js) / np.where(top > 0, top, 1.0), conv)
+    bits = run.weights != 0
+    return bits, (top > 0) & ~run.vanished & bits.any(axis=0)
+
+
+def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
+                       penalty: str = "l1", conv: ConvergenceSpec | None = None,
+                       order: str = "auto") -> BatchPatterns:
+    """:func:`pattern_pair` without restarts for every member of a batch at once.
+
+    Each side is one p x K hinge ascent with pattern_pair's start and stop
+    rule per member. The second side runs on the members whose first side
+    found a support, each masked to that support instead of shrunk to it. A
+    member fails (``ok`` False) exactly where pattern_pair would raise.
+    """
+    if penalty not in _PATTERN_FN:
+        raise ValueError(f"penalty must be one of {PENALTIES}")
+    conv = conv or ConvergenceSpec()
+    first = _first_side(order, *batch.shape)
+    # the lead operator's columns are the coordinates of the side found first
+    lead_op, gammas = (batch.T, (gamma1, gamma2)) if first == 1 else (batch, (gamma2, gamma1))
+    lead, ok = _batch_side(lead_op, gammas[0], penalty, conv)
+    keep = np.flatnonzero(ok)
+    other = np.zeros((lead_op.shape[0], ok.size), dtype=bool)
+    if keep.size:
+        masked = lead_op.take(keep).cols(lead[:, keep]).T
+        other[:, keep], ok[keep] = _batch_side(masked, gammas[1], penalty, conv)
+    tau1, tau2 = (lead, other) if first == 1 else (other, lead)
+    return BatchPatterns(tau1 & ok, tau2 & ok, ok)
 
 
 def scca_pair(x1: ViewMatrix, x2: ViewMatrix, gamma1: float, gamma2: float,

@@ -322,24 +322,33 @@ class StageTwo(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def stage_two(views: Sequence[ViewMatrix], blocks: Mapping[tuple[int, int], CrossOperator],
-              active: Sequence[np.ndarray], method: str, ridge: float = 0.0,
+def check_stage2(method: str, views: int) -> None:
+    """Reject a stage-two back-end name before any stage one runs."""
+    if method not in ("svd", "power", "gep") or (method == "svd" and views != 2):
+        raise ValueError("stage2 must be 'svd' (two views), 'power' or 'gep'")
+
+
+def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[np.ndarray],
+              method: str, ridge: float = 0.0,
               conv: ConvergenceSpec | None = None) -> StageTwo:
     """Estimate one factor's active entries on the doubly shrunken blocks.
 
     ``blocks`` maps each pair (r, s), r < s, to the CrossOperator between
-    views r and s over their full coordinates; ``active[r]`` holds view r's
-    support indices. ``method`` is ``"svd"`` (power_svd, two views only,
-    unit norm), ``"power"`` (multiview_power, unit norm) or ``"gep"`` (the
-    block pencil with the within-view blocks on the supports, z'C_rr z = 1;
-    a singular pencil is retried once with a ridge of 1e-8 of the mean
-    active variance, reported in the warnings). Directions come back full
-    length with zeros off the supports, signed so that view 1's first
-    non-zero entry is positive and z_1'C_1r z_r >= 0 for every other view r.
+    views r and s over their full coordinates, which also carries the views'
+    data; ``active[r]`` holds view r's support indices. ``method`` is
+    ``"svd"`` (power_svd, two views only, unit norm), ``"power"``
+    (multiview_power, unit norm) or ``"gep"`` (the block pencil with the
+    within-view blocks on the supports, z'C_rr z = 1; a singular pencil is
+    retried once with a ridge of 1e-8 of the mean active variance, reported
+    in the warnings). Directions come back full length with zeros off the
+    supports, signed so that view 1's first non-zero entry is positive and
+    z_1'C_1r z_r >= 0 for every other view r.
     """
-    m = len(views)
-    if method not in ("svd", "power", "gep") or (method == "svd" and m != 2):
-        raise ValueError("stage2 must be 'svd' (two views), 'power' or 'gep'")
+    m = len(active)
+    check_stage2(method, m)
+    data: list = [None] * m
+    for (r, s), op in blocks.items():
+        data[r], data[s] = op.a, op.b
     conv = conv or ConvergenceSpec()
     cross = {(r, s): op.rows(active[r]).cols(active[s]).dense()
              for (r, s), op in blocks.items()}
@@ -351,7 +360,7 @@ def stage_two(views: Sequence[ViewMatrix], blocks: Mapping[tuple[int, int], Cros
         parts, normalization = multiview_power(cross, conv=conv), "unit"
     else:
         div = blocks[(0, 1)].div
-        subs = [view.data[:, ix] for view, ix in zip(views, active)]
+        subs = [d[:, ix] for d, ix in zip(data, active)]
         diag = [a.T @ a / div for a in subs]
         try:
             result = multiview_gep(cross, diag, ridge=ridge)
@@ -365,7 +374,7 @@ def stage_two(views: Sequence[ViewMatrix], blocks: Mapping[tuple[int, int], Cros
             raise SingularityError("eigenvector has zero within-view norm; increase ridge")
         parts, normalization = result.directions, "cov"
 
-    zs = [np.zeros(view.p) for view in views]
+    zs = [np.zeros(d.shape[1]) for d in data]
     for z, ix, part in zip(zs, active, parts):
         z[ix] = part
     _fix_sign(zs[0], zs[1:])
@@ -404,16 +413,17 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
     bound = min(x1.n, x1.p, x2.p)
     if not 1 <= m <= bound:
         raise DimensionError(f"factor count must be in [1, {bound}]")
+    check_stage2(stage2, 2)
     conv = conv or ConvergenceSpec()
 
     residual = CrossOperator.from_views(x1, x2, divisor=divisor)
-    base_scale = residual.fro_norm()
+    # only a later factor needs the scale: a zero first block fails in stage one
+    base_scale = residual.fro_norm() if m > 1 else None
     factors = []
     warnings: tuple[str, ...] = ()
     normalization = "unit"
     for i, (g1, g2) in enumerate(zip(gammas1, gammas2)):
-        left = residual.fro_norm() if i else base_scale
-        if left <= 1e-7 * max(base_scale, 1e-300):
+        if i and residual.fro_norm() <= 1e-7 * max(base_scale, 1e-300):
             warnings += (f"factor {i + 1}: residual numerically exhausted "
                          "(data rank reached)",)
             break
@@ -424,8 +434,8 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
             warnings += (f"factor {i + 1}: {err}",)
             break
         try:
-            est = stage_two([x1, x2], {(0, 1): residual},
-                            [pair.tau1.indices(), pair.tau2.indices()], stage2, ridge, conv)
+            est = stage_two({(0, 1): residual}, [pair.tau1.indices(), pair.tau2.indices()],
+                            stage2, ridge, conv)
         except (DegenerateInputError, SingularityError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break

@@ -3,24 +3,26 @@
 Both tuners sweep a (gamma1, gamma2) grid. Cross-validation scores a cell by
 the average held-out correlation of the fitted canonical covariates; the
 permutation test scores it by the fraction of row-permuted refits whose
-correlation beats the matched fit. Cells are independent tasks with seeds
-derived from (master seed, cell index), so reports are reproducible
-regardless of worker count or execution order.
+correlation beats the matched fit; it centres the views once per sweep and
+refits each cell's permutations as one batch. Cells are independent tasks
+with seeds derived from (master seed, cell index), so reports are
+reproducible regardless of worker count or execution order.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .covariance import ViewMatrix, center_scale
-from .errors import DegenerateInputError, DimensionError, EmptySupportError
-from .pattern import ConvergenceSpec
-from .solve import fit_pair, pearson
+from .covariance import CrossOperator, PermutedCross, ViewMatrix, center_scale, standardize
+from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
+                     SingularityError)
+from .pattern import ConvergenceSpec, pattern_pair_batch
+from .solve import CcaSolution, fit_pair, pearson, stage_two
 
 
 @dataclass(frozen=True)
@@ -122,47 +124,36 @@ def _fold_slices(n: int, k: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
-def _fit_directions(d1: np.ndarray, d2: np.ndarray, g1: float, g2: float,
-                    cfg: FitConfig, conv: ConvergenceSpec,
-                    seed: int) -> tuple[np.ndarray, np.ndarray, object, object]:
-    """Center/scale raw sample blocks and fit one factor; returns directions
-    plus the per-column transforms needed to map held-out rows."""
-    v1 = ViewMatrix(d1, [f"V{j+1}" for j in range(d1.shape[1])])
-    v2 = ViewMatrix(d2, [f"V{j+1}" for j in range(d2.shape[1])])
-    mu1, mu2 = d1.mean(axis=0), d2.mean(axis=0)
-    if cfg.scale:
-        sd1 = np.where(d1.std(axis=0, ddof=1) > 0, d1.std(axis=0, ddof=1), 1.0)
-        sd2 = np.where(d2.std(axis=0, ddof=1) > 0, d2.std(axis=0, ddof=1), 1.0)
-    else:
-        sd1 = np.ones(d1.shape[1])
-        sd2 = np.ones(d2.shape[1])
-    c1 = center_scale(v1, scale=cfg.scale)
-    c2 = center_scale(v2, scale=cfg.scale)
-    sol = fit_pair(c1, c2, g1, g2, factors=1, penalty=cfg.penalty, conv=conv,
-                   stage2=cfg.stage2, ridge=cfg.ridge, order=cfg.order,
-                   restarts=cfg.restarts, seed=seed, divisor=cfg.divisor)
-    return sol.directions[0][:, 0], sol.directions[1][:, 0], (mu1, sd1), (mu2, sd2)
+def _fit(v1: ViewMatrix, v2: ViewMatrix, g1: float, g2: float, cfg: FitConfig,
+         conv: ConvergenceSpec, seed: int) -> CcaSolution:
+    """One factor of the pair pipeline on centred views."""
+    return fit_pair(v1, v2, g1, g2, factors=1, penalty=cfg.penalty, conv=conv,
+                    stage2=cfg.stage2, ridge=cfg.ridge, order=cfg.order,
+                    restarts=cfg.restarts, seed=seed, divisor=cfg.divisor)
 
 
-def _cv_cell(x1: np.ndarray, x2: np.ndarray, g1: float, g2: float,
-             grid: TuneGrid, cfg: FitConfig, conv: ConvergenceSpec,
-             cell_index: int) -> dict:
-    folds = _fold_slices(x1.shape[0], grid.folds, grid.seed)
-    all_idx = np.arange(x1.shape[0])
+def _cv_cell(views: tuple[ViewMatrix, ViewMatrix], g1: float, g2: float, grid: TuneGrid,
+             cfg: FitConfig, conv: ConvergenceSpec, cell_index: int) -> dict:
+    x1, x2 = views
+    folds = _fold_slices(x1.n, grid.folds, grid.seed)
+    all_idx = np.arange(x1.n)
     fold_rhos = np.zeros(grid.folds)
     flags = []
     for k, hold in enumerate(folds):
         train = np.setdiff1d(all_idx, hold)
+        # fold means change, so each fold centres (and scales) its own rows
+        d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
+        d2, mu2, sd2, _ = standardize(x2.data[train], cfg.scale)
         try:
-            z1, z2, t1, t2 = _fit_directions(x1[train], x2[train], g1, g2, cfg,
-                                             conv, seed=cell_index)
+            sol = _fit(ViewMatrix(d1, x1.names, centered=True),
+                       ViewMatrix(d2, x2.names, centered=True), g1, g2, cfg, conv, cell_index)
         except (EmptySupportError, DegenerateInputError) as err:
             fold_rhos[k] = 0.0
             flags.append(f"fold {k + 1}: fit failed ({err}); rho recorded as 0")
             continue
-        h1 = (x1[hold] - t1[0]) / t1[1]
-        h2 = (x2[hold] - t2[0]) / t2[1]
-        rho, degenerate = pearson(h1 @ z1, h2 @ z2)
+        z1, z2 = sol.directions[0][:, 0], sol.directions[1][:, 0]
+        rho, degenerate = pearson(((x1.data[hold] - mu1) / sd1) @ z1,
+                                  ((x2.data[hold] - mu2) / sd2) @ z2)
         if degenerate:
             flags.append(f"fold {k + 1}: degenerate held-out covariate; rho recorded as 0")
         fold_rhos[k] = rho
@@ -170,33 +161,88 @@ def _cv_cell(x1: np.ndarray, x2: np.ndarray, g1: float, g2: float,
             "failed": False, "matched_rho": np.nan}
 
 
-def _perm_cell(x1: np.ndarray, x2: np.ndarray, g1: float, g2: float,
-               grid: TuneGrid, cfg: FitConfig, conv: ConvergenceSpec,
-               cell_index: int) -> dict:
-    flags: list[str] = []
+@dataclass(frozen=True)
+class _PermSweep:
+    """What every permutation cell shares. A row permutation keeps column
+    means and sds, so both views are centred (and scaled) once per sweep,
+    and their n x n Grams are formed once too."""
+
+    v1: ViewMatrix
+    v2: ViewMatrix
+    div: float
+    gram1: np.ndarray
+    gram2: np.ndarray
+
+    @classmethod
+    def prepare(cls, x1: ViewMatrix, x2: ViewMatrix, cfg: FitConfig) -> "_PermSweep":
+        v1, v2 = center_scale(x1, scale=cfg.scale), center_scale(x2, scale=cfg.scale)
+        return cls(v1, v2, CrossOperator.from_views(v1, v2, cfg.divisor).div,
+                   v1.data @ v1.data.T, v2.data @ v2.data.T)
+
+    def batch(self, perms: np.ndarray) -> PermutedCross:
+        """The cross-covariances of view 1's rows permuted by each column of ``perms``."""
+        return PermutedCross(self.v1.data, self.v2.data, self.div, perms,
+                             np.argsort(perms, axis=0), self.gram1, self.gram2)
+
+
+def _permutations(seed: int, cell_index: int, n: int, count: int) -> np.ndarray:
+    """A cell's row permutations, one per column, drawn from its own stream."""
+    rng = np.random.default_rng(_cell_seed(seed, cell_index))
+    return np.column_stack([rng.permutation(n) for _ in range(count)])
+
+
+def _batched_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
+                    cfg: FitConfig, conv: ConvergenceSpec) -> np.ndarray:
+    """|rho| of the refit of every permutation (a column of ``perms``) of view
+    1's rows: stage one for all of them as one batch, then stage two and the
+    correlation for each one whose supports survived. A failed refit counts
+    as rho 0, so it never beats the matched fit."""
+    batch = sweep.batch(perms)
+    found = pattern_pair_batch(batch, g1, g2, penalty=cfg.penalty, conv=conv, order=cfg.order)
+    rhos = np.zeros(perms.shape[1])
+    for k in np.flatnonzero(found.ok):
+        member = batch.member(k)
+        try:
+            est = stage_two({(0, 1): member}, [np.flatnonzero(found.tau1[:, k]),
+                                                np.flatnonzero(found.tau2[:, k])],
+                            cfg.stage2, cfg.ridge, conv)
+        except (DegenerateInputError, SingularityError):
+            continue
+        z1, z2 = est.directions
+        rhos[k] = abs(pearson(member.a @ z1, member.b @ z2)[0])
+    return rhos
+
+
+def _serial_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
+                   cfg: FitConfig, conv: ConvergenceSpec, seed: int) -> np.ndarray:
+    """The refits one permutation at a time, for fits with random restarts."""
+    rhos = np.zeros(perms.shape[1])
+    for k, perm in enumerate(perms.T):
+        try:
+            sol = _fit(ViewMatrix(sweep.v1.data[perm], sweep.v1.names, centered=True),
+                       sweep.v2, g1, g2, cfg, conv, seed)
+        except (EmptySupportError, DegenerateInputError):
+            continue
+        rhos[k] = abs(float(sol.correlations[0]))
+    return rhos
+
+
+def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: FitConfig,
+               conv: ConvergenceSpec, cell_index: int) -> dict:
     try:
-        z1, z2, t1, t2 = _fit_directions(x1, x2, g1, g2, cfg, conv, seed=cell_index)
+        sol = _fit(sweep.v1, sweep.v2, g1, g2, cfg, conv, cell_index)
     except (EmptySupportError, DegenerateInputError) as err:
         return {"score": np.nan, "trace": np.zeros(grid.permutations),
                 "flags": [f"matched fit failed: {err}"], "failed": True,
                 "matched_rho": np.nan}
-    rho, _ = pearson(((x1 - t1[0]) / t1[1]) @ z1, ((x2 - t2[0]) / t2[1]) @ z2)
-    rho = abs(rho)
-    rng = np.random.default_rng(_cell_seed(grid.seed, cell_index))
-    perm_rhos = np.zeros(grid.permutations)
-    for p in range(grid.permutations):
-        perm = rng.permutation(x1.shape[0])
-        x1p = x1[perm]
-        try:
-            z1p, z2p, t1p, t2p = _fit_directions(x1p, x2, g1, g2, cfg, conv,
-                                                 seed=cell_index)
-            rp, _ = pearson(((x1p - t1p[0]) / t1p[1]) @ z1p,
-                             ((x2 - t2p[0]) / t2p[1]) @ z2p)
-            perm_rhos[p] = abs(rp)
-        except (EmptySupportError, DegenerateInputError):
-            perm_rhos[p] = 0.0  # conservative: a failed permutation fit never beats rho
+    rho = abs(float(sol.correlations[0]))
+    perms = _permutations(grid.seed, cell_index, sweep.v1.n, grid.permutations)
+    if cfg.restarts:
+        perm_rhos = _serial_refits(sweep, perms, g1, g2, cfg, conv, cell_index)
+    else:
+        perm_rhos = _batched_refits(sweep, perms, g1, g2, cfg, conv)
     p_value = float(np.mean(perm_rhos > rho))
-    return {"score": p_value, "trace": perm_rhos, "flags": flags, "failed": False,
+    return {"score": p_value, "trace": perm_rhos, "flags": [], "failed": False,
             "matched_rho": rho}
 
 
@@ -218,15 +264,18 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
         raise DimensionError("need n >= 2k for k-fold tuning")
     cfg = cfg or FitConfig()
     conv = conv or ConvergenceSpec()
-    cell_fn: Callable = _cv_cell if mode == "cv" else _perm_cell
-    d1, d2 = x1.data, x2.data
+    if mode == "cv":
+        cell_fn: Callable = _cv_cell
+        shared = (x1, x2)
+    else:
+        cell_fn, shared = _perm_cell, _PermSweep.prepare(x1, x2, cfg)
 
     cells = grid.cells()
     results: list[dict | None] = [None] * len(cells)
 
     def run(cell):
         idx, _i, _j, g1, g2 = cell
-        return idx, cell_fn(d1, d2, g1, g2, grid, cfg, conv, idx)
+        return idx, cell_fn(shared, g1, g2, grid, cfg, conv, idx)
 
     if jobs is not None and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -280,10 +329,7 @@ def cv_tune(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
             cfg: FitConfig | None = None, jobs: int | None = None) -> TuneReport:
     """k-fold cross-validated correlation over the grid; the chosen point
     maximizes the fold-averaged held-out correlation, ties toward sparser."""
-    cfg = cfg or FitConfig()
-    cfg = FitConfig(penalty=penalty, stage2=cfg.stage2, scale=cfg.scale,
-                    ridge=cfg.ridge, order=cfg.order, restarts=cfg.restarts,
-                    divisor=cfg.divisor)
+    cfg = replace(cfg or FitConfig(), penalty=penalty)
     return grid_orchestrate("cv", x1, x2, grid, cfg=cfg, conv=conv, jobs=jobs)
 
 
@@ -292,8 +338,5 @@ def perm_tune(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
               cfg: FitConfig | None = None, jobs: int | None = None) -> TuneReport:
     """Independence permutation test over the grid; the chosen point
     minimizes the p-value, ties toward sparser."""
-    cfg = cfg or FitConfig()
-    cfg = FitConfig(penalty=penalty, stage2=cfg.stage2, scale=cfg.scale,
-                    ridge=cfg.ridge, order=cfg.order, restarts=cfg.restarts,
-                    divisor=cfg.divisor)
+    cfg = replace(cfg or FitConfig(), penalty=penalty)
     return grid_orchestrate("perm", x1, x2, grid, cfg=cfg, conv=conv, jobs=jobs)

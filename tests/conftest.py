@@ -1,5 +1,5 @@
-"""Shared helpers: data builders, a dense stage-two reference and the
-monotone-trace assertion."""
+"""Shared helpers: data builders, a dense stage-two reference, a serial
+permutation-refit reference and the monotone-trace assertion."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from scca import SingularityError, ViewMatrix, cca_gep, power_svd
+from scca import (DegenerateInputError, EmptySupportError, SingularityError, ViewMatrix,
+                  cca_gep, center_scale, fit_pair, power_svd)
 
 
 def make_views(n, p1, p2, seed=0):
@@ -83,6 +84,28 @@ def dense_stage_two(block, c11, c22, stage2, ix1, ix2, p1, p2):
     if z1[np.flatnonzero(z1)[0]] < 0:
         z1, z2 = -z1, -z2
     return z1, z2, warnings
+
+
+def serial_perm_refits(x1, x2, g1, g2, perms, cfg, seed=0):
+    """Reference permutation refits, one ``fit_pair`` per column of ``perms``
+    on views centred (and scaled) once, view 1's rows permuted by the column;
+    ``seed`` seeds the restarts, as the cell index does in tuning. Returns,
+    per permutation, (|rho|, tau1 bits, tau2 bits), or None where the refit
+    failed."""
+    c1, c2 = center_scale(x1, scale=cfg.scale), center_scale(x2, scale=cfg.scale)
+    out = []
+    for perm in perms.T:
+        try:
+            sol = fit_pair(ViewMatrix(c1.data[perm], c1.names, centered=True), c2, g1, g2,
+                           penalty=cfg.penalty, stage2=cfg.stage2, ridge=cfg.ridge,
+                           order=cfg.order, restarts=cfg.restarts, seed=seed,
+                           divisor=cfg.divisor)
+        except (EmptySupportError, DegenerateInputError):
+            out.append(None)
+            continue
+        out.append((abs(float(sol.correlations[0])), sol.patterns[0][0].bits,
+                    sol.patterns[1][0].bits))
+    return out
 
 
 def assert_monotone(trace, tol=1e-12, label="objective"):

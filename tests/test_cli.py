@@ -355,3 +355,27 @@ def test_flags_only_where_they_are_read(tmp_path, capsys):
                            "'power' or 'gep'")):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: --stage2 must be {choices}\n"
+
+
+def test_tune_method_from_config_is_checked_before_inputs(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"method": "cvv"}))
+    missing = str(tmp_path / "missing.csv")
+    grids = ["--gamma1-grid", "0.5", "--gamma2-grid", "0.5", "--config", str(config)]
+    assert main(["tune", "--x1", missing, "--x2", missing, *grids,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: method must be 'cv' or 'perm'\n"
+    _write_small_views(tmp_path, seed=12)
+    out = tmp_path / "t"
+    assert main(["tune", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+                 *grids, "--permutations", "3", "--out", str(out)]) == 1
+    assert not (out / "tune.json").exists()
+
+
+def test_dscca_mode_from_config_is_checked_before_inputs(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "bogus"}))
+    missing = str(tmp_path / "missing.csv")
+    assert main(["dscca", "--x1", missing, "--x2", missing, "--y", missing,
+                 "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: mode must be dot, reg, stacked or two-stage\n"

@@ -57,8 +57,11 @@ def test_operator_algebra_matches_dense(rng):
     np.testing.assert_allclose(op.rows(rows).cols(cols).dense(), block[np.ix_(rows, cols)],
                                atol=1e-12)
     np.testing.assert_allclose(op.T.dense(), block.T, atol=1e-12)
+    zs = rng.standard_normal((5, 3))
+    np.testing.assert_allclose(op @ zs, block @ zs, atol=1e-12)
+    np.testing.assert_array_equal((op @ zs[:, :1])[:, 0], op @ zs[:, 0])
     with pytest.raises(DimensionError):
-        op @ np.ones((5, 2))
+        op @ np.ones((5, 2, 1))
 
 
 def test_numpy_forms_the_block_only_when_asked(rng):

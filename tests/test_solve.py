@@ -309,3 +309,35 @@ def test_solution_requires_sorted_correlations():
         CcaSolution(directions=[np.zeros((2, 2)), np.zeros((2, 2))],
                     correlations=np.array([0.1, 0.9]),
                     factor_count=2, normalization="unit")
+
+
+def test_bad_stage2_is_rejected_before_any_stage_one(monkeypatch):
+    import scca.directed
+    import scca.multiview
+    import scca.solve
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(scca.solve, "pattern_pair")
+    counting(scca.directed, "directed_pattern_dot")
+    counting(scca.multiview, "multiview_pattern")
+    x1, x2 = make_views(12, 5, 4, seed=3)
+    y = AccessoryVector(x1.data[:, 0])
+    fits = [lambda: fit_pair(x1, x2, 0.0, 0.0, stage2="bogus"),
+            lambda: fit_pair(x1, x2, 0.0, 0.0, factors=2, stage2="power2"),
+            lambda: directed_fit(x1, x2, y, DirectedParams(0.0, 0.0, 1.0, 1.0), stage2="bogus"),
+            lambda: multiview_scca([x1, x2], GammaMatrix.for_pair(0.0, 0.0), stage2="bogus"),
+            lambda: multiview_scca([x1, x2, x1], GammaMatrix(np.zeros((3, 3))), stage2="svd")]
+    for fit in fits:
+        with pytest.raises(ValueError, match="stage2 must be"):
+            fit()
+    assert calls == []
+    fit_pair(x1, x2, 0.0, 0.0)
+    assert calls == ["pattern_pair"]

@@ -153,3 +153,59 @@ def test_report_serializes():
     assert doc["mode"] == "perm"
     assert doc["chosen"]["gamma1"] == pytest.approx(g1s[0])
     assert isinstance(report.to_json(), str)
+
+
+@pytest.mark.parametrize("penalty,order,divisor,scale,stage2", [
+    ("l1", "1-first", "n", False, "svd"),
+    ("l1", "2-first", "n-1", True, "gep"),
+    ("l0", "1-first", "n-1", True, "svd"),
+    ("l0", "2-first", "n", False, "gep"),
+    ("l1", "auto", "n", True, "gep"),
+    ("l0", "auto", "n-1", False, "svd"),
+])
+def test_batched_refits_match_the_serial_reference(penalty, order, divisor, scale, stage2):
+    from conftest import serial_perm_refits
+
+    from scca.pattern import pattern_pair_batch
+    from scca.tuning import _permutations, _PermSweep
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
+                          (0.15,), (0.15,))
+    g1, g2 = (g1s[0] ** 2, g2s[0] ** 2) if penalty == "l0" else (g1s[0], g2s[0])
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order, divisor=divisor)
+    grid = TuneGrid((g1,), (g2,), permutations=40, seed=9)
+    report = perm_tune(x1, x2, grid, penalty=penalty, cfg=cfg)
+
+    perms = _permutations(grid.seed, 0, x1.n, grid.permutations)
+    ref = serial_perm_refits(x1, x2, g1, g2, perms, cfg)
+    np.testing.assert_allclose(report.traces[0, 0], [r[0] if r else 0.0 for r in ref],
+                               rtol=0, atol=1e-10)
+    found = pattern_pair_batch(_PermSweep.prepare(x1, x2, cfg).batch(perms), g1, g2,
+                               penalty=penalty, order=order)
+    for k, want in enumerate(ref):
+        if want is None:
+            assert report.traces[0, 0, k] == 0.0
+            continue
+        assert found.ok[k]
+        assert found.tau1[:, k].tolist() == want[1].tolist()
+        assert found.tau2[:, k].tolist() == want[2].tolist()
+    failed = sum(r is None for r in ref)
+    assert 5 <= failed <= len(ref) - 5
+    assert not found.tau1[:, ~found.ok].any() and not found.tau2[:, ~found.ok].any()
+
+
+def test_refits_with_restarts_match_the_serial_reference():
+    from conftest import serial_perm_refits
+
+    from scca.tuning import _permutations
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(x1, x2, (0.15, 0.2), (0.15,))
+    cfg = FitConfig(restarts=2)
+    grid = TuneGrid(g1s, g2s, permutations=15, seed=4)
+    report = perm_tune(x1, x2, grid, cfg=cfg)
+    for cell, g1 in enumerate(g1s):
+        perms = _permutations(grid.seed, cell, x1.n, grid.permutations)
+        ref = serial_perm_refits(x1, x2, g1, g2s[0], perms, cfg, seed=cell)
+        assert not all(r is None for r in ref)
+        np.testing.assert_allclose(report.traces[cell, 0], [r[0] if r else 0.0 for r in ref],
+                                   rtol=0, atol=1e-10)
