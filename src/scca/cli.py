@@ -133,6 +133,17 @@ def _out_dir(resolved: dict) -> Path:
     return out
 
 
+def _finish_fit(sol: CcaSolution, view_names: list[list[str]], resolved: dict,
+                echo: dict) -> int:
+    """Write solution.json, print the fit's warnings to stderr and the path to stdout."""
+    path = _write_json(_solution_dict(sol, view_names, resolved["seed"], echo),
+                       _out_dir(resolved) / "solution.json")
+    for warning in sol.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(path)
+    return 0
+
+
 def _load_centered(paths: list[str], delimiter, scale: bool) -> list[ViewMatrix]:
     return [center_scale(load_view(p, delimiter=delimiter), scale=scale)
             for p in paths]
@@ -215,13 +226,7 @@ def cmd_scca(args) -> int:
                    penalty=r["penalty"], conv=conv, stage2=stage2)
     echo = _echo(r, factors=factors, stage2=stage2, x1=args.x1, x2=args.x2,
                  subcommand="scca")
-    out = _out_dir(r)
-    _write_json(_solution_dict(sol, [x1.names, x2.names], r["seed"], echo),
-                out / "solution.json")
-    for warning in sol.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(out / "solution.json")
-    return 0
+    return _finish_fit(sol, [x1.names, x2.names], r, echo)
 
 
 def cmd_mscca(args) -> int:
@@ -238,13 +243,7 @@ def cmd_mscca(args) -> int:
                          stage2=stage2)
     echo = _echo(r, stage2=stage2, views=list(args.views),
                  gamma_matrix=gam.values.tolist(), subcommand="mscca")
-    out = _out_dir(r)
-    _write_json(_solution_dict(sol, [v.names for v in views], r["seed"], echo),
-                out / "solution.json")
-    for warning in sol.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(out / "solution.json")
-    return 0
+    return _finish_fit(sol, [v.names for v in views], r, echo)
 
 
 def cmd_dscca(args) -> int:
@@ -275,11 +274,7 @@ def cmd_dscca(args) -> int:
                                  penalty=r["penalty"], conv=conv, stage2=stage2)
     echo = _echo(r, mode=mode, eps1=eps1, eps2=eps2, stage2=stage2,
                  x1=args.x1, x2=args.x2, y=args.y, subcommand="dscca")
-    out = _out_dir(r)
-    _write_json(_solution_dict(sol, [x1.names, x2.names], r["seed"], echo),
-                out / "solution.json")
-    print(out / "solution.json")
-    return 0
+    return _finish_fit(sol, [x1.names, x2.names], r, echo)
 
 
 def cmd_tune(args) -> int:

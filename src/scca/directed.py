@@ -9,17 +9,16 @@ select-then-solve two-stage baseline.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CrossOperator, SparsityPattern, ViewMatrix, cross_covariance
+from .covariance import CrossOperator, SparsityPattern, ViewMatrix, _check_pair, _divisor
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, SingularityError)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
                       _solve)
-from .solve import CcaSolution, check_stage2, fit_pair, pearson, stage_two
+from .solve import CcaSolution, check_stage2, covariates, fit_pair, stage_two
 
 
 @dataclass(eq=False)
@@ -130,55 +129,55 @@ def compute_beta(x: ViewMatrix, y: AccessoryVector, ridge: float = 0.0,
 
 @dataclass(eq=False)
 class StackedProblem:
-    """Symmetric stacked form of the squared-error-directed program.
+    """Symmetric stacked form of the squared-error-directed program, on a thin factor.
 
-    ``tilde_c`` is the (p1+p2) square block matrix [[eps1*C11, C12],
-    [C12', eps2*C22]]; ``tilde_x`` the n x (p1+p2) concatenation
-    [eps1*X1, eps2*X2]; ``split`` = p1.
+    The stacked matrix tilde_c = [[eps1*C11, C12], [C12', eps2*C22]] is never
+    formed: ``root`` is a k x (p1+p2) factor with root'root = tilde_c and
+    k <= 2n. ``tilde_x`` is the n x (p1+p2) concatenation [eps1*X1, eps2*X2];
+    ``split`` = p1.
     """
 
-    tilde_c: np.ndarray
+    root: np.ndarray
     tilde_x: np.ndarray
     split: int
 
     def __post_init__(self):
-        self.tilde_c = np.asarray(self.tilde_c, dtype=float)
+        self.root = np.asarray(self.root, dtype=float)
         self.tilde_x = np.asarray(self.tilde_x, dtype=float)
-        p = self.tilde_c.shape[0]
-        if self.tilde_c.shape != (p, p):
-            raise DimensionError("tilde_c must be square")
-        scale = np.abs(self.tilde_c).max(initial=0.0) + 1.0
-        if np.abs(self.tilde_c - self.tilde_c.T).max(initial=0.0) > 1e-10 * scale:
-            raise DimensionError("tilde_c must be symmetric")
+        if self.root.ndim != 2:
+            raise DimensionError("root must be 2-d")
+        p = self.root.shape[1]
         if self.tilde_x.shape[1] != p:
-            raise DimensionError("tilde_x width must equal tilde_c size")
+            raise DimensionError("tilde_x width must equal the root's width")
         if not 1 <= self.split <= p - 1:
             raise DimensionError("split must lie strictly inside the stacked coordinate")
 
     @classmethod
     def build(cls, x1: ViewMatrix, x2: ViewMatrix, eps1: float, eps2: float,
               divisor: str = "n") -> "StackedProblem":
-        c11 = cross_covariance(x1, x1, divisor=divisor)
-        c22 = cross_covariance(x2, x2, divisor=divisor)
-        c12 = cross_covariance(x1, x2, divisor=divisor)
-        tilde_c = np.block([[eps1 * c11, c12], [c12.T, eps2 * c22]])
-        tilde_x = np.hstack([eps1 * x1.data, eps2 * x2.data])
-        return cls(tilde_c, tilde_x, x1.p)
+        """Factor tilde_c in O(n^2 (p1+p2)): with thin QRs X_i' = Q_i R_i it is
+        Q core Q' for Q = diag(Q1, Q2) and the core [[eps1 R1R1', R1R2'],
+        [R2R1', eps2 R2R2']]/div of size at most 2n, so root = H Q' for the
+        core's square root H. The core's eigenvalues are tilde_c's non-zero
+        ones, so IndefiniteMatrixError is raised exactly as for tilde_c."""
+        _check_pair(x1, x2)
+        q1, r1 = np.linalg.qr(x1.data.T)
+        q2, r2 = np.linalg.qr(x2.data.T)
+        r12 = r1 @ r2.T
+        core = np.block([[eps1 * (r1 @ r1.T), r12], [r12.T, eps2 * (r2 @ r2.T)]])
+        h = _symmetric_sqrt(core / _divisor(x1.n, divisor))
+        k1 = r1.shape[0]
+        root = np.hstack([h[:, :k1] @ q1.T, h[:, k1:] @ q2.T])
+        return cls(root, np.hstack([eps1 * x1.data, eps2 * x2.data]), x1.p)
 
 
 def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; mildly negative eigenvalues are clipped."""
+    """Symmetric PSD square root; eigenvalues negative within tolerance count as 0."""
     vals, vecs = np.linalg.eigh(m)
-    lam_max = max(float(vals.max(initial=0.0)), 0.0)
-    floor = -1e-8 * max(lam_max, 1.0)
-    if vals.min(initial=0.0) < floor:
+    if vals.min(initial=0.0) < -1e-8 * max(float(vals.max(initial=0.0)), 1.0):
         raise IndefiniteMatrixError(
             f"stacked matrix has negative eigenvalue {vals.min():.3e} beyond tolerance")
-    clipped = np.clip(vals, 0.0, None)
-    if np.any(vals < 0):
-        _warnings.warn("clipped slightly negative eigenvalues of the stacked matrix",
-                       RuntimeWarning, stacklevel=3)
-    return (vecs * np.sqrt(clipped)) @ vecs.T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
@@ -188,19 +187,19 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     """Single-sphere ascent on the stacked squared-error-directed program.
 
     The hinge offsets are the literal 2*x_tilde_i'y terms and the columns of
-    the symmetric square root of ``tilde_c`` play the role of the covariance
-    columns; per-side thresholds apply below/above ``split``. Returns the
-    stacked pattern, the sphere maximizer v*, and the closed-form stacked
-    direction z*.
+    the factor ``sp.root`` play the role of the covariance columns; per-side
+    thresholds apply below/above ``split``. The sphere lives in the factor's
+    k-dimensional row space: the maximizer v*, a start ``v0`` and the random
+    restarts are k-vectors, and v* enters the program as root'v*. Returns the
+    stacked pattern, v*, and the closed-form stacked direction z*.
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("thresholds must be non-negative")
     y = y.center()
     if y.values.size != sp.tilde_x.shape[0]:
         raise DimensionError("accessory length does not match the stacked views")
-    root = _symmetric_sqrt(sp.tilde_c)
-    gamma_vec = np.where(np.arange(root.shape[0]) < sp.split, gamma1, gamma2)
-    res = _solve(root, gamma_vec, "l1", z0=v0, conv=conv, restarts=restarts,
+    gamma_vec = np.where(np.arange(sp.root.shape[1]) < sp.split, gamma1, gamma2)
+    res = _solve(sp.root, gamma_vec, "l1", z0=v0, conv=conv, restarts=restarts,
                  seed=seed, side="stacked",
                  empty="both sides of the stacked pattern are empty",
                  offset=2.0 * (sp.tilde_x.T @ y.values))
@@ -216,14 +215,14 @@ def directed_stacked_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     _require_l1(penalty)
     sp = StackedProblem.build(x1, x2, params.eps1, params.eps2)
     pattern, _v, z = directed_stacked(sp, y, params.gamma1, params.gamma2, conv=conv)
-    z1, z2 = z.values[:x1.p], z.values[x1.p:]
-    rho, flagged = pearson(x1.data @ z1, x2.data @ z2)
+    zs = np.split(z.values, [x1.p])
+    cov = covariates([x1.data, x2.data], zs)
     return CcaSolution(
-        directions=[z1[:, None], z2[:, None]],
-        correlations=np.array([rho]), factor_count=1, normalization="stacked",
-        patterns=[[SparsityPattern(pattern.bits[:x1.p])],
-                  [SparsityPattern(pattern.bits[x1.p:])]],
-        warnings=("degenerate covariate, correlation set to 0",) if flagged else ())
+        directions=[z[:, None] for z in zs],
+        correlations=np.array([cov.rho[0, 1]]), factor_count=1, normalization="stacked",
+        covariates=[cv[:, None] for cv in cov.values],
+        patterns=[[SparsityPattern(bits)] for bits in np.split(pattern.bits, [x1.p])],
+        warnings=("degenerate covariate, correlation set to 0",) if cov.degenerate else ())
 
 
 @dataclass(frozen=True)
@@ -293,19 +292,17 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     tau1 = res1.pattern
 
     est = stage_two({(0, 1): c12}, [tau1.indices(), tau2.indices()], stage2, ridge, conv)
-    z1, z2 = est.directions
-    cov1, cov2 = x1.data @ z1, x2.data @ z2
-    rho, flagged = pearson(cov1, cov2)
+    cov = covariates([x1.data, x2.data], est.directions)
     warn = est.warnings
-    if flagged:
+    if cov.degenerate:
         warn += ("degenerate covariate, correlation set to 0",)
     info = {"side2": res2.iterations, "side1": res1.iterations}
     if conv.objective_track:
         info["traces"] = {"side2": res2.objective_trace, "side1": res1.objective_trace}
-    return CcaSolution(directions=[z1[:, None], z2[:, None]],
-                       correlations=np.array([rho]), factor_count=1,
+    return CcaSolution(directions=[z[:, None] for z in est.directions],
+                       correlations=np.array([cov.rho[0, 1]]), factor_count=1,
                        normalization=est.normalization,
-                       covariates=[cov1[:, None], cov2[:, None]],
+                       covariates=[cv[:, None] for cv in cov.values],
                        patterns=[[tau1], [tau2]], iterations=[info], warnings=warn)
 
 

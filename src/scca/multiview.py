@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import DegenerateInputError, DimensionError, EmptySupportError
 from .pattern import ConvergenceSpec, _hinge, init_direction
-from .solve import CcaSolution, check_stage2, pearson, stage_two
+from .solve import CcaSolution, check_stage2, covariates, stage_two
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +111,16 @@ class MultiViewProblem:
         return MultiViewProblem(views=self.views, blocks=blocks, active=active)
 
 
+def _projection(problem: MultiViewProblem, s: int, zs: dict[int, np.ndarray]) -> np.ndarray:
+    """View s's coordinates projected onto the other views' iterates, summed."""
+    return sum(problem.tilde(q, s).T @ z for q, z in zs.items())
+
+
 def _sweep_objective(problem: MultiViewProblem, s: int, zs: dict[int, np.ndarray],
                      thresh: float) -> float:
     """Ascent functional of the sweep: squared hinge plus doubled pair terms."""
     others = [r for r in range(problem.m) if r != s]
-    proj = np.zeros(problem.dim(s))
-    for q in others:
-        proj += problem.tilde(q, s).T @ zs[q]
-    value = _hinge(proj, thresh, "l1")[0]
+    value = _hinge(_projection(problem, s, zs), thresh, "l1")[0]
     for a_i, a in enumerate(others):
         for b in others[a_i + 1:]:
             value += 2.0 * float(zs[a] @ (problem.tilde(a, b) @ zs[b]))
@@ -163,10 +165,7 @@ def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
             trace.append(_sweep_objective(problem, s, zs, thresh))
         max_move = 0.0
         for r in others:
-            proj = np.zeros(problem.dim(s))
-            for q in others:
-                proj += problem.tilde(q, s).T @ zs[q]
-            update = problem.tilde(r, s) @ _hinge(proj, thresh, "l1")[1]
+            update = problem.tilde(r, s) @ _hinge(_projection(problem, s, zs), thresh, "l1")[1]
             for l in others:
                 if l != r:
                     update = update + problem.tilde(r, l) @ zs[l]
@@ -183,10 +182,7 @@ def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
     if trace is not None:
         trace.append(_sweep_objective(problem, s, zs, thresh))
 
-    proj = np.zeros(problem.dim(s))
-    for q in others:
-        proj += problem.tilde(q, s).T @ zs[q]
-    bits = _hinge(proj, thresh, "l1")[1] != 0
+    bits = _hinge(_projection(problem, s, zs), thresh, "l1")[1] != 0
     if not bits.any():
         raise EmptySupportError(
             f"every coordinate of view {s + 1} is at or below the threshold",
@@ -253,18 +249,10 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
 
     est = stage_two(problem.blocks, shrunk.active, stage2, ridge, conv)
     warnings += est.warnings
-    covariates = [view.data @ z for view, z in zip(problem.views, est.directions)]
-
-    pair_rho = np.zeros((m, m))
-    flags = []
-    for r in range(m):
-        for s in range(r + 1, m):
-            rho, flagged = pearson(covariates[r], covariates[s])
-            pair_rho[r, s] = pair_rho[s, r] = rho
-            if flagged:
-                flags.append(f"degenerate covariate pair ({r + 1},{s + 1})")
-    warnings += tuple(flags)
-    mean_rho = float(pair_rho[np.triu_indices(m, k=1)].mean())
+    cov = covariates([view.data for view in problem.views], est.directions)
+    warnings += tuple(f"degenerate covariate pair ({r + 1},{s + 1})"
+                      for r, s in cov.degenerate)
+    mean_rho = float(cov.rho[np.triu_indices(m, k=1)].mean())
 
     info = dict(iterations)
     if traces:
@@ -274,8 +262,8 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
         correlations=np.array([mean_rho]),
         factor_count=1,
         normalization=est.normalization,
-        covariates=[cv[:, None] for cv in covariates],
+        covariates=[cv[:, None] for cv in cov.values],
         patterns=[[patterns[r]] for r in range(m)],
         iterations=[info],
-        pairwise_correlations=[pair_rho],
+        pairwise_correlations=[cov.rho],
         warnings=warnings)

@@ -412,15 +412,14 @@ def reconstruct_l0(c, z1, gamma2: float) -> Direction:
 
 
 def screen_l1(c, gamma2: float) -> SparsityPattern:
-    """Data-only bound: columns with ||c_i|| <= gamma2 can never be active."""
-    block = _as_block(c)
-    return SparsityPattern(np.linalg.norm(block, axis=0) > gamma2)
+    """Data-only bound: columns with ||c_i|| <= gamma2 can never be active.
+    A CrossOperator's bound comes from its column norms, without the block."""
+    return SparsityPattern(_col_norms(_as_block(c)) > gamma2)
 
 
 def screen_l0(c, gamma2: float) -> SparsityPattern:
     """Data-only bound for the squared rule: ||c_i||^2 <= gamma2 is inactive."""
-    block = _as_block(c)
-    return SparsityPattern((block * block).sum(axis=0) > gamma2)
+    return SparsityPattern(_col_norms(_as_block(c)) ** 2 > gamma2)
 
 
 _PATTERN_FN = {"l1": pattern_l1, "l0": pattern_l0}

@@ -13,6 +13,7 @@ the cross-covariance by fitted rank-one terms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -314,6 +315,28 @@ def pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     return float(a @ b / (na * nb)), False
 
 
+class Covariates(NamedTuple):
+    """One factor's covariates X_r z_r, the m x m Pearson correlations of
+    every pair (zero diagonal), and the pairs r < s whose correlation was set
+    to 0 because a covariate is constant."""
+
+    values: list[np.ndarray]
+    rho: np.ndarray
+    degenerate: list[tuple[int, int]]
+
+
+def covariates(data: Sequence[np.ndarray], directions: Sequence[np.ndarray]) -> Covariates:
+    """The post-stage-two step of every pipeline."""
+    values = [x @ z for x, z in zip(data, directions)]
+    rho, degenerate = np.zeros((len(values), len(values))), []
+    for r, s in itertools.combinations(range(len(values)), 2):
+        rho[r, s], flagged = pearson(values[r], values[s])
+        rho[s, r] = rho[r, s]
+        if flagged:
+            degenerate.append((r, s))
+    return Covariates(values, rho, degenerate)
+
+
 class StageTwo(NamedTuple):
     """One factor's full-length directions, their normalization and warnings."""
 
@@ -441,36 +464,28 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
             break
         warnings += est.warnings
         normalization = est.normalization
-        z1, z2 = est.directions
-        cov1 = x1.data @ z1
-        cov2 = x2.data @ z2
-        rho, flagged = pearson(cov1, cov2)
-        if flagged:
+        cov = covariates([x1.data, x2.data], est.directions)
+        if cov.degenerate:
             warnings += (f"factor {i + 1}: degenerate covariate, correlation set to 0",)
         if i + 1 < m:
-            residual = deflate(residual, z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2))
+            residual = deflate(residual, *(z / np.linalg.norm(z) for z in est.directions))
         info = dict(pair.iterations)
         if conv.objective_track:
             info["traces"] = pair.traces
-        factors.append((rho, z1, z2, cov1, cov2, pair.tau1, pair.tau2, info))
+        factors.append((cov.rho[0, 1], est.directions, cov.values, (pair.tau1, pair.tau2), info))
 
     if not factors:
         raise EmptySupportError("no factor could be fitted: " + "; ".join(warnings))
 
     factors.sort(key=lambda f: -f[0])
-    k = len(factors)
-    d1 = np.column_stack([f[1] for f in factors])
-    d2 = np.column_stack([f[2] for f in factors])
-    cv1 = np.column_stack([f[3] for f in factors])
-    cv2 = np.column_stack([f[4] for f in factors])
     return CcaSolution(
-        directions=[d1, d2],
+        directions=[np.column_stack([f[1][r] for f in factors]) for r in (0, 1)],
         correlations=np.array([f[0] for f in factors]),
-        factor_count=k,
+        factor_count=len(factors),
         normalization=normalization,
-        covariates=[cv1, cv2],
-        patterns=[[f[5] for f in factors], [f[6] for f in factors]],
-        iterations=[f[7] for f in factors],
+        covariates=[np.column_stack([f[2][r] for f in factors]) for r in (0, 1)],
+        patterns=[[f[3][r] for f in factors] for r in (0, 1)],
+        iterations=[f[4] for f in factors],
         warnings=warnings)
 
 

@@ -179,6 +179,21 @@ def test_dscca_stacked_and_two_stage_modes(tmp_path):
         assert sol.factor_count == 1
 
 
+def test_dscca_prints_its_warnings(tmp_path, capsys):
+    # supports wider than n make the GEP stage two take its automatic ridge
+    x1, x2, truths = _write_small_views(tmp_path, seed=10)
+    y = center_scale(x1).data @ truths[0]
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+    capsys.readouterr()
+    assert main(["dscca", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+                 "--y", str(tmp_path / "y.csv"), "--mode", "dot", "--stage2", "gep",
+                 "--gamma1", "0", "--gamma2", "0", "--no-scale",
+                 "--out", str(tmp_path / "o")]) == 0
+    warnings = json.loads((tmp_path / "o" / "solution.json").read_text())["warnings"]
+    assert any(w.startswith("singular within-view covariance: applied ridge") for w in warnings)
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
+
+
 def test_dscca_l0_penalty_fails_loudly_outside_two_stage(tmp_path, capsys):
     x1, x2, truths = _write_small_views(tmp_path, seed=10)
     y = center_scale(x1).data @ truths[0]

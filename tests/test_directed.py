@@ -3,8 +3,8 @@ import pytest
 from conftest import assert_monotone, dense_stage_two, make_views, orthonormal_columns
 
 from scca import (AccessoryVector, ConvergenceSpec, DirectedParams,
-                  EmptySupportError, GammaMatrix, SingularityError,
-                  StackedProblem, ViewMatrix, center_scale, compute_beta,
+                  EmptySupportError, GammaMatrix, IndefiniteMatrixError,
+                  SingularityError, StackedProblem, ViewMatrix, center_scale, compute_beta,
                   directed_fit, directed_pattern_dot, directed_pattern_reg,
                   directed_stacked, directed_two_stage, gen_rank_one,
                   multiview_scca, pattern_l1)
@@ -252,24 +252,37 @@ def test_directed_stage_one_never_densifies_the_operator(monkeypatch):
 
 # ---------------------------------------------------------------- stacked form
 
+def _dense_stacked(x1, x2, eps1, eps2):
+    """tilde_c = [[eps1*C11, C12], [C12', eps2*C22]] formed densely, its
+    eigenvalues and its symmetric eigh square root (null space clipped)."""
+    n = x1.n
+    c11, c22, c12 = (a.data.T @ b.data / n for a, b in ((x1, x1), (x2, x2), (x1, x2)))
+    tilde_c = np.block([[eps1 * c11, c12], [c12.T, eps2 * c22]])
+    vals, vecs = np.linalg.eigh(tilde_c)
+    return tilde_c, vals, (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def _stacked_offsets(x1, x2, y, eps1, eps2):
+    return 2.0 * np.concatenate([eps1 * x1.data.T @ y.values, eps2 * x2.data.T @ y.values])
+
+
 def test_stacked_matches_grid_oracle(rng):
     x1, x2 = make_views(25, 2, 2, seed=9)
     y = AccessoryVector(rng.standard_normal(25)).center()
     sp = StackedProblem.build(x1, x2, eps1=0.8, eps2=1.2)
-    root_vals = np.linalg.eigvalsh(sp.tilde_c)
+    tilde_c, root_vals, root = _dense_stacked(x1, x2, 0.8, 1.2)
     assert root_vals.min() > -1e-10
     gamma1 = gamma2 = 0.05
     pattern, v_star, z_star = directed_stacked(sp, y, gamma1, gamma2, restarts=8)
     # dense grid oracle on the stacked objective
     grid = np.random.default_rng(1).normal(size=(40000, 4))
     grid /= np.linalg.norm(grid, axis=1, keepdims=True)
-    root = np.linalg.cholesky(sp.tilde_c + 1e-12 * np.eye(4))  # PSD check only
-    from scca.directed import _symmetric_sqrt
-    root = _symmetric_sqrt(sp.tilde_c)
-    offsets = 2.0 * (sp.tilde_x.T @ y.values)
+    np.linalg.cholesky(tilde_c + 1e-12 * np.eye(4))  # PSD check only
+    offsets = _stacked_offsets(x1, x2, y, 0.8, 1.2)
     gvec = np.array([gamma1, gamma1, gamma2, gamma2])
     scores = (np.maximum(np.abs(grid @ root + offsets) - gvec, 0.0) ** 2).sum(axis=1)
-    proj = root @ v_star.values + offsets
+    # v* lives in the factor's row space and enters the program as root'v*
+    proj = sp.root.T @ v_star.values + offsets
     solver_score = float((np.maximum(np.abs(proj) - gvec, 0.0) ** 2).sum())
     assert solver_score >= scores.max() * (1 - 1e-6)
     # the grid maximizer induces the same stacked pattern
@@ -286,13 +299,44 @@ def test_stacked_side_threshold_silences_view_one(rng):
     x1, x2 = make_views(25, 3, 3, seed=10)
     y = AccessoryVector(rng.standard_normal(25)).center()
     sp = StackedProblem.build(x1, x2, eps1=1.0, eps2=1.0)
-    from scca.directed import _symmetric_sqrt
-    root = _symmetric_sqrt(sp.tilde_c)
-    offsets = 2.0 * (sp.tilde_x.T @ y.values)
+    _tilde_c, _vals, root = _dense_stacked(x1, x2, 1.0, 1.0)
+    offsets = _stacked_offsets(x1, x2, y, 1.0, 1.0)
     bound1 = (np.linalg.norm(root, axis=0) + np.abs(offsets))[:3].max() * 1.01
     pattern, _v, _z = directed_stacked(sp, y, bound1, 1e-6)
     assert not pattern.bits[:3].any()
     assert pattern.bits[3:].any()
+
+
+@pytest.mark.parametrize("n, p1, p2", [(12, 20, 15), (12, 20, 6), (40, 5, 4)])
+@pytest.mark.parametrize("eps1, eps2", [(1.5, 2.0), (1.0, 1.0), (2.0, 0.5), (0.9, 0.9),
+                                        (0.5, 0.5), (0.0, 0.0)])
+def test_thin_stacked_factor_matches_the_dense_root(n, p1, p2, eps1, eps2):
+    x1, x2 = make_views(n, p1, p2, seed=n + p2)
+    y = AccessoryVector(np.random.default_rng(n + 1).standard_normal(n)).center()
+    tilde_c, vals, root = _dense_stacked(x1, x2, eps1, eps2)
+    # the dense eigenvalue test: ε1·ε2 < 1 is indefinite once the canonical
+    # correlation exceeds sqrt(ε1·ε2), so always at p > n, not always at p < n
+    if vals.min() < -1e-8 * max(vals.max(), 1.0):
+        assert eps1 * eps2 < 1
+        with pytest.raises(IndefiniteMatrixError):
+            StackedProblem.build(x1, x2, eps1, eps2)
+        return
+    assert eps1 * eps2 >= 1 or p1 + p2 < n
+    sp = StackedProblem.build(x1, x2, eps1, eps2)
+    assert sp.root.shape == (min(n, p1) + min(n, p2), p1 + p2)
+    assert sp.root.shape[0] <= 2 * n
+    np.testing.assert_allclose(sp.root.T @ sp.root, tilde_c, rtol=0,
+                               atol=1e-12 * np.abs(tilde_c).max())
+    offsets = _stacked_offsets(x1, x2, y, eps1, eps2)
+    np.testing.assert_allclose(2.0 * sp.tilde_x.T @ y.values, offsets, rtol=0, atol=1e-12)
+    gamma1, gamma2 = 0.5 * np.abs(offsets[:p1]).max(), 0.5 * np.abs(offsets[p1:]).max()
+    got = directed_stacked(sp, y, gamma1, gamma2)
+    want = directed_stacked(StackedProblem(root, sp.tilde_x, p1), y, gamma1, gamma2)
+    assert got[0].bits.tolist() == want[0].bits.tolist()
+    assert 0 < got[0].active_count < p1 + p2
+    np.testing.assert_allclose(got[2].values, want[2].values, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(sp.root.T @ got[1].values, root.T @ want[1].values,
+                               rtol=0, atol=1e-8)
 
 
 def test_stacked_rejects_indefinite():

@@ -5,6 +5,7 @@ from conftest import assert_monotone, make_views
 from scca import (ConvergenceSpec, DegenerateInputError, DimensionError, EmptySupportError, center_scale, gen_rank_one,
                   init_direction, pattern_l0, pattern_l1, reconstruct_l0,
                   reconstruct_l1, scca_pair, screen_l0, screen_l1)
+from scca.covariance import CrossOperator
 from scca.pattern import objective_l0, objective_l1, pattern_pair
 from scca.simulate import RankOneSpec
 
@@ -197,6 +198,28 @@ def test_screen_l0_examples(rng):
     gamma = 1.3
     oracle = [sum(block[i, j] ** 2 for i in range(4)) > gamma for j in range(6)]
     assert screen_l0(block, gamma).bits.tolist() == oracle
+
+
+def test_screening_an_operator_never_forms_the_block(monkeypatch):
+    x1, x2 = make_views(10, 30, 20, seed=5)
+    block = x1.data.T @ x2.data / 10
+    cases = []
+    for dense, op in ((block, CrossOperator.from_views(x1, x2)),
+                      (block.T, CrossOperator.from_views(x2, x1))):
+        norms = np.sort(np.linalg.norm(dense, axis=0))
+        gamma = 0.5 * (norms[8] + norms[9])  # halfway between two column norms
+        want = (screen_l1(dense, gamma).bits, screen_l0(dense, gamma ** 2).bits)
+        assert 0 < want[0].sum() < want[0].size
+        cases.append((op, gamma, want))
+
+    def no_dense(_self):
+        raise AssertionError("screening formed the block")
+
+    monkeypatch.setattr(CrossOperator, "dense", no_dense)
+    for op, gamma, (want1, want0) in cases:
+        assert screen_l1(op, gamma).bits.tolist() == want1.tolist()
+        assert screen_l0(op, gamma ** 2).bits.tolist() == want0.tolist()
+        assert want0.tolist() == want1.tolist()
 
 
 def test_screen_is_sound_for_solver(rng):
