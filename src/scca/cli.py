@@ -435,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int)
     p.add_argument("--permutations", type=int)
     p.add_argument("--jobs", type=int,
-                   help="grid cells run on this many threads (default 1); each cell's "
-                        "batched refits already use every core through BLAS, so on "
-                        "2 cores --jobs 2 measured slower (0.63-0.76x on the "
-                        "tune-pipeline benchmark)")
+                   help="threads (default 1): --method cv runs its folds on them, perm "
+                        "its grid cells; each perm cell's batched refits already use "
+                        "every core through BLAS, so on 2 cores --jobs 2 measured "
+                        "slower (0.63-0.76x on the tune-pipeline benchmark)")
     _common(p, "tune")
     p.set_defaults(func=cmd_tune)
 

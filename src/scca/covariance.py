@@ -131,12 +131,25 @@ def _parse_cells(lines: list[str], delimiter: str, p: int, first_line: int) -> n
     return data
 
 
+def _check_names(names: list[str]) -> None:
+    """Header names must be non-blank and distinct: outputs are keyed by them."""
+    seen: dict[str, int] = {}
+    for j, name in enumerate(names, start=1):
+        if not name:
+            raise ParseError(f"blank name in column {j}", line=1)
+        if name in seen:
+            raise ParseError(f"duplicate name {name!r} in columns {seen[name]} and {j}",
+                             line=1)
+        seen[name] = j
+
+
 def load_view(path, delimiter: str | None = None, header: bool | None = None) -> ViewMatrix:
     """Read a delimited numeric matrix into a ViewMatrix.
 
     The delimiter is inferred from the extension (.tsv/.tab -> tab, else
     comma) unless given. ``header=None`` auto-detects a name row: the first
-    row is a header iff any of its cells is not a finite number.
+    row is a header iff any of its cells is not a finite number. A blank or
+    repeated header name raises ParseError on line 1.
     """
     path = Path(path)
     if delimiter is None:
@@ -169,6 +182,8 @@ def load_view(path, delimiter: str | None = None, header: bool | None = None) ->
         names = _default_names(p)
     elif len(names) != p:
         raise ParseError(f"header has {len(names)} names for {p} columns", line=1)
+    else:
+        _check_names(names)
     return ViewMatrix(data, names, centered=False, scaled=False)
 
 

@@ -67,7 +67,8 @@ class PatternResult:
     ``z_lead`` is the sphere maximizer, ``pattern`` the inferred support of
     the partner direction, and ``z_partner`` the partner's closed form
     (all-zero when fully thresholded). ``objective_trace`` holds the tracked
-    functional at every visited iterate when requested.
+    functional at every visited iterate when requested; ``converged`` is
+    False when the ascent used all ``max_iter`` updates without stopping.
     """
 
     z_lead: Direction
@@ -75,6 +76,7 @@ class PatternResult:
     z_partner: Direction
     iterations: int
     objective_trace: np.ndarray | None = None
+    converged: bool = True
 
 
 def _as_block(c) -> np.ndarray | CrossOperator:
@@ -149,6 +151,7 @@ class Ascent(NamedTuple):
     iterations: np.ndarray
     vanished: np.ndarray    # the update vanished; z is the iterate before it
     traces: list | None     # per column: the functional at every visited iterate
+    capped: np.ndarray      # the column was still moving after ``max_iter`` updates
 
 
 def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec) -> Ascent:
@@ -211,11 +214,13 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec) -> Ascent:
                 break
             prev, run = [prev[i] for i in keep], [run[i] for i in keep]
     z[:, live], iterations[live] = zl, step
+    capped = np.zeros(width, dtype=bool)
+    capped[live] = True
     obj, weights = value(z, np.arange(width))
     if traces is not None:
         for trace, val in zip(traces, obj):
             trace.append(float(val))
-    return Ascent(z, obj, weights, iterations, vanished, traces)
+    return Ascent(z, obj, weights, iterations, vanished, traces, capped)
 
 
 def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarray]:
@@ -340,7 +345,7 @@ def _solve(c, gamma, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: i
     trace = np.asarray(best.traces[0]) if best.traces is not None else None
     return PatternResult(Direction(z), SparsityPattern(bits),
                          Direction(weights / np.sqrt(float(weights @ weights))),
-                         int(best.iterations[0]), trace)
+                         int(best.iterations[0]), trace, not best.capped[0])
 
 
 def objective_l1(c, z: np.ndarray, gamma2: float) -> float:
@@ -434,9 +439,10 @@ class PairPatterns:
     first_side: int
     iterations: dict
     traces: dict
+    warnings: tuple[str, ...] = ()
 
 
-def _first_side(order: str, p1: int, p2: int) -> int:
+def first_side(order: str, p1: int, p2: int) -> int:
     """The view whose pattern the two-sided pass finds first: "auto" takes the
     larger one, "1-first"/"2-first" force it."""
     if order == "auto":
@@ -446,47 +452,71 @@ def _first_side(order: str, p1: int, p2: int) -> int:
     raise ValueError("order must be 'auto', '1-first' or '2-first'")
 
 
+def _side_solve(block, gamma: float, side: int, penalty: str, conv: ConvergenceSpec | None,
+                restarts: int, seed: int) -> PatternResult:
+    """View ``side``'s pattern from the block whose columns are its coordinates."""
+    if penalty not in _PATTERN_FN:
+        raise ValueError(f"penalty must be one of {PENALTIES}")
+    try:
+        return _PATTERN_FN[penalty](block, gamma, conv=conv or ConvergenceSpec(),
+                                    restarts=restarts, seed=seed)
+    except EmptySupportError as err:
+        raise EmptySupportError(f"view {side} support collapsed: {err}", side=f"view {side}",
+                                last_iterate=err.last_iterate) from None
+
+
+def pattern_first(c12, gamma: float, side: int, penalty: str = "l1",
+                  conv: ConvergenceSpec | None = None, restarts: int = 0,
+                  seed: int = 0) -> PatternResult:
+    """The first side of :func:`pattern_pair`: view ``side``'s pattern on the
+    full block, thresholded at that view's ``gamma``."""
+    block = _as_block(c12)
+    return _side_solve(block.T if side == 1 else block, gamma, side, penalty, conv,
+                       restarts, seed)
+
+
+def pattern_second(c12, lead: PatternResult, side: int, gamma: float, penalty: str = "l1",
+                   conv: ConvergenceSpec | None = None, restarts: int = 0,
+                   seed: int = 0) -> PairPatterns:
+    """The rest of :func:`pattern_pair` after its first side ``lead`` (view
+    ``side``'s): the other view's pattern on the block shrunk to ``lead``'s
+    support, thresholded at that view's ``gamma``."""
+    block = _as_block(c12)
+    other = 3 - side
+    idx = lead.pattern.indices()
+    shrunk = _rows(block, idx) if side == 1 else _cols(block, idx).T
+    res = _side_solve(shrunk, gamma, other, penalty, conv, restarts, seed)
+    res1, res2 = (lead, res) if side == 1 else (res, lead)
+    solved = ((side, lead), (other, res))
+    return PairPatterns(
+        res1.pattern, res2.pattern, side,
+        {f"side{v}": r.iterations for v, r in solved},
+        {f"side{v}": r.objective_trace for v, r in solved},
+        tuple(f"view {v}: stage one reached max_iter ({r.iterations} iterations)"
+              for v, r in solved if not r.converged))
+
+
 def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
                  conv: ConvergenceSpec | None = None, order: str = "auto",
                  restarts: int = 0, seed: int = 0) -> PairPatterns:
     """Run the stage-one solver on both sides with successive shrinkage.
 
-    One side's pattern is computed on the full block; the block is then
-    restricted to that support and the other side is solved on the
-    transposed, shrunken block. ``c12`` may be a CrossOperator, which is
-    shrunk without forming the block. ``order`` picks which side goes first:
-    "auto" patterns the larger side first, "2-first"/"1-first" force it.
+    One side's pattern is computed on the full block (:func:`pattern_first`);
+    the block is then restricted to that support and the other side is
+    solved on the shrunken block (:func:`pattern_second`). ``c12`` may be a
+    CrossOperator, which is shrunk without forming the block. ``order`` picks
+    which side goes first: "auto" patterns the larger side first,
+    "2-first"/"1-first" force it. A side that used all ``conv.max_iter``
+    updates is reported in the warnings.
     """
     if penalty not in _PATTERN_FN:
         raise ValueError(f"penalty must be one of {PENALTIES}")
-    solver = _PATTERN_FN[penalty]
     block = _as_block(c12)
-    first = _first_side(order, *block.shape)
-    conv = conv or ConvergenceSpec()
-
-    def run(b, gamma, side):
-        try:
-            return solver(b, gamma, conv=conv, restarts=restarts, seed=seed)
-        except EmptySupportError as err:
-            raise EmptySupportError(f"view {side} support collapsed: {err}",
-                                    side=f"view {side}",
-                                    last_iterate=err.last_iterate) from None
-
-    if first == 2:
-        res2 = run(block, gamma2, side=2)
-        sub = _cols(block, res2.pattern.indices())
-        res1 = run(sub.T, gamma1, side=1)
-        tau1, tau2 = res1.pattern, res2.pattern
-        iterations = {"side2": res2.iterations, "side1": res1.iterations}
-        traces = {"side2": res2.objective_trace, "side1": res1.objective_trace}
-    else:
-        res1 = run(block.T, gamma1, side=1)
-        sub = _rows(block, res1.pattern.indices())
-        res2 = run(sub, gamma2, side=2)
-        tau1, tau2 = res1.pattern, res2.pattern
-        iterations = {"side1": res1.iterations, "side2": res2.iterations}
-        traces = {"side1": res1.objective_trace, "side2": res2.objective_trace}
-    return PairPatterns(tau1, tau2, first, iterations, traces)
+    side = first_side(order, *block.shape)
+    gammas = (gamma1, gamma2) if side == 1 else (gamma2, gamma1)
+    kw = dict(penalty=penalty, conv=conv, restarts=restarts, seed=seed)
+    lead = pattern_first(block, gammas[0], side, **kw)
+    return pattern_second(block, lead, side, gammas[1], **kw)
 
 
 class BatchPatterns(NamedTuple):
@@ -524,7 +554,7 @@ def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
     if penalty not in _PATTERN_FN:
         raise ValueError(f"penalty must be one of {PENALTIES}")
     conv = conv or ConvergenceSpec()
-    first = _first_side(order, *batch.shape)
+    first = first_side(order, *batch.shape)
     # the lead operator's columns are the coordinates of the side found first
     lead_op, gammas = (batch.T, (gamma1, gamma2)) if first == 1 else (batch, (gamma2, gamma1))
     lead, ok = _batch_side(lead_op, gammas[0], penalty, conv)

@@ -6,8 +6,8 @@ pair's cross-covariance operator to the supports found by stage one and
 fills in the active entries by a power-iteration SVD (two views,
 inversion-free default), cyclic multi-view power sweeps, or the block
 generalized eigenvalue pencil that normalizes against the within-view
-covariances (``cca_gep`` is its two-view case), retrying a singular
-pencil with an automatic ridge. Additional factors come from deflating
+covariances (``cca_gep`` is its two-view case), with an automatic ridge
+for a singular pencil. Additional factors come from deflating
 the cross-covariance by fitted rank-one terms.
 """
 
@@ -75,13 +75,15 @@ def deflate(c, z1, z2):
     return block - scale * np.outer(z1, z2)
 
 
-def power_svd(c, conv: ConvergenceSpec | None = None,
-              trace: list | None = None) -> tuple[Direction, Direction, float]:
+def power_svd(c, conv: ConvergenceSpec | None = None, trace: list | None = None,
+              status: dict | None = None) -> tuple[Direction, Direction, float]:
     """Leading singular triple of a block by alternating power iteration.
 
     The singular value estimate u'Cv is non-decreasing across iterations;
-    pass a list as ``trace`` to record it. The sign is absorbed into v so
-    sigma >= 0.
+    pass a list as ``trace`` to record it. Pass a dict as ``status`` to
+    receive ``iterations`` and ``converged`` (False when ``conv.max_iter``
+    iterations ran without meeting the stop rule). The sign is absorbed into
+    v so sigma >= 0.
     """
     block = _as_block(c)
     conv = conv or ConvergenceSpec()
@@ -96,7 +98,8 @@ def power_svd(c, conv: ConvergenceSpec | None = None,
     sigma = float(u @ block @ v)
     if trace is not None:
         trace.append(abs(sigma))
-    for _ in range(conv.max_iter):
+    converged = False
+    for iterations in range(1, conv.max_iter + 1):
         unew = block @ v
         nu = np.linalg.norm(unew)
         if nu == 0.0:
@@ -115,8 +118,11 @@ def power_svd(c, conv: ConvergenceSpec | None = None,
                    max(np.linalg.norm(unew + u), np.linalg.norm(vnew + v)))
         stalled = abs(abs(sigma_new) - abs(sigma)) <= conv.tol * max(1.0, abs(sigma))
         u, v, sigma = unew, vnew, sigma_new
-        if stalled and step <= conv.tol:
+        converged = stalled and step <= conv.tol
+        if converged:
             break
+    if status is not None:
+        status.update(iterations=iterations, converged=converged)
     if sigma < 0:
         v = -v
         sigma = -sigma
@@ -361,11 +367,13 @@ def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[
     data; ``active[r]`` holds view r's support indices. ``method`` is
     ``"svd"`` (power_svd, two views only, unit norm), ``"power"``
     (multiview_power, unit norm) or ``"gep"`` (the block pencil with the
-    within-view blocks on the supports, z'C_rr z = 1; a singular pencil is
-    retried once with a ridge of 1e-8 of the mean active variance, reported
-    in the warnings). Directions come back full length with zeros off the
-    supports, signed so that view 1's first non-zero entry is positive and
-    z_1'C_1r z_r >= 0 for every other view r.
+    within-view blocks on the supports, z'C_rr z = 1; a pencil with a support
+    of n or more coordinates, or one that fails as singular, gets a ridge of
+    1e-8 of the mean active variance, reported in the warnings). A power SVD
+    that reaches ``conv.max_iter`` is reported in the warnings too.
+    Directions come back full length with zeros off the supports, signed so
+    that view 1's first non-zero entry is positive and z_1'C_1r z_r >= 0 for
+    every other view r.
     """
     m = len(active)
     check_stage2(method, m)
@@ -377,17 +385,27 @@ def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[
              for (r, s), op in blocks.items()}
     warnings: tuple[str, ...] = ()
     if method == "svd":
-        u, v, _sigma = power_svd(cross[(0, 1)], conv)
+        status: dict = {}
+        u, v, _sigma = power_svd(cross[(0, 1)], conv, status=status)
         parts, normalization = [u.values, v.values], "unit"
+        if not status["converged"]:
+            warnings += (f"stage two reached max_iter ({status['iterations']} iterations)",)
     elif method == "power":
         parts, normalization = multiview_power(cross, conv=conv), "unit"
     else:
         div = blocks[(0, 1)].div
         subs = [d[:, ix] for d, ix in zip(data, active)]
         diag = [a.T @ a / div for a in subs]
-        try:
-            result = multiview_gep(cross, diag, ridge=ridge)
-        except SingularityError:
+        result = None
+        # a centred view has rank below n, so without a ridge a support of n or
+        # more coordinates is singular whatever the rounding: it gets the
+        # automatic ridge up front, any other pencil only if it fails
+        if ridge > 0 or all(a.shape[1] < a.shape[0] for a in subs):
+            try:
+                result = multiview_gep(cross, diag, ridge=ridge)
+            except SingularityError:
+                pass
+        if result is None:
             auto = max(1e-8 * sum(np.trace(d) / d.shape[0] for d in diag) / m, 1e-12)
             result = multiview_gep(cross, diag, ridge=ridge + auto)
             warnings += (f"singular within-view covariance: applied ridge {ridge + auto:.3e}",)
@@ -462,7 +480,7 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
         except (DegenerateInputError, SingularityError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break
-        warnings += est.warnings
+        warnings += tuple(f"factor {i + 1}: {w}" for w in pair.warnings) + est.warnings
         normalization = est.normalization
         cov = covariates([x1.data, x2.data], est.directions)
         if cov.degenerate:

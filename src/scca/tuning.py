@@ -1,12 +1,13 @@
 """Hyperparameter selection: cross-validated correlation and permutation test.
 
 Both tuners sweep a (gamma1, gamma2) grid. Cross-validation scores a cell by
-the average held-out correlation of the fitted canonical covariates; the
-permutation test scores it by the fraction of row-permuted refits whose
-correlation beats the matched fit; it centres the views once per sweep and
-refits each cell's permutations as one batch. Cells are independent tasks
-with seeds derived from (master seed, cell index), so reports are
-reproducible regardless of worker count or execution order.
+the average held-out correlation of the fitted canonical covariates; it runs
+fold by fold, centring each fold once and solving each first-side gamma of
+stage one once per fold. The permutation test scores a cell by the fraction
+of row-permuted refits whose correlation beats the matched fit; it centres
+the views once per sweep and refits each cell's permutations as one batch.
+Seeds derive from (master seed, cell index), so reports are reproducible
+regardless of worker count or execution order.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from .covariance import CrossOperator, PermutedCross, ViewMatrix, center_scale, standardize
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
-from .pattern import ConvergenceSpec, pattern_pair_batch
-from .solve import CcaSolution, fit_pair, pearson, stage_two
+from .pattern import (ConvergenceSpec, first_side, pattern_first, pattern_pair_batch,
+                      pattern_second)
+from .solve import CcaSolution, check_stage2, fit_pair, pearson, stage_two
 
 
 @dataclass(frozen=True)
@@ -132,33 +134,68 @@ def _fit(v1: ViewMatrix, v2: ViewMatrix, g1: float, g2: float, cfg: FitConfig,
                     restarts=cfg.restarts, seed=seed, divisor=cfg.divisor)
 
 
-def _cv_cell(views: tuple[ViewMatrix, ViewMatrix], g1: float, g2: float, grid: TuneGrid,
-             cfg: FitConfig, conv: ConvergenceSpec, cell_index: int) -> dict:
-    x1, x2 = views
-    folds = _fold_slices(x1.n, grid.folds, grid.seed)
-    all_idx = np.arange(x1.n)
-    fold_rhos = np.zeros(grid.folds)
-    flags = []
-    for k, hold in enumerate(folds):
-        train = np.setdiff1d(all_idx, hold)
-        # fold means change, so each fold centres (and scales) its own rows
-        d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
-        d2, mu2, sd2, _ = standardize(x2.data[train], cfg.scale)
-        try:
-            sol = _fit(ViewMatrix(d1, x1.names, centered=True),
-                       ViewMatrix(d2, x2.names, centered=True), g1, g2, cfg, conv, cell_index)
-        except (EmptySupportError, DegenerateInputError) as err:
-            fold_rhos[k] = 0.0
-            flags.append(f"fold {k + 1}: fit failed ({err}); rho recorded as 0")
+def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
+             cfg: FitConfig, conv: ConvergenceSpec) -> list[tuple[float, str | None]]:
+    """One fold's held-out correlation of every cell, each with its flag or None.
+
+    Fold means change, so the fold centres (and scales) its training rows
+    once, maps its held-out rows by their means and sds once, and builds one
+    cross operator. The first side of stage one depends only on that and its
+    own gamma, so it is solved once per first-side gamma (per cell with
+    restarts, whose cell index seeds them); each cell then runs the second
+    side, stage two and the held-out correlation of one ``fit_pair`` factor.
+    """
+    train = np.setdiff1d(np.arange(x1.n), hold)
+    d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
+    d2, mu2, sd2, _ = standardize(x2.data[train], cfg.scale)
+    op = CrossOperator.from_views(ViewMatrix(d1, x1.names, centered=True),
+                                  ViewMatrix(d2, x2.names, centered=True), cfg.divisor)
+    held1, held2 = (x1.data[hold] - mu1) / sd1, (x2.data[hold] - mu2) / sd2
+    side = first_side(cfg.order, *op.shape)
+    kw = dict(penalty=cfg.penalty, conv=conv, restarts=cfg.restarts)
+    leads: dict = {}  # (first-side gamma, seed or None) -> PatternResult or error text
+    out = []
+    for idx, _i, _j, g1, g2 in cells:
+        g_first, g_second = (g1, g2) if side == 1 else (g2, g1)
+        key = (g_first, idx if cfg.restarts else None)
+        if key not in leads:
+            try:
+                leads[key] = pattern_first(op, g_first, side, seed=idx, **kw)
+            except (EmptySupportError, DegenerateInputError) as err:
+                leads[key] = str(err)
+        failure = leads[key] if isinstance(leads[key], str) else None
+        if failure is None:
+            try:
+                pair = pattern_second(op, leads[key], side, g_second, seed=idx, **kw)
+                est = stage_two({(0, 1): op}, [pair.tau1.indices(), pair.tau2.indices()],
+                                cfg.stage2, cfg.ridge, conv)
+            except (EmptySupportError, DegenerateInputError, SingularityError) as err:
+                failure = str(err)
+        if failure is not None:
+            # worded as fit_pair words a fit whose one factor failed
+            out.append((0.0, f"fit failed (no factor could be fitted: factor 1: {failure}); "
+                             "rho recorded as 0"))
             continue
-        z1, z2 = sol.directions[0][:, 0], sol.directions[1][:, 0]
-        rho, degenerate = pearson(((x1.data[hold] - mu1) / sd1) @ z1,
-                                  ((x2.data[hold] - mu2) / sd2) @ z2)
-        if degenerate:
-            flags.append(f"fold {k + 1}: degenerate held-out covariate; rho recorded as 0")
-        fold_rhos[k] = rho
-    return {"score": float(fold_rhos.mean()), "trace": fold_rhos, "flags": flags,
-            "failed": False, "matched_rho": np.nan}
+        z1, z2 = est.directions
+        rho, degenerate = pearson(held1 @ z1, held2 @ z2)
+        out.append((rho, "degenerate held-out covariate; rho recorded as 0"
+                    if degenerate else None))
+    return out
+
+
+def _cv_cells(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid, cells: list, cfg: FitConfig,
+              conv: ConvergenceSpec, jobs: int | None) -> list[dict]:
+    """Every cell's fold-averaged held-out correlation, fold by fold."""
+    per_fold = _map(lambda hold: _cv_fold(x1, x2, hold, cells, cfg, conv),
+                    _fold_slices(x1.n, grid.folds, grid.seed), jobs)
+    results = []
+    for c in range(len(cells)):
+        fold_rhos = np.array([fold[c][0] for fold in per_fold])
+        flags = [f"fold {k + 1}: {fold[c][1]}" for k, fold in enumerate(per_fold)
+                 if fold[c][1] is not None]
+        results.append({"score": float(fold_rhos.mean()), "trace": fold_rhos,
+                        "flags": flags, "failed": False, "matched_rho": np.nan})
+    return results
 
 
 @dataclass(frozen=True)
@@ -246,15 +283,25 @@ def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: Fit
             "matched_rho": rho}
 
 
+def _map(fn: Callable, items: list, jobs: int | None) -> list:
+    """``fn`` of every item, in order; on ``jobs`` threads when jobs > 1."""
+    if jobs is not None and jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
                      cfg: FitConfig | None = None,
                      conv: ConvergenceSpec | None = None,
                      jobs: int | None = None) -> TuneReport:
-    """Run every grid cell (optionally in parallel) and assemble the report.
+    """Run every grid cell and assemble the report.
 
-    Results are keyed by cell index so the report is identical for any
-    worker count or completion order. Per-cell failures are recorded
-    without aborting the sweep.
+    Cross-validation runs fold by fold and the permutation test cell by
+    cell, on ``jobs`` threads when jobs > 1. Results are kept in fold and
+    cell order so the report is identical for any worker count or
+    completion order. Per-cell failures are recorded without aborting the
+    sweep.
     """
     if mode not in ("cv", "perm"):
         raise ValueError("mode must be 'cv' or 'perm'")
@@ -264,27 +311,14 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
         raise DimensionError("need n >= 2k for k-fold tuning")
     cfg = cfg or FitConfig()
     conv = conv or ConvergenceSpec()
-    if mode == "cv":
-        cell_fn: Callable = _cv_cell
-        shared = (x1, x2)
-    else:
-        cell_fn, shared = _perm_cell, _PermSweep.prepare(x1, x2, cfg)
-
+    check_stage2(cfg.stage2, 2)
     cells = grid.cells()
-    results: list[dict | None] = [None] * len(cells)
-
-    def run(cell):
-        idx, _i, _j, g1, g2 = cell
-        return idx, cell_fn(shared, g1, g2, grid, cfg, conv, idx)
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for idx, res in pool.map(run, cells):
-                results[idx] = res
+    if mode == "cv":
+        results = _cv_cells(x1, x2, grid, cells, cfg, conv, jobs)
     else:
-        for cell in cells:
-            idx, res = run(cell)
-            results[idx] = res
+        sweep = _PermSweep.prepare(x1, x2, cfg)
+        results = _map(lambda cell: _perm_cell(sweep, cell[3], cell[4], grid, cfg, conv,
+                                               cell[0]), cells, jobs)
 
     n1, n2 = len(grid.gamma1_values), len(grid.gamma2_values)
     width = grid.folds if mode == "cv" else grid.permutations

@@ -1,5 +1,6 @@
-"""Shared helpers: data builders, a dense stage-two reference, a serial
-permutation-refit reference and the monotone-trace assertion."""
+"""Shared helpers: data builders, a dense stage-two reference, serial
+permutation-refit and cross-validation references and the monotone-trace
+assertion."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import pytest
 import scipy.linalg
 
 from scca import (DegenerateInputError, EmptySupportError, SingularityError, ViewMatrix,
-                  cca_gep, center_scale, fit_pair, power_svd)
+                  cca_gep, center_scale, fit_pair, pearson, power_svd)
+from scca.covariance import standardize
 
 
 def make_views(n, p1, p2, seed=0):
@@ -106,6 +108,34 @@ def serial_perm_refits(x1, x2, g1, g2, perms, cfg, seed=0):
         out.append((abs(float(sol.correlations[0])), sol.patterns[0][0].bits,
                     sol.patterns[1][0].bits))
     return out
+
+
+def serial_cv_cell(x1, x2, g1, g2, folds, cfg, seed=0):
+    """Reference cross-validation of one grid cell, one ``fit_pair`` per fold
+    on the fold's training rows centred (and scaled) on their own, the
+    held-out rows mapped by the training means and sds; ``seed`` seeds the
+    restarts, as the cell index does in tuning. Returns the per-fold held-out
+    correlations and the flags, worded as ``cv_tune`` words them."""
+    rhos, flags = np.zeros(len(folds)), []
+    for k, hold in enumerate(folds):
+        train = np.setdiff1d(np.arange(x1.n), hold)
+        d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
+        d2, mu2, sd2, _ = standardize(x2.data[train], cfg.scale)
+        try:
+            sol = fit_pair(ViewMatrix(d1, x1.names, centered=True),
+                           ViewMatrix(d2, x2.names, centered=True), g1, g2,
+                           penalty=cfg.penalty, stage2=cfg.stage2, ridge=cfg.ridge,
+                           order=cfg.order, restarts=cfg.restarts, seed=seed,
+                           divisor=cfg.divisor)
+        except (EmptySupportError, DegenerateInputError) as err:
+            flags.append(f"fold {k + 1}: fit failed ({err}); rho recorded as 0")
+            continue
+        rho, degenerate = pearson(((x1.data[hold] - mu1) / sd1) @ sol.directions[0][:, 0],
+                                  ((x2.data[hold] - mu2) / sd2) @ sol.directions[1][:, 0])
+        if degenerate:
+            flags.append(f"fold {k + 1}: degenerate held-out covariate; rho recorded as 0")
+        rhos[k] = rho
+    return rhos, flags
 
 
 def assert_monotone(trace, tol=1e-12, label="objective"):

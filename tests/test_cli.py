@@ -7,6 +7,8 @@ from scca import center_scale, gen_rank_one, load_view, write_view
 from scca.cli import load_solution, main
 from scca.simulate import RankOneSpec
 
+from conftest import make_views
+
 SMALL = ["--n", "20", "--p", "40,30", "--sigma", "0.15", "--supports", "5:5,4:4"]
 
 
@@ -394,3 +396,33 @@ def test_dscca_mode_from_config_is_checked_before_inputs(tmp_path, capsys):
     assert main(["dscca", "--x1", missing, "--x2", missing, "--y", missing,
                  "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "error: mode must be dot, reg, stacked or two-stage\n"
+
+
+@pytest.mark.parametrize("header", ["a,a,b", "a,,b"])
+def test_duplicate_or_blank_header_names_exit_1(tmp_path, capsys, header):
+    (tmp_path / "x1.csv").write_text(header + "\n1,2,3\n4,5,7\n2,1,1\n")
+    (tmp_path / "x2.csv").write_text("c,d\n1,2\n3,1\n0,5\n")
+    capsys.readouterr()
+    assert main(["scca", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+    assert not (tmp_path / "o" / "solution.json").exists()
+
+
+def test_scca_prints_max_iter_warnings(tmp_path, capsys):
+    x1, x2 = make_views(20, 40, 30, seed=1)
+    write_view(x1, tmp_path / "x1.csv")
+    write_view(x2, tmp_path / "x2.csv")
+    fit = ["scca", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+           "--gamma1", "0.1", "--gamma2", "0.1"]
+    capsys.readouterr()
+    assert main([*fit, "--max-iter", "1", "--out", str(tmp_path / "cut")]) == 0
+    expected = ["factor 1: view 1: stage one reached max_iter (1 iterations)",
+                "factor 1: view 2: stage one reached max_iter (1 iterations)",
+                "stage two reached max_iter (1 iterations)"]
+    assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in expected]
+    doc = json.loads((tmp_path / "cut" / "solution.json").read_text())
+    assert doc["warnings"] == expected
+    assert main([*fit, "--out", str(tmp_path / "full")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "full" / "solution.json").read_text())["warnings"] == []

@@ -25,6 +25,21 @@ def test_load_view_non_numeric_cell(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("header,message", [
+    ("a,a,b", "line 1: duplicate name 'a' in columns 1 and 2"),
+    ("a,b,b", "line 1: duplicate name 'b' in columns 2 and 3"),
+    ("a,,b", "line 1: blank name in column 2"),
+    ("a,b, ", "line 1: blank name in column 3"),
+])
+def test_load_view_rejects_duplicate_or_blank_names(tmp_path, header, message):
+    path = tmp_path / "names.csv"
+    path.write_text(header + "\n1,2,3\n4,5,6\n")
+    with pytest.raises(ParseError) as err:
+        load_view(path)
+    assert str(err.value) == message
+    assert err.value.line == 1
+
+
 def test_load_view_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("a,b\n1,2\n3\n")

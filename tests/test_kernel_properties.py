@@ -113,9 +113,9 @@ def test_permuting_the_samples_of_both_views_leaves_the_fit(n, p1, p2, seed, fra
         g1, g2 = g1 ** 2, g2 ** 2
     perm = np.random.default_rng(seed).permutation(n)
     y1, y2 = (ViewMatrix(x.data[perm], x.names, centered=True) for x in (x1, x2))
-    # whether a GEP pencil on a support of n or more coordinates counts as singular
-    # (and gets the automatic ridge) depends on rounding, so a second GEP factor
-    # can deflate by a different first factor
+    # a GEP pencil on a support of n or more coordinates gets a tiny automatic
+    # ridge, and its eigenvector moves with rounding (by 1e-6 at n=4), so a second
+    # GEP factor deflates by a slightly different first factor
     factors = min(factors if stage2 == "svd" else 1, n, p1, p2)
     kw = dict(factors=factors, penalty=penalty, order=order, stage2=stage2)
     try:

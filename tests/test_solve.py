@@ -341,3 +341,21 @@ def test_bad_stage2_is_rejected_before_any_stage_one(monkeypatch):
     assert calls == []
     fit_pair(x1, x2, 0.0, 0.0)
     assert calls == ["pattern_pair"]
+
+
+def test_gep_ridge_depends_on_the_support_not_the_sample_order():
+    # view 2's support of 5 coordinates exceeds the 4 samples, so its centred
+    # within-view block is singular whether or not Cholesky rounds to failure
+    x1, x2 = make_views(4, 4, 8, seed=0)
+    block = x1.data.T @ x2.data / 4
+    g1 = 0.5 * np.linalg.norm(block, axis=1).max()
+    g2 = 0.5 * np.linalg.norm(block, axis=0).max()
+    perm = np.random.default_rng(0).permutation(4)
+    y1, y2 = (ViewMatrix(x.data[perm], x.names, centered=True) for x in (x1, x2))
+    fits = [fit_pair(a, b, g1, g2, factors=2, stage2="gep") for a, b in ((x1, x2), (y1, y2))]
+    assert fits[0].factor_count == fits[1].factor_count
+    ridge = [[w for w in sol.warnings if w.startswith("singular within-view covariance")]
+             for sol in fits]
+    assert ridge[0] == ridge[1] and len(ridge[0]) == 1
+    assert fits[0].patterns[1][0].active_count >= 4
+

@@ -95,6 +95,13 @@ def test_reports_reproducible_and_order_independent():
     np.testing.assert_array_equal(serial.scores, threaded.scores)
     np.testing.assert_array_equal(serial.traces, threaded.traces)
     assert serial.chosen == threaded.chosen
+    grid = TuneGrid(g1s, g2s, folds=4, seed=21)
+    serial = cv_tune(x1, x2, grid)
+    threaded = cv_tune(x1, x2, grid, jobs=3)
+    np.testing.assert_array_equal(serial.scores, threaded.scores)
+    np.testing.assert_array_equal(serial.traces, threaded.traces)
+    assert serial.flags == threaded.flags
+    assert serial.chosen == threaded.chosen
 
 
 def test_ties_lean_toward_sparser_models():
@@ -209,3 +216,80 @@ def test_refits_with_restarts_match_the_serial_reference():
         assert not all(r is None for r in ref)
         np.testing.assert_allclose(report.traces[cell, 0], [r[0] if r else 0.0 for r in ref],
                                    rtol=0, atol=1e-10)
+
+
+def _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) -> int:
+    """Every cell's scores, traces and flags, and the chosen cell, equal those
+    of the per-cell ``fit_pair`` reference; returns the number of flags."""
+    from conftest import serial_cv_cell
+
+    from scca.tuning import _fold_slices
+    folds = _fold_slices(x1.n, grid.folds, grid.seed)
+    flags, best = [], None
+    for idx, i, j, g1, g2 in grid.cells():
+        rhos, cell_flags = serial_cv_cell(x1, x2, g1, g2, folds, cfg, seed=idx)
+        np.testing.assert_array_equal(report.traces[i, j], rhos)
+        assert report.scores[i, j] == float(rhos.mean())
+        flags += [f"(gamma1={g1:g}, gamma2={g2:g}): {flag}" for flag in cell_flags]
+        key = (-float(rhos.mean()), -(g1 + g2), -g2, -g1)
+        if best is None or key < best[0]:
+            best = (key, (i, j), (g1, g2))
+    assert report.flags == flags
+    assert report.failures == []
+    assert (report.chosen_index, report.chosen) == best[1:]
+    return len(flags)
+
+
+@pytest.mark.parametrize("stage2", ["svd", "gep"])
+@pytest.mark.parametrize("scale", [False, True])
+@pytest.mark.parametrize("divisor", ["n", "n-1"])
+@pytest.mark.parametrize("order", ["auto", "1-first", "2-first"])
+@pytest.mark.parametrize("penalty", ["l1", "l0"])
+def test_cv_tune_matches_the_per_cell_reference(penalty, order, divisor, scale, stage2):
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
+                          (0.1, 0.8), (0.2, 0.5, 0.8))
+    if penalty == "l0":
+        g1s, g2s = tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order, divisor=divisor)
+    grid = TuneGrid(g1s, g2s, folds=3, seed=6)
+    report = cv_tune(x1, x2, grid, penalty=penalty, cfg=cfg)
+    _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
+
+
+def test_cv_tune_with_restarts_matches_the_per_cell_reference():
+    # on null data the restarts, seeded by the cell, change first-side supports
+    x1, x2 = gen_null(24, 40, 30, seed=2)
+    g1s, g2s = _frac_grid(x1, x2, (0.15, 0.4), (0.15, 0.4))
+    cfg = FitConfig(restarts=2)
+    grid = TuneGrid(g1s, g2s, folds=3, seed=2)
+    report = cv_tune(x1, x2, grid, cfg=cfg, jobs=2)
+    _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
+
+
+def test_cv_tune_with_failing_cells_matches_the_per_cell_reference():
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(x1, x2, (0.3, 0.9, 3.0), (0.3, 1.0))
+    cfg = FitConfig()
+    grid = TuneGrid(g1s, g2s, folds=5, seed=8)
+    report = cv_tune(x1, x2, grid, cfg=cfg)
+    flagged = _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
+    # the gamma1=3 row fails in every fold, at the first side it shares
+    assert flagged >= 2 * grid.folds
+    assert all("fit failed (no factor could be fitted: factor 1: view" in flag
+               for flag in report.flags if "gamma1=" + format(g1s[2], "g") in flag)
+
+
+def test_degenerate_holdout_fold_matches_the_per_cell_reference():
+    from scca.tuning import _fold_slices
+    rng = np.random.default_rng(0)
+    d1 = rng.standard_normal((12, 4))
+    d2 = rng.standard_normal((12, 3))
+    hold = _fold_slices(12, 2, seed=4)[0]
+    d2[hold] = d2[hold[0]]
+    x1 = ViewMatrix(d1, [f"a{j}" for j in range(4)])
+    x2 = ViewMatrix(d2, [f"b{j}" for j in range(3)])
+    cfg = FitConfig()
+    grid = TuneGrid((0.0, 0.1), (0.0,), folds=2, seed=4)
+    report = cv_tune(x1, x2, grid, cfg=cfg)
+    assert _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) >= 1
