@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,13 +134,25 @@ def _out_dir(resolved: dict) -> Path:
     return out
 
 
-def _finish_fit(sol: CcaSolution, view_names: list[list[str]], resolved: dict,
-                echo: dict) -> int:
-    """Write solution.json, print the fit's warnings to stderr and the path to stdout."""
-    path = _write_json(_solution_dict(sol, view_names, resolved["seed"], echo),
-                       _out_dir(resolved) / "solution.json")
-    for warning in sol.warnings:
+def _view_warnings(views: list[ViewMatrix]) -> tuple[str, ...]:
+    """What loading and scaling the views reported (constant columns zeroed),
+    each naming its view."""
+    return tuple(f"view {i + 1}: {w}" for i, view in enumerate(views) for w in view.warnings)
+
+
+def _print_warnings(warnings) -> None:
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
+
+
+def _finish_fit(sol: CcaSolution, views: list[ViewMatrix], resolved: dict,
+                echo: dict) -> int:
+    """Write solution.json with the views' and the fit's warnings, print them
+    to stderr and the path to stdout."""
+    sol = replace(sol, warnings=_view_warnings(views) + sol.warnings)
+    path = _write_json(_solution_dict(sol, [v.names for v in views], resolved["seed"], echo),
+                       _out_dir(resolved) / "solution.json")
+    _print_warnings(sol.warnings)
     print(path)
     return 0
 
@@ -226,7 +239,7 @@ def cmd_scca(args) -> int:
                    penalty=r["penalty"], conv=conv, stage2=stage2)
     echo = _echo(r, factors=factors, stage2=stage2, x1=args.x1, x2=args.x2,
                  subcommand="scca")
-    return _finish_fit(sol, [x1.names, x2.names], r, echo)
+    return _finish_fit(sol, [x1, x2], r, echo)
 
 
 def cmd_mscca(args) -> int:
@@ -243,7 +256,7 @@ def cmd_mscca(args) -> int:
                          stage2=stage2)
     echo = _echo(r, stage2=stage2, views=list(args.views),
                  gamma_matrix=gam.values.tolist(), subcommand="mscca")
-    return _finish_fit(sol, [v.names for v in views], r, echo)
+    return _finish_fit(sol, views, r, echo)
 
 
 def cmd_dscca(args) -> int:
@@ -274,7 +287,7 @@ def cmd_dscca(args) -> int:
                                  penalty=r["penalty"], conv=conv, stage2=stage2)
     echo = _echo(r, mode=mode, eps1=eps1, eps2=eps2, stage2=stage2,
                  x1=args.x1, x2=args.x2, y=args.y, subcommand="dscca")
-    return _finish_fit(sol, [x1.names, x2.names], r, echo)
+    return _finish_fit(sol, [x1, x2], r, echo)
 
 
 def cmd_tune(args) -> int:
@@ -302,6 +315,8 @@ def cmd_tune(args) -> int:
            "report": report.to_dict()}
     out = _out_dir(r)
     _write_json(doc, out / "tune.json")
+    # each sweep standardizes the views itself; the warnings come from the whole views
+    _print_warnings(_view_warnings([center_scale(x, scale=r["scale"]) for x in (x1, x2)]))
     print(out / "tune.json")
     return 0
 

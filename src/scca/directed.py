@@ -17,7 +17,7 @@ from .covariance import CrossOperator, SparsityPattern, ViewMatrix, _check_pair,
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, SingularityError)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
-                      _solve)
+                      _solve, max_iter_warnings)
 from .solve import CcaSolution, check_stage2, covariates, fit_pair, stage_two
 
 
@@ -182,7 +182,7 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
 
 def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
                      gamma2: float, v0=None, conv: ConvergenceSpec | None = None,
-                     restarts: int = 0, seed: int = 0,
+                     restarts: int = 0, seed: int = 0, status: dict | None = None,
                      ) -> tuple[SparsityPattern, Direction, Direction]:
     """Single-sphere ascent on the stacked squared-error-directed program.
 
@@ -191,7 +191,9 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     thresholds apply below/above ``split``. The sphere lives in the factor's
     k-dimensional row space: the maximizer v*, a start ``v0`` and the random
     restarts are k-vectors, and v* enters the program as root'v*. Returns the
-    stacked pattern, v*, and the closed-form stacked direction z*.
+    stacked pattern, v*, and the closed-form stacked direction z*. Pass a
+    dict as ``status`` to receive ``iterations`` and ``converged`` (False
+    when the ascent used all ``conv.max_iter`` updates).
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("thresholds must be non-negative")
@@ -203,6 +205,8 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
                  seed=seed, side="stacked",
                  empty="both sides of the stacked pattern are empty",
                  offset=2.0 * (sp.tilde_x.T @ y.values))
+    if status is not None:
+        status.update(iterations=res.iterations, converged=res.converged)
     return res.pattern, res.z_lead, res.z_partner
 
 
@@ -214,15 +218,22 @@ def directed_stacked_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     stage two; its normalization is ``"stacked"``."""
     _require_l1(penalty)
     sp = StackedProblem.build(x1, x2, params.eps1, params.eps2)
-    pattern, _v, z = directed_stacked(sp, y, params.gamma1, params.gamma2, conv=conv)
+    status: dict = {}
+    pattern, _v, z = directed_stacked(sp, y, params.gamma1, params.gamma2, conv=conv,
+                                      status=status)
     zs = np.split(z.values, [x1.p])
     cov = covariates([x1.data, x2.data], zs)
+    warnings: tuple[str, ...] = ()
+    if not status["converged"]:
+        warnings += (f"stage one reached max_iter ({status['iterations']} iterations)",)
+    if cov.degenerate:
+        warnings += ("degenerate covariate, correlation set to 0",)
     return CcaSolution(
         directions=[z[:, None] for z in zs],
         correlations=np.array([cov.rho[0, 1]]), factor_count=1, normalization="stacked",
         covariates=[cv[:, None] for cv in cov.values],
         patterns=[[SparsityPattern(bits)] for bits in np.split(pattern.bits, [x1.p])],
-        warnings=("degenerate covariate, correlation set to 0",) if cov.degenerate else ())
+        warnings=warnings)
 
 
 @dataclass(frozen=True)
@@ -293,7 +304,7 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
 
     est = stage_two({(0, 1): c12}, [tau1.indices(), tau2.indices()], stage2, ridge, conv)
     cov = covariates([x1.data, x2.data], est.directions)
-    warn = est.warnings
+    warn = max_iter_warnings(((2, res2), (1, res1))) + est.warnings
     if cov.degenerate:
         warn += ("degenerate covariate, correlation set to 0",)
     info = {"side2": res2.iterations, "side1": res1.iterations}

@@ -453,47 +453,71 @@ def first_side(order: str, p1: int, p2: int) -> int:
 
 
 def _side_solve(block, gamma: float, side: int, penalty: str, conv: ConvergenceSpec | None,
-                restarts: int, seed: int) -> PatternResult:
-    """View ``side``'s pattern from the block whose columns are its coordinates."""
+                restarts: int, seed: int, z0=None) -> PatternResult:
+    """View ``side``'s pattern from the block whose columns are its coordinates,
+    started from ``z0`` (by default the block's largest-norm column)."""
     if penalty not in _PATTERN_FN:
         raise ValueError(f"penalty must be one of {PENALTIES}")
     try:
-        return _PATTERN_FN[penalty](block, gamma, conv=conv or ConvergenceSpec(),
+        return _PATTERN_FN[penalty](block, gamma, z0=z0, conv=conv or ConvergenceSpec(),
                                     restarts=restarts, seed=seed)
     except EmptySupportError as err:
         raise EmptySupportError(f"view {side} support collapsed: {err}", side=f"view {side}",
                                 last_iterate=err.last_iterate) from None
 
 
+def first_block(c12, side: int):
+    """The block the first side solves on: its columns are view ``side``'s
+    coordinates. ``init_direction`` of it is the first side's start."""
+    block = _as_block(c12)
+    return block.T if side == 1 else block
+
+
+def shrunk_block(c12, support: SparsityPattern, side: int):
+    """The block the second side solves on: its columns are the other view's
+    coordinates and its rows view ``side``'s ``support``. ``init_direction``
+    of it is the second side's start."""
+    block = _as_block(c12)
+    idx = support.indices()
+    return _rows(block, idx) if side == 1 else _cols(block, idx).T
+
+
 def pattern_first(c12, gamma: float, side: int, penalty: str = "l1",
                   conv: ConvergenceSpec | None = None, restarts: int = 0,
-                  seed: int = 0) -> PatternResult:
+                  seed: int = 0, z0=None) -> PatternResult:
     """The first side of :func:`pattern_pair`: view ``side``'s pattern on the
-    full block, thresholded at that view's ``gamma``."""
-    block = _as_block(c12)
-    return _side_solve(block.T if side == 1 else block, gamma, side, penalty, conv,
-                       restarts, seed)
+    full block, thresholded at that view's ``gamma``. ``z0`` overrides the
+    start, ``init_direction(first_block(c12, side))``, which does not depend
+    on ``gamma``, so a caller solving several gammas can compute it once."""
+    return _side_solve(first_block(c12, side), gamma, side, penalty, conv, restarts, seed,
+                       z0)
 
 
 def pattern_second(c12, lead: PatternResult, side: int, gamma: float, penalty: str = "l1",
                    conv: ConvergenceSpec | None = None, restarts: int = 0,
-                   seed: int = 0) -> PairPatterns:
+                   seed: int = 0, z0=None) -> PairPatterns:
     """The rest of :func:`pattern_pair` after its first side ``lead`` (view
     ``side``'s): the other view's pattern on the block shrunk to ``lead``'s
-    support, thresholded at that view's ``gamma``."""
-    block = _as_block(c12)
+    support, thresholded at that view's ``gamma``. The solve depends on
+    ``lead`` only through its support; ``z0`` overrides the start,
+    ``init_direction(shrunk_block(c12, lead.pattern, side))``."""
     other = 3 - side
-    idx = lead.pattern.indices()
-    shrunk = _rows(block, idx) if side == 1 else _cols(block, idx).T
-    res = _side_solve(shrunk, gamma, other, penalty, conv, restarts, seed)
+    res = _side_solve(shrunk_block(c12, lead.pattern, side), gamma, other, penalty, conv,
+                      restarts, seed, z0)
     res1, res2 = (lead, res) if side == 1 else (res, lead)
     solved = ((side, lead), (other, res))
     return PairPatterns(
         res1.pattern, res2.pattern, side,
         {f"side{v}": r.iterations for v, r in solved},
         {f"side{v}": r.objective_trace for v, r in solved},
-        tuple(f"view {v}: stage one reached max_iter ({r.iterations} iterations)"
-              for v, r in solved if not r.converged))
+        max_iter_warnings(solved))
+
+
+def max_iter_warnings(solved) -> tuple[str, ...]:
+    """A warning for each (view, PatternResult) of ``solved`` whose ascent
+    used all ``max_iter`` updates, in the order given."""
+    return tuple(f"view {v}: stage one reached max_iter ({r.iterations} iterations)"
+                 for v, r in solved if not r.converged)
 
 
 def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
@@ -182,6 +181,9 @@ def _pencil(cross: Mapping[tuple[int, int], np.ndarray], diag: Sequence[np.ndarr
         if np.abs(d - d.T).max(initial=0.0) > 1e-10 * (np.abs(d).max(initial=0.0) + 1.0):
             raise DimensionError(f"diag[{r}] must be symmetric")
         b_parts.append(d + ridge * np.eye(dims[r]))
+    # imported here, as only this pencil uses scipy: loading it doubles the
+    # start-up time of every command
+    import scipy.linalg
     try:
         vals, vecs = scipy.linalg.eigh(a, scipy.linalg.block_diag(*b_parts))
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
@@ -261,12 +263,16 @@ def multiview_gep(cross: Mapping[tuple[int, int], np.ndarray],
 
 def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
                     inits: Sequence[np.ndarray] | None = None,
-                    conv: ConvergenceSpec | None = None) -> list[np.ndarray]:
+                    conv: ConvergenceSpec | None = None,
+                    status: dict | None = None) -> list[np.ndarray]:
     """Leading multi-view directions by per-view power sweeps.
 
     Views are processed last to first; already-estimated partners enter the
     update linearly, the rest through their squared block so the sweep needs
-    no within-view inversion. Returns unit vectors per view.
+    no within-view inversion. Returns unit vectors per view. Pass a dict as
+    ``status`` to receive, per view, ``iterations`` and ``converged`` (False
+    when the view used all ``conv.max_iter`` updates without its step
+    falling to ``conv.tol``).
     """
     conv = conv or ConvergenceSpec()
     dims = _multiview_dims(cross)
@@ -287,9 +293,10 @@ def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
                 raise DimensionError(f"init for view {r} has the wrong length")
             zs.append(z / np.linalg.norm(z))
 
+    iterations, converged = [0] * m, [False] * m
     for r in range(m - 1, -1, -1):
         z = zs[r]
-        for _ in range(conv.max_iter):
+        for count in range(1, conv.max_iter + 1):
             update = np.zeros(dims[r])
             for s in range(m):
                 if s == r:
@@ -306,8 +313,11 @@ def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
             step = float(np.linalg.norm(z_new - z))
             z = z_new
             if step <= conv.tol:
+                converged[r] = True
                 break
-        zs[r] = z
+        zs[r], iterations[r] = z, count
+    if status is not None:
+        status.update(iterations=iterations, converged=converged)
     return zs
 
 
@@ -370,7 +380,8 @@ def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[
     within-view blocks on the supports, z'C_rr z = 1; a pencil with a support
     of n or more coordinates, or one that fails as singular, gets a ridge of
     1e-8 of the mean active variance, reported in the warnings). A power SVD
-    that reaches ``conv.max_iter`` is reported in the warnings too.
+    or a view's power sweep that reaches ``conv.max_iter`` is reported in the
+    warnings too.
     Directions come back full length with zeros off the supports, signed so
     that view 1's first non-zero entry is positive and z_1'C_1r z_r >= 0 for
     every other view r.
@@ -391,7 +402,11 @@ def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[
         if not status["converged"]:
             warnings += (f"stage two reached max_iter ({status['iterations']} iterations)",)
     elif method == "power":
-        parts, normalization = multiview_power(cross, conv=conv), "unit"
+        status = {}
+        parts, normalization = multiview_power(cross, conv=conv, status=status), "unit"
+        warnings += tuple(f"view {r + 1}: stage two reached max_iter "
+                          f"({status['iterations'][r]} iterations)"
+                          for r in range(m - 1, -1, -1) if not status["converged"][r])
     else:
         div = blocks[(0, 1)].div
         subs = [d[:, ix] for d, ix in zip(data, active)]

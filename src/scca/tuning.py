@@ -1,11 +1,14 @@
 """Hyperparameter selection: cross-validated correlation and permutation test.
 
 Both tuners sweep a (gamma1, gamma2) grid. Cross-validation scores a cell by
-the average held-out correlation of the fitted canonical covariates; it runs
-fold by fold, centring each fold once and solving each first-side gamma of
-stage one once per fold. The permutation test scores a cell by the fraction
-of row-permuted refits whose correlation beats the matched fit; it centres
-the views once per sweep and refits each cell's permutations as one batch.
+the average held-out correlation of the fitted canonical covariates. It runs
+fold by fold, and within a fold it does each step of a fit once for each
+distinct value of what the step depends on: the first side's start once, the
+first side once per first-side gamma, the second side once per (first-side
+support, second-side gamma), and stage two with the held-out correlation once
+per support pair. The permutation test scores a cell by the fraction of
+row-permuted refits whose correlation beats the matched fit; it centres the
+views once per sweep and refits each cell's permutations as one batch.
 Seeds derive from (master seed, cell index), so reports are reproducible
 regardless of worker count or execution order.
 """
@@ -22,8 +25,8 @@ import numpy as np
 from .covariance import CrossOperator, PermutedCross, ViewMatrix, center_scale, standardize
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
-from .pattern import (ConvergenceSpec, first_side, pattern_first, pattern_pair_batch,
-                      pattern_second)
+from .pattern import (ConvergenceSpec, first_block, first_side, init_direction,
+                      pattern_first, pattern_pair_batch, pattern_second, shrunk_block)
 from .solve import CcaSolution, check_stage2, fit_pair, pearson, stage_two
 
 
@@ -134,16 +137,28 @@ def _fit(v1: ViewMatrix, v2: ViewMatrix, g1: float, g2: float, cfg: FitConfig,
                     restarts=cfg.restarts, seed=seed, divisor=cfg.divisor)
 
 
+class _Failed(Exception):
+    """A step of a fold's fit failed; the text is its error's."""
+
+
 def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
              cfg: FitConfig, conv: ConvergenceSpec) -> list[tuple[float, str | None]]:
     """One fold's held-out correlation of every cell, each with its flag or None.
 
     Fold means change, so the fold centres (and scales) its training rows
     once, maps its held-out rows by their means and sds once, and builds one
-    cross operator. The first side of stage one depends only on that and its
-    own gamma, so it is solved once per first-side gamma (per cell with
-    restarts, whose cell index seeds them); each cell then runs the second
-    side, stage two and the held-out correlation of one ``fit_pair`` factor.
+    cross operator. Each step of a cell's ``fit_pair`` factor is then done
+    once per fold for each distinct value of what it depends on:
+    - the first side's start, the largest-norm column of the full block:
+      once per fold;
+    - the first side: once per first-side gamma;
+    - the second side's start, on the block shrunk to the first side's
+      support: once per first-side support;
+    - the second side: once per (first-side support, second-side gamma);
+    - stage two and the held-out correlation: once per support pair.
+    With restarts, both sides are also keyed by the cell index, which seeds
+    them. A failed step is kept as its error text, so every cell that needs
+    it fails with the same flag.
     """
     train = np.setdiff1d(np.arange(x1.n), hold)
     d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
@@ -153,31 +168,46 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     held1, held2 = (x1.data[hold] - mu1) / sd1, (x2.data[hold] - mu2) / sd2
     side = first_side(cfg.order, *op.shape)
     kw = dict(penalty=cfg.penalty, conv=conv, restarts=cfg.restarts)
-    leads: dict = {}  # (first-side gamma, seed or None) -> PatternResult or error text
+    memo: dict = {}
+
+    def once(key, fn):
+        """fn() the first time ``key`` comes up, its kept value after that."""
+        if key not in memo:
+            try:
+                memo[key] = fn()
+            except (EmptySupportError, DegenerateInputError, SingularityError) as err:
+                memo[key] = str(err)
+        if isinstance(memo[key], str):
+            raise _Failed(memo[key])
+        return memo[key]
+
+    def held_out(tau1, tau2):
+        est = stage_two({(0, 1): op}, [tau1.indices(), tau2.indices()], cfg.stage2,
+                        cfg.ridge, conv)
+        z1, z2 = est.directions
+        return pearson(held1 @ z1, held2 @ z2)
+
     out = []
     for idx, _i, _j, g1, g2 in cells:
         g_first, g_second = (g1, g2) if side == 1 else (g2, g1)
-        key = (g_first, idx if cfg.restarts else None)
-        if key not in leads:
-            try:
-                leads[key] = pattern_first(op, g_first, side, seed=idx, **kw)
-            except (EmptySupportError, DegenerateInputError) as err:
-                leads[key] = str(err)
-        failure = leads[key] if isinstance(leads[key], str) else None
-        if failure is None:
-            try:
-                pair = pattern_second(op, leads[key], side, g_second, seed=idx, **kw)
-                est = stage_two({(0, 1): op}, [pair.tau1.indices(), pair.tau2.indices()],
-                                cfg.stage2, cfg.ridge, conv)
-            except (EmptySupportError, DegenerateInputError, SingularityError) as err:
-                failure = str(err)
-        if failure is not None:
+        seeded = idx if cfg.restarts else None  # restarts draw from the cell's seed
+        try:
+            start = once("start", lambda: init_direction(first_block(op, side)))
+            lead = once(("first", g_first, seeded), lambda: pattern_first(
+                op, g_first, side, seed=idx, z0=start, **kw))
+            support = lead.pattern.bits.tobytes()
+            start2 = once(("start2", support), lambda: init_direction(
+                shrunk_block(op, lead.pattern, side)))
+            pair = once(("second", support, g_second, seeded), lambda: pattern_second(
+                op, lead, side, g_second, seed=idx, z0=start2, **kw))
+            rho, degenerate = once(("stage two", pair.tau1.bits.tobytes(),
+                                    pair.tau2.bits.tobytes()),
+                                   lambda: held_out(pair.tau1, pair.tau2))
+        except _Failed as err:
             # worded as fit_pair words a fit whose one factor failed
-            out.append((0.0, f"fit failed (no factor could be fitted: factor 1: {failure}); "
+            out.append((0.0, f"fit failed (no factor could be fitted: factor 1: {err}); "
                              "rho recorded as 0"))
             continue
-        z1, z2 = est.directions
-        rho, degenerate = pearson(held1 @ z1, held2 @ z2)
         out.append((rho, "degenerate held-out covariate; rho recorded as 0"
                     if degenerate else None))
     return out

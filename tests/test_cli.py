@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scca import center_scale, gen_rank_one, load_view, write_view
+import scca
+from scca import (FitConfig, TuneGrid, ViewMatrix, center_scale, cv_tune, gen_rank_one,
+                  load_view, perm_tune, write_view)
 from scca.cli import load_solution, main
 from scca.simulate import RankOneSpec
 
@@ -426,3 +432,73 @@ def test_scca_prints_max_iter_warnings(tmp_path, capsys):
     assert main([*fit, "--out", str(tmp_path / "full")]) == 0
     assert capsys.readouterr().err == ""
     assert json.loads((tmp_path / "full" / "solution.json").read_text())["warnings"] == []
+
+
+def _views_with_a_constant_column(tmp_path):
+    """A 20 x 8 view whose column 'c3' is constant, a 20 x 6 partner and an
+    accessory; returns their paths."""
+    x1, x2 = make_views(20, 8, 6, seed=7)
+    data = x1.data.copy()
+    data[:, 2] = 5.0
+    write_view(ViewMatrix(data, [f"c{j + 1}" for j in range(8)]), tmp_path / "x1.csv")
+    write_view(x2, tmp_path / "x2.csv")
+    y = np.random.default_rng(7).standard_normal(20)
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+    return [str(tmp_path / name) for name in ("x1.csv", "x2.csv", "y.csv")]
+
+
+@pytest.mark.parametrize("command", [
+    ["scca"], ["mscca"], ["dscca", "--mode", "dot"], ["dscca", "--mode", "stacked"],
+    ["dscca", "--mode", "two-stage"]])
+def test_fits_report_constant_columns(tmp_path, capsys, command):
+    x1, x2, y = _views_with_a_constant_column(tmp_path)
+    inputs = {"scca": ["--x1", x1, "--x2", x2], "mscca": ["--views", x1, x2],
+              "dscca": ["--x1", x1, "--x2", x2, "--y", y]}[command[0]]
+    capsys.readouterr()
+    assert main([*command, *inputs, "--out", str(tmp_path / "o")]) == 0
+    warnings = json.loads((tmp_path / "o" / "solution.json").read_text())["warnings"]
+    assert warnings[0] == "view 1: constant column 'c3' zeroed during scaling"
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
+    # without scaling nothing is divided, so nothing is reported
+    assert main([*command, *inputs, "--no-scale", "--out", str(tmp_path / "raw")]) == 0
+    doc = json.loads((tmp_path / "raw" / "solution.json").read_text())
+    assert not any("constant column" in w for w in doc["warnings"])
+
+
+@pytest.mark.parametrize("method", ["cv", "perm"])
+def test_tune_prints_constant_columns_but_keeps_its_report(tmp_path, capsys, method):
+    x1, x2, _y = _views_with_a_constant_column(tmp_path)
+    run = ["tune", "--x1", x1, "--x2", x2, "--method", method, "--gamma1-grid", "0,0.1",
+           "--gamma2-grid", "0", "--folds", "2", "--permutations", "3"]
+    capsys.readouterr()
+    assert main([*run, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: view 1: constant column 'c3' zeroed during scaling\n")
+    doc = json.loads((tmp_path / "o" / "tune.json").read_text())
+    assert set(doc) == {"metadata", "report"}
+    assert "warnings" not in doc["report"]
+    # the same sweep through the library writes the same report
+    grid = TuneGrid((0.0, 0.1), (0.0,), folds=2, permutations=3, seed=0)
+    tune = cv_tune if method == "cv" else perm_tune
+    report = tune(load_view(x1), load_view(x2), grid, cfg=FitConfig(scale=True))
+    assert doc["report"] == json.loads(report.to_json())
+
+
+def test_scipy_loads_only_for_the_gep_pencil():
+    # importing the command line must not import scipy; a GEP fit still works
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import scca.cli\n"
+        "from scca import ViewMatrix, center_scale, fit_pair\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported with the command line'\n"
+        "rng = np.random.default_rng(0)\n"
+        "x1, x2 = (center_scale(ViewMatrix(rng.standard_normal((30, p)),"
+        " [f'v{j}' for j in range(p)])) for p in (6, 5))\n"
+        "sol = fit_pair(x1, x2, 0.0, 0.0, stage2='gep')\n"
+        "assert sol.normalization == 'cov' and 'scipy' in sys.modules\n")
+    src = str(Path(scca.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+    assert proc.returncode == 0, proc.stderr

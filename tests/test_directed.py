@@ -6,7 +6,7 @@ from scca import (AccessoryVector, ConvergenceSpec, DirectedParams,
                   EmptySupportError, GammaMatrix, IndefiniteMatrixError,
                   SingularityError, StackedProblem, ViewMatrix, center_scale, compute_beta,
                   directed_fit, directed_pattern_dot, directed_pattern_reg,
-                  directed_stacked, directed_two_stage, gen_rank_one,
+                  directed_stacked, directed_stacked_fit, directed_two_stage, gen_rank_one,
                   multiview_scca, pattern_l1)
 from scca.covariance import CrossOperator
 from scca.directed import UnivariateSelector
@@ -415,3 +415,31 @@ def test_multiview_with_accessory_view_matches_dot():
     mv = multiview_scca([x1c, x2c, yview], gam, conv=ConvergenceSpec(tol=1e-12))
     assert mv.patterns[0][0].bits.tolist() == dot.patterns[0][0].bits.tolist()
     assert mv.patterns[1][0].bits.tolist() == dot.patterns[1][0].bits.tolist()
+
+
+def test_directed_fits_report_max_iter():
+    x1, x2, y, block, _a1, _a2 = _directed_inputs(n=20, p1=12, p2=15, seed=3)
+    params = DirectedParams(0.1 * np.linalg.norm(block, axis=1).max(),
+                            0.1 * np.linalg.norm(block, axis=0).max())
+    full = directed_fit(x1, x2, y, params)
+    assert min(full.iterations[0].values()) > 1
+    assert not any("max_iter" in w for w in full.warnings)
+    cut = directed_fit(x1, x2, y, params, conv=ConvergenceSpec(max_iter=1))
+    # view 2 is solved first, then view 1 on the shrunken block
+    assert [w for w in cut.warnings if "stage one" in w] == [
+        f"view {v}: stage one reached max_iter (1 iterations)" for v in (2, 1)]
+
+    assert not any("max_iter" in w for w in directed_stacked_fit(x1, x2, y, params).warnings)
+    cut = directed_stacked_fit(x1, x2, y, params, conv=ConvergenceSpec(max_iter=1))
+    assert list(cut.warnings) == ["stage one reached max_iter (1 iterations)"]
+
+
+def test_directed_stacked_status_keeps_the_pattern_first():
+    x1, x2, y, _block, _a1, _a2 = _directed_inputs(seed=4)
+    sp = StackedProblem.build(x1, x2, 1.0, 1.0)
+    status: dict = {}
+    out = directed_stacked(sp, y, 0.0, 0.0, conv=ConvergenceSpec(max_iter=1), status=status)
+    assert out[0].bits.any()
+    assert status == {"iterations": 1, "converged": False}
+    directed_stacked(sp, y, 0.0, 0.0, status=status)
+    assert status["converged"] and status["iterations"] > 1

@@ -225,8 +225,10 @@ def test_stage_one_reaching_max_iter_is_a_warning():
     assert min(full.iterations[0].values()) > 1
     assert not any("max_iter" in w for w in full.warnings)
     cut = multiview_scca(noisy, gam, conv=ConvergenceSpec(max_iter=1))
+    # the power stage two runs on the same budget, so each view's sweep is cut too
     assert list(cut.warnings) == [f"view {s}: stage one reached max_iter (1 sweeps)"
-                                  for s in (3, 2, 1)]
+                                  for s in (3, 2, 1)] + [
+        f"view {s}: stage two reached max_iter (1 iterations)" for s in (3, 2, 1)]
 
 
 def test_stage_one_converged_in_its_only_sweep_is_not_a_warning():

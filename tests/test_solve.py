@@ -359,3 +359,27 @@ def test_gep_ridge_depends_on_the_support_not_the_sample_order():
     assert ridge[0] == ridge[1] and len(ridge[0]) == 1
     assert fits[0].patterns[1][0].active_count >= 4
 
+
+
+def test_multiview_power_reports_max_iter(rng):
+    cross = {(r, s): rng.normal(size=(p, q))
+             for (r, p), (s, q) in [((0, 5), (1, 4)), ((0, 5), (2, 6)), ((1, 4), (2, 6))]}
+    status: dict = {}
+    full = multiview_power(cross, status=status)
+    assert all(status["converged"]) and min(status["iterations"]) > 1
+    cut = multiview_power(cross, conv=ConvergenceSpec(max_iter=1), status=status)
+    assert status == {"iterations": [1, 1, 1], "converged": [False, False, False]}
+    assert len(cut) == len(full) == 3
+
+
+def test_power_stage_two_reports_max_iter(rng):
+    from scca import CrossOperator, center_scale, stage_two
+    views = [center_scale(ViewMatrix(rng.normal(size=(12, p)), [f"v{j}" for j in range(p)]))
+             for p in (5, 4, 6)]
+    blocks = {(r, s): CrossOperator.from_views(views[r], views[s])
+              for r, s in [(0, 1), (0, 2), (1, 2)]}
+    active = [np.arange(v.p) for v in views]
+    assert stage_two(blocks, active, "power").warnings == ()
+    cut = stage_two(blocks, active, "power", conv=ConvergenceSpec(max_iter=1))
+    assert cut.warnings == tuple(f"view {v}: stage two reached max_iter (1 iterations)"
+                                 for v in (3, 2, 1))

@@ -293,3 +293,62 @@ def test_degenerate_holdout_fold_matches_the_per_cell_reference():
     grid = TuneGrid((0.0, 0.1), (0.0,), folds=2, seed=4)
     report = cv_tune(x1, x2, grid, cfg=cfg)
     assert _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) >= 1
+
+
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
+    from scca import tuning
+    from scca.covariance import CrossOperator, standardize
+    from scca.errors import EmptySupportError
+    from scca.pattern import pattern_first, pattern_pair
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(x1, x2, (0.2, 0.25, 0.3, 0.35, 0.4), (0.2, 0.3, 0.4))
+    cfg = FitConfig(order="1-first", restarts=restarts)
+    grid = TuneGrid(g1s, g2s, folds=3, seed=5)
+    real_init, real_stage_two, real_fold = tuning.init_direction, tuning.stage_two, tuning._cv_fold
+    calls, per_fold = {}, []
+
+    def init_direction(block):
+        # view 1 goes first: its start is on the full p2 x p1 block, the
+        # second side's on a block shrunk to view 1's support
+        calls["first starts" if block.shape == (x2.p, x1.p) else "second starts"] += 1
+        return real_init(block)
+
+    def stage_two(*args):
+        calls["stage two"] += 1
+        return real_stage_two(*args)
+
+    def cv_fold(x1, x2, hold, *args):
+        calls.update({"first starts": 0, "second starts": 0, "stage two": 0})
+        out = real_fold(x1, x2, hold, *args)
+        per_fold.append((hold, dict(calls)))
+        return out
+
+    monkeypatch.setattr(tuning, "init_direction", init_direction)
+    monkeypatch.setattr(tuning, "stage_two", stage_two)
+    monkeypatch.setattr(tuning, "_cv_fold", cv_fold)
+    report = cv_tune(x1, x2, grid, cfg=cfg)
+    _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
+
+    assert len(per_fold) == grid.folds
+    shared_first = shared_pair = False
+    for hold, seen in per_fold:
+        train = np.setdiff1d(np.arange(x1.n), hold)
+        op = CrossOperator.from_views(
+            *(ViewMatrix(standardize(x.data[train])[0], x.names, centered=True)
+              for x in (x1, x2)))
+        firsts, pairs = set(), set()
+        for idx, _i, _j, g1, g2 in grid.cells():
+            try:
+                firsts.add(pattern_first(op, g1, 1, restarts=restarts, seed=idx)
+                           .pattern.bits.tobytes())
+                pair = pattern_pair(op, g1, g2, order="1-first", restarts=restarts, seed=idx)
+            except EmptySupportError:
+                continue
+            pairs.add((pair.tau1.bits.tobytes(), pair.tau2.bits.tobytes()))
+        assert seen == {"first starts": 1, "second starts": len(firsts),
+                        "stage two": len(pairs)}
+        shared_first |= len(firsts) < len(g1s)
+        shared_pair |= len(pairs) < len(grid.cells())
+    # the grid is one where first-side gammas share supports and cells share pairs
+    assert shared_first and shared_pair
