@@ -406,6 +406,7 @@ def cmd_report(args) -> int:
         raise ValueError("kind must be 'biplot' or 'interp'")
     out = _out_dir(r)
     path = write_report(data, out / f"{kind}.{fmt}", format=fmt)
+    _print_warnings(_view_warnings(views))
     print(path)
     return 0
 
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads (default 1): --method cv runs its folds on them, perm "
                         "its grid cells; each perm cell's batched refits already use "
                         "every core through BLAS, so on 2 cores --jobs 2 measured "
-                        "slower (0.63-0.76x on the tune-pipeline benchmark)")
+                        "slower (0.64-0.75x on the tune-pipeline benchmark)")
     _common(p, "tune")
     p.set_defaults(func=cmd_tune)
 

@@ -378,6 +378,14 @@ class PermutedCross:
     gram_a gathered by idx_k. The masks (p_r x K and p_s x K booleans) restrict
     each member to its own support, which stands in for shrinking members to
     different sizes.
+
+    ``root_a`` and ``root_b`` are thin factors of A and B: n x r matrices F
+    with FF' = AA' (r <= n), say from a thin QR A' = QF'. ``thin`` puts
+    root_a in A's place, so member k becomes F[idx_k]'B/div = Q'C_k, an
+    isometric image of C_k on the row space of A, where every iterate of an
+    ascent whose updates are C_k w lies. Projections, update norms and the
+    column norms (the same gram_a) are unchanged, and a member-step costs
+    n(r + p_s) instead of n(p_r + p_s).
     """
 
     __array_ufunc__ = None
@@ -389,6 +397,8 @@ class PermutedCross:
     inv: np.ndarray
     gram_a: np.ndarray
     gram_b: np.ndarray
+    root_a: np.ndarray
+    root_b: np.ndarray
     rmask: np.ndarray | None = None
     cmask: np.ndarray | None = None
 
@@ -405,7 +415,11 @@ class PermutedCross:
     def T(self) -> "PermutedCross":
         # B'A[idx] = B[inv]'A: the transpose permutes B by the inverses
         return PermutedCross(self.b, self.a, self.div, self.inv, self.idx, self.gram_b,
-                             self.gram_a, self.cmask, self.rmask)
+                             self.gram_a, self.root_b, self.root_a, self.cmask, self.rmask)
+
+    def thin(self) -> "PermutedCross":
+        """The unmasked batch on root_a in A's place (see the class notes)."""
+        return replace(self, a=self.root_a)
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """C_k z_k for every member k, z_k being column k of the p_s x K block z."""
@@ -420,26 +434,40 @@ class PermutedCross:
 
     def take(self, members) -> "PermutedCross":
         """The batch of the members listed in ``members``, in that order."""
-        return PermutedCross(self.a, self.b, self.div, self.idx[:, members],
-                             self.inv[:, members], self.gram_a, self.gram_b,
-                             None if self.rmask is None else self.rmask[:, members],
-                             None if self.cmask is None else self.cmask[:, members])
+        return replace(self, idx=self.idx[:, members], inv=self.inv[:, members],
+                       rmask=None if self.rmask is None else self.rmask[:, members],
+                       cmask=None if self.cmask is None else self.cmask[:, members])
 
     def cols(self, mask: np.ndarray) -> "PermutedCross":
         """Every member k with the columns outside column k of ``mask`` zeroed."""
         return replace(self, cmask=mask)
 
     def col_norms(self) -> np.ndarray:
-        """Euclidean column norms of every member (p_s x K): member k's from
-        the Gram of A's kept columns with its rows gathered by idx_k."""
-        sq = np.empty((self.b.shape[1], self.idx.shape[1]))
-        for k, idx in enumerate(self.idx.T):
-            if self.rmask is None:
-                gram = self.gram_a[np.ix_(idx, idx)]
-            else:
+        """Euclidean column norms of every member (p_s x K).
+
+        Unmasked, b_j' gram_a[idx_k, idx_k] b_j for every column j and
+        member k is a sum over B's row pairs i <= l of b_ij b_lj times each
+        member's gathered Gram entry (off the diagonal twice): one GEMM per
+        row i for the whole batch, half the work of a Gram product per
+        member. A row-masked member's norms come from its kept columns
+        A[idx_k, S]: as (A_S'B)'s column norms when |S| < n, else from
+        their Gram."""
+        n = self.a.shape[0]
+        sq = np.zeros((self.b.shape[1], self.idx.shape[1]))
+        if self.rmask is None:
+            iu, ju = np.triu_indices(n)
+            grams = self.gram_a.ravel().take(self.idx[iu] * n + self.idx[ju])
+            grams[iu != ju] *= 2.0
+            for i, start in enumerate(np.flatnonzero(iu == ju)):
+                sq += (self.b[i] * self.b[i:]).T @ grams[start:start + n - i]
+        else:
+            for k, idx in enumerate(self.idx.T):
                 kept = self.a[np.ix_(idx, np.flatnonzero(self.rmask[:, k]))]
-                gram = kept @ kept.T
-            sq[:, k] = np.einsum("ij,ij->j", self.b, gram @ self.b)
+                if kept.shape[1] < n:
+                    proj = kept.T @ self.b
+                    sq[:, k] = np.einsum("ij,ij->j", proj, proj)
+                else:
+                    sq[:, k] = np.einsum("ij,ij->j", self.b, (kept @ kept.T) @ self.b)
         if self.cmask is not None:
             sq *= self.cmask
         return np.sqrt(np.maximum(sq / self.div ** 2, 0.0))

@@ -571,9 +571,11 @@ def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
     """:func:`pattern_pair` without restarts for every member of a batch at once.
 
     Each side is one p x K hinge ascent with pattern_pair's start and stop
-    rule per member. The second side runs on the members whose first side
-    found a support, each masked to that support instead of shrunk to it. A
-    member fails (``ok`` False) exactly where pattern_pair would raise.
+    rule per member. The first side runs on the thin factor of the view its
+    iterates live in (the view found second); the second side runs on the
+    members whose first side found a support, each masked to that support
+    instead of shrunk to it. A member fails (``ok`` False) exactly where
+    pattern_pair would raise.
     """
     if penalty not in _PATTERN_FN:
         raise ValueError(f"penalty must be one of {PENALTIES}")
@@ -581,7 +583,7 @@ def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
     first = first_side(order, *batch.shape)
     # the lead operator's columns are the coordinates of the side found first
     lead_op, gammas = (batch.T, (gamma1, gamma2)) if first == 1 else (batch, (gamma2, gamma1))
-    lead, ok = _batch_side(lead_op, gammas[0], penalty, conv)
+    lead, ok = _batch_side(lead_op.thin(), gammas[0], penalty, conv)
     keep = np.flatnonzero(ok)
     other = np.zeros((lead_op.shape[0], ok.size), dtype=bool)
     if keep.size:

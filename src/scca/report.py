@@ -44,6 +44,17 @@ class InterpolationData:
     flags: tuple[str, ...] = ()
 
 
+def _check_views(solution: CcaSolution, views) -> list[ViewMatrix]:
+    """``views`` as a list: one per solution block, all with the same samples."""
+    views = list(views)
+    if len(views) != len(solution.directions):
+        raise DimensionError("one view per solution block is required")
+    for view in views[1:]:
+        if view.n != views[0].n:
+            raise DimensionError(f"sample counts differ: {views[0].n} vs {view.n}")
+    return views
+
+
 def _covariates(solution: CcaSolution, views: list[ViewMatrix]) -> list[np.ndarray]:
     if solution.covariates is not None:
         return [cv[:, :2] for cv in solution.covariates]
@@ -63,11 +74,9 @@ def _active_two(solution: CcaSolution, view: int, p: int) -> np.ndarray:
 def biplot_coords(solution: CcaSolution, views) -> BiplotData:
     """Correlations of each active variable with its view's two leading
     covariates, plus the sample projections and per-pair correlations."""
-    views = list(views)
     if solution.factor_count < 2:
         raise InsufficientFactorsError("biplot needs at least two fitted factors")
-    if len(views) != len(solution.directions):
-        raise DimensionError("one view per solution block is required")
+    views = _check_views(solution, views)
     covs = _covariates(solution, views)
     variable_coords = []
     flags: list[str] = []
@@ -96,11 +105,11 @@ def interp_coords(solution: CcaSolution, views, markers_per_variable: int = 5,
                   ) -> InterpolationData:
     """Equally spaced marker values over each variable's observed range,
     projected through the view's two leading directions (collinear lines)."""
-    views = list(views)
     if solution.factor_count < 2:
         raise InsufficientFactorsError("interpolative plot needs at least two factors")
     if markers_per_variable < 2:
         raise ValueError("need at least two markers per variable")
+    views = _check_views(solution, views)
     entries = []
     for i, view in enumerate(views):
         weights = solution.directions[i][:, :2]

@@ -7,8 +7,12 @@ distinct value of what the step depends on: the first side's start once, the
 first side once per first-side gamma, the second side once per (first-side
 support, second-side gamma), and stage two with the held-out correlation once
 per support pair. The permutation test scores a cell by the fraction of
-row-permuted refits whose correlation beats the matched fit; it centres the
-views once per sweep and refits each cell's permutations as one batch.
+row-permuted refits whose correlation beats the matched fit, and counts the
+refits that failed; it centres the views once per sweep and refits each
+cell's permutations as one batch. Every first-side iterate of a refit lies
+in the row space of the other view's n x p data, so the batch's first side
+runs on a thin n x r factor of that view (r <= n, formed once per sweep):
+a member-step costs n(r + p_first) instead of n(p1 + p2).
 Seeds derive from (master seed, cell index), so reports are reproducible
 regardless of worker count or execution order.
 """
@@ -76,6 +80,7 @@ class TuneReport:
     chosen: tuple[float, float]
     chosen_index: tuple[int, int]
     matched_rho: np.ndarray | None = None
+    refit_failures: np.ndarray | None = None  # perm: failed refits per cell; nan = none ran
     failures: list[str] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
 
@@ -94,6 +99,9 @@ class TuneReport:
         }
         if self.matched_rho is not None:
             out["matched_rho"] = self.matched_rho.tolist()
+        if self.refit_failures is not None:
+            out["refit_failures"] = [[None if np.isnan(v) else int(v) for v in row]
+                                     for row in self.refit_failures]
         return out
 
     def to_json(self) -> str:
@@ -224,7 +232,8 @@ def _cv_cells(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid, cells: list, cfg: 
         flags = [f"fold {k + 1}: {fold[c][1]}" for k, fold in enumerate(per_fold)
                  if fold[c][1] is not None]
         results.append({"score": float(fold_rhos.mean()), "trace": fold_rhos,
-                        "flags": flags, "failed": False, "matched_rho": np.nan})
+                        "flags": flags, "failed": False, "matched_rho": np.nan,
+                        "refit_failures": np.nan})
     return results
 
 
@@ -232,24 +241,29 @@ def _cv_cells(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid, cells: list, cfg: 
 class _PermSweep:
     """What every permutation cell shares. A row permutation keeps column
     means and sds, so both views are centred (and scaled) once per sweep,
-    and their n x n Grams are formed once too."""
+    and their n x n Grams and thin factors (n x r, r <= n, root root' =
+    Gram) are formed once too."""
 
     v1: ViewMatrix
     v2: ViewMatrix
     div: float
     gram1: np.ndarray
     gram2: np.ndarray
+    root1: np.ndarray
+    root2: np.ndarray
 
     @classmethod
     def prepare(cls, x1: ViewMatrix, x2: ViewMatrix, cfg: FitConfig) -> "_PermSweep":
         v1, v2 = center_scale(x1, scale=cfg.scale), center_scale(x2, scale=cfg.scale)
         return cls(v1, v2, CrossOperator.from_views(v1, v2, cfg.divisor).div,
-                   v1.data @ v1.data.T, v2.data @ v2.data.T)
+                   v1.data @ v1.data.T, v2.data @ v2.data.T,
+                   np.linalg.qr(v1.data.T, mode="r").T, np.linalg.qr(v2.data.T, mode="r").T)
 
     def batch(self, perms: np.ndarray) -> PermutedCross:
         """The cross-covariances of view 1's rows permuted by each column of ``perms``."""
         return PermutedCross(self.v1.data, self.v2.data, self.div, perms,
-                             np.argsort(perms, axis=0), self.gram1, self.gram2)
+                             np.argsort(perms, axis=0), self.gram1, self.gram2,
+                             self.root1, self.root2)
 
 
 def _permutations(seed: int, cell_index: int, n: int, count: int) -> np.ndarray:
@@ -259,14 +273,16 @@ def _permutations(seed: int, cell_index: int, n: int, count: int) -> np.ndarray:
 
 
 def _batched_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
-                    cfg: FitConfig, conv: ConvergenceSpec) -> np.ndarray:
+                    cfg: FitConfig, conv: ConvergenceSpec) -> tuple[np.ndarray, int]:
     """|rho| of the refit of every permutation (a column of ``perms``) of view
-    1's rows: stage one for all of them as one batch, then stage two and the
-    correlation for each one whose supports survived. A failed refit counts
-    as rho 0, so it never beats the matched fit."""
+    1's rows, and how many refits failed: stage one for all of them as one
+    batch, then stage two and the correlation for each one whose supports
+    survived. A failed refit counts as rho 0, so it never beats the matched
+    fit."""
     batch = sweep.batch(perms)
     found = pattern_pair_batch(batch, g1, g2, penalty=cfg.penalty, conv=conv, order=cfg.order)
     rhos = np.zeros(perms.shape[1])
+    failures = int((~found.ok).sum())
     for k in np.flatnonzero(found.ok):
         member = batch.member(k)
         try:
@@ -274,24 +290,26 @@ def _batched_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
                                                 np.flatnonzero(found.tau2[:, k])],
                             cfg.stage2, cfg.ridge, conv)
         except (DegenerateInputError, SingularityError):
+            failures += 1
             continue
         z1, z2 = est.directions
         rhos[k] = abs(pearson(member.a @ z1, member.b @ z2)[0])
-    return rhos
+    return rhos, failures
 
 
 def _serial_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
-                   cfg: FitConfig, conv: ConvergenceSpec, seed: int) -> np.ndarray:
+                   cfg: FitConfig, conv: ConvergenceSpec, seed: int) -> tuple[np.ndarray, int]:
     """The refits one permutation at a time, for fits with random restarts."""
-    rhos = np.zeros(perms.shape[1])
+    rhos, failures = np.zeros(perms.shape[1]), 0
     for k, perm in enumerate(perms.T):
         try:
             sol = _fit(ViewMatrix(sweep.v1.data[perm], sweep.v1.names, centered=True),
                        sweep.v2, g1, g2, cfg, conv, seed)
         except (EmptySupportError, DegenerateInputError):
+            failures += 1
             continue
         rhos[k] = abs(float(sol.correlations[0]))
-    return rhos
+    return rhos, failures
 
 
 def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: FitConfig,
@@ -301,16 +319,16 @@ def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: Fit
     except (EmptySupportError, DegenerateInputError) as err:
         return {"score": np.nan, "trace": np.zeros(grid.permutations),
                 "flags": [f"matched fit failed: {err}"], "failed": True,
-                "matched_rho": np.nan}
+                "matched_rho": np.nan, "refit_failures": np.nan}
     rho = abs(float(sol.correlations[0]))
     perms = _permutations(grid.seed, cell_index, sweep.v1.n, grid.permutations)
     if cfg.restarts:
-        perm_rhos = _serial_refits(sweep, perms, g1, g2, cfg, conv, cell_index)
+        perm_rhos, failures = _serial_refits(sweep, perms, g1, g2, cfg, conv, cell_index)
     else:
-        perm_rhos = _batched_refits(sweep, perms, g1, g2, cfg, conv)
+        perm_rhos, failures = _batched_refits(sweep, perms, g1, g2, cfg, conv)
     p_value = float(np.mean(perm_rhos > rho))
     return {"score": p_value, "trace": perm_rhos, "flags": [], "failed": False,
-            "matched_rho": rho}
+            "matched_rho": rho, "refit_failures": failures}
 
 
 def _map(fn: Callable, items: list, jobs: int | None) -> list:
@@ -336,7 +354,7 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
     if mode not in ("cv", "perm"):
         raise ValueError("mode must be 'cv' or 'perm'")
     if x1.n != x2.n:
-        raise DimensionError("views must share samples")
+        raise DimensionError(f"sample counts differ: {x1.n} vs {x2.n}")
     if mode == "cv" and x1.n < 2 * grid.folds:
         raise DimensionError("need n >= 2k for k-fold tuning")
     cfg = cfg or FitConfig()
@@ -355,6 +373,7 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
     scores = np.full((n1, n2), np.nan)
     traces = np.zeros((n1, n2, width))
     matched = np.full((n1, n2), np.nan)
+    refit_failures = np.full((n1, n2), np.nan)
     failures: list[str] = []
     flags: list[str] = []
     for idx, i, j, g1, g2 in cells:
@@ -362,6 +381,7 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
         scores[i, j] = res["score"]
         traces[i, j] = res["trace"]
         matched[i, j] = res["matched_rho"]
+        refit_failures[i, j] = res["refit_failures"]
         label = f"(gamma1={g1:g}, gamma2={g2:g})"
         if res["failed"]:
             failures.append(f"{label}: " + "; ".join(res["flags"]))
@@ -385,6 +405,7 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
                       gamma2_values=grid.gamma2_values, scores=scores,
                       traces=traces, chosen=best[2], chosen_index=best[1],
                       matched_rho=matched if mode == "perm" else None,
+                      refit_failures=refit_failures if mode == "perm" else None,
                       failures=failures, flags=flags)
 
 

@@ -502,3 +502,59 @@ def test_scipy_loads_only_for_the_gep_pencil():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_report_prints_constant_columns(tmp_path, capsys):
+    x1, x2, _y = _views_with_a_constant_column(tmp_path)
+    fit = tmp_path / "fit"
+    assert main(["scca", "--x1", x1, "--x2", x2, "--factors", "2", "--out", str(fit)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--solution", str(fit / "solution.json"), "--views", x1, x2,
+                 "--out", str(tmp_path / "rep")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: view 1: constant column 'c3' zeroed during scaling\n"
+    assert out == f"{tmp_path / 'rep' / 'biplot.csv'}\n"
+
+
+def _bad_inputs(tmp_path) -> dict:
+    """Paths of 20 x 6 and 20 x 5 views that fit, the same first view with a
+    nan, an inf or a short row as its fourth sample (line 5), and a 15-row
+    second view."""
+    rng = np.random.default_rng(21)
+    d1, d2 = rng.standard_normal((20, 6)), rng.standard_normal((20, 5))
+    paths = {name: tmp_path / f"{name}.csv" for name in
+             ("x1", "x2", "nan", "inf", "ragged", "short")}
+    write_view(ViewMatrix(d1, [f"a{j + 1}" for j in range(6)]), paths["x1"])
+    write_view(ViewMatrix(d2, [f"b{j + 1}" for j in range(5)]), paths["x2"])
+    write_view(ViewMatrix(d2[:15], [f"b{j + 1}" for j in range(5)]), paths["short"])
+    lines = paths["x1"].read_text().splitlines()
+    cells = lines[4].split(",")
+    for bad, row in (("nan", cells[:2] + ["nan"] + cells[3:]),
+                     ("inf", cells[:2] + ["inf"] + cells[3:]), ("ragged", cells[:5])):
+        paths[bad].write_text("\n".join(lines[:4] + [",".join(row)] + lines[5:]) + "\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("command", ["scca", "tune", "report", "interp"])
+@pytest.mark.parametrize("x1,x2,message", [
+    ("nan", "x2", "line 5: non-finite value 'nan' in column 3"),
+    ("inf", "x2", "line 5: non-finite value 'inf' in column 3"),
+    ("ragged", "x2", "line 5: expected 6 fields, got 5"),
+    ("x1", "short", "sample counts differ: 20 vs 15"),
+])
+def test_bad_input_exits_1_naming_the_fault(tmp_path, capsys, command, x1, x2, message):
+    paths = _bad_inputs(tmp_path)
+    fit = tmp_path / "fit"
+    assert main(["scca", "--x1", paths["x1"], "--x2", paths["x2"], "--gamma1", "0",
+                 "--gamma2", "0", "--factors", "2", "--out", str(fit)]) == 0
+    argv = {"scca": ["scca", "--x1", paths[x1], "--x2", paths[x2]],
+            "tune": ["tune", "--x1", paths[x1], "--x2", paths[x2], "--gamma1-grid", "0.1",
+                     "--gamma2-grid", "0.1", "--permutations", "3"],
+            "report": ["report", "--solution", str(fit / "solution.json"),
+                       "--views", paths[x1], paths[x2]],
+            "interp": ["report", "--kind", "interp", "--solution", str(fit / "solution.json"),
+                       "--views", paths[x1], paths[x2]]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())

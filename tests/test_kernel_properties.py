@@ -12,7 +12,10 @@ above 4.
 Permuting the samples of both views jointly changes only the summation
 order of every product, so ``fit_pair`` must keep its supports and
 iteration counts and its correlations to rounding; permutation tuning
-relies on it when it centres the views once per sweep.
+relies on it when it centres the views once per sweep. Permuting the columns
+of one view permutes that view's pattern and direction the same way and
+leaves the other view's and the correlation, up to rounding and the sign
+convention that makes a direction's first non-zero entry positive.
 """
 
 import math
@@ -131,3 +134,39 @@ def test_permuting_the_samples_of_both_views_leaves_the_fit(n, p1, p2, seed, fra
                 == [p.bits.tolist() for p in ref.patterns[side]])
     assert out.iterations == ref.iterations
     np.testing.assert_allclose(out.correlations, ref.correlations, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 30), p1=st.integers(2, 25), p2=st.integers(2, 25),
+       seed=st.integers(0, 2**16), frac=st.floats(0.05, 0.6),
+       penalty=st.sampled_from(["l1", "l0"]),
+       order=st.sampled_from(["auto", "1-first", "2-first"]),
+       stage2=st.sampled_from(["svd", "gep"]))
+def test_permuting_the_columns_of_view_1_permutes_its_pattern(n, p1, p2, seed, frac, penalty,
+                                                              order, stage2):
+    x1, x2 = make_views(n, p1, p2, seed=seed)
+    block = x1.data.T @ x2.data / n
+    g1 = frac * np.linalg.norm(block, axis=1).max()
+    g2 = frac * np.linalg.norm(block, axis=0).max()
+    if penalty == "l0":
+        g1, g2 = g1 ** 2, g2 ** 2
+    cols = np.random.default_rng(seed).permutation(p1)
+    y1 = ViewMatrix(x1.data[:, cols], [x1.names[j] for j in cols], centered=True)
+    kw = dict(penalty=penalty, order=order, stage2=stage2)
+    try:
+        ref = fit_pair(x1, x2, g1, g2, **kw)
+    except EmptySupportError:
+        with pytest.raises(EmptySupportError):
+            fit_pair(y1, x2, g1, g2, **kw)
+        return
+    out = fit_pair(y1, x2, g1, g2, **kw)
+    assert out.patterns[0][0].bits.tolist() == ref.patterns[0][0].bits[cols].tolist()
+    assert out.patterns[1][0].bits.tolist() == ref.patterns[1][0].bits.tolist()
+    np.testing.assert_allclose(out.correlations, ref.correlations, rtol=0, atol=1e-10)
+    if stage2 == "gep":
+        return  # a pencil with the automatic ridge moves its eigenvector with rounding
+    # the pair flips as a whole when view 1's first non-zero entry changed
+    z1, z2 = ref.directions[0][cols, 0], ref.directions[1][:, 0]
+    sign = 1.0 if out.directions[0][:, 0] @ z1 > 0 else -1.0
+    np.testing.assert_allclose(out.directions[0][:, 0], sign * z1, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(out.directions[1][:, 0], sign * z2, rtol=0, atol=1e-10)

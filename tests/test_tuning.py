@@ -201,6 +201,90 @@ def test_batched_refits_match_the_serial_reference(penalty, order, divisor, scal
     assert not found.tau1[:, ~found.ok].any() and not found.tau2[:, ~found.ok].any()
 
 
+def _sweep_and_perms(p1, p2, count=30):
+    """Planted views of 24 samples, their permutation sweep and ``count``
+    row permutations."""
+    from scca.tuning import _permutations, _PermSweep
+    x1, x2, _ = gen_rank_one(RankOneSpec(p=(p1, p2), n=24, sigma=(0.15, 0.15), seed=3,
+                                         supports=((3, 2), (3, 2))))
+    perms = _permutations(7, 0, x1.n, count)
+    return x1, x2, _PermSweep.prepare(x1, x2, FitConfig(scale=True)), perms
+
+
+# the iterate side (view 2 under 1-first, view 1 under 2-first) is wider than
+# n=24, or narrower
+SHAPES = [(40, 30), (40, 10), (10, 30)]
+
+
+@pytest.mark.parametrize("p1,p2", SHAPES)
+@pytest.mark.parametrize("transpose", [False, True])
+def test_thin_batch_is_an_isometric_image_of_the_full_batch(p1, p2, transpose):
+    from dataclasses import replace
+    _x1, _x2, sweep, perms = _sweep_and_perms(p1, p2)
+    batch = sweep.batch(perms)
+    full = replace(batch, root_a=batch.a, root_b=batch.b)  # the data is its own factor
+    if transpose:
+        batch, full = batch.T, full.T
+    thin = batch.thin()
+    n, width = perms.shape
+    assert thin.a.shape == (n, min(n, full.a.shape[1]))
+    np.testing.assert_array_equal(thin.col_norms(), full.col_norms())
+    # an iterate in the row space of the iterate-side data, A'y, is F'y in the
+    # factor's coordinates (A' = QF'), with the same norm
+    y = np.random.default_rng(0).standard_normal((n, width))
+    z_full, z_thin = full.a.T @ y, thin.a.T @ y
+    scale = np.linalg.norm(z_full, axis=0)
+    z_full, z_thin = z_full / scale, z_thin / scale
+    np.testing.assert_allclose(np.linalg.norm(z_thin, axis=0), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(thin.T @ z_thin, full.T @ z_full, rtol=0, atol=1e-12)
+    w = np.random.default_rng(1).standard_normal((full.b.shape[1], width))
+    np.testing.assert_allclose(np.linalg.norm(thin @ w, axis=0),
+                               np.linalg.norm(full @ w, axis=0), rtol=1e-12, atol=0)
+    js = np.arange(width) % full.b.shape[1]
+    np.testing.assert_allclose(np.linalg.norm(thin.columns(js), axis=0),
+                               np.linalg.norm(full.columns(js), axis=0), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p1,p2", SHAPES)
+@pytest.mark.parametrize("order", ["1-first", "2-first"])
+@pytest.mark.parametrize("penalty", ["l1", "l0"])
+def test_thin_first_side_finds_the_full_batch_supports(p1, p2, order, penalty):
+    from dataclasses import replace
+
+    from scca.pattern import pattern_pair_batch
+    x1, x2, sweep, perms = _sweep_and_perms(p1, p2, count=60)
+    batch = sweep.batch(perms)
+    g1s, g2s = _frac_grid(center_scale(x1, scale=True), center_scale(x2, scale=True),
+                          (0.2,), (0.2,))
+    g1, g2 = (g1s[0] ** 2, g2s[0] ** 2) if penalty == "l0" else (g1s[0], g2s[0])
+    thin = pattern_pair_batch(batch, g1, g2, penalty=penalty, order=order)
+    # with the data as their own factors, both sides run on the full data
+    full = pattern_pair_batch(replace(batch, root_a=batch.a, root_b=batch.b), g1, g2,
+                              penalty=penalty, order=order)
+    assert 0 < thin.ok.sum() < perms.shape[1]
+    np.testing.assert_array_equal(thin.ok, full.ok)
+    np.testing.assert_array_equal(thin.tau1, full.tau1)
+    np.testing.assert_array_equal(thin.tau2, full.tau2)
+
+
+def test_batch_column_norms_match_the_dense_members():
+    _x1, _x2, sweep, perms = _sweep_and_perms(40, 30)
+    batch = sweep.batch(perms).T
+    n, width = perms.shape
+    members = [batch.a[batch.idx[:, k]].T @ batch.b / batch.div for k in range(width)]
+    want = np.column_stack([np.linalg.norm(m, axis=0) for m in members])
+    np.testing.assert_allclose(batch.col_norms(), want, rtol=1e-12, atol=0)
+    # row masks on fewer and on more kept rows than samples, and a column mask
+    rng = np.random.default_rng(2)
+    rmask = rng.random((batch.shape[0], width)) < np.where(np.arange(width) % 2, 0.2, 0.9)
+    cmask = rng.random((batch.shape[1], width)) < 0.5
+    masked = batch.cols(cmask).T.cols(rmask).T
+    assert (rmask.sum(axis=0) < n).any() and (rmask.sum(axis=0) >= n).any()
+    want = np.column_stack([np.linalg.norm(m * rmask[:, [k]], axis=0) * cmask[:, k]
+                            for k, m in enumerate(members)])
+    np.testing.assert_allclose(masked.col_norms(), want, rtol=1e-12, atol=1e-15)
+
+
 def test_refits_with_restarts_match_the_serial_reference():
     from conftest import serial_perm_refits
 
@@ -216,6 +300,39 @@ def test_refits_with_restarts_match_the_serial_reference():
         assert not all(r is None for r in ref)
         np.testing.assert_allclose(report.traces[cell, 0], [r[0] if r else 0.0 for r in ref],
                                    rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("penalty,order,scale,stage2,restarts", [
+    ("l1", "1-first", False, "svd", 0),
+    ("l0", "2-first", True, "gep", 0),
+    ("l1", "auto", True, "svd", 0),
+    ("l1", "auto", False, "svd", 2),
+])
+def test_refit_failures_count_the_failed_refits(penalty, order, scale, stage2, restarts):
+    from conftest import serial_perm_refits
+
+    from scca.tuning import _permutations
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
+                          (0.1, 0.2, 5.0), (0.15,))
+    if penalty == "l0":
+        g1s, g2s = tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order,
+                    restarts=restarts)
+    grid = TuneGrid(g1s, g2s, permutations=20, seed=5)
+    report = perm_tune(x1, x2, grid, penalty=penalty, cfg=cfg)
+    counts = []
+    for cell, g1 in enumerate(g1s[:2]):
+        perms = _permutations(grid.seed, cell, x1.n, grid.permutations)
+        ref = serial_perm_refits(x1, x2, g1, g2s[0], perms, cfg, seed=cell)
+        counts.append(sum(r is None for r in ref))
+    assert report.refit_failures[:2, 0].tolist() == counts
+    assert 0 < sum(counts) < 2 * grid.permutations
+    # the matched fit of the last cell fails, so none of its refits ran
+    assert len(report.failures) == 1 and np.isnan(report.refit_failures[2, 0])
+    assert report.to_dict()["refit_failures"] == [[counts[0]], [counts[1]], [None]]
+    assert "refit_failures" not in cv_tune(x1, x2, TuneGrid(g1s[:1], g2s, folds=3),
+                                           cfg=cfg).to_dict()
 
 
 def _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) -> int:
