@@ -17,7 +17,7 @@ from .covariance import CrossOperator, SparsityPattern, ViewMatrix, _check_pair,
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      IndefiniteMatrixError, SingularityError)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
-                      _solve, max_iter_warnings)
+                      _one, _solve, max_iter_warnings)
 from .solve import CcaSolution, check_stage2, covariates, fit_pair, stage_two
 
 
@@ -86,10 +86,10 @@ def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
         if not np.any(pull):
             raise DegenerateInputError("zero block and zero alignment")
         z0 = pull / np.linalg.norm(pull)
-    return _solve(block, params.gamma2, "l1", z0=z0, conv=conv,
-                  restarts=restarts, seed=seed, side="partner",
-                  empty="every aligned projection is at or below the threshold",
-                  offset=params.eps2 * x2ty, pull=(params.eps1, x1ty))
+    return _one(_solve(block, [params.gamma2], "l1", z0=z0, conv=conv,
+                       restarts=restarts, seed=seed, side="partner",
+                       empty="every aligned projection is at or below the threshold",
+                       offset=params.eps2 * x2ty, pull=(params.eps1, x1ty)))
 
 
 def directed_pattern_reg(c, beta1, beta2, params: DirectedParams, z0=None,
@@ -201,10 +201,10 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     if y.values.size != sp.tilde_x.shape[0]:
         raise DimensionError("accessory length does not match the stacked views")
     gamma_vec = np.where(np.arange(sp.root.shape[1]) < sp.split, gamma1, gamma2)
-    res = _solve(sp.root, gamma_vec, "l1", z0=v0, conv=conv, restarts=restarts,
-                 seed=seed, side="stacked",
-                 empty="both sides of the stacked pattern are empty",
-                 offset=2.0 * (sp.tilde_x.T @ y.values))
+    res = _one(_solve(sp.root, [gamma_vec], "l1", z0=v0, conv=conv, restarts=restarts,
+                      seed=seed, side="stacked",
+                      empty="both sides of the stacked pattern are empty",
+                      offset=2.0 * (sp.tilde_x.T @ y.values)))
     if status is not None:
         status.update(iterations=res.iterations, converged=res.converged)
     return res.pattern, res.z_lead, res.z_partner

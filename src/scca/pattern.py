@@ -23,6 +23,10 @@ from .errors import DegenerateInputError, DimensionError, EmptySupportError
 
 _UNIT_TOL = 1e-8
 _STALL_LIMIT = 16
+# a later start replaces the kept one only when its functional is larger by
+# more than this relative margin, so rounding (which varies with how many
+# columns an ascent holds) never decides between starts that met at one point
+_TIE_RTOL = 1e-12
 
 PENALTIES = ("l1", "l0")
 
@@ -266,7 +270,7 @@ def _members(c, cols):
     return c.take(cols) if isinstance(c, PermutedCross) else c
 
 
-def _hinge_ascent(c, gamma, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
+def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
                   offset=None, pull=None) -> Ascent:
     """The generalized power method that every stage-one solver runs, on a
     p x B block of iterates.
@@ -275,26 +279,36 @@ def _hinge_ascent(c, gamma, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
     by ``offset``, takes the update weights of the threshold rule and moves
     to the update ``c @ weights``. ``c`` is one operator (a dense block or a
     CrossOperator) for every column, or a PermutedCross whose member k goes
-    with column k. A ``pull`` (eps, a) adds the constant eps*a to the update
+    with column k. ``gammas[k]`` is column k's threshold: a scalar, or one
+    per coordinate. A ``pull`` (eps, a) adds the constant eps*a to the update
     and 2 eps a'z to the tracked functional, which is otherwise the program
     objective; the update maximizes its linearization, so it is
     non-decreasing.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim:
-        gamma = gamma[:, None]
+    width = z0.shape[1]
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.shape[:1] != (width,):
+        raise DimensionError(f"need one threshold per column: {width} columns, "
+                             f"thresholds of shape {gammas.shape}")
+    gammas = gammas.reshape(width, -1).T  # 1 x B, or p x B when they vary by coordinate
+    if (gammas == gammas[:, :1]).all():
+        # one threshold for every column broadcasts as a single column,
+        # which numpy applies faster than a row of equal values
+        gammas = gammas[:, :1]
     shift = None if offset is None else offset[:, None]
     push = None if pull is None else (pull[0] * pull[1])[:, None]
-    picked = [None, None, None]  # the columns last asked for, their operator and its transpose
+    # the columns last asked for, their operator, its transpose and their thresholds
+    picked = [None] * 4
 
     def members(cols):
         if picked[0] is not cols:
             op = _members(c, cols)
-            picked[:] = cols, op, op.T
-        return picked[1], picked[2]
+            picked[:] = cols, op, op.T, gammas if gammas.shape[1] == 1 else gammas[:, cols]
+        return picked[1:]
 
     def value(z, cols):
-        proj = members(cols)[1] @ z
+        _op, op_t, gamma = members(cols)
+        proj = op_t @ z
         obj, weights = _hinge(proj if shift is None else proj + shift, gamma, rule)
         if pull is not None:
             obj = obj + 2.0 * pull[0] * (pull[1] @ z)
@@ -307,13 +321,20 @@ def _hinge_ascent(c, gamma, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
     return _ascend(value, update, z0, conv)
 
 
-def _solve(c, gamma, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,
-           seed: int, side: str, empty: str, offset=None, pull=None) -> PatternResult:
-    """One stage-one solve: the ascent from the deterministic init and from
-    optional random restarts, each a B=1 hinge ascent, keeping the candidate
-    whose tracked functional is largest. ``side`` names the solve in errors
-    and ``empty`` is the message raised when the maximizer thresholds every
-    coordinate.
+def _solve(c, gammas, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,
+           seed: int, side: str, empty: str, offset=None, pull=None) -> list:
+    """Stage-one solves at every threshold of ``gammas`` (each a scalar or one
+    per coordinate) as one hinge ascent. Its columns are thresholds x starts:
+    each threshold from the deterministic init and from optional random
+    restarts, which are drawn once and shared by the thresholds. Each
+    threshold keeps its candidate whose tracked functional is largest; a
+    near-tie (within _TIE_RTOL) goes to the earlier start.
+
+    Returns, per threshold, its PatternResult or the EmptySupportError it
+    fails with: ``side`` names the solve in errors and ``empty`` is the
+    message when the maximizer thresholds every coordinate. One threshold is
+    the one-column case (with restarts, one column per start); :func:`_one`
+    unwraps it.
     """
     if z0 is None:
         start = init_direction(c).values
@@ -326,26 +347,41 @@ def _solve(c, gamma, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: i
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         inits.extend(_random_units(rng, c.shape[0], restarts))
     conv = conv or ConvergenceSpec()
+    starts, count = len(inits), len(gammas)
+    run = _hinge_ascent(c, np.repeat(np.asarray(gammas, dtype=float), starts, axis=0), rule,
+                        np.tile(np.column_stack(inits), count), conv, offset=offset, pull=pull)
 
-    best = failed = None
-    for z_init in inits:
-        run = _hinge_ascent(c, gamma, rule, z_init[:, None], conv, offset=offset, pull=pull)
-        if run.vanished[0]:
-            failed = failed or run
-        elif best is None or run.objective[0] > best.objective[0]:
-            best = run
-    if best is None:
-        raise EmptySupportError(
-            f"update vanished while solving for {side}: the threshold exceeds "
-            "every projection", side=side, last_iterate=failed.z[:, 0].copy())
-    z, weights = best.z[:, 0], best.weights[:, 0]
-    bits = weights != 0
-    if not bits.any():
-        raise EmptySupportError(empty, side=side, last_iterate=z)
-    trace = np.asarray(best.traces[0]) if best.traces is not None else None
-    return PatternResult(Direction(z), SparsityPattern(bits),
-                         Direction(weights / np.sqrt(float(weights @ weights))),
-                         int(best.iterations[0]), trace, not best.capped[0])
+    out = []
+    for first in range(0, starts * count, starts):
+        best = failed = None
+        for col in range(first, first + starts):
+            if run.vanished[col]:
+                failed = col if failed is None else failed
+            elif best is None or (run.objective[col] - run.objective[best]
+                                  > _TIE_RTOL * abs(run.objective[best])):
+                best = col
+        if best is None:
+            out.append(EmptySupportError(
+                f"update vanished while solving for {side}: the threshold exceeds "
+                "every projection", side=side, last_iterate=run.z[:, failed].copy()))
+            continue
+        z, weights = run.z[:, best].copy(), run.weights[:, best]
+        bits = weights != 0
+        if not bits.any():
+            out.append(EmptySupportError(empty, side=side, last_iterate=z))
+            continue
+        trace = np.asarray(run.traces[best]) if run.traces is not None else None
+        out.append(PatternResult(Direction(z), SparsityPattern(bits),
+                                 Direction(weights / np.sqrt(float(weights @ weights))),
+                                 int(run.iterations[best]), trace, not run.capped[best]))
+    return out
+
+
+def _one(results: list):
+    """The result of a one-threshold solve; raises the error it failed with."""
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def objective_l1(c, z: np.ndarray, gamma2: float) -> float:
@@ -356,6 +392,20 @@ def objective_l1(c, z: np.ndarray, gamma2: float) -> float:
 def objective_l0(c, z: np.ndarray, gamma2: float) -> float:
     """Sum of clipped squared projections (the L0 program objective)."""
     return _hinge(_as_block(c).T @ np.asarray(z, dtype=float), gamma2, "l0")[0]
+
+
+_EMPTY = {"l1": "every coordinate is at or below the threshold",
+          "l0": "every squared projection is at or below the threshold"}
+
+
+def _patterns(c, gammas, rule: str, z0, conv: ConvergenceSpec | None, restarts: int,
+              seed: int) -> list:
+    """The partner pattern under ``rule`` at every threshold of ``gammas``, as
+    one :func:`_solve`: per threshold its PatternResult or EmptySupportError."""
+    if any(g < 0 for g in gammas):
+        raise ValueError("gamma2 must be non-negative")
+    return _solve(_as_block(c), gammas, rule, z0=z0, conv=conv, restarts=restarts,
+                  seed=seed, side="partner", empty=_EMPTY[rule])
 
 
 def pattern_l1(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
@@ -377,11 +427,7 @@ def pattern_l1(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
     Coordinates with |c_i' z*| <= gamma2 are inactive (the boundary counts
     as inactive). Raises EmptySupportError when everything is thresholded.
     """
-    if gamma2 < 0:
-        raise ValueError("gamma2 must be non-negative")
-    return _solve(_as_block(c), gamma2, "l1", z0=z0, conv=conv,
-                  restarts=restarts, seed=seed, side="partner",
-                  empty="every coordinate is at or below the threshold")
+    return _one(_patterns(c, [gamma2], "l1", z0, conv, restarts, seed))
 
 
 def pattern_l0(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
@@ -393,11 +439,7 @@ def pattern_l0(c, gamma2: float, z0=None, conv: ConvergenceSpec | None = None,
     indicator, the exact subgradient of the program objective, so the
     tracked objective is non-decreasing.
     """
-    if gamma2 < 0:
-        raise ValueError("gamma2 must be non-negative")
-    return _solve(_as_block(c), gamma2, "l0", z0=z0, conv=conv,
-                  restarts=restarts, seed=seed, side="partner",
-                  empty="every squared projection is at or below the threshold")
+    return _one(_patterns(c, [gamma2], "l0", z0, conv, restarts, seed))
 
 
 def reconstruct_l1(c, z1, gamma2: float) -> Direction:
@@ -427,9 +469,6 @@ def screen_l0(c, gamma2: float) -> SparsityPattern:
     return SparsityPattern(_col_norms(_as_block(c)) ** 2 > gamma2)
 
 
-_PATTERN_FN = {"l1": pattern_l1, "l0": pattern_l0}
-
-
 @dataclass(eq=False)
 class PairPatterns:
     """Both patterns from the two-sided stage-one pass, plus diagnostics."""
@@ -452,18 +491,22 @@ def first_side(order: str, p1: int, p2: int) -> int:
     raise ValueError("order must be 'auto', '1-first' or '2-first'")
 
 
-def _side_solve(block, gamma: float, side: int, penalty: str, conv: ConvergenceSpec | None,
-                restarts: int, seed: int, z0=None) -> PatternResult:
-    """View ``side``'s pattern from the block whose columns are its coordinates,
-    started from ``z0`` (by default the block's largest-norm column)."""
-    if penalty not in _PATTERN_FN:
+def _check_penalty(penalty: str) -> None:
+    if penalty not in PENALTIES:
         raise ValueError(f"penalty must be one of {PENALTIES}")
-    try:
-        return _PATTERN_FN[penalty](block, gamma, z0=z0, conv=conv or ConvergenceSpec(),
-                                    restarts=restarts, seed=seed)
-    except EmptySupportError as err:
-        raise EmptySupportError(f"view {side} support collapsed: {err}", side=f"view {side}",
-                                last_iterate=err.last_iterate) from None
+
+
+def _side_solves(block, gammas, side: int, penalty: str, conv: ConvergenceSpec | None,
+                 restarts: int, seed: int, z0=None) -> list:
+    """View ``side``'s pattern at every threshold of ``gammas`` from the block
+    whose columns are its coordinates, started from ``z0`` (by default the
+    block's largest-norm column): per threshold its PatternResult, or the
+    EmptySupportError naming the view that it fails with."""
+    _check_penalty(penalty)
+    return [EmptySupportError(f"view {side} support collapsed: {res}", side=f"view {side}",
+                              last_iterate=res.last_iterate)
+            if isinstance(res, EmptySupportError) else res
+            for res in _patterns(block, gammas, penalty, z0, conv, restarts, seed)]
 
 
 def first_block(c12, side: int):
@@ -482,35 +525,62 @@ def shrunk_block(c12, support: SparsityPattern, side: int):
     return _rows(block, idx) if side == 1 else _cols(block, idx).T
 
 
+def pattern_first_many(c12, gammas, side: int, penalty: str = "l1",
+                       conv: ConvergenceSpec | None = None, restarts: int = 0,
+                       seed: int = 0, z0=None) -> list:
+    """The first side of :func:`pattern_pair` at every threshold of
+    ``gammas``, as one ascent: view ``side``'s pattern on the full block. Per
+    threshold, its PatternResult or the EmptySupportError that
+    :func:`pattern_first` raises there. ``z0`` overrides the start,
+    ``init_direction(first_block(c12, side))``, which does not depend on the
+    threshold."""
+    return _side_solves(first_block(c12, side), gammas, side, penalty, conv, restarts, seed,
+                        z0)
+
+
 def pattern_first(c12, gamma: float, side: int, penalty: str = "l1",
                   conv: ConvergenceSpec | None = None, restarts: int = 0,
                   seed: int = 0, z0=None) -> PatternResult:
     """The first side of :func:`pattern_pair`: view ``side``'s pattern on the
-    full block, thresholded at that view's ``gamma``. ``z0`` overrides the
-    start, ``init_direction(first_block(c12, side))``, which does not depend
-    on ``gamma``, so a caller solving several gammas can compute it once."""
-    return _side_solve(first_block(c12, side), gamma, side, penalty, conv, restarts, seed,
-                       z0)
+    full block, thresholded at that view's ``gamma``; see
+    :func:`pattern_first_many`."""
+    return _one(pattern_first_many(c12, [gamma], side, penalty, conv, restarts, seed, z0))
+
+
+def pattern_second_many(c12, lead: PatternResult, side: int, gammas, penalty: str = "l1",
+                        conv: ConvergenceSpec | None = None, restarts: int = 0,
+                        seed: int = 0, z0=None) -> list:
+    """The rest of :func:`pattern_pair` after its first side ``lead`` (view
+    ``side``'s) at every threshold of ``gammas``, as one ascent: the other
+    view's pattern on the block shrunk to ``lead``'s support. Per threshold,
+    its PairPatterns or the EmptySupportError that :func:`pattern_second`
+    raises there. The solve depends on ``lead`` only through its support;
+    ``z0`` overrides the start,
+    ``init_direction(shrunk_block(c12, lead.pattern, side))``."""
+    other = 3 - side
+    out = []
+    for res in _side_solves(shrunk_block(c12, lead.pattern, side), gammas, other, penalty,
+                            conv, restarts, seed, z0):
+        if isinstance(res, EmptySupportError):
+            out.append(res)
+            continue
+        res1, res2 = (lead, res) if side == 1 else (res, lead)
+        solved = ((side, lead), (other, res))
+        out.append(PairPatterns(
+            res1.pattern, res2.pattern, side,
+            {f"side{v}": r.iterations for v, r in solved},
+            {f"side{v}": r.objective_trace for v, r in solved},
+            max_iter_warnings(solved)))
+    return out
 
 
 def pattern_second(c12, lead: PatternResult, side: int, gamma: float, penalty: str = "l1",
                    conv: ConvergenceSpec | None = None, restarts: int = 0,
                    seed: int = 0, z0=None) -> PairPatterns:
-    """The rest of :func:`pattern_pair` after its first side ``lead`` (view
-    ``side``'s): the other view's pattern on the block shrunk to ``lead``'s
-    support, thresholded at that view's ``gamma``. The solve depends on
-    ``lead`` only through its support; ``z0`` overrides the start,
-    ``init_direction(shrunk_block(c12, lead.pattern, side))``."""
-    other = 3 - side
-    res = _side_solve(shrunk_block(c12, lead.pattern, side), gamma, other, penalty, conv,
-                      restarts, seed, z0)
-    res1, res2 = (lead, res) if side == 1 else (res, lead)
-    solved = ((side, lead), (other, res))
-    return PairPatterns(
-        res1.pattern, res2.pattern, side,
-        {f"side{v}": r.iterations for v, r in solved},
-        {f"side{v}": r.objective_trace for v, r in solved},
-        max_iter_warnings(solved))
+    """The rest of :func:`pattern_pair` after its first side ``lead``,
+    thresholded at the other view's ``gamma``; see :func:`pattern_second_many`."""
+    return _one(pattern_second_many(c12, lead, side, [gamma], penalty, conv, restarts, seed,
+                                    z0))
 
 
 def max_iter_warnings(solved) -> tuple[str, ...]:
@@ -533,8 +603,7 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
     "2-first"/"1-first" force it. A side that used all ``conv.max_iter``
     updates is reported in the warnings.
     """
-    if penalty not in _PATTERN_FN:
-        raise ValueError(f"penalty must be one of {PENALTIES}")
+    _check_penalty(penalty)
     block = _as_block(c12)
     side = first_side(order, *block.shape)
     gammas = (gamma1, gamma2) if side == 1 else (gamma2, gamma1)
@@ -560,7 +629,8 @@ def _batch_side(c: PermutedCross, gamma: float, rule: str,
     norms = c.col_norms()
     js = np.argmax(norms, axis=0)
     top = norms[js, np.arange(js.size)]
-    run = _hinge_ascent(c, gamma, rule, c.columns(js) / np.where(top > 0, top, 1.0), conv)
+    run = _hinge_ascent(c, np.full(js.size, gamma), rule,
+                        c.columns(js) / np.where(top > 0, top, 1.0), conv)
     bits = run.weights != 0
     return bits, (top > 0) & ~run.vanished & bits.any(axis=0)
 
@@ -577,8 +647,7 @@ def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
     instead of shrunk to it. A member fails (``ok`` False) exactly where
     pattern_pair would raise.
     """
-    if penalty not in _PATTERN_FN:
-        raise ValueError(f"penalty must be one of {PENALTIES}")
+    _check_penalty(penalty)
     conv = conv or ConvergenceSpec()
     first = first_side(order, *batch.shape)
     # the lead operator's columns are the coordinates of the side found first

@@ -440,6 +440,24 @@ def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[
     return StageTwo(zs, normalization, warnings)
 
 
+def _exhausted(residual: CrossOperator, base: float) -> bool:
+    """Whether the deflated ``residual`` is rounding noise: its Frobenius norm
+    is at most 1e-7 of ``base``, the norm before the first deflation.
+
+    The thin QRs of ``fro_norm`` cost O((p1 + p2) (n + k)^2), so the Gram
+    form of the column norms, O(n (p1 + p2)), screens first. Its rounding is
+    that of a difference of squares, about sqrt(eps) ~ 1.5e-8 of ``base``
+    (times a modest growth factor), so a Gram-form norm above 1e-5 of
+    ``base`` proves a true norm far above 1e-7 of it: the residual is alive
+    and the QR answer could only agree. Below that margin the QR check
+    decides, as it always did.
+    """
+    floor = max(base, 1e-300)
+    if float(np.linalg.norm(residual.col_norms())) > 1e-5 * floor:
+        return False
+    return residual.fro_norm() <= 1e-7 * floor
+
+
 def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
                  gammas2: Sequence[float], penalty: str = "l1",
                  conv: ConvergenceSpec | None = None, stage2: str = "svd",
@@ -479,7 +497,7 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
     warnings: tuple[str, ...] = ()
     normalization = "unit"
     for i, (g1, g2) in enumerate(zip(gammas1, gammas2)):
-        if i and residual.fro_norm() <= 1e-7 * max(base_scale, 1e-300):
+        if i and _exhausted(residual, base_scale):
             warnings += (f"factor {i + 1}: residual numerically exhausted "
                          "(data rank reached)",)
             break

@@ -4,15 +4,16 @@ Both tuners sweep a (gamma1, gamma2) grid. Cross-validation scores a cell by
 the average held-out correlation of the fitted canonical covariates. It runs
 fold by fold, and within a fold it does each step of a fit once for each
 distinct value of what the step depends on: the first side's start once, the
-first side once per first-side gamma, the second side once per (first-side
-support, second-side gamma), and stage two with the held-out correlation once
-per support pair. The permutation test scores a cell by the fraction of
-row-permuted refits whose correlation beats the matched fit, and counts the
-refits that failed; it centres the views once per sweep and refits each
-cell's permutations as one batch. Every first-side iterate of a refit lies
-in the row space of the other view's n x p data, so the batch's first side
-runs on a thin n x r factor of that view (r <= n, formed once per sweep):
-a member-step costs n(r + p_first) instead of n(p1 + p2).
+first side at every first-side gamma as one ascent, the second side once per
+first-side support at every second-side gamma as one ascent, and stage two
+with the held-out correlation once per support pair. The permutation test
+scores a cell by the fraction of row-permuted refits whose correlation beats
+the matched fit, and counts the refits that failed; it centres the views
+once per sweep and refits each cell's permutations as one batch. Every
+first-side iterate of a refit lies in the row space of the other view's
+n x p data, so the batch's first side runs on a thin n x r factor of that
+view (r <= n, formed once per sweep): a member-step costs n(r + p_first)
+instead of n(p1 + p2).
 Seeds derive from (master seed, cell index), so reports are reproducible
 regardless of worker count or execution order.
 """
@@ -30,7 +31,8 @@ from .covariance import CrossOperator, PermutedCross, ViewMatrix, center_scale, 
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
 from .pattern import (ConvergenceSpec, first_block, first_side, init_direction,
-                      pattern_first, pattern_pair_batch, pattern_second, shrunk_block)
+                      pattern_first_many, pattern_pair_batch, pattern_second_many,
+                      shrunk_block)
 from .solve import CcaSolution, check_stage2, fit_pair, pearson, stage_two
 
 
@@ -159,14 +161,15 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     once per fold for each distinct value of what it depends on:
     - the first side's start, the largest-norm column of the full block:
       once per fold;
-    - the first side: once per first-side gamma;
+    - the first side: at every first-side gamma, as one ascent;
     - the second side's start, on the block shrunk to the first side's
       support: once per first-side support;
-    - the second side: once per (first-side support, second-side gamma);
+    - the second side: once per first-side support, at every second-side
+      gamma, as one ascent;
     - stage two and the held-out correlation: once per support pair.
-    With restarts, both sides are also keyed by the cell index, which seeds
-    them. A failed step is kept as its error text, so every cell that needs
-    it fails with the same flag.
+    With restarts, a cell's index seeds its starts, so each side is solved
+    per cell at that cell's gamma. A failed step is kept as its error text,
+    so every cell that needs it fails with the same flag.
     """
     train = np.setdiff1d(np.arange(x1.n), hold)
     d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
@@ -176,7 +179,15 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     held1, held2 = (x1.data[hold] - mu1) / sd1, (x2.data[hold] - mu2) / sd2
     side = first_side(cfg.order, *op.shape)
     kw = dict(penalty=cfg.penalty, conv=conv, restarts=cfg.restarts)
+    # the distinct gammas of each side, in cell order
+    axes = {"first": list(dict.fromkeys(c[3] if side == 1 else c[4] for c in cells)),
+            "second": list(dict.fromkeys(c[4] if side == 1 else c[3] for c in cells))}
     memo: dict = {}
+
+    def kept(key):
+        if isinstance(memo[key], str):
+            raise _Failed(memo[key])
+        return memo[key]
 
     def once(key, fn):
         """fn() the first time ``key`` comes up, its kept value after that."""
@@ -185,9 +196,20 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
                 memo[key] = fn()
             except (EmptySupportError, DegenerateInputError, SingularityError) as err:
                 memo[key] = str(err)
-        if isinstance(memo[key], str):
-            raise _Failed(memo[key])
-        return memo[key]
+        return kept(key)
+
+    def each(kind, context, gamma, seeded, solve):
+        """The ``kind`` side's solve at ``gamma``. The first time (kind,
+        context) comes up, ``solve(gammas)`` solves every gamma of the side's
+        axis (only ``gamma`` when ``seeded`` names the cell that seeds it)
+        and returns each one's result or EmptySupportError."""
+        key = (kind, context, gamma, seeded)
+        if key not in memo:
+            gammas = axes[kind] if seeded is None else [gamma]
+            for g, res in zip(gammas, solve(gammas)):
+                memo[kind, context, g, seeded] = (str(res) if isinstance(res, EmptySupportError)
+                                                  else res)
+        return kept(key)
 
     def held_out(tau1, tau2):
         est = stage_two({(0, 1): op}, [tau1.indices(), tau2.indices()], cfg.stage2,
@@ -201,13 +223,13 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
         seeded = idx if cfg.restarts else None  # restarts draw from the cell's seed
         try:
             start = once("start", lambda: init_direction(first_block(op, side)))
-            lead = once(("first", g_first, seeded), lambda: pattern_first(
-                op, g_first, side, seed=idx, z0=start, **kw))
+            lead = each("first", None, g_first, seeded, lambda gammas: pattern_first_many(
+                op, gammas, side, seed=idx, z0=start, **kw))
             support = lead.pattern.bits.tobytes()
             start2 = once(("start2", support), lambda: init_direction(
                 shrunk_block(op, lead.pattern, side)))
-            pair = once(("second", support, g_second, seeded), lambda: pattern_second(
-                op, lead, side, g_second, seed=idx, z0=start2, **kw))
+            pair = each("second", support, g_second, seeded, lambda gammas: pattern_second_many(
+                op, lead, side, gammas, seed=idx, z0=start2, **kw))
             rho, degenerate = once(("stage two", pair.tau1.bits.tobytes(),
                                     pair.tau2.bits.tobytes()),
                                    lambda: held_out(pair.tau1, pair.tau2))

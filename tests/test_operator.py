@@ -186,6 +186,33 @@ def test_exhausted_residual_stops_like_the_dense_path(seed):
     assert residual.fro_norm() <= 1e-12 * base
 
 
+@pytest.mark.parametrize("level", [1e-3, 1e-6, 1e-9])
+def test_exhaustion_screen_agrees_with_the_qr_check(monkeypatch, level):
+    from scca import solve
+    # a rank-5 cross block with its top five singular values taken out to
+    # ``level`` of themselves: a residual whose norm is ``level`` of the base
+    rng = np.random.default_rng(4)
+    latent = rng.standard_normal((40, 5))
+    x1 = center_scale(ViewMatrix(latent @ rng.standard_normal((5, 300)),
+                                 [f"A{j}" for j in range(300)]))
+    x2 = center_scale(ViewMatrix(latent @ rng.standard_normal((5, 200)),
+                                 [f"B{j}" for j in range(200)]))
+    op = CrossOperator.from_views(x1, x2)
+    base = op.fro_norm()
+    u, s, vt = np.linalg.svd(op.dense(), full_matrices=False)
+    residual = CrossOperator(op.a, op.b, op.div, u[:, :5], s[:5] * (1.0 - level), vt[:5].T)
+    qr = residual.fro_norm()
+    assert qr == pytest.approx(level * base, rel=1e-3)
+
+    real, calls = CrossOperator.fro_norm, []
+    monkeypatch.setattr(CrossOperator, "fro_norm",
+                        lambda self: calls.append(self) or real(self))
+    assert solve._exhausted(residual, base) == (qr <= 1e-7 * base)
+    # far above the screen's margin the Gram-form norm decides alone; near or
+    # below it the QR check does
+    assert len(calls) == (0 if level == 1e-3 else 1)
+
+
 @pytest.mark.parametrize("n", [60, 8])
 def test_gep_stage_two_matches_full_within_blocks(n):
     x1, x2 = _planted_views(n, 30, 24, seed=12, active=6)

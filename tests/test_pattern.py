@@ -379,3 +379,125 @@ def test_objectives_helpers(rng):
         (np.maximum(np.abs(proj) - 0.2, 0.0) ** 2).sum())
     assert objective_l0(block, z, 0.2) == pytest.approx(
         np.maximum(proj ** 2 - 0.2, 0.0).sum())
+
+
+# ---------------------------------------------------------------- threshold batches
+
+def _planted_block(kind, seed=3):
+    """A p1 x p2 cross block, dense or as an operator, of two views sharing a
+    planted factor on their first coordinates."""
+    x1, x2 = make_views(30, 40, 25, seed=seed)
+    latent = np.random.default_rng(seed).standard_normal(30)
+    x1.data[:, :6] += 2.0 * latent[:, None]
+    x2.data[:, :4] += 1.5 * latent[:, None]
+    op = CrossOperator.from_views(center_scale(x1), center_scale(x2))
+    return op if kind == "operator" else op.dense()
+
+
+def _assert_same_solve(got, want):
+    """One threshold's result from a batched solve against its own solve."""
+    assert type(got) is type(want)
+    if isinstance(want, EmptySupportError):
+        assert str(got) == str(want) and got.side == want.side
+        np.testing.assert_allclose(got.last_iterate, want.last_iterate, rtol=0, atol=1e-12)
+        return
+    if hasattr(want, "tau1"):  # a PairPatterns
+        assert got.tau1.bits.tolist() == want.tau1.bits.tolist()
+        assert got.tau2.bits.tolist() == want.tau2.bits.tolist()
+        assert got.iterations == want.iterations and got.warnings == want.warnings
+        return
+    assert got.pattern.bits.tolist() == want.pattern.bits.tolist()
+    assert got.iterations == want.iterations and got.converged == want.converged
+    np.testing.assert_allclose(got.z_lead.values, want.z_lead.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.z_partner.values, want.z_partner.values, rtol=0, atol=1e-12)
+    if want.objective_trace is not None:
+        np.testing.assert_allclose(got.objective_trace, want.objective_trace, rtol=1e-12,
+                                   atol=0)
+
+
+def _each(solve, gammas):
+    """``solve(gamma)`` per threshold, a raised EmptySupportError kept as the result."""
+    out = []
+    for g in gammas:
+        try:
+            out.append(solve(g))
+        except EmptySupportError as err:
+            out.append(err)
+    return out
+
+
+@pytest.mark.parametrize("max_iter", [10000, 3])
+@pytest.mark.parametrize("restarts", [0, 2])
+@pytest.mark.parametrize("kind", ["dense", "operator"])
+@pytest.mark.parametrize("rule", ["l1", "l0"])
+def test_threshold_batch_matches_one_threshold_solves(rule, kind, restarts, max_iter):
+    from scca.pattern import (first_block, pattern_first, pattern_first_many, pattern_second,
+                              pattern_second_many)
+    c = _planted_block(kind)
+    top = float(np.linalg.norm(np.asarray(first_block(c, 1)), axis=0).max())
+    scale = top if rule == "l1" else top ** 2
+    # above 1 the first update vanishes: no projection exceeds the threshold
+    gammas = [f * scale for f in (0.0, 0.1, 0.3, 0.45, 0.6, 0.8, 1.05, 1.3)]
+    conv = ConvergenceSpec(max_iter=max_iter, objective_track=True)
+    kw = dict(penalty=rule, conv=conv, restarts=restarts, seed=7)
+
+    firsts = pattern_first_many(c, gammas, 1, **kw)
+    assert len(firsts) == len(gammas)
+    for got, want in zip(firsts, _each(lambda g: pattern_first(c, g, 1, **kw), gammas)):
+        _assert_same_solve(got, want)
+    failed = [isinstance(r, EmptySupportError) for r in firsts]
+    assert any(failed) and not all(failed)
+    assert str(firsts[-1]).startswith("view 1 support collapsed: update vanished")
+    if max_iter == 3:
+        assert any(not r.converged for r, bad in zip(firsts, failed) if not bad)
+
+    lead = firsts[2]
+    others = [f * scale for f in (0.0, 0.2, 0.5, 2.0)]
+    seconds = pattern_second_many(c, lead, 1, others, **kw)
+    for got, want in zip(seconds,
+                         _each(lambda g: pattern_second(c, lead, 1, g, **kw), others)):
+        _assert_same_solve(got, want)
+    assert isinstance(seconds[-1], EmptySupportError)
+    assert str(seconds[-1]).startswith("view 2 support collapsed")
+
+
+def test_threshold_batch_keeps_pulled_collapses():
+    # with a pull the update never vanishes, so a high threshold ends on an
+    # empty support instead: the solve's own "empty" text
+    from scca.pattern import _solve
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((6, 4))
+    pull, offset = (2.0, rng.standard_normal(6)), 0.1 * rng.standard_normal(4)
+    gammas = list(np.linspace(0.0, 1.2, 13) * np.linalg.norm(c, axis=0).max())
+    kw = dict(z0=None, conv=TRACK, restarts=1, seed=4, side="partner", empty="all out",
+              offset=offset, pull=pull)
+    batch = _solve(c, gammas, "l1", **kw)
+    for got, g in zip(batch, gammas):
+        _assert_same_solve(got, _solve(c, [g], "l1", **kw)[0])
+    texts = {str(r) for r in batch if isinstance(r, EmptySupportError)}
+    assert texts == {"all out"}
+    assert not isinstance(batch[0], EmptySupportError)
+
+
+def test_thresholds_by_coordinate_and_column():
+    # a threshold per coordinate, per column, equals the solve at it alone
+    from scca.pattern import _solve
+    c = _planted_block("dense")
+    scale = np.linalg.norm(c, axis=0).max() ** 2  # l0 thresholds squared projections
+    by_coordinate = [np.where(np.arange(c.shape[1]) < 10, f * scale, 0.6 * f * scale)
+                     for f in (0.001, 0.003, 0.01)]
+    kw = dict(z0=None, conv=TRACK, restarts=2, seed=1, side="partner", empty="empty")
+    batch = _solve(c, by_coordinate, "l0", **kw)
+    for got, g in zip(batch, by_coordinate):
+        _assert_same_solve(got, _solve(c, [g], "l0", **kw)[0])
+    assert len({r.pattern.bits.tobytes() for r in batch}) == len(batch)
+
+
+def test_hinge_ascent_needs_one_threshold_per_column():
+    from scca.pattern import _hinge_ascent
+    c = _planted_block("dense")
+    z0 = np.linalg.qr(np.random.default_rng(2).standard_normal((c.shape[0], 3)))[0]
+    with pytest.raises(DimensionError, match="one threshold per column"):
+        _hinge_ascent(c, 0.1, "l1", z0, ConvergenceSpec())
+    with pytest.raises(DimensionError, match="one threshold per column"):
+        _hinge_ascent(c, [0.1, 0.2], "l1", z0, ConvergenceSpec())

@@ -414,7 +414,7 @@ def test_degenerate_holdout_fold_matches_the_per_cell_reference():
 
 @pytest.mark.parametrize("restarts", [0, 2])
 def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
-    from scca import tuning
+    from scca import pattern, tuning
     from scca.covariance import CrossOperator, standardize
     from scca.errors import EmptySupportError
     from scca.pattern import pattern_first, pattern_pair
@@ -423,6 +423,7 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
     cfg = FitConfig(order="1-first", restarts=restarts)
     grid = TuneGrid(g1s, g2s, folds=3, seed=5)
     real_init, real_stage_two, real_fold = tuning.init_direction, tuning.stage_two, tuning._cv_fold
+    real_ascent = pattern._hinge_ascent
     calls, per_fold = {}, []
 
     def init_direction(block):
@@ -435,8 +436,12 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
         calls["stage two"] += 1
         return real_stage_two(*args)
 
+    def hinge_ascent(*args, **kwargs):
+        calls["ascents"] += 1
+        return real_ascent(*args, **kwargs)
+
     def cv_fold(x1, x2, hold, *args):
-        calls.update({"first starts": 0, "second starts": 0, "stage two": 0})
+        calls.update({"first starts": 0, "second starts": 0, "stage two": 0, "ascents": 0})
         out = real_fold(x1, x2, hold, *args)
         per_fold.append((hold, dict(calls)))
         return out
@@ -444,6 +449,7 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
     monkeypatch.setattr(tuning, "init_direction", init_direction)
     monkeypatch.setattr(tuning, "stage_two", stage_two)
     monkeypatch.setattr(tuning, "_cv_fold", cv_fold)
+    monkeypatch.setattr(pattern, "_hinge_ascent", hinge_ascent)
     report = cv_tune(x1, x2, grid, cfg=cfg)
     _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
 
@@ -454,17 +460,22 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
         op = CrossOperator.from_views(
             *(ViewMatrix(standardize(x.data[train])[0], x.names, centered=True)
               for x in (x1, x2)))
-        firsts, pairs = set(), set()
+        firsts, pairs, led = set(), set(), 0
         for idx, _i, _j, g1, g2 in grid.cells():
             try:
                 firsts.add(pattern_first(op, g1, 1, restarts=restarts, seed=idx)
                            .pattern.bits.tobytes())
+                led += 1
                 pair = pattern_pair(op, g1, g2, order="1-first", restarts=restarts, seed=idx)
             except EmptySupportError:
                 continue
             pairs.add((pair.tau1.bits.tobytes(), pair.tau2.bits.tobytes()))
+        # one ascent solves the first side at every gamma, and one per distinct
+        # first-side support the second side at every gamma; restarts seed
+        # each cell's solves, so each side is an ascent per cell
+        ascents = len(grid.cells()) + led if restarts else 1 + len(firsts)
         assert seen == {"first starts": 1, "second starts": len(firsts),
-                        "stage two": len(pairs)}
+                        "stage two": len(pairs), "ascents": ascents}
         shared_first |= len(firsts) < len(g1s)
         shared_pair |= len(pairs) < len(grid.cells())
     # the grid is one where first-side gammas share supports and cells share pairs
