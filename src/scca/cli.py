@@ -32,8 +32,11 @@ from .solve import CcaSolution, fit_pair
 from .tuning import FitConfig, TuneGrid, cv_tune, perm_tune
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _floats(value) -> list[float]:
+    """A comma-separated flag value, or a JSON array from --config, as floats."""
+    if isinstance(value, str):
+        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
+    return [float(v) for v in value]
 
 
 def _load_config(path: str | None) -> dict:
@@ -56,13 +59,16 @@ def _conv(resolved: dict) -> ConvergenceSpec:
     return ConvergenceSpec(tol=resolved["tol"], max_iter=resolved["max_iter"])
 
 
-def _gamma_matrix(spec: str | None, m: int, gamma1: float, gamma2: float) -> GammaMatrix:
+def _gamma_matrix(spec, m: int, gamma1: float, gamma2: float) -> GammaMatrix:
+    """The gamma matrix from a flag (JSON text or the path of a JSON file) or
+    from --config (a JSON array)."""
     if spec is None:
         if m != 2:
             raise ValueError("--gamma-matrix is required for more than two views")
         return GammaMatrix.for_pair(gamma1, gamma2)
-    text = Path(spec).read_text() if Path(spec).exists() else spec
-    values = np.asarray(json.loads(text), dtype=float)
+    if isinstance(spec, str):
+        spec = json.loads(Path(spec).read_text() if Path(spec).exists() else spec)
+    values = np.asarray(spec, dtype=float)
     if values.shape != (m, m):
         raise ValueError(f"gamma matrix must be {m}x{m}")
     return GammaMatrix(values)
@@ -321,12 +327,15 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _parse_supports(spec: str | None):
+def _parse_supports(spec):
+    """Per-view (positive, negative) support counts: "pos:neg,..." from the
+    flag, or from --config a JSON array of [pos, neg] pairs or "pos:neg"."""
     if spec is None:
         return None
+    tokens = spec.split(",") if isinstance(spec, str) else spec
     pairs = []
-    for token in spec.split(","):
-        pos, neg = token.split(":")
+    for token in tokens:
+        pos, neg = token.split(":") if isinstance(token, str) else token
         pairs.append((int(pos), int(neg)))
     return tuple(pairs)
 
@@ -337,7 +346,7 @@ def cmd_simulate(args) -> int:
     model = _opt(args, config, "model", "pair")
     n = int(_opt(args, config, "n", 50))
     sigma = _opt(args, config, "sigma", None)
-    sigmas = _floats(sigma) if isinstance(sigma, str) else sigma
+    sigmas = None if sigma is None else _floats(sigma)
     supports = _parse_supports(_opt(args, config, "supports", None))
     out = _out_dir(r)
     written = []

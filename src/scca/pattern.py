@@ -37,8 +37,8 @@ class ConvergenceSpec:
 
     The iteration stops once the relative change of the tracked functional
     falls below ``tol`` and the iterate has stopped moving (step below
-    ``tol``), or after ``max_iter`` updates. A short stall guard terminates
-    sign-pattern cycles whose objective has flatlined.
+    ``tol``), or after ``max_iter`` updates. In stage one a short stall guard
+    terminates sign-pattern cycles whose objective has flatlined.
     """
 
     tol: float = 1e-8
@@ -158,7 +158,8 @@ class Ascent(NamedTuple):
     capped: np.ndarray      # the column was still moving after ``max_iter`` updates
 
 
-def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec) -> Ascent:
+def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
+            stall_guard: bool = True) -> Ascent:
     """Iterate each column of the p x B block z <- u/||u|| until its tracked
     functional stalls.
 
@@ -170,7 +171,13 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec) -> Ascent:
     that go with them; it stays the same object until a column stops. Each
     column stops on its own: once the relative change of its functional and
     its step are both at most ``tol``, after _STALL_LIMIT stalled steps in a
-    row, after ``max_iter`` updates, or when its update vanishes.
+    row (only with ``stall_guard``), after ``max_iter`` updates, or when its
+    update vanishes. The guard ends the sign-pattern cycles of a threshold
+    rule; updates linear in z cannot cycle, and there it would cut off a slow
+    power iteration, whose functional converges faster than its step. A column
+    that ``max_iter`` cuts off is ``capped`` unless its last update already
+    met the stop rule: a start that is the fixed point has converged even
+    when one update is all the budget allows.
     """
     z = np.array(z0, dtype=float)
     width = z.shape[1]
@@ -203,24 +210,30 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec) -> Ascent:
                 continue
             if last is not None and abs(val - last) <= conv.tol * max(1.0, abs(last)):
                 run[i] += 1
-                if run[i] >= _STALL_LIMIT or _distance(z_new[:, i], zl[:, i]) <= conv.tol:
+                stalled = stall_guard and run[i] >= _STALL_LIMIT
+                if stalled or _distance(z_new[:, i], zl[:, i]) <= conv.tol:
                     stop.append(i)
             else:
                 run[i] = 0
-        zl = z_new
+        # ``before[:, kept]`` holds the live columns' iterates before this update
+        zl, before, kept = z_new, zl, slice(None)
         if stop:
             z[:, live[stop]], iterations[live[stop]] = zl[:, stop], step
             iterations[live[gone]] -= 1
             vanished[live[gone]] = True
             keep = [i for i in range(live.size) if i not in stop]
-            live, zl = live[keep], zl[:, keep]
+            live, zl, kept = live[keep], zl[:, keep], keep
             if not keep:
                 break
             prev, run = [prev[i] for i in keep], [run[i] for i in keep]
     z[:, live], iterations[live] = zl, step
-    capped = np.zeros(width, dtype=bool)
-    capped[live] = True
     obj, weights = value(z, np.arange(width))
+    capped = np.zeros(width, dtype=bool)
+    if live.size:
+        before = before[:, kept]
+        capped[live] = [abs(obj[col] - last) > conv.tol * max(1.0, abs(last))
+                        or _distance(zl[:, i], before[:, i]) > conv.tol
+                        for i, (col, last) in enumerate(zip(live.tolist(), prev))]
     if traces is not None:
         for trace, val in zip(traces, obj):
             trace.append(float(val))
@@ -271,9 +284,10 @@ def _members(c, cols):
 
 
 def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
-                  offset=None, pull=None) -> Ascent:
+                  offset=None, pull=None, stall_guard: bool = True) -> Ascent:
     """The generalized power method that every stage-one solver runs, on a
-    p x B block of iterates.
+    p x B block of iterates; the power stage twos run it at threshold 0,
+    without the stall guard (see :func:`_ascend`).
 
     A step projects each column z onto the columns of its operator, shifted
     by ``offset``, takes the update weights of the threshold rule and moves
@@ -318,7 +332,7 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
         u = members(cols)[0] @ weights
         return u if push is None else u + push
 
-    return _ascend(value, update, z0, conv)
+    return _ascend(value, update, z0, conv, stall_guard=stall_guard)
 
 
 def _solve(c, gammas, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,

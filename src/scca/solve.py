@@ -14,7 +14,8 @@ the cross-covariance by fitted rank-one terms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .covariance import CrossOperator, SparsityPattern, ViewMatrix
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
-from .pattern import (ConvergenceSpec, Direction, _as_block, init_direction,
+from .pattern import (ConvergenceSpec, Direction, _as_block, _hinge_ascent, init_direction,
                       pattern_pair)
 
 _UNIT_TOL = 1e-8
@@ -76,56 +77,31 @@ def deflate(c, z1, z2):
 
 def power_svd(c, conv: ConvergenceSpec | None = None, trace: list | None = None,
               status: dict | None = None) -> tuple[Direction, Direction, float]:
-    """Leading singular triple of a block by alternating power iteration.
+    """Leading singular triple of a block by power iteration on the stage-one
+    kernel.
 
-    The singular value estimate u'Cv is non-decreasing across iterations;
-    pass a list as ``trace`` to record it. Pass a dict as ``status`` to
-    receive ``iterations`` and ``converged`` (False when ``conv.max_iter``
-    iterations ran without meeting the stop rule). The sign is absorbed into
-    v so sigma >= 0.
+    ``c`` is a dense block or a CrossOperator, which is never formed. The
+    iterate u starts at the block's largest-norm column and ascends by
+    ``_hinge_ascent`` at threshold 0, whose update weights are the
+    projections w = C'u: each step is u <- CC'u/||CC'u||, the tracked
+    functional ||C'u||^2 = sigma^2 is non-decreasing, and the ascent stops by
+    ``conv``'s rule. Returns u, v = w/||w|| and sigma = ||w|| >= 0. Pass a
+    list as ``trace`` to record sigma at every visited iterate, and a dict as
+    ``status`` to receive ``iterations`` and ``converged`` (False when
+    ``conv.max_iter`` iterations ran without meeting the stop rule).
     """
     block = _as_block(c)
     conv = conv or ConvergenceSpec()
-    if not np.any(block):
-        raise DegenerateInputError("cannot factor an all-zero block")
-    u = init_direction(block).values
-    vraw = block.T @ u
-    nv = np.linalg.norm(vraw)
-    if nv == 0.0:
-        raise DegenerateInputError("initial iterate is orthogonal to the row space")
-    v = vraw / nv
-    sigma = float(u @ block @ v)
     if trace is not None:
-        trace.append(abs(sigma))
-    converged = False
-    for iterations in range(1, conv.max_iter + 1):
-        unew = block @ v
-        nu = np.linalg.norm(unew)
-        if nu == 0.0:
-            raise DegenerateInputError("power iteration collapsed to zero")
-        unew /= nu
-        vnew = block.T @ unew
-        nv = np.linalg.norm(vnew)
-        if nv == 0.0:
-            raise DegenerateInputError("power iteration collapsed to zero")
-        vnew /= nv
-        sigma_new = float(unew @ block @ vnew)
-        if trace is not None:
-            trace.append(abs(sigma_new))
-        # steps measured up to a joint sign flip of the pair
-        step = min(max(np.linalg.norm(unew - u), np.linalg.norm(vnew - v)),
-                   max(np.linalg.norm(unew + u), np.linalg.norm(vnew + v)))
-        stalled = abs(abs(sigma_new) - abs(sigma)) <= conv.tol * max(1.0, abs(sigma))
-        u, v, sigma = unew, vnew, sigma_new
-        converged = stalled and step <= conv.tol
-        if converged:
-            break
+        conv = replace(conv, objective_track=True)
+    run = _hinge_ascent(block, [0.0], "l1", init_direction(block).values[:, None], conv,
+                        stall_guard=False)
+    if trace is not None:
+        trace.extend(math.sqrt(val) for val in run.traces[0])
     if status is not None:
-        status.update(iterations=iterations, converged=converged)
-    if sigma < 0:
-        v = -v
-        sigma = -sigma
-    return Direction(u), Direction(v), float(sigma)
+        status.update(iterations=int(run.iterations[0]), converged=not run.capped[0])
+    sigma = math.sqrt(run.objective[0])
+    return Direction(run.z[:, 0]), Direction(run.weights[:, 0] / sigma), sigma
 
 
 def _fix_sign(z1: np.ndarray, partners: list[np.ndarray]) -> None:
@@ -267,12 +243,13 @@ def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
                     status: dict | None = None) -> list[np.ndarray]:
     """Leading multi-view directions by per-view power sweeps.
 
-    Views are processed last to first; already-estimated partners enter the
+    Views are processed last to first, each by one ascent of the stage-one
+    kernel with ``conv``'s stop rule; already-estimated partners enter the
     update linearly, the rest through their squared block so the sweep needs
     no within-view inversion. Returns unit vectors per view. Pass a dict as
     ``status`` to receive, per view, ``iterations`` and ``converged`` (False
-    when the view used all ``conv.max_iter`` updates without its step
-    falling to ``conv.tol``).
+    when the view used all ``conv.max_iter`` updates without meeting the
+    stop rule).
     """
     conv = conv or ConvergenceSpec()
     dims = _multiview_dims(cross)
@@ -295,27 +272,18 @@ def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
 
     iterations, converged = [0] * m, [False] * m
     for r in range(m - 1, -1, -1):
-        z = zs[r]
-        for count in range(1, conv.max_iter + 1):
-            update = np.zeros(dims[r])
-            for s in range(m):
-                if s == r:
-                    continue
-                block = _oriented(cross, s, r)  # p_s x p_r
-                if s > r:
-                    update += block.T @ zs[s]
-                else:
-                    update += block.T @ (block @ z)
-            nrm = np.linalg.norm(update)
-            if nrm == 0.0:
-                raise DegenerateInputError(f"zero update for view {r}")
-            z_new = update / nrm
-            step = float(np.linalg.norm(z_new - z))
-            z = z_new
-            if step <= conv.tol:
-                converged[r] = True
-                break
-        zs[r], iterations[r] = z, count
+        # view r's power step on the stage-one kernel: the earlier views enter
+        # through the operator [C_0r; ...; C_r-1,r]', the later ones, already
+        # estimated, through the constant pull sum_s C_sr' z_s
+        c = np.hstack([_oriented(cross, r, s) for s in range(r)] or [np.zeros((dims[r], 0))])
+        pull = sum((_oriented(cross, r, s) @ zs[s] for s in range(r + 1, m)),
+                   np.zeros(dims[r]))
+        run = _hinge_ascent(c, [0.0], "l1", zs[r][:, None], conv, pull=(1.0, pull),
+                            stall_guard=False)
+        if run.vanished[0]:
+            raise DegenerateInputError(f"zero update for view {r}")
+        zs[r], iterations[r] = run.z[:, 0], int(run.iterations[0])
+        converged[r] = not run.capped[0]
     if status is not None:
         status.update(iterations=iterations, converged=converged)
     return zs

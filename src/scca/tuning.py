@@ -60,7 +60,9 @@ class TuneGrid:
         object.__setattr__(self, "gamma1_values", g1)
         object.__setattr__(self, "gamma2_values", g2)
 
-    def cells(self) -> list[tuple[int, int, float, float]]:
+    def cells(self) -> list[tuple[int, int, int, float, float]]:
+        """Every grid cell as (flat index, gamma1 index, gamma2 index,
+        gamma1, gamma2), gamma2 varying fastest."""
         out = []
         idx = 0
         for i, g1 in enumerate(self.gamma1_values):

@@ -311,6 +311,75 @@ def test_mscca_prints_stage_one_max_iter_warnings(tmp_path, capsys):
     assert "max_iter" not in capsys.readouterr().err
 
 
+THREE = ["simulate", "--model", "three", "--n", "20", "--p", "30,24,36",
+         "--sigma", "0.1,0.1,0.1", "--supports", "4:4,3:5,4:4"]
+
+
+def test_simulate_config_arrays_mean_what_their_flags_mean(tmp_path):
+    flags = tmp_path / "flags"
+    assert main([*THREE, "--out", str(flags)]) == 0
+    for k, supports in enumerate(([[4, 4], [3, 5], [4, 4]], ["4:4", "3:5", "4:4"])):
+        cfg = tmp_path / f"simulate{k}.json"
+        cfg.write_text(json.dumps({"p": [30, 24, 36], "sigma": [0.1, 0.1, 0.1],
+                                   "supports": supports}))
+        out = tmp_path / f"config{k}"
+        assert main(["simulate", "--model", "three", "--n", "20", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        for name in ("x1.csv", "x2.csv", "x3.csv", "truth2.csv"):
+            assert (out / name).read_bytes() == (flags / name).read_bytes()
+
+
+def test_mscca_config_gamma_matrix_array_means_what_the_flag_means(tmp_path):
+    flags = tmp_path / "flags"
+    assert main([*THREE, "--out", str(flags)]) == 0
+    matrix = [[0, 0.1, 0.1], [0.1, 0, 0.1], [0.1, 0.1, 0]]
+    views = ["--views", *(str(flags / f"x{i}.csv") for i in (1, 2, 3))]
+    cfg = tmp_path / "mscca.json"
+    cfg.write_text(json.dumps({"gamma_matrix": matrix}))
+    assert main(["mscca", *views, "--gamma-matrix", json.dumps(matrix),
+                 "--out", str(tmp_path / "mscca-flag")]) == 0
+    assert main(["mscca", *views, "--config", str(cfg),
+                 "--out", str(tmp_path / "mscca-config")]) == 0
+    assert ((tmp_path / "mscca-flag" / "solution.json").read_bytes()
+            == (tmp_path / "mscca-config" / "solution.json").read_bytes())
+
+
+def _two_samples(tmp_path) -> list[str]:
+    """Views of n=2 samples; the second has a single coordinate."""
+    (tmp_path / "x1.csv").write_text("a,b,c\n1.0,2.0,0.5\n3.0,1.0,2.5\n")
+    (tmp_path / "x2.csv").write_text("y\n0.3\n1.7\n")
+    return ["--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv")]
+
+
+def test_two_samples_and_a_one_coordinate_view_fit(tmp_path, capsys):
+    pair = _two_samples(tmp_path)
+    assert main(["scca", *pair, "--out", str(tmp_path / "full")]) == 0
+    # at n=2 the centred cross block has rank one, so every start is already
+    # the fixed point and one update is a converged solve, not a max_iter cut
+    assert main(["scca", *pair, "--max-iter", "1", "--out", str(tmp_path / "cut")]) == 0
+    assert "max_iter" not in capsys.readouterr().err
+    full, cut = (json.loads((tmp_path / d / "solution.json").read_text())
+                 for d in ("full", "cut"))
+    assert cut["warnings"] == full["warnings"] == []
+    for got, want in zip(cut["factors"], full["factors"]):
+        assert got["patterns"] == want["patterns"]
+        np.testing.assert_allclose(got["directions"][0], want["directions"][0], atol=1e-12)
+
+
+def test_gamma_above_every_projection_exits_2(tmp_path, capsys):
+    x1, x2, _ = _write_small_views(tmp_path)
+    block = center_scale(x1).data.T @ center_scale(x2).data / x1.n
+    # |c_i'z| <= ||c_i|| for a unit z, so no coordinate of either view can be active
+    gamma = repr(1.01 * float(max(np.linalg.norm(block, axis=0).max(),
+                                  np.linalg.norm(block, axis=1).max())))
+    assert main(["scca", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+                 "--no-scale", "--gamma1", gamma, "--gamma2", gamma,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "support collapsed" in err
+    assert not (tmp_path / "o" / "solution.json").exists()
+
+
 def test_dscca_reg_wide_view_error_line(tmp_path, capsys):
     _write_small_views(tmp_path, seed=5)   # n=20 < p
     y = np.random.default_rng(5).standard_normal(20)

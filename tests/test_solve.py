@@ -47,6 +47,91 @@ def test_power_svd_trace_monotone(rng):
     assert np.all(diffs >= -1e-12)
 
 
+def _deflated_operator(seed=21):
+    """A CrossOperator of two centred views that carries one deflation term."""
+    from scca import CrossOperator
+    x1, x2 = make_views(15, 9, 7, seed=seed)
+    op = CrossOperator.from_views(x1, x2)
+    rng = np.random.default_rng(seed)
+    z1, z2 = rng.normal(size=9), rng.normal(size=7)
+    return op.deflated(z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2))
+
+
+def test_power_svd_matches_numpy_svd_without_forming_an_operator(rng, monkeypatch):
+    from scca import CrossOperator
+    op = _deflated_operator()
+    cases = [(block, block) for block in (rng.normal(size=(6, 4)), rng.normal(size=(3, 8)))]
+    cases.append((op, op.dense()))
+
+    def formed(*_args, **_kwargs):
+        raise AssertionError("power_svd formed the operator's block")
+    monkeypatch.setattr(CrossOperator, "dense", formed)
+    monkeypatch.setattr(CrossOperator, "__array__", formed)
+    for c, block in cases:
+        left, values, right = np.linalg.svd(block)
+        status: dict = {}
+        u, v, sigma = power_svd(c, ConvergenceSpec(tol=1e-12), status=status)
+        assert status["converged"] and status["iterations"] > 1
+        assert abs(sigma - values[0]) <= 1e-10
+        # the pair is the leading one up to a joint sign, with u'Cv = sigma
+        sign = np.sign(u.values @ left[:, 0])
+        np.testing.assert_allclose(u.values, sign * left[:, 0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(v.values, sign * right[0], rtol=0, atol=1e-9)
+        assert float(u.values @ block @ v.values) == pytest.approx(sigma, abs=1e-12)
+
+
+def test_power_svd_trace_on_an_operator_never_decreases():
+    trace: list = []
+    _u, _v, sigma = power_svd(_deflated_operator(seed=5), trace=trace)
+    trace = np.asarray(trace)
+    assert trace.size > 2 and trace[-1] == pytest.approx(sigma, rel=1e-15)
+    assert (np.diff(trace) >= -1e-12 * trace[:-1]).all()
+
+
+def test_two_view_multiview_power_is_the_power_svd_pair(rng):
+    conv = ConvergenceSpec(tol=1e-12)
+    for block in (rng.normal(size=(6, 4)), rng.normal(size=(3, 7)), np.diag([2.0, 0.5])):
+        u, v, _sigma = power_svd(block, conv)
+        zs = multiview_power({(0, 1): block}, conv=conv)
+        for z, want in zip(zs, (u.values, v.values)):
+            assert min(np.linalg.norm(z - want), np.linalg.norm(z + want)) <= 1e-8
+
+
+def _small_gap_block(seed=3):
+    """A 5 x 4 block with singular values (0.5, 0.4975, 0.1, 0.05): the power
+    step contracts the angle to the leading pair by only 0.99."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.normal(size=(5, 4)))[0]
+    right = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    return left @ np.diag([0.5, 0.4975, 0.1, 0.05]) @ right.T
+
+
+def _up_to_sign(z, want):
+    return min(np.linalg.norm(z - want), np.linalg.norm(z + want))
+
+
+def test_power_svd_small_spectral_gap_runs_to_the_step_rule():
+    # sigma^2 settles long before the iterate does; a stall guard on the
+    # functional would stop about 1e-2 away from the leading pair
+    block = _small_gap_block()
+    left, _values, right = np.linalg.svd(block)
+    status: dict = {}
+    u, v, _sigma = power_svd(block, status=status)
+    assert status["converged"]
+    assert _up_to_sign(u.values, left[:, 0]) <= 1e-5
+    assert _up_to_sign(v.values, right[0]) <= 1e-5
+
+
+def test_multiview_power_small_spectral_gap_runs_to_the_step_rule():
+    block = _small_gap_block()
+    left, _values, right = np.linalg.svd(block)
+    status: dict = {}
+    zs = multiview_power({(0, 1): block}, status=status)
+    assert all(status["converged"])
+    assert _up_to_sign(zs[0], left[:, 0]) <= 1e-5
+    assert _up_to_sign(zs[1], right[0]) <= 1e-5
+
+
 # ---------------------------------------------------------------- cca_gep
 
 def test_cca_gep_whitened_diagonal():

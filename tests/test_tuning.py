@@ -267,6 +267,29 @@ def test_thin_first_side_finds_the_full_batch_supports(p1, p2, order, penalty):
     np.testing.assert_array_equal(thin.tau2, full.tau2)
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("penalty", ["l1", "l0"])
+def test_batch_ascent_traces_never_decrease(transpose, penalty):
+    # every column of a p x B ascent on a PermutedCross tracks its own
+    # member's functional, which the update can only increase
+    from scca import ConvergenceSpec
+    from scca.pattern import _hinge_ascent
+    _x1, _x2, sweep, perms = _sweep_and_perms(40, 30)
+    batch = sweep.batch(perms)
+    batch = batch.T if transpose else batch
+    norms = batch.col_norms()
+    js = np.argmax(norms, axis=0)
+    top = norms[js, np.arange(js.size)]
+    gamma = 0.3 * top.min() if penalty == "l1" else (0.3 * top.min()) ** 2
+    run = _hinge_ascent(batch, np.full(js.size, gamma), penalty, batch.columns(js) / top,
+                        ConvergenceSpec(objective_track=True))
+    assert len(run.traces) == perms.shape[1] and (run.iterations > 1).all()
+    for trace in run.traces:
+        trace = np.asarray(trace)
+        assert trace[-1] > 0
+        assert (np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[:-1]))).all()
+
+
 def test_batch_column_norms_match_the_dense_members():
     _x1, _x2, sweep, perms = _sweep_and_perms(40, 30)
     batch = sweep.batch(perms).T
