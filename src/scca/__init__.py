@@ -10,7 +10,7 @@ a simulation harness and plot-data emission are included.
 __version__ = "0.1.0"
 
 from .covariance import (CrossOperator, SparsityPattern, ViewMatrix, center_scale,
-                         cross_covariance, load_view, write_view)
+                         cross_covariance, load_view, load_views, write_view)
 from .directed import (AccessoryVector, DirectedParams, StackedProblem,
                        UnivariateSelector, compute_beta, directed_fit,
                        directed_pattern_dot, directed_pattern_reg,

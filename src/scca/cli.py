@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import SparsityPattern, ViewMatrix, center_scale, load_view, write_view
+from .covariance import (SparsityPattern, ViewMatrix, center_scale, load_view, load_views,
+                         write_view)
 from .directed import (AccessoryVector, DirectedParams, UnivariateSelector,
                        directed_fit, directed_stacked_fit, directed_two_stage)
 from .errors import (DegenerateInputError, EmptySupportError,
@@ -36,6 +37,8 @@ def _floats(value) -> list[float]:
     """A comma-separated flag value, or a JSON array from --config, as floats."""
     if isinstance(value, str):
         return [float(tok) for tok in value.split(",") if tok.strip() != ""]
+    if not isinstance(value, list):
+        raise ValueError(f"expected comma-separated numbers or a JSON array, got {value!r}")
     return [float(v) for v in value]
 
 
@@ -164,8 +167,7 @@ def _finish_fit(sol: CcaSolution, views: list[ViewMatrix], resolved: dict,
 
 
 def _load_centered(paths: list[str], delimiter, scale: bool) -> list[ViewMatrix]:
-    return [center_scale(load_view(p, delimiter=delimiter), scale=scale)
-            for p in paths]
+    return [center_scale(view, scale=scale) for view in load_views(paths, delimiter)]
 
 
 def _load_accessory(path: str, delimiter=None) -> AccessoryVector:
@@ -302,14 +304,19 @@ def cmd_tune(args) -> int:
     method = _opt(args, config, "method", "perm")
     if method not in _TUNE_METHODS:
         raise ValueError("method must be 'cv' or 'perm'")
-    g1_grid = _floats(_opt(args, config, "gamma1_grid", None) or args.gamma1_grid)
-    g2_grid = _floats(_opt(args, config, "gamma2_grid", None) or args.gamma2_grid)
+    grids = []
+    for key in ("gamma1_grid", "gamma2_grid"):
+        grid = _opt(args, config, key, None)
+        if grid is None:
+            raise ValueError(f"--{key.replace('_', '-')} is required "
+                             f"(the flag, or {key!r} in --config)")
+        grids.append(_floats(grid))
+    g1_grid, g2_grid = grids
     grid = TuneGrid(tuple(g1_grid), tuple(g2_grid),
                     folds=int(_opt(args, config, "folds", 5)),
                     permutations=int(_opt(args, config, "permutations", 100)),
                     seed=r["seed"])
-    x1 = load_view(args.x1, delimiter=r["delimiter"])
-    x2 = load_view(args.x2, delimiter=r["delimiter"])
+    x1, x2 = load_views([args.x1, args.x2], r["delimiter"])
     cfg = FitConfig(penalty=r["penalty"], stage2=r["stage2"] or "svd",
                     scale=r["scale"])
     tune = cv_tune if method == "cv" else perm_tune
@@ -455,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--method", choices=_TUNE_METHODS)
-    p.add_argument("--gamma1-grid", dest="gamma1_grid", required=True)
-    p.add_argument("--gamma2-grid", dest="gamma2_grid", required=True)
+    p.add_argument("--gamma1-grid", dest="gamma1_grid")
+    p.add_argument("--gamma2-grid", dest="gamma2_grid")
     p.add_argument("--folds", type=int)
     p.add_argument("--permutations", type=int)
     p.add_argument("--jobs", type=int,

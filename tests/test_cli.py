@@ -627,3 +627,40 @@ def test_bad_input_exits_1_naming_the_fault(tmp_path, capsys, command, x1, x2, m
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_tune_grids_from_config_mean_what_their_flags_mean(tmp_path, capsys):
+    _write_small_views(tmp_path, seed=12)
+    views = ["--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+             "--permutations", "5", "--seed", "2"]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"gamma1_grid": [0.3, 0.5], "gamma2_grid": "0.4,0.6"}))
+    assert main(["tune", *views, "--config", str(config), "--out", str(tmp_path / "c")]) == 0
+    assert main(["tune", *views, "--gamma1-grid", "0.3,0.5", "--gamma2-grid", "0.4,0.6",
+                 "--out", str(tmp_path / "f")]) == 0
+    assert ((tmp_path / "c" / "tune.json").read_bytes()
+            == (tmp_path / "f" / "tune.json").read_bytes())
+    # a flag wins over the config's grid
+    assert main(["tune", *views, "--config", str(config), "--gamma1-grid", "0.35",
+                 "--out", str(tmp_path / "w")]) == 0
+    echo = json.loads((tmp_path / "w" / "tune.json").read_text())["metadata"]["config"]
+    assert (echo["gamma1_grid"], echo["gamma2_grid"]) == ([0.35], [0.4, 0.6])
+
+
+def test_tune_without_a_grid_exits_1_naming_it(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"gamma1_grid": [0.3]}))
+    for extra, key in (([], "gamma1_grid"), (["--gamma1-grid", "0.3"], "gamma2_grid"),
+                       (["--config", str(config)], "gamma2_grid")):
+        assert main(["tune", "--x1", missing, "--x2", missing, *extra,
+                     "--out", str(tmp_path / "o")]) == 1
+        flag = "--" + key.replace("_", "-")
+        assert capsys.readouterr().err == (
+            f"error: {flag} is required (the flag, or '{key}' in --config)\n")
+    # a bare number is not a grid: exit 1 with a message, not a traceback
+    config.write_text(json.dumps({"gamma1_grid": 0.3, "gamma2_grid": [0.3]}))
+    assert main(["tune", "--x1", missing, "--x2", missing, "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: expected comma-separated numbers or a JSON array, got 0.3\n")

@@ -16,6 +16,13 @@ relies on it when it centres the views once per sweep. Permuting the columns
 of one view permutes that view's pattern and direction the same way and
 leaves the other view's and the correlation, up to rounding and the sign
 convention that makes a direction's first non-zero entry positive.
+
+A GEP stage two keeps its correlation to rounding under a sample
+permutation, but its directions move: at n=4 by up to a few 1e-6 (relative)
+when a support of n or more coordinates gets the automatic ridge, and by
+rounding otherwise. When the supports' leading canonical correlation is tied
+(a support that spans all n-1 centred dimensions), the directions are not
+identified and only the correlation is compared.
 """
 
 import math
@@ -134,6 +141,60 @@ def test_permuting_the_samples_of_both_views_leaves_the_fit(n, p1, p2, seed, fra
                 == [p.bits.tolist() for p in ref.patterns[side]])
     assert out.iterations == ref.iterations
     np.testing.assert_allclose(out.correlations, ref.correlations, rtol=0, atol=1e-12)
+
+
+def _canonical_correlations(a, b):
+    """Canonical correlations of the column spaces of two centred blocks."""
+    def basis(m):
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        return u[:, s > 1e-10 * s[0]]
+    return np.linalg.svd(basis(a).T @ basis(b), compute_uv=False)
+
+
+# Largest relative move of a GEP direction under a sample permutation at n=4,
+# measured over fits drawn as below: 4.2e-6 over 5,753 fits with the automatic
+# ridge, 3.1e-10 over 446 fits without it whose leading canonical correlation
+# is simple. Each bound is about 25 times its measured drift.
+GEP_RIDGE_DRIFT = 1e-4
+GEP_DRIFT = 1e-8
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p1=st.integers(2, 25), p2=st.integers(2, 25), seed=st.integers(0, 2**16),
+       frac=st.floats(0.05, 0.6), penalty=st.sampled_from(["l1", "l0"]),
+       order=st.sampled_from(["auto", "1-first", "2-first"]))
+def test_permuting_the_samples_moves_a_gep_fit_only_by_its_drift(p1, p2, seed, frac,
+                                                                penalty, order):
+    n = 4
+    x1, x2 = make_views(n, p1, p2, seed=seed)
+    block = x1.data.T @ x2.data / n
+    g1 = frac * np.linalg.norm(block, axis=1).max()
+    g2 = frac * np.linalg.norm(block, axis=0).max()
+    if penalty == "l0":
+        g1, g2 = g1 ** 2, g2 ** 2
+    perm = np.random.default_rng(seed).permutation(n)
+    y1, y2 = (ViewMatrix(x.data[perm], x.names, centered=True) for x in (x1, x2))
+    kw = dict(penalty=penalty, order=order, stage2="gep")
+    try:
+        ref = fit_pair(x1, x2, g1, g2, **kw)
+    except EmptySupportError:
+        with pytest.raises(EmptySupportError):
+            fit_pair(y1, y2, g1, g2, **kw)
+        return
+    out = fit_pair(y1, y2, g1, g2, **kw)
+    assert out.warnings == ref.warnings
+    np.testing.assert_allclose(out.correlations, ref.correlations, rtol=0, atol=1e-10)
+    if any("applied ridge" in w for w in ref.warnings):
+        bound = GEP_RIDGE_DRIFT      # a support of n or more coordinates
+    else:
+        rho = _canonical_correlations(x1.data[:, ref.patterns[0][0].bits],
+                                      x2.data[:, ref.patterns[1][0].bits])
+        if rho.size > 1 and rho[0] - rho[1] <= 1e-6:
+            return  # a tied leading correlation leaves the directions unidentified
+        bound = GEP_DRIFT
+    for ref_dir, out_dir in zip(ref.directions, out.directions):
+        move = np.linalg.norm(out_dir[:, 0] - ref_dir[:, 0]) / np.linalg.norm(ref_dir[:, 0])
+        assert move <= bound
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
