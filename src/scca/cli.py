@@ -63,14 +63,14 @@ def _conv(resolved: dict) -> ConvergenceSpec:
 
 
 def _gamma_matrix(spec, m: int, gamma1: float, gamma2: float) -> GammaMatrix:
-    """The gamma matrix from a flag (JSON text or the path of a JSON file) or
-    from --config (a JSON array)."""
+    """The gamma matrix from a flag (JSON text, which starts with '[', or the
+    path of a JSON file) or from --config (a JSON array)."""
     if spec is None:
         if m != 2:
             raise ValueError("--gamma-matrix is required for more than two views")
         return GammaMatrix.for_pair(gamma1, gamma2)
     if isinstance(spec, str):
-        spec = json.loads(Path(spec).read_text() if Path(spec).exists() else spec)
+        spec = json.loads(spec if spec.lstrip().startswith("[") else Path(spec).read_text())
     values = np.asarray(spec, dtype=float)
     if values.shape != (m, m):
         raise ValueError(f"gamma matrix must be {m}x{m}")
@@ -185,44 +185,54 @@ _STAGE2 = {"scca": ("svd", "gep"), "mscca": ("power", "gep"), "dscca": ("svd", "
            "tune": ("svd", "gep")}
 
 
+# shared options: key -> (default, conversion of a set value or None, flag keywords)
+_SHARED_FLAGS = {
+    "penalty": ("l1", None, dict(choices=["l1", "l0"])),
+    "gamma1": (0.0, float, dict(type=float)),
+    "gamma2": (0.0, float, dict(type=float)),
+    "tol": (1e-8, float, dict(type=float)),
+    "max_iter": (10000, int, dict(type=int)),
+    "seed": (0, int, dict(type=int, help="seed for tune and simulate; fits use no random "
+                          "restarts, so scca, mscca and dscca only echo it")),
+    "scale": (True, bool, dict(action=argparse.BooleanOptionalAction, default=None)),
+    "delimiter": (None, None, {}),
+}
+_FIT_FLAGS = tuple(_SHARED_FLAGS)
+# the shared options each subcommand reads; every one also takes --config and
+# --out, and the ones in _STAGE2 take --stage2
+_SHARED = {"scca": _FIT_FLAGS, "mscca": _FIT_FLAGS, "dscca": _FIT_FLAGS,
+           "tune": ("penalty", "tol", "max_iter", "seed", "scale", "delimiter"),
+           "simulate": ("penalty", "tol", "max_iter", "seed"),
+           "report": ("scale", "delimiter")}
+
+
 def _common(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config", help="JSON file with option defaults (flags win)")
-    p.add_argument("--penalty", choices=["l1", "l0"])
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--seed", type=int,
-                   help="seed for tune and simulate; fits use no random restarts, "
-                        "so scca, mscca and dscca only echo it")
-    p.add_argument("--scale", action=argparse.BooleanOptionalAction, default=None)
+    for key in _SHARED[command]:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **_SHARED_FLAGS[key][2])
     if command in _STAGE2:
         p.add_argument("--stage2", help="stage-two back-end: "
                        + " or ".join(_STAGE2[command]) + f" (default {_STAGE2[command][0]})")
     p.add_argument("--out")
-    p.add_argument("--delimiter")
 
 
 def _resolve_common(args, config) -> dict:
-    resolved = {
-        "penalty": _opt(args, config, "penalty", "l1"),
-        "gamma1": float(_opt(args, config, "gamma1", 0.0)),
-        "gamma2": float(_opt(args, config, "gamma2", 0.0)),
-        "tol": float(_opt(args, config, "tol", 1e-8)),
-        "max_iter": int(_opt(args, config, "max_iter", 10000)),
-        "seed": int(_opt(args, config, "seed", 0)),
-        "scale": bool(_opt(args, config, "scale", True)),
-        "stage2": _opt(args, config, "stage2", None),
-        "out": _opt(args, config, "out", "."),
-        "delimiter": _opt(args, config, "delimiter", None),
-    }
-    if resolved["gamma1"] < 0 or resolved["gamma2"] < 0:
+    """The shared options the subcommand reads, each from its flag, else
+    --config, else its default."""
+    resolved = {"out": _opt(args, config, "out", ".")}
+    for key in _SHARED[args.command]:
+        default, convert, _ = _SHARED_FLAGS[key]
+        value = _opt(args, config, key, default)
+        resolved[key] = value if convert is None else convert(value)
+    if min(resolved.get("gamma1", 0.0), resolved.get("gamma2", 0.0)) < 0:
         raise ValueError("sparsity parameters must be non-negative")
-    if resolved["tol"] <= 0 or resolved["max_iter"] < 1:
+    if resolved.get("tol", 1.0) <= 0 or resolved.get("max_iter", 1) < 1:
         raise ValueError("tol must be positive and max-iter at least 1")
     choices = _STAGE2.get(args.command)
-    if choices and resolved["stage2"] not in (None, *choices):
-        raise ValueError("--stage2 must be " + " or ".join(map(repr, choices)))
+    if choices:
+        resolved["stage2"] = _opt(args, config, "stage2", None)
+        if resolved["stage2"] not in (None, *choices):
+            raise ValueError("--stage2 must be " + " or ".join(map(repr, choices)))
     return resolved
 
 
@@ -431,23 +441,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scca",
         description="Two-stage sparse canonical correlation analysis toolkit")
+    # no prefix matching: a flag a subcommand does not take is an error, never
+    # a longer flag it does take (tune's --gamma1-grid for --gamma1)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scca", help="sparse CCA on two views")
+    p = sub.add_parser("scca", help="sparse CCA on two views", allow_abbrev=False)
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--factors", type=int)
     _common(p, "scca")
     p.set_defaults(func=cmd_scca)
 
-    p = sub.add_parser("mscca", help="multi-view sparse CCA")
+    p = sub.add_parser("mscca", help="multi-view sparse CCA", allow_abbrev=False)
     p.add_argument("--views", nargs="+", required=True)
     p.add_argument("--gamma-matrix", dest="gamma_matrix")
     p.add_argument("--factors", type=int)
     _common(p, "mscca")
     p.set_defaults(func=cmd_mscca)
 
-    p = sub.add_parser("dscca", help="directed sparse CCA")
+    p = sub.add_parser("dscca", help="directed sparse CCA", allow_abbrev=False)
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--y", required=True)
@@ -458,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, "dscca")
     p.set_defaults(func=cmd_dscca)
 
-    p = sub.add_parser("tune", help="hyperparameter search")
+    p = sub.add_parser("tune", help="hyperparameter search", allow_abbrev=False)
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--method", choices=_TUNE_METHODS)
@@ -474,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, "tune")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("simulate", help="generate synthetic datasets")
+    p = sub.add_parser("simulate", help="generate synthetic datasets", allow_abbrev=False)
     p.add_argument("--model", choices=["pair", "three", "null"])
     p.add_argument("--n", type=int)
     p.add_argument("--p")
@@ -484,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, "simulate")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="emit plot coordinates from a solution")
+    p = sub.add_parser("report", help="emit plot coordinates from a solution", allow_abbrev=False)
     p.add_argument("--solution", required=True)
     p.add_argument("--views", nargs="+", required=True)
     p.add_argument("--kind", choices=["biplot", "interp"])

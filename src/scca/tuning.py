@@ -14,8 +14,10 @@ first-side iterate of a refit lies in the row space of the other view's
 n x p data, so the batch's first side runs on a thin n x r factor of that
 view (r <= n, formed once per sweep): a member-step costs n(r + p_first)
 instead of n(p1 + p2).
-Seeds derive from (master seed, cell index), so reports are reproducible
-regardless of worker count or execution order.
+Every fit runs stage one from the one deterministic start the pair pipeline
+uses, so the only randomness is in the folds and permutations. Their seeds
+derive from (master seed, cell index), so reports are reproducible regardless
+of worker count or execution order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
 from .pattern import (ConvergenceSpec, first_block, first_side, init_direction,
                       pattern_first_many, pattern_pair_batch, pattern_second_many,
                       shrunk_block)
-from .solve import CcaSolution, check_stage2, fit_pair, pearson, stage_two
+from .solve import check_stage2, fit_pair, pearson, stage_two
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,14 @@ class TuneReport:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """How each tuning cell fits the pair pipeline."""
+    """How each tuning cell fits the pair pipeline; stage one always runs
+    from the pipeline's one deterministic start."""
 
     penalty: str = "l1"
     stage2: str = "svd"
     scale: bool = False
     ridge: float = 0.0
     order: str = "auto"
-    restarts: int = 0
     divisor: str = "n"
 
 
@@ -141,14 +143,6 @@ def _fold_slices(n: int, k: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
-def _fit(v1: ViewMatrix, v2: ViewMatrix, g1: float, g2: float, cfg: FitConfig,
-         conv: ConvergenceSpec, seed: int) -> CcaSolution:
-    """One factor of the pair pipeline on centred views."""
-    return fit_pair(v1, v2, g1, g2, factors=1, penalty=cfg.penalty, conv=conv,
-                    stage2=cfg.stage2, ridge=cfg.ridge, order=cfg.order,
-                    restarts=cfg.restarts, seed=seed, divisor=cfg.divisor)
-
-
 class _Failed(Exception):
     """A step of a fold's fit failed; the text is its error's."""
 
@@ -160,7 +154,8 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     Fold means change, so the fold centres (and scales) its training rows
     once, maps its held-out rows by their means and sds once, and builds one
     cross operator. Each step of a cell's ``fit_pair`` factor is then done
-    once per fold for each distinct value of what it depends on:
+    once per fold for each distinct value of what it depends on (each side
+    starts deterministically, so no step depends on the cell itself):
     - the first side's start, the largest-norm column of the full block:
       once per fold;
     - the first side: at every first-side gamma, as one ascent;
@@ -169,9 +164,8 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     - the second side: once per first-side support, at every second-side
       gamma, as one ascent;
     - stage two and the held-out correlation: once per support pair.
-    With restarts, a cell's index seeds its starts, so each side is solved
-    per cell at that cell's gamma. A failed step is kept as its error text,
-    so every cell that needs it fails with the same flag.
+    A failed step is kept as its error text, so every cell that needs it
+    fails with the same flag.
     """
     train = np.setdiff1d(np.arange(x1.n), hold)
     d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
@@ -180,7 +174,7 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
                                   ViewMatrix(d2, x2.names, centered=True), cfg.divisor)
     held1, held2 = (x1.data[hold] - mu1) / sd1, (x2.data[hold] - mu2) / sd2
     side = first_side(cfg.order, *op.shape)
-    kw = dict(penalty=cfg.penalty, conv=conv, restarts=cfg.restarts)
+    kw = dict(penalty=cfg.penalty, conv=conv)
     # the distinct gammas of each side, in cell order
     axes = {"first": list(dict.fromkeys(c[3] if side == 1 else c[4] for c in cells)),
             "second": list(dict.fromkeys(c[4] if side == 1 else c[3] for c in cells))}
@@ -200,17 +194,14 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
                 memo[key] = str(err)
         return kept(key)
 
-    def each(kind, context, gamma, seeded, solve):
+    def each(kind, context, gamma, solve):
         """The ``kind`` side's solve at ``gamma``. The first time (kind,
         context) comes up, ``solve(gammas)`` solves every gamma of the side's
-        axis (only ``gamma`` when ``seeded`` names the cell that seeds it)
-        and returns each one's result or EmptySupportError."""
-        key = (kind, context, gamma, seeded)
+        axis and returns each one's result or EmptySupportError."""
+        key = (kind, context, gamma)
         if key not in memo:
-            gammas = axes[kind] if seeded is None else [gamma]
-            for g, res in zip(gammas, solve(gammas)):
-                memo[kind, context, g, seeded] = (str(res) if isinstance(res, EmptySupportError)
-                                                  else res)
+            for g, res in zip(axes[kind], solve(axes[kind])):
+                memo[kind, context, g] = str(res) if isinstance(res, EmptySupportError) else res
         return kept(key)
 
     def held_out(tau1, tau2):
@@ -220,18 +211,17 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
         return pearson(held1 @ z1, held2 @ z2)
 
     out = []
-    for idx, _i, _j, g1, g2 in cells:
+    for *_, g1, g2 in cells:
         g_first, g_second = (g1, g2) if side == 1 else (g2, g1)
-        seeded = idx if cfg.restarts else None  # restarts draw from the cell's seed
         try:
             start = once("start", lambda: init_direction(first_block(op, side)))
-            lead = each("first", None, g_first, seeded, lambda gammas: pattern_first_many(
-                op, gammas, side, seed=idx, z0=start, **kw))
+            lead = each("first", None, g_first, lambda gammas: pattern_first_many(
+                op, gammas, side, z0=start, **kw))
             support = lead.pattern.bits.tobytes()
             start2 = once(("start2", support), lambda: init_direction(
                 shrunk_block(op, lead.pattern, side)))
-            pair = each("second", support, g_second, seeded, lambda gammas: pattern_second_many(
-                op, lead, side, gammas, seed=idx, z0=start2, **kw))
+            pair = each("second", support, g_second, lambda gammas: pattern_second_many(
+                op, lead, side, gammas, z0=start2, **kw))
             rho, degenerate = once(("stage two", pair.tau1.bits.tobytes(),
                                     pair.tau2.bits.tobytes()),
                                    lambda: held_out(pair.tau1, pair.tau2))
@@ -321,35 +311,19 @@ def _batched_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
     return rhos, failures
 
 
-def _serial_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
-                   cfg: FitConfig, conv: ConvergenceSpec, seed: int) -> tuple[np.ndarray, int]:
-    """The refits one permutation at a time, for fits with random restarts."""
-    rhos, failures = np.zeros(perms.shape[1]), 0
-    for k, perm in enumerate(perms.T):
-        try:
-            sol = _fit(ViewMatrix(sweep.v1.data[perm], sweep.v1.names, centered=True),
-                       sweep.v2, g1, g2, cfg, conv, seed)
-        except (EmptySupportError, DegenerateInputError):
-            failures += 1
-            continue
-        rhos[k] = abs(float(sol.correlations[0]))
-    return rhos, failures
-
-
 def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: FitConfig,
                conv: ConvergenceSpec, cell_index: int) -> dict:
     try:
-        sol = _fit(sweep.v1, sweep.v2, g1, g2, cfg, conv, cell_index)
+        sol = fit_pair(sweep.v1, sweep.v2, g1, g2, factors=1, penalty=cfg.penalty, conv=conv,
+                       stage2=cfg.stage2, ridge=cfg.ridge, order=cfg.order,
+                       divisor=cfg.divisor)
     except (EmptySupportError, DegenerateInputError) as err:
         return {"score": np.nan, "trace": np.zeros(grid.permutations),
                 "flags": [f"matched fit failed: {err}"], "failed": True,
                 "matched_rho": np.nan, "refit_failures": np.nan}
     rho = abs(float(sol.correlations[0]))
     perms = _permutations(grid.seed, cell_index, sweep.v1.n, grid.permutations)
-    if cfg.restarts:
-        perm_rhos, failures = _serial_refits(sweep, perms, g1, g2, cfg, conv, cell_index)
-    else:
-        perm_rhos, failures = _batched_refits(sweep, perms, g1, g2, cfg, conv)
+    perm_rhos, failures = _batched_refits(sweep, perms, g1, g2, cfg, conv)
     p_value = float(np.mean(perm_rhos > rho))
     return {"score": p_value, "trace": perm_rhos, "flags": [], "failed": False,
             "matched_rho": rho, "refit_failures": failures}

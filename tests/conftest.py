@@ -88,20 +88,18 @@ def dense_stage_two(block, c11, c22, stage2, ix1, ix2, p1, p2):
     return z1, z2, warnings
 
 
-def serial_perm_refits(x1, x2, g1, g2, perms, cfg, seed=0):
+def serial_perm_refits(x1, x2, g1, g2, perms, cfg):
     """Reference permutation refits, one ``fit_pair`` per column of ``perms``
-    on views centred (and scaled) once, view 1's rows permuted by the column;
-    ``seed`` seeds the restarts, as the cell index does in tuning. Returns,
-    per permutation, (|rho|, tau1 bits, tau2 bits), or None where the refit
-    failed."""
+    on views centred (and scaled) once, view 1's rows permuted by the column.
+    Returns, per permutation, (|rho|, tau1 bits, tau2 bits), or None where
+    the refit failed."""
     c1, c2 = center_scale(x1, scale=cfg.scale), center_scale(x2, scale=cfg.scale)
     out = []
     for perm in perms.T:
         try:
             sol = fit_pair(ViewMatrix(c1.data[perm], c1.names, centered=True), c2, g1, g2,
                            penalty=cfg.penalty, stage2=cfg.stage2, ridge=cfg.ridge,
-                           order=cfg.order, restarts=cfg.restarts, seed=seed,
-                           divisor=cfg.divisor)
+                           order=cfg.order, divisor=cfg.divisor)
         except (EmptySupportError, DegenerateInputError):
             out.append(None)
             continue
@@ -110,12 +108,11 @@ def serial_perm_refits(x1, x2, g1, g2, perms, cfg, seed=0):
     return out
 
 
-def serial_cv_cell(x1, x2, g1, g2, folds, cfg, seed=0):
+def serial_cv_cell(x1, x2, g1, g2, folds, cfg):
     """Reference cross-validation of one grid cell, one ``fit_pair`` per fold
     on the fold's training rows centred (and scaled) on their own, the
-    held-out rows mapped by the training means and sds; ``seed`` seeds the
-    restarts, as the cell index does in tuning. Returns the per-fold held-out
-    correlations and the flags, worded as ``cv_tune`` words them."""
+    held-out rows mapped by the training means and sds. Returns the per-fold
+    held-out correlations and the flags, worded as ``cv_tune`` words them."""
     rhos, flags = np.zeros(len(folds)), []
     for k, hold in enumerate(folds):
         train = np.setdiff1d(np.arange(x1.n), hold)
@@ -125,8 +122,7 @@ def serial_cv_cell(x1, x2, g1, g2, folds, cfg, seed=0):
             sol = fit_pair(ViewMatrix(d1, x1.names, centered=True),
                            ViewMatrix(d2, x2.names, centered=True), g1, g2,
                            penalty=cfg.penalty, stage2=cfg.stage2, ridge=cfg.ridge,
-                           order=cfg.order, restarts=cfg.restarts, seed=seed,
-                           divisor=cfg.divisor)
+                           order=cfg.order, divisor=cfg.divisor)
         except (EmptySupportError, DegenerateInputError) as err:
             flags.append(f"fold {k + 1}: fit failed ({err}); rho recorded as 0")
             continue

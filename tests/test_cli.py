@@ -344,6 +344,24 @@ def test_mscca_config_gamma_matrix_array_means_what_the_flag_means(tmp_path):
             == (tmp_path / "mscca-config" / "solution.json").read_bytes())
 
 
+def test_mscca_long_inline_gamma_matrix_means_what_the_compact_one_means(tmp_path):
+    # inline JSON longer than a file name may be is parsed, never looked up as a path
+    data = tmp_path / "data"
+    assert main([*THREE, "--out", str(data)]) == 0
+    matrix = [[0, 0.1, 0.1], [0.1, 0, 0.1], [0.1, 0.1, 0]]
+    views = ["--views", *(str(data / f"x{i}.csv") for i in (1, 2, 3))]
+    padded = json.dumps(matrix, indent=40)
+    assert len(padded) > 255
+    stored = tmp_path / "gamma.json"
+    stored.write_text(padded)
+    outputs = []
+    for k, spec in enumerate((json.dumps(matrix), padded, str(stored))):
+        out = tmp_path / f"mscca{k}"
+        assert main(["mscca", *views, "--gamma-matrix", spec, "--out", str(out)]) == 0
+        outputs.append((out / "solution.json").read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def _two_samples(tmp_path) -> list[str]:
     """Views of n=2 samples; the second has a single coordinate."""
     (tmp_path / "x1.csv").write_text("a,b,c\n1.0,2.0,0.5\n3.0,1.0,2.5\n")
@@ -432,9 +450,23 @@ def test_dscca_stacked_rejects_stage2(tmp_path, capsys):
 
 def test_flags_only_where_they_are_read(tmp_path, capsys):
     x = str(tmp_path / "missing.csv")
+    report = ["report", "--solution", x, "--views", x]
+    tune = ["tune", "--x1", x, "--x2", x, "--gamma1-grid", "0.1", "--gamma2-grid", "0.1"]
     for argv in (["scca", "--x1", x, "--x2", x, "--jobs", "2"],
-                 ["report", "--solution", x, "--views", x, "--stage2", "power"],
-                 ["simulate", "--jobs", "4"]):
+                 [*report, "--stage2", "power"],
+                 ["simulate", "--jobs", "4"],
+                 [*report, "--penalty", "l0"],
+                 [*report, "--gamma1", "0.1"],
+                 [*report, "--gamma2", "0.1"],
+                 [*report, "--tol", "1e-6"],
+                 [*report, "--max-iter", "5"],
+                 [*report, "--seed", "1"],
+                 [*tune, "--gamma1", "0.1"],
+                 [*tune, "--gamma2", "0.1"],
+                 ["simulate", "--gamma1", "0.1"],
+                 ["simulate", "--gamma2", "0.1"],
+                 ["simulate", "--scale"],
+                 ["simulate", "--delimiter", ";"]):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
     # the stage-two value is checked before any input file is read, from a flag or a config

@@ -308,30 +308,12 @@ def test_batch_column_norms_match_the_dense_members():
     np.testing.assert_allclose(masked.col_norms(), want, rtol=1e-12, atol=1e-15)
 
 
-def test_refits_with_restarts_match_the_serial_reference():
-    from conftest import serial_perm_refits
-
-    from scca.tuning import _permutations
-    x1, x2, _ = _planted_views()
-    g1s, g2s = _frac_grid(x1, x2, (0.15, 0.2), (0.15,))
-    cfg = FitConfig(restarts=2)
-    grid = TuneGrid(g1s, g2s, permutations=15, seed=4)
-    report = perm_tune(x1, x2, grid, cfg=cfg)
-    for cell, g1 in enumerate(g1s):
-        perms = _permutations(grid.seed, cell, x1.n, grid.permutations)
-        ref = serial_perm_refits(x1, x2, g1, g2s[0], perms, cfg, seed=cell)
-        assert not all(r is None for r in ref)
-        np.testing.assert_allclose(report.traces[cell, 0], [r[0] if r else 0.0 for r in ref],
-                                   rtol=0, atol=1e-10)
-
-
-@pytest.mark.parametrize("penalty,order,scale,stage2,restarts", [
-    ("l1", "1-first", False, "svd", 0),
-    ("l0", "2-first", True, "gep", 0),
-    ("l1", "auto", True, "svd", 0),
-    ("l1", "auto", False, "svd", 2),
+@pytest.mark.parametrize("penalty,order,scale,stage2", [
+    ("l1", "1-first", False, "svd"),
+    ("l0", "2-first", True, "gep"),
+    ("l1", "auto", True, "svd"),
 ])
-def test_refit_failures_count_the_failed_refits(penalty, order, scale, stage2, restarts):
+def test_refit_failures_count_the_failed_refits(penalty, order, scale, stage2):
     from conftest import serial_perm_refits
 
     from scca.tuning import _permutations
@@ -340,14 +322,13 @@ def test_refit_failures_count_the_failed_refits(penalty, order, scale, stage2, r
                           (0.1, 0.2, 5.0), (0.15,))
     if penalty == "l0":
         g1s, g2s = tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s)
-    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order,
-                    restarts=restarts)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order)
     grid = TuneGrid(g1s, g2s, permutations=20, seed=5)
     report = perm_tune(x1, x2, grid, penalty=penalty, cfg=cfg)
     counts = []
     for cell, g1 in enumerate(g1s[:2]):
         perms = _permutations(grid.seed, cell, x1.n, grid.permutations)
-        ref = serial_perm_refits(x1, x2, g1, g2s[0], perms, cfg, seed=cell)
+        ref = serial_perm_refits(x1, x2, g1, g2s[0], perms, cfg)
         counts.append(sum(r is None for r in ref))
     assert report.refit_failures[:2, 0].tolist() == counts
     assert 0 < sum(counts) < 2 * grid.permutations
@@ -358,6 +339,12 @@ def test_refit_failures_count_the_failed_refits(penalty, order, scale, stage2, r
                                            cfg=cfg).to_dict()
 
 
+def test_fit_config_takes_no_restarts():
+    # tuning fits run stage one from one deterministic start
+    with pytest.raises(TypeError):
+        FitConfig(restarts=2)
+
+
 def _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) -> int:
     """Every cell's scores, traces and flags, and the chosen cell, equal those
     of the per-cell ``fit_pair`` reference; returns the number of flags."""
@@ -366,8 +353,8 @@ def _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) -> int:
     from scca.tuning import _fold_slices
     folds = _fold_slices(x1.n, grid.folds, grid.seed)
     flags, best = [], None
-    for idx, i, j, g1, g2 in grid.cells():
-        rhos, cell_flags = serial_cv_cell(x1, x2, g1, g2, folds, cfg, seed=idx)
+    for _idx, i, j, g1, g2 in grid.cells():
+        rhos, cell_flags = serial_cv_cell(x1, x2, g1, g2, folds, cfg)
         np.testing.assert_array_equal(report.traces[i, j], rhos)
         assert report.scores[i, j] == float(rhos.mean())
         flags += [f"(gamma1={g1:g}, gamma2={g2:g}): {flag}" for flag in cell_flags]
@@ -397,11 +384,11 @@ def test_cv_tune_matches_the_per_cell_reference(penalty, order, divisor, scale, 
     _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
 
 
-def test_cv_tune_with_restarts_matches_the_per_cell_reference():
-    # on null data the restarts, seeded by the cell, change first-side supports
+def test_cv_tune_on_null_data_matches_the_per_cell_reference():
+    # null data, on two threads: no planted support for the folds to agree on
     x1, x2 = gen_null(24, 40, 30, seed=2)
     g1s, g2s = _frac_grid(x1, x2, (0.15, 0.4), (0.15, 0.4))
-    cfg = FitConfig(restarts=2)
+    cfg = FitConfig()
     grid = TuneGrid(g1s, g2s, folds=3, seed=2)
     report = cv_tune(x1, x2, grid, cfg=cfg, jobs=2)
     _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
@@ -435,15 +422,14 @@ def test_degenerate_holdout_fold_matches_the_per_cell_reference():
     assert _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) >= 1
 
 
-@pytest.mark.parametrize("restarts", [0, 2])
-def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
+def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
     from scca import pattern, tuning
     from scca.covariance import CrossOperator, standardize
     from scca.errors import EmptySupportError
     from scca.pattern import pattern_first, pattern_pair
     x1, x2, _ = _planted_views()
     g1s, g2s = _frac_grid(x1, x2, (0.2, 0.25, 0.3, 0.35, 0.4), (0.2, 0.3, 0.4))
-    cfg = FitConfig(order="1-first", restarts=restarts)
+    cfg = FitConfig(order="1-first")
     grid = TuneGrid(g1s, g2s, folds=3, seed=5)
     real_init, real_stage_two, real_fold = tuning.init_direction, tuning.stage_two, tuning._cv_fold
     real_ascent = pattern._hinge_ascent
@@ -483,22 +469,18 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch, restarts):
         op = CrossOperator.from_views(
             *(ViewMatrix(standardize(x.data[train])[0], x.names, centered=True)
               for x in (x1, x2)))
-        firsts, pairs, led = set(), set(), 0
-        for idx, _i, _j, g1, g2 in grid.cells():
+        firsts, pairs = set(), set()
+        for _idx, _i, _j, g1, g2 in grid.cells():
             try:
-                firsts.add(pattern_first(op, g1, 1, restarts=restarts, seed=idx)
-                           .pattern.bits.tobytes())
-                led += 1
-                pair = pattern_pair(op, g1, g2, order="1-first", restarts=restarts, seed=idx)
+                firsts.add(pattern_first(op, g1, 1).pattern.bits.tobytes())
+                pair = pattern_pair(op, g1, g2, order="1-first")
             except EmptySupportError:
                 continue
             pairs.add((pair.tau1.bits.tobytes(), pair.tau2.bits.tobytes()))
         # one ascent solves the first side at every gamma, and one per distinct
-        # first-side support the second side at every gamma; restarts seed
-        # each cell's solves, so each side is an ascent per cell
-        ascents = len(grid.cells()) + led if restarts else 1 + len(firsts)
+        # first-side support the second side at every gamma
         assert seen == {"first starts": 1, "second starts": len(firsts),
-                        "stage two": len(pairs), "ascents": ascents}
+                        "stage two": len(pairs), "ascents": 1 + len(firsts)}
         shared_first |= len(firsts) < len(g1s)
         shared_pair |= len(pairs) < len(grid.cells())
     # the grid is one where first-side gammas share supports and cells share pairs
