@@ -42,12 +42,17 @@ def _floats(value) -> list[float]:
     return [float(v) for v in value]
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
+def _load_config(args) -> dict:
+    """The --config file's options; a key must name one of the subcommand's
+    optional flags (dashes or underscores), or the run exits 1."""
+    if not args.config:
         return {}
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ValueError("--config must hold a JSON object")
+    for key in doc:
+        if key.replace("-", "_") not in args.config_keys:
+            raise ValueError(f"--config key {key!r} is not an option of {args.command}")
     return {key.replace("-", "_"): value for key, value in doc.items()}
 
 
@@ -203,7 +208,7 @@ _FIT_FLAGS = tuple(_SHARED_FLAGS)
 _SHARED = {"scca": _FIT_FLAGS, "mscca": _FIT_FLAGS, "dscca": _FIT_FLAGS,
            "tune": ("penalty", "tol", "max_iter", "seed", "scale", "delimiter"),
            "simulate": ("penalty", "tol", "max_iter", "seed"),
-           "report": ("scale", "delimiter")}
+           "report": ("delimiter",)}
 
 
 def _common(p: argparse.ArgumentParser, command: str):
@@ -245,7 +250,7 @@ def _echo(resolved: dict, **extra) -> dict:
 
 
 def cmd_scca(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     r = _resolve_common(args, config)
     factors = int(_opt(args, config, "factors", 1))
     if factors < 1:
@@ -261,7 +266,7 @@ def cmd_scca(args) -> int:
 
 
 def cmd_mscca(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     r = _resolve_common(args, config)
     factors = int(_opt(args, config, "factors", 1))
     if factors != 1:
@@ -278,7 +283,7 @@ def cmd_mscca(args) -> int:
 
 
 def cmd_dscca(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     r = _resolve_common(args, config)
     mode = _opt(args, config, "mode", "dot")
     if mode not in _DSCCA_MODES:
@@ -309,7 +314,7 @@ def cmd_dscca(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     r = _resolve_common(args, config)
     method = _opt(args, config, "method", "perm")
     if method not in _TUNE_METHODS:
@@ -358,7 +363,7 @@ def _parse_supports(spec):
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     r = _resolve_common(args, config)
     model = _opt(args, config, "model", "pair")
     n = int(_opt(args, config, "n", 50))
@@ -416,13 +421,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     r = _resolve_common(args, config)
     kind = _opt(args, config, "kind", "biplot")
     fmt = _opt(args, config, "format", "csv")
     sol, _names, fit_config = load_solution(args.solution)
-    scale = bool(fit_config.get("scale", r["scale"]))
-    views = _load_centered(args.views, r["delimiter"], scale)
+    # the views are scaled as the fit scaled them: every solution this tool
+    # writes records it, and scaling is the fits' default
+    views = _load_centered(args.views, r["delimiter"], bool(fit_config.get("scale", True)))
     if kind == "biplot":
         data = biplot_coords(sol, views)
     elif kind == "interp":
@@ -435,6 +441,13 @@ def cmd_report(args) -> int:
     _print_warnings(_view_warnings(views))
     print(path)
     return 0
+
+
+def _config_keys(p: argparse.ArgumentParser) -> frozenset:
+    """The keys a subcommand reads from --config: its optional flags but
+    --config itself."""
+    return frozenset(a.dest for a in p._actions
+                     if a.option_strings and not a.required and a.dest not in ("help", "config"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,14 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2", required=True)
     p.add_argument("--factors", type=int)
     _common(p, "scca")
-    p.set_defaults(func=cmd_scca)
+    p.set_defaults(func=cmd_scca, config_keys=_config_keys(p))
 
     p = sub.add_parser("mscca", help="multi-view sparse CCA", allow_abbrev=False)
     p.add_argument("--views", nargs="+", required=True)
     p.add_argument("--gamma-matrix", dest="gamma_matrix")
     p.add_argument("--factors", type=int)
     _common(p, "mscca")
-    p.set_defaults(func=cmd_mscca)
+    p.set_defaults(func=cmd_mscca, config_keys=_config_keys(p))
 
     p = sub.add_parser("dscca", help="directed sparse CCA", allow_abbrev=False)
     p.add_argument("--x1", required=True)
@@ -468,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps2", type=float)
     p.add_argument("--keep-fraction", dest="keep_fraction", type=float)
     _common(p, "dscca")
-    p.set_defaults(func=cmd_dscca)
+    p.set_defaults(func=cmd_dscca, config_keys=_config_keys(p))
 
     p = sub.add_parser("tune", help="hyperparameter search", allow_abbrev=False)
     p.add_argument("--x1", required=True)
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "every core through BLAS, so on 2 cores --jobs 2 measured "
                         "slower (0.64-0.75x on the tune-pipeline benchmark)")
     _common(p, "tune")
-    p.set_defaults(func=cmd_tune)
+    p.set_defaults(func=cmd_tune, config_keys=_config_keys(p))
 
     p = sub.add_parser("simulate", help="generate synthetic datasets", allow_abbrev=False)
     p.add_argument("--model", choices=["pair", "three", "null"])
@@ -494,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supports", help="planted pos:neg runs per view, e.g. 25:25,25:25")
     p.add_argument("--sweep", choices=["noise", "stability"])
     _common(p, "simulate")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, config_keys=_config_keys(p))
 
     p = sub.add_parser("report", help="emit plot coordinates from a solution", allow_abbrev=False)
     p.add_argument("--solution", required=True)
@@ -503,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json", "svg"])
     p.add_argument("--markers", type=int)
     _common(p, "report")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, config_keys=_config_keys(p))
 
     return parser
 

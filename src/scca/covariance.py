@@ -511,6 +511,12 @@ class CrossOperator:
                              np.append(self.s, scale), np.column_stack([self.v, v]))
 
 
+def _split_nonzero(mask: np.ndarray) -> list[np.ndarray]:
+    """The indices of the True entries of each column of a boolean block."""
+    members, where = np.nonzero(mask.T)
+    return np.split(where, np.searchsorted(members, np.arange(1, mask.shape[1])))
+
+
 @dataclass(frozen=True, eq=False)
 class PermutedCross:
     """A batch of K cross-covariances: member k is C_k = A[idx_k]'B/div, with
@@ -569,14 +575,25 @@ class PermutedCross:
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """C_k z_k for every member k, z_k being column k of the p_s x K block z."""
-        if self.cmask is not None:
-            z = z * self.cmask
-        return self._lift(self.b @ z)
+        return self.product(z)
 
-    def _lift(self, y: np.ndarray) -> np.ndarray:
-        """A[idx_k]'y_k/div for every column k of the n x K block y, row-masked."""
-        out = self.a.T @ y.take(self._gather) / self.div
-        return out if self.rmask is None else out * self.rmask
+    def product(self, z: np.ndarray, out: np.ndarray | None = None,
+                masked: np.ndarray | None = None) -> np.ndarray:
+        """``self @ z``, written to ``out`` (p_r x K) when given; with a
+        column mask, the masked z is written to ``masked`` (p_s x K) when
+        given. The buffers change where the result goes, not its bits."""
+        if self.cmask is not None:
+            z = np.multiply(z, self.cmask, out=masked)
+        return self._lift(self.b @ z, out)
+
+    def _lift(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A[idx_k]'y_k/div for every column k of the n x K block y, row-masked,
+        written to ``out`` when given."""
+        out = np.matmul(self.a.T, y.take(self._gather), out=out)
+        out /= self.div
+        if self.rmask is not None:
+            out *= self.rmask
+        return out
 
     def take(self, members) -> "PermutedCross":
         """The batch of the members listed in ``members``, in that order."""
@@ -597,7 +614,8 @@ class PermutedCross:
         row i for the whole batch, half the work of a Gram product per
         member. A row-masked member's norms come from its kept columns
         A[idx_k, S]: as (A_S'B)'s column norms when |S| < n, else from
-        their Gram."""
+        their Gram; with a column mask too, only the member's kept columns
+        of B enter."""
         n = self.a.shape[0]
         sq = np.zeros((self.b.shape[1], self.idx.shape[1]))
         if self.rmask is None:
@@ -606,16 +624,22 @@ class PermutedCross:
             grams[iu != ju] *= 2.0
             for i, start in enumerate(np.flatnonzero(iu == ju)):
                 sq += (self.b[i] * self.b[i:]).T @ grams[start:start + n - i]
+            if self.cmask is not None:
+                sq *= self.cmask
         else:
+            # every member's kept rows (and columns), found in one pass each
+            rows = _split_nonzero(self.rmask)
+            cols = ([slice(None)] * len(rows) if self.cmask is None
+                    else _split_nonzero(self.cmask))
+            by_member = sq.T
             for k, idx in enumerate(self.idx.T):
-                kept = self.a[np.ix_(idx, np.flatnonzero(self.rmask[:, k]))]
+                kept = self.a.take(rows[k], axis=1).take(idx, axis=0)
+                b = self.b[:, cols[k]]
                 if kept.shape[1] < n:
-                    proj = kept.T @ self.b
-                    sq[:, k] = np.einsum("ij,ij->j", proj, proj)
+                    proj = kept.T @ b
+                    by_member[k, cols[k]] = np.einsum("ij,ij->j", proj, proj)
                 else:
-                    sq[:, k] = np.einsum("ij,ij->j", self.b, (kept @ kept.T) @ self.b)
-        if self.cmask is not None:
-            sq *= self.cmask
+                    by_member[k, cols[k]] = np.einsum("ij,ij->j", b, (kept @ kept.T) @ b)
         return np.sqrt(np.maximum(sq / self.div ** 2, 0.0))
 
     def columns(self, js: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ solves a whole batch of permuted problems at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,12 +139,6 @@ def _sq_norms(x: np.ndarray):
     return np.einsum("ij,ij->j", x, x)
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| through the dot product, as np.linalg.norm takes it."""
-    d = a - b
-    return math.sqrt(d @ d)
-
-
 class Ascent(NamedTuple):
     """Where a p x B hinge ascent stopped, column by column."""
 
@@ -158,6 +151,13 @@ class Ascent(NamedTuple):
     capped: np.ndarray      # the column was still moving after ``max_iter`` updates
 
 
+def _workspace(rows: int, width: int, dtype=float):
+    """Scratch space for a rows x width block whose live width L is the
+    contiguous prefix of rows*L entries: ``space(L)`` is that rows x L block."""
+    flat = np.empty(rows * width, dtype=dtype)
+    return lambda live: flat[:rows * live].reshape(rows, live)
+
+
 def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
             stall_guard: bool = True) -> Ascent:
     """Iterate each column of the p x B block z <- u/||u|| until its tracked
@@ -166,7 +166,8 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
     ``value(z, cols)`` returns the functional of each column of z and their
     update weights, and ``update(weights, cols)`` the updates u, which
     maximize the linearization of a convex functional over the sphere, so
-    each column's tracked values are non-decreasing. ``cols`` lists the batch
+    each column's tracked values are non-decreasing. Both may return
+    workspaces that the next call overwrites. ``cols`` lists the batch
     columns that z holds, so that a batch of operators can pick the members
     that go with them; it stays the same object until a column stops. Each
     column stops on its own: once the relative change of its functional and
@@ -178,66 +179,88 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
     that ``max_iter`` cuts off is ``capped`` unless its last update already
     met the stop rule: a start that is the fixed point has converged even
     when one update is all the budget allows.
+
+    The stop rule is array arithmetic over the live columns; once one of
+    them stalls, the steps come from one pass over their differences. The
+    live iterates and the next ones take turns in two workspaces at the full
+    width: a stopped column's iterate is written to the returned block, and
+    the live ones are packed to the front.
     """
     z = np.array(z0, dtype=float)
-    width = z.shape[1]
+    p, width = z.shape
     iterations = np.zeros(width, dtype=int)
     vanished = np.zeros(width, dtype=bool)
+    capped = np.zeros(width, dtype=bool)
     traces = [[] for _ in range(width)] if conv.objective_track else None
-    # the live columns' iterates and stop state, written back when a column
-    # stops; every live column has made one update per step
-    live, zl = np.arange(width), z.copy()
-    prev, run = [None] * width, [0] * width
-    step = 0
+    here, there = _workspace(p, width), _workspace(p, width)
+    live, zl, zn = np.arange(width), here(width), there(width)
+    zl[...] = z
+    # per live column: its functional at the last step, the largest change
+    # from it that counts as stalled, and its stalled steps in a row
+    prev = bound = tail = None
+    run = np.zeros(width, dtype=int)
     for step in range(1, conv.max_iter + 1):
         obj, weights = value(zl, live)
-        objs = obj.tolist()
         if traces is not None:
-            for col, val in zip(live.tolist(), objs):
+            for col, val in zip(live.tolist(), obj.tolist()):
                 traces[col].append(val)
         u = update(weights, live)
         nrm = np.sqrt(_sq_norms(u))
-        sizes = nrm.tolist()
-        gone = [i for i, size in enumerate(sizes) if size == 0.0]
-        if gone:
+        gone = None if np.count_nonzero(nrm) == nrm.size else np.flatnonzero(nrm == 0.0)
+        if gone is not None:
             # a vanished update stops its column at the iterate before it
-            u[:, gone], nrm[gone] = zl[:, gone], 1.0
-        z_new = u / nrm
-        stop = list(gone)
-        for i, (val, last, size) in enumerate(zip(objs, prev, sizes)):
-            prev[i] = val
-            if size == 0.0:
-                continue
-            if last is not None and abs(val - last) <= conv.tol * max(1.0, abs(last)):
-                run[i] += 1
-                stalled = stall_guard and run[i] >= _STALL_LIMIT
-                if stalled or _distance(z_new[:, i], zl[:, i]) <= conv.tol:
-                    stop.append(i)
-            else:
-                run[i] = 0
-        # ``before[:, kept]`` holds the live columns' iterates before this update
-        zl, before, kept = z_new, zl, slice(None)
-        if stop:
-            z[:, live[stop]], iterations[live[stop]] = zl[:, stop], step
-            iterations[live[gone]] -= 1
+            for i in gone:
+                u[:, i], nrm[i] = zl[:, i], 1.0
+        z_new = np.divide(u, nrm, out=zn)
+        last = step == conv.max_iter
+        flat = np.zeros(live.size, dtype=bool) if prev is None else np.abs(obj - prev) <= bound
+        stop, stalling = flat, np.count_nonzero(flat)
+        if stall_guard:
+            run = (run + 1) * flat if stalling else np.zeros_like(run)
+        if last or stalling:
+            # every live column's step, from its difference written over zl
+            moved = np.sqrt(_sq_norms(np.subtract(z_new, zl, out=zl)))
+            stop = flat & (moved <= conv.tol)
+            if stall_guard:
+                # a stalled run is at least one step long, so it is flat now
+                stop |= run >= _STALL_LIMIT
+        if gone is not None:
+            stop[gone] = True
             vanished[live[gone]] = True
-            keep = [i for i in range(live.size) if i not in stop]
-            live, zl, kept = live[keep], zl[:, keep], keep
-            if not keep:
+        if last:
+            z[:, live] = z_new
+            iterations[live] = step
+            if gone is not None:
+                iterations[live[gone]] -= 1
+            # the columns that ``max_iter`` cut off
+            rest = ~stop
+            tail = live[rest], obj[rest], moved[rest]
+            break
+        if (stalling or gone is not None) and np.count_nonzero(stop):
+            for i in np.flatnonzero(stop):
+                z[:, live[i]] = z_new[:, i]
+            iterations[live[stop]] = step
+            if gone is not None:
+                iterations[live[gone]] -= 1
+            keep = np.flatnonzero(~stop)
+            if not keep.size:
                 break
-            prev, run = [prev[i] for i in keep], [run[i] for i in keep]
-    z[:, live], iterations[live] = zl, step
+            live, run, obj = live[keep], run[keep], obj[keep]
+            zl = np.take(z_new, keep, axis=1, out=here(keep.size), mode="clip")
+            zn = there(keep.size)
+        else:
+            here, there, zl, zn = there, here, z_new, zl
+        prev, bound = obj, conv.tol * np.maximum(1.0, np.abs(obj))
     obj, weights = value(z, np.arange(width))
-    capped = np.zeros(width, dtype=bool)
-    if live.size:
-        before = before[:, kept]
-        capped[live] = [abs(obj[col] - last) > conv.tol * max(1.0, abs(last))
-                        or _distance(zl[:, i], before[:, i]) > conv.tol
-                        for i, (col, last) in enumerate(zip(live.tolist(), prev))]
+    if tail is not None:
+        cols, last_obj, moved = tail
+        capped[cols] = ((np.abs(obj[cols] - last_obj)
+                         > conv.tol * np.maximum(1.0, np.abs(last_obj)))
+                        | (moved > conv.tol))
     if traces is not None:
         for trace, val in zip(traces, obj):
             trace.append(float(val))
-    return Ascent(z, obj, weights, iterations, vanished, traces, capped)
+    return Ascent(z, obj, weights.copy(), iterations, vanished, traces, capped)
 
 
 def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarray]:
@@ -252,7 +275,8 @@ def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarr
     return inits
 
 
-def _hinge(proj: np.ndarray, gamma, rule: str):
+def _hinge(proj: np.ndarray, gamma, rule: str, out: np.ndarray | None = None,
+           active: np.ndarray | None = None):
     """The threshold rule at projections ``proj``: (program objective, update weights).
 
     ``proj`` is one vector, or a p x B block with one objective per column.
@@ -260,13 +284,24 @@ def _hinge(proj: np.ndarray, gamma, rule: str):
     "l1" soft-thresholds |proj| (objective: the sum of squared hinges;
     weights: the signed hinges), "l0" clips proj^2 (objective: the sum of
     clipped squares; weights: the active projections). A coordinate is active
-    exactly when its weight is non-zero.
+    exactly when its weight is non-zero. The weights are written to ``out``
+    (proj's shape) when given, and "l0" marks the active coordinates in
+    ``active`` (a boolean block of that shape) when given.
     """
     if rule == "l1":
-        w = np.maximum(np.abs(proj) - gamma, 0.0)
-        return _sq_norms(w), w * np.sign(proj)
-    clipped = np.maximum(proj * proj - gamma, 0.0)
-    return clipped.sum(axis=0), np.where(clipped > 0, proj, 0.0)
+        w = np.abs(proj, out=out)
+        w -= gamma
+        np.maximum(w, 0.0, out=w)
+        # copysign is w * sign(proj) to the bit but at a projection of -0,
+        # where its zero weight keeps the sign
+        return _sq_norms(w), np.copysign(w, proj, out=w)
+    w = np.multiply(proj, proj, out=out)
+    w -= gamma
+    np.maximum(w, 0.0, out=w)
+    obj = w.sum(axis=0)
+    # an inactive coordinate's clipped square is already +0
+    np.copyto(w, proj, where=np.greater(w, 0.0, out=active))
+    return obj, w
 
 
 def _partner(proj: np.ndarray, gamma, rule: str) -> np.ndarray:
@@ -281,6 +316,35 @@ def _members(c, cols):
     """The operator of batch columns ``cols``: those members of a
     PermutedCross; any other operator serves every column."""
     return c.take(cols) if isinstance(c, PermutedCross) else c
+
+
+class _Live(NamedTuple):
+    """What a step of :func:`_hinge_ascent` needs of the live columns
+    ``cols``: their operator and its transpose, their thresholds, and the
+    workspace blocks at their width."""
+
+    cols: np.ndarray
+    op: object
+    op_t: object
+    gamma: np.ndarray
+    proj: np.ndarray
+    weights: np.ndarray
+    update: np.ndarray
+    masked_z: np.ndarray | None
+    masked_w: np.ndarray | None
+    active: np.ndarray | None
+
+
+def _product_of(c):
+    """``product(op, x, out, masked)``: ``op @ x`` for the operators of
+    ``c``, written to ``out`` where they can. A dense block and a
+    PermutedCross (which masks x in ``masked``) can; a CrossOperator returns a
+    new array."""
+    if isinstance(c, PermutedCross):
+        return lambda op, x, out, masked: op.product(x, out, masked)
+    if isinstance(c, np.ndarray):
+        return lambda op, x, out, masked: np.matmul(op, x, out=out)
+    return lambda op, x, out, masked: op @ x
 
 
 def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
@@ -298,6 +362,11 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
     and 2 eps a'z to the tracked functional, which is otherwise the program
     objective; the update maximizes its linearization, so it is
     non-decreasing.
+
+    Projections, weights and updates are written to workspaces at the
+    ascent's full width, and so is a PermutedCross's masked input; they are
+    local to the call, since tuning runs cells on threads. On a dense block
+    or a PermutedCross a step allocates no p x B array.
     """
     width = z0.shape[1]
     gammas = np.asarray(gammas, dtype=float)
@@ -311,26 +380,45 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
         gammas = gammas[:, :1]
     shift = None if offset is None else offset[:, None]
     push = None if pull is None else (pull[0] * pull[1])[:, None]
-    # the columns last asked for, their operator, its transpose and their thresholds
-    picked = [None] * 4
+    p_iter, p_proj = c.shape
+    proj_space, weight_space = _workspace(p_proj, width), _workspace(p_proj, width)
+    update_space = _workspace(p_iter, width)
+    active_space = _workspace(p_proj, width, bool) if rule == "l0" else None
+    masked_z = masked_w = None
+    if isinstance(c, PermutedCross):
+        # a masked batch zeroes its input outside the members' column masks
+        masked_z = _workspace(p_iter, width) if c.rmask is not None else None
+        masked_w = _workspace(p_proj, width) if c.cmask is not None else None
+    product = _product_of(c)
+    picked = [None]
 
-    def members(cols):
-        if picked[0] is not cols:
-            op = _members(c, cols)
-            picked[:] = cols, op, op.T, gammas if gammas.shape[1] == 1 else gammas[:, cols]
-        return picked[1:]
+    def members(cols) -> _Live:
+        if picked[0] is None or picked[0].cols is not cols:
+            op, live = _members(c, cols), cols.size
+            picked[0] = _Live(cols, op, op.T,
+                              gammas if gammas.shape[1] == 1 else gammas[:, cols],
+                              proj_space(live), weight_space(live), update_space(live),
+                              None if masked_z is None else masked_z(live),
+                              None if masked_w is None else masked_w(live),
+                              None if active_space is None else active_space(live))
+        return picked[0]
 
     def value(z, cols):
-        _op, op_t, gamma = members(cols)
-        proj = op_t @ z
-        obj, weights = _hinge(proj if shift is None else proj + shift, gamma, rule)
+        m = members(cols)
+        proj = product(m.op_t, z, m.proj, m.masked_z)
+        if shift is not None:
+            proj += shift
+        obj, weights = _hinge(proj, m.gamma, rule, m.weights, m.active)
         if pull is not None:
             obj = obj + 2.0 * pull[0] * (pull[1] @ z)
         return obj, weights
 
     def update(weights, cols):
-        u = members(cols)[0] @ weights
-        return u if push is None else u + push
+        m = members(cols)
+        u = product(m.op, weights, m.update, m.masked_w)
+        if push is not None:
+            u += push
+        return u
 
     return _ascend(value, update, z0, conv, stall_guard=stall_guard)
 
@@ -635,18 +723,27 @@ class BatchPatterns(NamedTuple):
     ok: np.ndarray
 
 
-def _batch_side(c: PermutedCross, gamma: float, rule: str,
-                conv: ConvergenceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """One side for every member, each started from its largest-norm column as
-    ``init_direction`` starts it: the support masks and the members that have
-    one (a zero member, a vanished update or an empty support has none)."""
+def _batch_ascent(c: PermutedCross, gamma: float, rule: str, conv: ConvergenceSpec, *,
+                  stall_guard: bool = True) -> tuple[Ascent, np.ndarray]:
+    """One hinge ascent at ``gamma`` for every member, each started from its
+    largest-norm column as ``init_direction`` starts it, and the members that
+    have a non-zero column (a zero member's update vanishes at once)."""
     norms = c.col_norms()
     js = np.argmax(norms, axis=0)
     top = norms[js, np.arange(js.size)]
     run = _hinge_ascent(c, np.full(js.size, gamma), rule,
-                        c.columns(js) / np.where(top > 0, top, 1.0), conv)
+                        c.columns(js) / np.where(top > 0, top, 1.0), conv,
+                        stall_guard=stall_guard)
+    return run, top > 0
+
+
+def _batch_side(c: PermutedCross, gamma: float, rule: str,
+                conv: ConvergenceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One side for every member: the support masks and the members that have
+    one (a zero member, a vanished update or an empty support has none)."""
+    run, nonzero = _batch_ascent(c, gamma, rule, conv)
     bits = run.weights != 0
-    return bits, (top > 0) & ~run.vanished & bits.any(axis=0)
+    return bits, nonzero & ~run.vanished & bits.any(axis=0)
 
 
 def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,

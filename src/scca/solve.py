@@ -20,11 +20,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .covariance import CrossOperator, SparsityPattern, ViewMatrix
+from .covariance import CrossOperator, PermutedCross, SparsityPattern, ViewMatrix
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
-from .pattern import (ConvergenceSpec, Direction, _as_block, _hinge_ascent, init_direction,
-                      pattern_pair)
+from .pattern import (ConvergenceSpec, Direction, _as_block, _batch_ascent, _hinge_ascent,
+                      init_direction, pattern_pair)
 
 _UNIT_TOL = 1e-8
 
@@ -102,6 +102,23 @@ def power_svd(c, conv: ConvergenceSpec | None = None, trace: list | None = None,
         status.update(iterations=int(run.iterations[0]), converged=not run.capped[0])
     sigma = math.sqrt(run.objective[0])
     return Direction(run.z[:, 0]), Direction(run.weights[:, 0] / sigma), sigma
+
+
+def power_svd_batch(batch: PermutedCross,
+                    conv: ConvergenceSpec | None = None) -> tuple[np.ndarray, np.ndarray,
+                                                                  np.ndarray]:
+    """:func:`power_svd` of every member of a batch at once, as one ascent.
+
+    Member k of ``batch`` (p1 x p2, its rows and columns masked to a support
+    pair) stands in for the block shrunk to those supports: its iterate
+    starts at its largest-norm column and ascends at threshold 0, without the
+    stall guard, so each column runs power_svd's iteration. Returns U (p1 x
+    K) and V (p2 x K), whose columns are member k's u and v, zero off the
+    supports, and which members have a non-zero block; power_svd raises
+    DegenerateInputError on the others, whose columns are zero.
+    """
+    run, ok = _batch_ascent(batch, 0.0, "l1", conv or ConvergenceSpec(), stall_guard=False)
+    return run.z, run.weights / np.where(ok, np.sqrt(run.objective), 1.0), ok
 
 
 def _fix_sign(z1: np.ndarray, partners: list[np.ndarray]) -> None:

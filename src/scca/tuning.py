@@ -13,7 +13,10 @@ once per sweep and refits each cell's permutations as one batch. Every
 first-side iterate of a refit lies in the row space of the other view's
 n x p data, so the batch's first side runs on a thin n x r factor of that
 view (r <= n, formed once per sweep): a member-step costs n(r + p_first)
-instead of n(p1 + p2).
+instead of n(p1 + p2). With the SVD stage two the refits whose supports
+survive run stage two as one batch too, each masked to its supports, and
+their correlations come from one product per view; the GEP stage two
+solves each refit's pencil in turn.
 Every fit runs stage one from the one deterministic start the pair pipeline
 uses, so the only randomness is in the folds and permutations. Their seeds
 derive from (master seed, cell index), so reports are reproducible regardless
@@ -35,7 +38,7 @@ from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
 from .pattern import (ConvergenceSpec, first_block, first_side, init_direction,
                       pattern_first_many, pattern_pair_batch, pattern_second_many,
                       shrunk_block)
-from .solve import check_stage2, fit_pair, pearson, stage_two
+from .solve import check_stage2, fit_pair, pearson, power_svd_batch, stage_two
 
 
 @dataclass(frozen=True)
@@ -286,18 +289,45 @@ def _permutations(seed: int, cell_index: int, n: int, count: int) -> np.ndarray:
     return np.column_stack([rng.permutation(n) for _ in range(count)])
 
 
+def _abs_correlations(batch: PermutedCross, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """|rho| of every member k's covariates A[idx_k] z1_k and B z2_k (columns
+    k of z1 and z2), from one product per view and a row gather; 0 where a
+    covariate is constant, as :func:`pearson` records it."""
+    count = z1.shape[1]
+    a = (batch.a @ z1).ravel().take(batch.idx * count + np.arange(count))
+    b = batch.b @ z2
+    a -= a.mean(axis=0)
+    b -= b.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", a, a) * np.einsum("ij,ij->j", b, b))
+    usable = norms > 0
+    return np.where(usable, np.abs(np.einsum("ij,ij->j", a, b)) / np.where(usable, norms, 1.0),
+                    0.0)
+
+
 def _batched_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
                     cfg: FitConfig, conv: ConvergenceSpec) -> tuple[np.ndarray, int]:
     """|rho| of the refit of every permutation (a column of ``perms``) of view
     1's rows, and how many refits failed: stage one for all of them as one
-    batch, then stage two and the correlation for each one whose supports
-    survived. A failed refit counts as rho 0, so it never beats the matched
-    fit."""
+    batch, then stage two and the correlation for the members whose supports
+    survived. The SVD stage two runs them as one batch too, each member
+    masked to its supports (``power_svd_batch``), and an all-zero shrunk
+    block is a failed refit; the GEP stage two solves each member's own
+    pencil in turn. A failed refit counts as rho 0, so it never beats the
+    matched fit."""
     batch = sweep.batch(perms)
     found = pattern_pair_batch(batch, g1, g2, penalty=cfg.penalty, conv=conv, order=cfg.order)
     rhos = np.zeros(perms.shape[1])
     failures = int((~found.ok).sum())
-    for k in np.flatnonzero(found.ok):
+    keep = np.flatnonzero(found.ok)
+    if cfg.stage2 == "svd":
+        if keep.size:
+            members = batch.take(keep)
+            z1, z2, ok = power_svd_batch(replace(members, rmask=found.tau1[:, keep],
+                                                 cmask=found.tau2[:, keep]), conv)
+            rhos[keep] = _abs_correlations(members, z1, z2) * ok
+            failures += int((~ok).sum())
+        return rhos, failures
+    for k in keep:
         member = batch.member(k)
         try:
             est = stage_two({(0, 1): member}, [np.flatnonzero(found.tau1[:, k]),

@@ -1,0 +1,306 @@
+"""The p x B hinge ascent on a batch of permuted cross-covariances, and the
+batched SVD stage two of the permutation refits.
+
+The kernel writes its projections, weights and updates into workspaces and
+applies its stop rule as array arithmetic; ``_loop_ascent`` below is the
+reference it replaced, which allocates every block anew and stops each column
+in a Python loop. Both run the same products, so they agree to the bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from scca import (ConvergenceSpec, DegenerateInputError, FitConfig, gen_null, pearson,
+                  stage_two)
+from scca.covariance import PermutedCross
+from scca.pattern import _STALL_LIMIT, _batch_side, _hinge_ascent, _sq_norms
+from scca.solve import power_svd_batch
+from scca.tuning import _abs_correlations, _permutations, _PermSweep
+
+WIDTH = 30
+
+
+def _loop_ascent(c: PermutedCross, gammas: np.ndarray, rule: str, z0: np.ndarray,
+                 conv: ConvergenceSpec, stall_guard: bool = True):
+    """Reference hinge ascent: column k ascends on member k at threshold
+    gammas[k], each step on new arrays, each column's stop rule in a loop.
+    Returns (z, objective, weights, iterations, vanished, capped, traces,
+    stalled), ``stalled`` marking the columns that the stall guard stopped."""
+
+    def value(z, cols):
+        proj = c.take(cols).T @ z
+        gamma = gammas[cols][None, :]
+        if rule == "l1":
+            w = np.maximum(np.abs(proj) - gamma, 0.0)
+            return _sq_norms(w), w * np.sign(proj)
+        clipped = np.maximum(proj * proj - gamma, 0.0)
+        return clipped.sum(axis=0), np.where(clipped > 0, proj, 0.0)
+
+    def distance(a, b):
+        d = a - b
+        return np.sqrt(d @ d)
+
+    z = np.array(z0, dtype=float)
+    width = z.shape[1]
+    iterations, vanished = np.zeros(width, dtype=int), np.zeros(width, dtype=bool)
+    stalled = np.zeros(width, dtype=bool)
+    traces = [[] for _ in range(width)]
+    live, zl = np.arange(width), z.copy()
+    prev, run = [None] * width, [0] * width
+    for step in range(1, conv.max_iter + 1):
+        obj, weights = value(zl, live)
+        for col, val in zip(live.tolist(), obj.tolist()):
+            traces[col].append(val)
+        u = c.take(live) @ weights
+        nrm = np.sqrt(_sq_norms(u))
+        gone = [i for i, size in enumerate(nrm.tolist()) if size == 0.0]
+        if gone:
+            u[:, gone], nrm[gone] = zl[:, gone], 1.0
+        z_new = u / nrm
+        stop = list(gone)
+        for i, (val, last) in enumerate(zip(obj.tolist(), prev)):
+            prev[i] = val
+            if i in gone:
+                continue
+            if last is not None and abs(val - last) <= conv.tol * max(1.0, abs(last)):
+                run[i] += 1
+                if stall_guard and run[i] >= _STALL_LIMIT:
+                    stop.append(i)
+                    stalled[live[i]] = True
+                elif distance(z_new[:, i], zl[:, i]) <= conv.tol:
+                    stop.append(i)
+            else:
+                run[i] = 0
+        before, zl = zl, z_new
+        if stop:
+            z[:, live[stop]], iterations[live[stop]] = zl[:, stop], step
+            iterations[live[gone]] -= 1
+            vanished[live[gone]] = True
+            keep = [i for i in range(live.size) if i not in stop]
+            # packed C-contiguous, as the kernel packs its workspace
+            live, zl, before = live[keep], np.ascontiguousarray(zl[:, keep]), before[:, keep]
+            prev, run = [prev[i] for i in keep], [run[i] for i in keep]
+            if not keep:
+                break
+    z[:, live], iterations[live] = zl, step
+    obj, weights = value(z, np.arange(width))
+    capped = np.zeros(width, dtype=bool)
+    capped[live] = [abs(obj[col] - last) > conv.tol * max(1.0, abs(last))
+                    or distance(zl[:, i], before[:, i]) > conv.tol
+                    for i, (col, last) in enumerate(zip(live.tolist(), prev))]
+    for trace, val in zip(traces, obj.tolist()):
+        trace.append(val)
+    return z, obj, weights, iterations, vanished, capped, traces, stalled
+
+
+def _null_sweep():
+    """Null views of 24 samples and 40 and 30 coordinates: their ascents run
+    from 2 to about 80 steps, some stopped by the stall guard. Returns the
+    permutation sweep and WIDTH row permutations."""
+    x1, x2 = gen_null(24, 40, 30, seed=3)
+    return _PermSweep.prepare(x1, x2, FitConfig(scale=True)), _permutations(7, 0, 24, WIDTH)
+
+
+def _starts(c: PermutedCross, frac: float, rule: str):
+    """Each member's largest-norm column as its start, and thresholds at
+    ``frac`` of the median top norm, but above every norm for the last two
+    members, whose first update vanishes."""
+    norms = c.col_norms()
+    js = np.argmax(norms, axis=0)
+    top = norms[js, np.arange(js.size)]
+    gammas = np.full(js.size, frac * np.median(top))
+    gammas[-2:] = 1.5 * top.max()
+    return c.columns(js) / top, gammas if rule == "l1" else gammas ** 2
+
+
+def _batch(side: str, transpose: bool, rule: str) -> PermutedCross:
+    """A thin first-side batch, or a second-side batch masked to the supports
+    that first side finds, in either orientation."""
+    sweep, perms = _null_sweep()
+    lead = sweep.batch(perms).T if transpose else sweep.batch(perms)
+    if side == "first":
+        return lead.thin()
+    z0, gammas = _starts(lead.thin(), 0.5, rule)
+    bits, ok = _batch_side(lead.thin(), float(gammas[0]), rule, ConvergenceSpec())
+    keep = np.flatnonzero(ok)
+    return lead.take(keep).cols(bits[:, keep]).T
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("rule", ["l1", "l0"])
+@pytest.mark.parametrize("max_iter", [10000, 8, 1])
+def test_batch_ascent_matches_the_loop_reference(side, transpose, rule, max_iter):
+    # at max_iter 1 a start that is already the fixed point is not capped
+    c = _batch(side, transpose, rule)
+    z0, gammas = _starts(c, 0.5, rule)
+    conv = ConvergenceSpec(max_iter=max_iter, objective_track=True)
+    run = _hinge_ascent(c, gammas, rule, z0, conv)
+    z, obj, weights, iterations, vanished, capped, traces, _ = _loop_ascent(
+        c, gammas, rule, z0, conv)
+    assert _bits(run.z) == _bits(z)
+    assert _bits(run.objective) == _bits(obj)
+    assert _bits(run.weights) == _bits(weights)
+    assert run.traces == traces
+    np.testing.assert_array_equal(run.iterations, iterations)
+    np.testing.assert_array_equal(run.vanished, vanished)
+    np.testing.assert_array_equal(run.capped, capped)
+    assert vanished[-2:].all() and (iterations[-2:] == 0).all()
+    if max_iter < 10000:
+        assert 0 < capped.sum() < c.idx.shape[1] - 2
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_the_array_stop_rule_keeps_the_loop_iteration_counts(transpose):
+    # a column the stall guard stopped, one the power stage twos' rule (no
+    # guard) lets run on, and columns that max_iter caps
+    c = _batch("first", transpose, "l1")
+    z0, gammas = _starts(c, 0.5, "l1")
+    for conv, stall_guard in ((ConvergenceSpec(), True), (ConvergenceSpec(), False),
+                              (ConvergenceSpec(max_iter=30), True)):
+        run = _hinge_ascent(c, gammas, "l1", z0, conv, stall_guard=stall_guard)
+        *_, iterations, vanished, capped, _, stalled = _loop_ascent(
+            c, gammas, "l1", z0, conv, stall_guard=stall_guard)
+        np.testing.assert_array_equal(run.iterations, iterations)
+        np.testing.assert_array_equal(run.vanished, vanished)
+        np.testing.assert_array_equal(run.capped, capped)
+        if stall_guard and conv.max_iter > 30:
+            guarded, free = iterations, _hinge_ascent(c, gammas, "l1", z0, conv,
+                                                      stall_guard=False).iterations
+            assert stalled.any() and (guarded[stalled] < free[stalled]).all()
+        if conv.max_iter == 30:
+            assert capped.any()
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("rule", ["l1", "l0"])
+def test_each_batch_column_is_its_member_alone(side, transpose, rule):
+    # BLAS rounds a one-column product (a matrix-vector call) differently
+    # from a many-column one, so a member alone agrees with its batch column
+    # to rounding, and exactly in its stop decisions
+    c = _batch(side, transpose, rule)
+    z0, gammas = _starts(c, 0.5, rule)
+    conv = ConvergenceSpec(max_iter=60)
+    run = _hinge_ascent(c, gammas, rule, z0, conv)
+    assert (run.iterations > 2).any()
+    for k in range(c.idx.shape[1]):
+        one = _hinge_ascent(c.take([k]), gammas[[k]], rule, z0[:, [k]], conv)
+        assert (one.iterations[0], one.vanished[0], one.capped[0]) == (
+            run.iterations[k], run.vanished[k], run.capped[k])
+        np.testing.assert_allclose(one.z[:, 0], run.z[:, k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(one.objective[0], run.objective[k], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(one.weights[:, 0], run.weights[:, k], rtol=0, atol=1e-12)
+        assert ((one.weights[:, 0] != 0) == (run.weights[:, k] != 0)).all()
+
+
+def test_a_second_ascent_leaves_the_first_results_alone():
+    c = _batch("second", False, "l1")
+    z0, gammas = _starts(c, 0.5, "l1")
+    first = _hinge_ascent(c, gammas, "l1", z0, ConvergenceSpec())
+    kept = first.z.copy(), first.weights.copy(), first.objective.copy()
+    second = _hinge_ascent(c, 0.5 * gammas, "l1", z0, ConvergenceSpec())
+    assert not np.array_equal(second.z, first.z)
+    for got, want in zip((first.z, first.weights, first.objective), kept):
+        assert _bits(got) == _bits(want)
+    for a in (first.z, first.weights):
+        for b in (second.z, second.weights):
+            assert not np.shares_memory(a, b)
+
+
+# -- the batched SVD stage two -------------------------------------------
+
+def _raw_batch(a: np.ndarray, b: np.ndarray, count: int, seed: int = 5) -> PermutedCross:
+    """A batch of ``count`` row permutations of the raw (uncentred) data a."""
+    n = a.shape[0]
+    idx = _permutations(seed, 0, n, count)
+    return PermutedCross(a, b, float(n), idx, np.argsort(idx, axis=0), a @ a.T, b @ b.T,
+                         np.linalg.qr(a.T, mode="r").T, np.linalg.qr(b.T, mode="r").T)
+
+
+def _masks(rng, p: int, count: int, low: int, high: int) -> np.ndarray:
+    """A support of between low and high coordinates per member."""
+    mask = np.zeros((p, count), dtype=bool)
+    for k in range(count):
+        mask[rng.choice(p, size=rng.integers(low, high + 1), replace=False), k] = True
+    return mask
+
+
+def _serial_rhos(batch: PermutedCross, rmask, cmask):
+    """Per member, |rho| from ``stage_two(..., "svd")`` and ``pearson`` on
+    member k alone, or None where stage two raises."""
+    out = []
+    for k in range(batch.idx.shape[1]):
+        member = batch.member(k)
+        try:
+            est = stage_two({(0, 1): member}, [np.flatnonzero(rmask[:, k]),
+                                                np.flatnonzero(cmask[:, k])], "svd")
+        except DegenerateInputError:
+            out.append(None)
+            continue
+        z1, z2 = est.directions
+        out.append(abs(pearson(member.a @ z1, member.b @ z2)[0]))
+    return out
+
+
+def test_batched_svd_stage_two_matches_stage_two_per_member():
+    sweep, perms = _null_sweep()
+    batch = sweep.batch(perms)
+    rng = np.random.default_rng(11)
+    # supports smaller than n=24 and larger, on either side
+    rmask = _masks(rng, batch.shape[0], WIDTH, 1, 30)
+    cmask = _masks(rng, batch.shape[1], WIDTH, 1, 28)
+    z1, z2, ok = power_svd_batch(replace(batch, rmask=rmask, cmask=cmask))
+    assert ok.all()
+    assert not (z1[~rmask].any() or z2[~cmask].any())
+    np.testing.assert_allclose(np.linalg.norm(z1, axis=0), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(z2, axis=0), 1.0, rtol=0, atol=1e-12)
+    want = _serial_rhos(batch, rmask, cmask)
+    np.testing.assert_allclose(_abs_correlations(batch, z1, z2), want, rtol=0, atol=1e-10)
+
+
+def test_an_all_zero_shrunk_block_is_a_failed_refit():
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((12, 9)), rng.standard_normal((12, 7))
+    b[:, 2] = 0.0
+    batch = _raw_batch(a, b, 4)
+    rmask = np.ones((9, 4), dtype=bool)
+    cmask = np.ones((7, 4), dtype=bool)
+    cmask[:, 1] = False
+    cmask[2, 1] = True         # member 1 keeps only the zero column of b
+    rmask[:, 3] = False
+    rmask[[0, 5], 3] = True
+    z1, z2, ok = power_svd_batch(replace(batch, rmask=rmask, cmask=cmask))
+    assert ok.tolist() == [True, False, True, True]
+    assert not z1[:, 1].any() and not z2[:, 1].any()
+    assert _abs_correlations(batch, z1, z2)[1] == 0.0
+    want = _serial_rhos(batch, rmask, cmask)
+    assert want[1] is None and all(w is not None for w in want[:1] + want[2:])
+    np.testing.assert_allclose(np.delete(_abs_correlations(batch, z1, z2), 1),
+                               want[:1] + want[2:], rtol=0, atol=1e-10)
+
+
+def test_a_constant_covariate_gives_rho_zero_and_no_failure():
+    # uncentred data: b's constant column still correlates with a's rows, so
+    # the block is not zero, but its covariate b z2 is constant
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((12, 9)) + 1.0, rng.standard_normal((12, 7))
+    b[:, 4] = 3.0
+    batch = _raw_batch(a, b, 3)
+    rmask = np.ones((9, 3), dtype=bool)
+    cmask = np.ones((7, 3), dtype=bool)
+    cmask[:, 0] = False
+    cmask[4, 0] = True
+    z1, z2, ok = power_svd_batch(replace(batch, rmask=rmask, cmask=cmask))
+    assert ok.all()
+    rhos = _abs_correlations(batch, z1, z2)
+    assert rhos[0] == 0.0 and (rhos[1:] > 0).all()
+    want = _serial_rhos(batch, rmask, cmask)
+    assert want[0] == 0.0
+    np.testing.assert_allclose(rhos, want, rtol=0, atol=1e-10)

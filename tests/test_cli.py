@@ -461,6 +461,7 @@ def test_flags_only_where_they_are_read(tmp_path, capsys):
                  [*report, "--tol", "1e-6"],
                  [*report, "--max-iter", "5"],
                  [*report, "--seed", "1"],
+                 [*report, "--no-scale"],
                  [*tune, "--gamma1", "0.1"],
                  [*tune, "--gamma2", "0.1"],
                  ["simulate", "--gamma1", "0.1"],
@@ -479,6 +480,70 @@ def test_flags_only_where_they_are_read(tmp_path, capsys):
                            "'power' or 'gep'")):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: --stage2 must be {choices}\n"
+
+
+def test_config_keys_must_be_options_of_the_subcommand(tmp_path, capsys):
+    # a key the subcommand does not read exits 1 before an input is read, as
+    # the same flag on the command line does
+    x = str(tmp_path / "missing.csv")
+    argvs = {"scca": ["scca", "--x1", x, "--x2", x],
+             "mscca": ["mscca", "--views", x, x],
+             "dscca": ["dscca", "--x1", x, "--x2", x, "--y", x],
+             "tune": ["tune", "--x1", x, "--x2", x, "--gamma1-grid", "0.1",
+                      "--gamma2-grid", "0.1"],
+             "simulate": ["simulate"],
+             "report": ["report", "--solution", x, "--views", x]}
+    cases = [("tune", "gamma1", 0.5), ("report", "scale", False), ("report", "no-scale", True),
+             ("simulate", "delimiter", ";"), ("scca", "x1", x), ("scca", "config", x),
+             ("mscca", "gamma1_grid", [0.1])]
+    cases += [(command, "max-iters", 5) for command in argvs]
+    config = tmp_path / "cfg.json"
+    for command, key, value in cases:
+        config.write_text(json.dumps({"out": str(tmp_path / "o"), key: value}))
+        assert main([*argvs[command], "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --config key '{key}' is not an option of {command}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_of_its_own_options_works_for_every_subcommand(tmp_path):
+    def config(name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return ["--config", str(path)]
+
+    def echo(out, name="solution.json"):
+        return json.loads((tmp_path / out / name).read_text())["metadata"]["config"]
+
+    assert main(["simulate", *config("simulate", {"model": "null", "n": 20, "p": [12, 10],
+                                                  "seed": 1}),
+                 "--out", str(tmp_path / "data")]) == 0
+    assert load_view(tmp_path / "data" / "x1.csv").data.shape == (20, 12)
+    x1, x2 = str(tmp_path / "data" / "x1.csv"), str(tmp_path / "data" / "x2.csv")
+    y = tmp_path / "y.csv"
+    y.write_text("y\n" + "\n".join(str(v) for v in np.linspace(-1.0, 1.0, 20)) + "\n")
+    assert main(["scca", "--x1", x1, "--x2", x2, "--out", str(tmp_path / "fit"),
+                 *config("scca", {"gamma1": 0.0, "max-iter": 500, "factors": 2,
+                                  "stage2": "svd", "delimiter": ","})]) == 0
+    assert (echo("fit")["max_iter"], echo("fit")["factors"], echo("fit")["stage2"]) == (
+        500, 2, "svd")
+    assert main(["mscca", "--views", x1, x2, "--out", str(tmp_path / "m"),
+                 *config("mscca", {"gamma_matrix": [[0, 0.01], [0.01, 0]],
+                                   "scale": False})]) == 0
+    assert echo("m")["gamma_matrix"] == [[0.0, 0.01], [0.01, 0.0]] and not echo("m")["scale"]
+    assert main(["dscca", "--x1", x1, "--x2", x2, "--y", str(y), "--out", str(tmp_path / "d"),
+                 *config("dscca", {"mode": "two-stage", "keep-fraction": 0.5,
+                                   "eps1": 0.5})]) == 0
+    assert (echo("d")["mode"], echo("d")["eps1"]) == ("two-stage", 0.5)
+    assert main(["tune", "--x1", x1, "--x2", x2, "--out", str(tmp_path / "t"),
+                 *config("tune", {"gamma1_grid": [0.0], "gamma2-grid": "0", "permutations": 3,
+                                  "method": "perm", "jobs": 1, "seed": 2})]) == 0
+    report = json.loads((tmp_path / "t" / "tune.json").read_text())
+    assert len(report["report"]["traces"][0][0]) == 3 and echo("t", "tune.json")["seed"] == 2
+    assert main(["report", "--solution", str(tmp_path / "fit" / "solution.json"),
+                 "--views", x1, x2, "--out", str(tmp_path / "r"),
+                 *config("report", {"kind": "interp", "format": "json", "markers": 3})]) == 0
+    assert (tmp_path / "r" / "interp.json").exists()
 
 
 def test_tune_method_from_config_is_checked_before_inputs(tmp_path, capsys):
