@@ -492,10 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int)
     p.add_argument("--permutations", type=int)
     p.add_argument("--jobs", type=int,
-                   help="threads (default 1): --method cv runs its folds on them, perm "
-                        "its grid cells; each perm cell's batched refits already use "
-                        "every core through BLAS, so on 2 cores --jobs 2 measured "
-                        "slower (0.64-0.75x on the tune-pipeline benchmark)")
+                   help="worker processes (default: one per usable CPU): --method cv "
+                        "deals its folds out to them, perm its grid cells; each is "
+                        "pinned to its own CPU with BLAS at one thread; --jobs 1, or "
+                        "taskset to one CPU, runs the sweep in this process; the "
+                        "report is the same for any count")
     _common(p, "tune")
     p.set_defaults(func=cmd_tune, config_keys=_config_keys(p))
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cores
 from .errors import DimensionError, ParseError, SccaError, StateError
 
 _MEAN_TOL = 1e-10
@@ -207,14 +208,6 @@ def load_view(path, delimiter: str | None = None, header: bool | None = None) ->
 _PARALLEL_MIN_BYTES = 2 << 20
 
 
-def _usable_cpus() -> list[int]:
-    """The CPUs this process may run on; none where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing (no parallel parse there)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return []
-    return sorted(os.sched_getaffinity(0))
-
-
 def _cuts(line_bytes: np.ndarray, parts: int) -> list[int]:
     """Line indices that split lines of the given sizes into at most
     ``parts`` non-empty runs of about equal bytes: a line goes to the run
@@ -240,40 +233,6 @@ def _parse_run(files, arrays, start: int, stop: int) -> bool:
     return True
 
 
-def _parse_forked(files, arrays, cuts: list[int], cpus: list[int]) -> bool:
-    """Parse each run between consecutive ``cuts`` into ``arrays`` (which
-    live in a shared mapping): the first run here, each other one in a
-    forked child that inherits the lines and writes its rows in place. Each
-    process is pinned to its own CPU of ``cpus`` while it parses, and this
-    one gets its CPU mask back after. Every child is waited for before this
-    returns or raises. A child runs only numpy's text parser and leaves
-    through ``os._exit``, so forking is safe even while BLAS threads exist,
-    and it hands the lines over without pickling them."""
-    mask = os.sched_getaffinity(0)
-    pids = []
-    ok = False
-    try:
-        os.sched_setaffinity(0, cpus[:1])
-        for cpu, start, stop in zip(cpus[1:], cuts[1:-1], cuts[2:]):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.sched_setaffinity(0, [cpu])
-                    code = 0 if _parse_run(files, arrays, start, stop) else 1
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        ok = _parse_run(files, arrays, cuts[0], cuts[1])
-    except OSError:
-        ok = False   # a child could not be started: the caller parses serially
-    finally:
-        os.sched_setaffinity(0, mask)
-        for pid in pids:
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return ok
-
-
 def _load_parallel(paths, delimiter: str | None, cpus: list[int]) -> list[ViewMatrix] | None:
     """The views of ``paths`` with their body rows parsed on up to one
     process per CPU of ``cpus``; None when a file needs ``load_view``'s
@@ -296,7 +255,11 @@ def _load_parallel(paths, delimiter: str | None, cpus: list[int]) -> list[ViewMa
         arrays.append(np.frombuffer(shared, dtype=float, count=n * p,
                                     offset=offset).reshape(n, p))
         offset += 8 * n * p
-    if not _parse_forked(files, arrays, _cuts(line_bytes, parts), cpus):
+    cuts = _cuts(line_bytes, parts)
+    # each run writes its rows into the shared mapping, so a forked parser
+    # returns only whether its run parsed
+    if not all(cores.run_shares(lambda k: _parse_run(files, arrays, cuts[k], cuts[k + 1]),
+                                cpus[:len(cuts) - 1])):
         return None
     try:
         return [_view(names, data) for (_d, names, _b, _p), data in zip(files, arrays)]
@@ -321,7 +284,7 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
     in order, so the error is the one the serial loop raises.
     """
     paths = list(paths)
-    cpus = _usable_cpus()
+    cpus = cores.usable_cpus()
     if len(cpus) > 1:
         try:
             big = sum(os.path.getsize(path) for path in paths) >= _PARALLEL_MIN_BYTES

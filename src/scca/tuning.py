@@ -17,21 +17,27 @@ instead of n(p1 + p2). With the SVD stage two the refits whose supports
 survive run stage two as one batch too, each masked to its supports, and
 their correlations come from one product per view; the GEP stage two
 solves each refit's pencil in turn.
+A sweep runs on processes, not threads: its folds or cells are dealt out by
+index to one process per usable CPU (at most ``jobs``), this one and forked
+children, each pinned to its own CPU, with every loaded OpenBLAS at one
+thread for the whole sweep. ``jobs=1``, or a ``taskset`` to one CPU, keeps
+it in this process.
 Every fit runs stage one from the one deterministic start the pair pipeline
 uses, so the only randomness is in the folds and permutations. Their seeds
 derive from (master seed, cell index), so reports are reproducible regardless
-of worker count or execution order.
+of process count or execution order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
+from . import cores
 from .covariance import CrossOperator, PermutedCross, ViewMatrix, center_scale, standardize
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
@@ -128,6 +134,9 @@ class FitConfig:
     ridge: float = 0.0
     order: str = "auto"
     divisor: str = "n"
+
+
+_log = logging.getLogger("scca")
 
 
 def _cell_seed(master: int, index: int) -> np.random.SeedSequence:
@@ -239,10 +248,10 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
 
 
 def _cv_cells(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid, cells: list, cfg: FitConfig,
-              conv: ConvergenceSpec, jobs: int | None) -> list[dict]:
+              conv: ConvergenceSpec, jobs: int | None, capped: bool) -> list[dict]:
     """Every cell's fold-averaged held-out correlation, fold by fold."""
     per_fold = _map(lambda hold: _cv_fold(x1, x2, hold, cells, cfg, conv),
-                    _fold_slices(x1.n, grid.folds, grid.seed), jobs)
+                    _fold_slices(x1.n, grid.folds, grid.seed), jobs, capped, "cv folds")
     results = []
     for c in range(len(cells)):
         fold_rhos = np.array([fold[c][0] for fold in per_fold])
@@ -355,16 +364,41 @@ def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: Fit
     perms = _permutations(grid.seed, cell_index, sweep.v1.n, grid.permutations)
     perm_rhos, failures = _batched_refits(sweep, perms, g1, g2, cfg, conv)
     p_value = float(np.mean(perm_rhos > rho))
-    return {"score": p_value, "trace": perm_rhos, "flags": [], "failed": False,
+    flags = []
+    size = sum(view[0].active_count for view in sol.patterns)
+    if cfg.stage2 == "gep" and cfg.ridge == 0 and size >= sweep.v1.n:
+        # centred views span at most n - 1 dimensions, so supports this
+        # large share a covariate and the pencil's rho is 1 up to rounding
+        flags.append(f"GEP stage two on |S1|+|S2| = {size} >= n = {sweep.v1.n} coordinates: "
+                     "the matched rho is 1 by construction, so the p-value ranks rounding noise")
+    return {"score": p_value, "trace": perm_rhos, "flags": flags, "failed": False,
             "matched_rho": rho, "refit_failures": failures}
 
 
-def _map(fn: Callable, items: list, jobs: int | None) -> list:
-    """``fn`` of every item, in order; on ``jobs`` threads when jobs > 1."""
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _map(fn: Callable, items: list, jobs: int | None, capped: bool, what: str) -> list:
+    """``fn`` of every item, in order, on min(usable CPUs, items, ``jobs``)
+    processes: with W of them, share k takes items k, k + W, ...; this
+    process runs share 0 and forked, pinned children the others
+    (``cores.run_shares``). Runs here, item by item, for ``jobs=1``, one
+    usable CPU, no ``os.fork``, one item, or no OpenBLAS thread control
+    (``capped`` False: pinned processes would share their CPU with BLAS
+    threads). Logs one debug record: the process count, and why it runs
+    here."""
+    cpus = cores.usable_cpus()
+    reason = ("jobs=1" if jobs == 1 else "no fork" if not cpus else
+              "one CPU" if len(cpus) == 1 else "one item" if len(items) == 1 else
+              "no BLAS control" if not capped else None)
+    if reason is not None:
+        _log.debug("tuning sweep of %d %s: 1 process (%s)", len(items), what, reason)
+        return [fn(item) for item in items]
+    workers = min(len(cpus), len(items), jobs or len(cpus))
+    _log.debug("tuning sweep of %d %s: %d processes", len(items), what, workers)
+    shares = cores.run_shares(lambda k: [fn(item) for item in items[k::workers]],
+                              cpus[:workers])
+    out: list = [None] * len(items)
+    for k, share in enumerate(shares):
+        out[k::workers] = share
+    return out
 
 
 def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
@@ -374,13 +408,19 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
     """Run every grid cell and assemble the report.
 
     Cross-validation runs fold by fold and the permutation test cell by
-    cell, on ``jobs`` threads when jobs > 1. Results are kept in fold and
-    cell order so the report is identical for any worker count or
-    completion order. Per-cell failures are recorded without aborting the
-    sweep.
+    cell, on up to ``jobs`` processes (default: one per usable CPU): this
+    one and forked children, each pinned to its own CPU. ``jobs=1`` runs
+    the sweep in this process; so does a ``taskset`` to one CPU. For the
+    whole sweep every loaded OpenBLAS runs at one thread, whether or not
+    it forks, so the report is byte-identical for any process count, CPU
+    count or completion order; where no OpenBLAS thread control is found
+    the sweep runs here on the BLAS threads it has. Per-cell failures are
+    recorded without aborting the sweep.
     """
     if mode not in ("cv", "perm"):
         raise ValueError("mode must be 'cv' or 'perm'")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if x1.n != x2.n:
         raise DimensionError(f"sample counts differ: {x1.n} vs {x2.n}")
     if mode == "cv" and x1.n < 2 * grid.folds:
@@ -389,12 +429,17 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
     conv = conv or ConvergenceSpec()
     check_stage2(cfg.stage2, 2)
     cells = grid.cells()
-    if mode == "cv":
-        results = _cv_cells(x1, x2, grid, cells, cfg, conv, jobs)
-    else:
-        sweep = _PermSweep.prepare(x1, x2, cfg)
-        results = _map(lambda cell: _perm_cell(sweep, cell[3], cell[4], grid, cfg, conv,
-                                               cell[0]), cells, jobs)
+    if cfg.stage2 == "gep":
+        # scipy brings its own OpenBLAS: load it here, unpinned, so that it
+        # starts with every CPU and the thread cap below covers it too
+        import scipy.linalg  # noqa: F401
+    with cores.one_blas_thread() as capped:
+        if mode == "cv":
+            results = _cv_cells(x1, x2, grid, cells, cfg, conv, jobs, capped)
+        else:
+            sweep = _PermSweep.prepare(x1, x2, cfg)
+            results = _map(lambda cell: _perm_cell(sweep, cell[3], cell[4], grid, cfg, conv,
+                                                   cell[0]), cells, jobs, capped, "perm cells")
 
     n1, n2 = len(grid.gamma1_values), len(grid.gamma2_values)
     width = grid.folds if mode == "cv" else grid.permutations

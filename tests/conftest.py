@@ -4,6 +4,8 @@ assertion."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,15 @@ import scipy.linalg
 from scca import (DegenerateInputError, EmptySupportError, SingularityError, ViewMatrix,
                   cca_gep, center_scale, fit_pair, pearson, power_svd)
 from scca.covariance import standardize
+
+
+def no_children() -> bool:
+    """True when this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def make_views(n, p1, p2, seed=0):

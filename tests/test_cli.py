@@ -761,3 +761,15 @@ def test_tune_without_a_grid_exits_1_naming_it(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "error: expected comma-separated numbers or a JSON array, got 0.3\n")
+
+
+@pytest.mark.parametrize("method", ["perm", "cv"])
+def test_tune_jobs_below_one_exits_1(tmp_path, capsys, method):
+    _write_small_views(tmp_path)
+    out = tmp_path / "o"
+    assert main(["tune", "--method", method, "--x1", str(tmp_path / "x1.csv"),
+                 "--x2", str(tmp_path / "x2.csv"), "--gamma1-grid", "0.1",
+                 "--gamma2-grid", "0.1", "--folds", "2", "--permutations", "3",
+                 "--jobs", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
+    assert not (out / "tune.json").exists()

@@ -13,21 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scca import ParseError, covariance, load_view, load_views
+from scca import ParseError, cores, covariance, load_view, load_views
 from scca.cli import main
 
+from conftest import no_children
+
 needs_fork = pytest.mark.skipif(
-    len(covariance._usable_cpus()) < 2,
+    len(cores.usable_cpus()) < 2,
     reason="the parallel parse needs os.fork and at least two usable CPUs")
-
-
-def _no_children():
-    """True when this process has no child left, running or unreaped."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def _fork_counter(monkeypatch) -> list:
@@ -91,7 +84,7 @@ def test_parallel_parse_is_bit_identical_at_every_chunk_boundary(tmp_path_factor
             mp.setattr(covariance, "_cuts", lambda _bytes, _parts, cut=cut: [0, cut, lines])
             _same_views(load_views(paths), want)
     assert len(forks) == lines
-    assert _no_children()
+    assert no_children()
 
 
 def test_cuts_are_line_aligned_non_empty_and_balanced():
@@ -150,13 +143,13 @@ def test_parallel_and_serial_paths_fail_alike(tmp_path, monkeypatch, capsys, com
     if command == "tune":
         argv += ["--gamma1-grid", "0.1", "--gamma2-grid", "0.1", "--permutations", "3"]
     outcomes = []
-    serial, parallel = (covariance._PARALLEL_MIN_BYTES, []), (0, covariance._usable_cpus())
+    serial, parallel = (covariance._PARALLEL_MIN_BYTES, []), (0, cores.usable_cpus())
     for threshold, cpus in (serial, parallel):
         monkeypatch.setattr(covariance, "_PARALLEL_MIN_BYTES", threshold)
-        monkeypatch.setattr(covariance, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(cores, "usable_cpus", lambda cpus=cpus: cpus)
         code = main(argv)
         outcomes.append((code, capsys.readouterr().err))
-        assert _no_children()
+        assert no_children()
     assert outcomes[1] == outcomes[0]
     assert (outcomes[0][0] == 0) == ((x1, x2) == ("x1", "x2"))
 
@@ -172,7 +165,7 @@ def test_a_bad_row_in_any_run_gives_the_serial_error(tmp_path, monkeypatch):
         with pytest.raises(ParseError) as parallel:
             load_views([paths["x2"], paths["ragged"]])
         assert str(parallel.value) == str(serial.value)
-        assert _no_children()
+        assert no_children()
 
 
 def test_nan_is_reported_before_a_missing_second_file(tmp_path, monkeypatch, capsys):
@@ -210,5 +203,5 @@ def test_files_past_the_threshold_parse_on_one_process_per_cpu(tmp_path, monkeyp
     forks = _fork_counter(monkeypatch)
     views = load_views(paths)
     _same_views(views, [load_view(path) for path in paths])
-    assert len(forks) == min(len(covariance._usable_cpus()), size >> 20) - 1
-    assert _no_children()
+    assert len(forks) == min(len(cores.usable_cpus()), size >> 20) - 1
+    assert no_children()

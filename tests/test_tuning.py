@@ -1,9 +1,14 @@
+import logging
+import os
+
 import numpy as np
 import pytest
 
-from scca import (FitConfig, TuneGrid, ViewMatrix, center_scale, cv_tune,
-                  gen_null, gen_rank_one, perm_tune)
+from scca import (DimensionError, FitConfig, TuneGrid, ViewMatrix, center_scale, cores,
+                  cv_tune, fit_pair, gen_null, gen_rank_one, perm_tune, tuning)
 from scca.simulate import RankOneSpec
+
+from conftest import no_children
 
 SMALL_SPEC = RankOneSpec(p=(40, 30), n=24, sigma=(0.15, 0.15), seed=2,
                          supports=((5, 5), (4, 4)))
@@ -87,21 +92,21 @@ def test_reports_reproducible_and_order_independent():
     x1, x2, _ = _planted_views()
     g1s, g2s = _frac_grid(x1, x2, (0.2, 0.4), (0.2, 0.4))
     grid = TuneGrid(g1s, g2s, permutations=10, seed=21)
-    serial = perm_tune(x1, x2, grid)
-    again = perm_tune(x1, x2, grid)
-    threaded = perm_tune(x1, x2, grid, jobs=3)
+    serial = perm_tune(x1, x2, grid, jobs=1)
+    again = perm_tune(x1, x2, grid, jobs=1)
+    forked = perm_tune(x1, x2, grid, jobs=3)
     np.testing.assert_array_equal(serial.scores, again.scores)
     np.testing.assert_array_equal(serial.traces, again.traces)
-    np.testing.assert_array_equal(serial.scores, threaded.scores)
-    np.testing.assert_array_equal(serial.traces, threaded.traces)
-    assert serial.chosen == threaded.chosen
+    np.testing.assert_array_equal(serial.scores, forked.scores)
+    np.testing.assert_array_equal(serial.traces, forked.traces)
+    assert serial.chosen == forked.chosen
     grid = TuneGrid(g1s, g2s, folds=4, seed=21)
-    serial = cv_tune(x1, x2, grid)
-    threaded = cv_tune(x1, x2, grid, jobs=3)
-    np.testing.assert_array_equal(serial.scores, threaded.scores)
-    np.testing.assert_array_equal(serial.traces, threaded.traces)
-    assert serial.flags == threaded.flags
-    assert serial.chosen == threaded.chosen
+    serial = cv_tune(x1, x2, grid, jobs=1)
+    forked = cv_tune(x1, x2, grid, jobs=3)
+    np.testing.assert_array_equal(serial.scores, forked.scores)
+    np.testing.assert_array_equal(serial.traces, forked.traces)
+    assert serial.flags == forked.flags
+    assert serial.chosen == forked.chosen
 
 
 def test_ties_lean_toward_sparser_models():
@@ -385,7 +390,7 @@ def test_cv_tune_matches_the_per_cell_reference(penalty, order, divisor, scale, 
 
 
 def test_cv_tune_on_null_data_matches_the_per_cell_reference():
-    # null data, on two threads: no planted support for the folds to agree on
+    # null data, on two processes: no planted support for the folds to agree on
     x1, x2 = gen_null(24, 40, 30, seed=2)
     g1s, g2s = _frac_grid(x1, x2, (0.15, 0.4), (0.15, 0.4))
     cfg = FitConfig()
@@ -459,7 +464,8 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
     monkeypatch.setattr(tuning, "stage_two", stage_two)
     monkeypatch.setattr(tuning, "_cv_fold", cv_fold)
     monkeypatch.setattr(pattern, "_hinge_ascent", hinge_ascent)
-    report = cv_tune(x1, x2, grid, cfg=cfg)
+    # in this process, where the counters are
+    report = cv_tune(x1, x2, grid, cfg=cfg, jobs=1)
     _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
 
     assert len(per_fold) == grid.folds
@@ -485,3 +491,203 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
         shared_pair |= len(pairs) < len(grid.cells())
     # the grid is one where first-side gammas share supports and cells share pairs
     assert shared_first and shared_pair
+
+
+needs_fork = pytest.mark.skipif(len(cores.usable_cpus()) < 2,
+                                reason="forked sweeps need os.fork and two usable CPUs")
+
+
+def _sweep(method, x1, x2, grid, penalty="l1", cfg=None, jobs=None):
+    tune = perm_tune if method == "perm" else cv_tune
+    return tune(x1, x2, grid, penalty=penalty, cfg=cfg, jobs=jobs)
+
+
+def _sweep_grid(x1, x2, penalty):
+    if penalty == "l0":
+        return TuneGrid((1.0, 4.0, 16.0), (1.0, 4.0), folds=4, permutations=20, seed=9)
+    g1s, g2s = _frac_grid(x1, x2, (0.1, 0.2, 0.3), (0.1, 0.3))
+    return TuneGrid(g1s, g2s, folds=4, permutations=20, seed=9)
+
+
+def _forks(monkeypatch) -> list:
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@needs_fork
+@pytest.mark.parametrize("method,stage2,penalty", [
+    ("perm", "svd", "l1"), ("perm", "svd", "l0"), ("perm", "gep", "l1"), ("perm", "gep", "l0"),
+    ("cv", "svd", "l1"), ("cv", "svd", "l0")])
+def test_forked_and_in_process_sweeps_write_the_same_report(monkeypatch, method, stage2,
+                                                            penalty):
+    x1, x2, _ = _planted_views()
+    grid, cfg = _sweep_grid(x1, x2, penalty), FitConfig(stage2=stage2)
+    forks = _forks(monkeypatch)
+    forked = _sweep(method, x1, x2, grid, penalty, cfg)
+    assert forks
+    forks.clear()
+    here = _sweep(method, x1, x2, grid, penalty, cfg, jobs=1)
+    assert not forks
+    assert forked.to_json() == here.to_json()
+
+
+@needs_fork
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_sweep_restores_the_cpu_mask_and_every_blas_thread_count(monkeypatch, fails):
+    import scipy.linalg  # noqa: F401  (its OpenBLAS is restored too)
+    x1, x2, _ = _planted_views()
+    grid = _sweep_grid(x1, x2, "l1")
+    controls = cores._openblas_controls()
+    before = [get() for get, _put in controls]
+    mask = os.sched_getaffinity(0)
+    real_cell, inside = tuning._perm_cell, []
+
+    def perm_cell(*args):
+        inside.append([get() for get, _put in controls])
+        if fails:
+            raise RuntimeError("cell failed")
+        return real_cell(*args)
+    monkeypatch.setattr(tuning, "_perm_cell", perm_cell)
+    if fails:
+        with pytest.raises(RuntimeError, match="cell failed"):
+            perm_tune(x1, x2, grid, cfg=FitConfig(stage2="gep"))
+    else:
+        perm_tune(x1, x2, grid, cfg=FitConfig(stage2="gep"))
+    assert inside and all(counts == [1] * len(controls) for counts in inside)
+    assert [get() for get, _put in controls] == before
+    assert os.sched_getaffinity(0) == mask
+    assert no_children()
+
+
+@needs_fork
+def test_a_share_whose_child_fails_is_run_again_here(monkeypatch):
+    x1, x2, _ = _planted_views()
+    grid = _sweep_grid(x1, x2, "l1")
+    want = perm_tune(x1, x2, grid, jobs=1).to_json()
+    here, real_cell = os.getpid(), tuning._perm_cell
+
+    def perm_cell(*args):
+        if os.getpid() != here:
+            os._exit(3)
+        return real_cell(*args)
+    monkeypatch.setattr(tuning, "_perm_cell", perm_cell)
+    assert perm_tune(x1, x2, grid).to_json() == want
+    assert no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("method", ["perm", "cv"])
+def test_an_error_in_a_child_share_is_raised_as_the_serial_sweep_raises_it(monkeypatch,
+                                                                           method):
+    x1, x2, _ = _planted_views()
+    grid = _sweep_grid(x1, x2, "l1")
+    name = "_perm_cell" if method == "perm" else "_cv_fold"
+    real, second = getattr(tuning, name), tuning._fold_slices(x1.n, grid.folds, grid.seed)[1]
+    seen = []
+
+    def failing(*args):
+        # the second cell or fold is the first item of the first child's share
+        item = args[-1] if method == "perm" else int(np.array_equal(args[2], second))
+        seen.append(item)
+        if item == 1:
+            raise DimensionError(f"{method} item failed")
+        return real(*args)
+    monkeypatch.setattr(tuning, name, failing)
+    outcomes = []
+    for jobs in (1, None):
+        seen.clear()
+        with pytest.raises(DimensionError) as err:
+            _sweep(method, x1, x2, grid, jobs=jobs)
+        outcomes.append((str(err.value), seen[-1]))
+    # the forked sweep met the error here only when it ran the child's share again
+    assert outcomes == [(f"{method} item failed", 1)] * 2
+    assert no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("method", ["perm", "cv"])
+def test_without_blas_control_the_sweep_runs_here_with_the_same_report(monkeypatch,
+                                                                       caplog, method):
+    x1, x2, _ = _planted_views()
+    grid = _sweep_grid(x1, x2, "l1")
+    want = _sweep(method, x1, x2, grid, jobs=1).to_json()
+    monkeypatch.setattr(cores, "_openblas_controls", lambda: [])
+    forks = _forks(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="scca"):
+        got = _sweep(method, x1, x2, grid).to_json()
+    assert not forks
+    assert got == want
+    assert [r.getMessage().split(": ")[1] for r in caplog.records] == [
+        "1 process (no BLAS control)"]
+
+
+@needs_fork
+def test_refits_past_a_pipe_buffer_come_back_intact():
+    # a 1 x 1 grid runs here; the second cell's 10,000 traces (80 kB) come
+    # back from a child through its pipe
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(x1, x2, (0.2,), (0.2, 0.3))
+    grid = TuneGrid(g1s, g2s, permutations=10_000, seed=4)
+    forked, here = perm_tune(x1, x2, grid), perm_tune(x1, x2, grid, jobs=1)
+    assert forked.traces.shape == (1, 2, 10_000)
+    assert forked.to_json() == here.to_json()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_refused(jobs):
+    x1, x2, _ = _planted_views()
+    grid = _sweep_grid(x1, x2, "l1")
+    for method in ("perm", "cv"):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            _sweep(method, x1, x2, grid, jobs=jobs)
+
+
+@pytest.mark.parametrize("cpus,jobs,message", [
+    ([0, 1], None, "6 perm cells: 2 processes"),
+    ([0, 1], 1, "6 perm cells: 1 process (jobs=1)"),
+    ([0], None, "6 perm cells: 1 process (one CPU)"),
+    ([], 4, "6 perm cells: 1 process (no fork)")])
+def test_each_sweep_logs_its_process_count_and_why_it_runs_here(monkeypatch, caplog, cpus,
+                                                                jobs, message):
+    if len(cpus) > len(cores.usable_cpus()):
+        pytest.skip("needs two usable CPUs")
+    x1, x2, _ = _planted_views()
+    grid = _sweep_grid(x1, x2, "l1")
+    monkeypatch.setattr(cores, "usable_cpus", lambda: list(cpus))
+    with caplog.at_level(logging.DEBUG, logger="scca"):
+        perm_tune(x1, x2, grid, jobs=jobs)
+    assert [r.getMessage() for r in caplog.records] == [f"tuning sweep of {message}"]
+
+
+def test_the_scca_logger_is_silent_by_default(capsys):
+    x1, x2, _ = _planted_views()
+    perm_tune(x1, x2, _sweep_grid(x1, x2, "l1"))
+    assert capsys.readouterr() == ("", "")
+
+
+def test_gep_cells_whose_supports_reach_n_are_flagged_and_svd_cells_are_not():
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(x1, x2, (0.05, 0.6), (0.05, 0.6))
+    grid = TuneGrid(g1s, g2s, permutations=10, seed=3)
+    gep = perm_tune(x1, x2, grid, cfg=FitConfig(stage2="gep"))
+    svd = perm_tune(x1, x2, grid)
+    want, sizes = [], []
+    for _idx, _i, _j, g1, g2 in grid.cells():
+        sol = fit_pair(center_scale(x1), center_scale(x2), g1, g2, factors=1, stage2="gep")
+        sizes.append(sum(view[0].active_count for view in sol.patterns))
+        if sizes[-1] >= x1.n:
+            want.append(f"(gamma1={g1:g}, gamma2={g2:g}): GEP stage two on |S1|+|S2| = "
+                        f"{sizes[-1]} >= n = {x1.n} coordinates: the matched rho is 1 by "
+                        "construction, so the p-value ranks rounding noise")
+    # the grid has cells on both sides of n = 24 coordinates
+    assert min(sizes) < x1.n <= max(sizes)
+    assert gep.flags == want
+    assert svd.flags == []
+    # the flag leaves the scores as they were
+    np.testing.assert_array_equal(gep.scores, (gep.traces > gep.matched_rho[..., None]).mean(-1))
