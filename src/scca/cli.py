@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .covariance import (SparsityPattern, ViewMatrix, center_scale, load_view, load_views,
-                         write_view)
+from . import __version__, jsontext
+from .covariance import (SparsityPattern, ViewMatrix, center_scale_owned,
+                         load_view, load_views, write_view)
 from .directed import (AccessoryVector, DirectedParams, UnivariateSelector,
                        directed_fit, directed_stacked_fit, directed_two_stage)
 from .errors import (DegenerateInputError, EmptySupportError,
@@ -138,7 +138,7 @@ def load_solution(path) -> tuple[CcaSolution, list[list[str]], dict]:
 
 
 def _write_json(doc: dict, path: Path) -> Path:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(jsontext.dumps(doc) + "\n")
     return path
 
 
@@ -172,7 +172,8 @@ def _finish_fit(sol: CcaSolution, views: list[ViewMatrix], resolved: dict,
 
 
 def _load_centered(paths: list[str], delimiter, scale: bool) -> list[ViewMatrix]:
-    return [center_scale(view, scale=scale) for view in load_views(paths, delimiter)]
+    # the loaded views are this call's own, so they are centred in place
+    return [center_scale_owned(view, scale=scale) for view in load_views(paths, delimiter)]
 
 
 def _load_accessory(path: str, delimiter=None) -> AccessoryVector:
@@ -343,8 +344,9 @@ def cmd_tune(args) -> int:
            "report": report.to_dict()}
     out = _out_dir(r)
     _write_json(doc, out / "tune.json")
-    # each sweep standardizes the views itself; the warnings come from the whole views
-    _print_warnings(_view_warnings([center_scale(x, scale=r["scale"]) for x in (x1, x2)]))
+    # each sweep standardizes the views itself; the warnings come from the whole views,
+    # which are not read again
+    _print_warnings(_view_warnings([center_scale_owned(x, scale=r["scale"]) for x in (x1, x2)]))
     print(out / "tune.json")
     return 0
 

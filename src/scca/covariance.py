@@ -2,7 +2,8 @@
 
 Views are n x p observation matrices (rows = samples). Cross-covariance
 blocks use the divisor n by default; ``divisor="n-1"`` is available for
-cross-tool comparison. ``load_views`` reads several view files at once,
+cross-tool comparison. ``load_view`` parses a view file from its bytes,
+without decoding it; ``load_views`` reads several view files at once,
 parsing large ones on every usable CPU. ``CrossOperator`` keeps a
 cross-covariance as the centred data plus a low-rank deflation correction,
 so restricting it to a sparsity pattern selects data columns instead of
@@ -13,10 +14,14 @@ the first view, for permutation tuning.
 
 from __future__ import annotations
 
+import io
+import logging
 import mmap
 import os
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +29,8 @@ from . import cores
 from .errors import DimensionError, ParseError, SccaError, StateError
 
 _MEAN_TOL = 1e-10
+
+_log = logging.getLogger("scca")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,30 +155,20 @@ def _check_names(names: list[str]) -> None:
         seen[name] = j
 
 
-def _read_rows(path, delimiter: str | None, header: bool | None):
-    """A view file as ``load_view`` reads it: (delimiter, header names or
-    None, body lines, line number of the first body line)."""
-    path = Path(path)
+def _delimiter(path, delimiter: str | None) -> str:
     if delimiter is None:
-        delimiter = "\t" if path.suffix.lower() in {".tsv", ".tab"} else ","
-    lines = path.read_text().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError("empty file", line=1)
+        delimiter = "\t" if Path(path).suffix.lower() in {".tsv", ".tab"} else ","
+    return delimiter
 
-    first_row = lines[0].split(delimiter)
+
+def _header_names(first: str, delimiter: str, header: bool | None) -> list[str] | None:
+    """The names of a file whose first line is ``first``, or None when that
+    line is data: with ``header=None``, it is a header iff any of its cells
+    is not a finite number."""
+    first_row = first.split(delimiter)
     if header is None:
         header = not all(_is_number(tok) for tok in first_row)
-    if header:
-        names = [tok.strip() for tok in first_row]
-        body, first_line = lines[1:], 2
-    else:
-        names = None
-        body, first_line = lines, 1
-    if not body:
-        raise DimensionError("need at least 2 samples, got 0")
-    return delimiter, names, body, first_line
+    return [tok.strip() for tok in first_row] if header else None
 
 
 def _view(names: list[str] | None, data: np.ndarray) -> ViewMatrix:
@@ -185,20 +182,120 @@ def _view(names: list[str] | None, data: np.ndarray) -> ViewMatrix:
     return ViewMatrix(data, names, centered=False, scaled=False)
 
 
-def load_view(path, delimiter: str | None = None, header: bool | None = None) -> ViewMatrix:
-    """Read a delimited numeric matrix into a ViewMatrix.
-
-    The delimiter is inferred from the extension (.tsv/.tab -> tab, else
-    comma) unless given. ``header=None`` auto-detects a name row: the first
-    row is a header iff any of its cells is not a finite number. A blank or
-    repeated header name raises ParseError on line 1.
-    """
-    delimiter, names, body, first_line = _read_rows(path, delimiter, header)
+def _read_text(path, delimiter: str | None, header: bool | None) -> ViewMatrix:
+    """The text reader: decodes the whole file, and reports a bad cell's
+    exact line and column."""
+    delimiter = _delimiter(path, delimiter)
+    lines = Path(path).read_text().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    names = _header_names(lines[0], delimiter, header)
+    body, first_line = (lines[1:], 2) if names is not None else (lines, 1)
+    if not body:
+        raise DimensionError("need at least 2 samples, got 0")
     p = len(body[0].split(delimiter))
     data = _parse_body(body, delimiter, p)
     if data is None:
         data = _parse_cells(body, delimiter, p, first_line)
     return _view(names, data)
+
+
+# The byte reader reads this many bytes at a time, and parses batches of rows
+# that span about as many.
+_BLOCK = 1 << 18
+
+
+class _Refused(Exception):
+    """Why the byte reader leaves a file to the text reader."""
+
+
+class _Body(NamedTuple):
+    """Where a view file's rows are, as the byte reader found them."""
+
+    path: str
+    delimiter: str
+    names: list[str] | None
+    p: int
+    starts: np.ndarray    # byte offset of each row, then the end of the last one
+
+
+def _decode(raw: bytes) -> str:
+    """Bytes of whole lines, decoded as ``Path.read_text`` decodes a file."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None)).read()
+
+
+def _body_stop(fh, start: int, stop: int) -> int:
+    """The offset past the last byte of [start, stop) that is not a space,
+    tab, CR or LF: blank lines at the end of a file are not rows."""
+    while stop > start:
+        at = max(start, stop - 4096)
+        fh.seek(at)
+        kept = fh.read(stop - at).rstrip(b" \t\r\n")
+        if kept:
+            return at + len(kept)
+        stop = at
+    return start
+
+
+def _line_feeds(fh, start: int, stop: int) -> np.ndarray:
+    """The offsets of the LF bytes in [start, stop), by a vectorised search."""
+    fh.seek(start)
+    block = bytearray(_BLOCK)
+    found, at = [], start
+    while at < stop:
+        got = fh.readinto(memoryview(block)[:min(_BLOCK, stop - at)])
+        if not got:
+            raise _Refused("the file shrank while it was read")
+        found.append(np.flatnonzero(np.frombuffer(block, np.uint8, got) == 10) + at)
+        at += got
+    return np.concatenate(found)
+
+
+def _scan(path, delimiter: str | None, header: bool | None) -> _Body:
+    """A view file's header and the byte offsets of its body rows (one per
+    LF), found without decoding the body. Raises _Refused where the text
+    reader would not read the first line as one line, or finds no rows."""
+    delimiter = _delimiter(path, delimiter)
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        lines = _decode(first).splitlines()
+        if len(lines) != 1:
+            raise _Refused("the first line holds a line break of the text reader")
+        names = _header_names(lines[0], delimiter, header)
+        start = len(first) if names is not None else 0
+        stop = _body_stop(fh, start, os.fstat(fh.fileno()).st_size)
+        if stop == start:
+            raise _Refused("no body rows")
+        starts = np.concatenate([[start], _line_feeds(fh, start, stop) + 1, [stop]])
+        fh.seek(start)
+        p = len(_decode(fh.readline()).rstrip("\n").split(delimiter))
+    return _Body(str(path), delimiter, names, p, starts)
+
+
+def _parse_rows(body: _Body, lo: int, hi: int, out: np.ndarray) -> None:
+    """Body rows [lo, hi) into ``out[lo:hi]``, read straight from the file in
+    batches of about _BLOCK bytes. Each batch is decoded and split as the
+    text reader decodes and splits the file, and parsed as it parses them.
+    Raises _Refused where the batch does not split into its rows (a line
+    break other than LF inside a row), or the parse would need the
+    per-cell path (a blank, ragged, non-numeric or non-finite row)."""
+    starts = body.starts
+    batch = max(1, _BLOCK * (hi - lo) // int(starts[hi] - starts[lo]))
+    with open(body.path, "rb") as fh, warnings.catch_warnings():
+        # an all-blank batch makes loadtxt warn; the text reader reports it
+        warnings.simplefilter("ignore")
+        fh.seek(int(starts[lo]))
+        for at in range(lo, hi, batch):
+            end = min(at + batch, hi)
+            lines = _decode(fh.read(int(starts[end] - starts[at]))).splitlines()
+            if len(lines) != end - at:
+                raise _Refused(f"rows {at + 1}-{end} split into {len(lines)} lines as text")
+            data = _parse_body(lines, body.delimiter, body.p)
+            if data is None:
+                raise _Refused(f"rows {at + 1}-{end} are not rows of {body.p} finite numbers")
+            out[at:end] = data
 
 
 # Files that total fewer bytes are parsed in one process. On a 2-core VM a
@@ -218,53 +315,81 @@ def _cuts(line_bytes: np.ndarray, parts: int) -> list[int]:
     return sorted({0, *(int(c) for c in inner), int(ends.size)})
 
 
-def _parse_run(files, arrays, start: int, stop: int) -> bool:
-    """Parse lines [start, stop) of the concatenated bodies into ``arrays``;
-    False at the first piece that ``_parse_body`` refuses."""
+def _parse_run(files: list[_Body], arrays, start: int, stop: int) -> str | None:
+    """Parse rows [start, stop) of the concatenated bodies into ``arrays``;
+    None, or why the byte reader refuses them."""
     offset = 0
-    for (delimiter, _names, body, p), out in zip(files, arrays):
-        lo, hi = max(start - offset, 0), min(stop - offset, len(body))
+    for body, out in zip(files, arrays):
+        rows = body.starts.size - 1
+        lo, hi = max(start - offset, 0), min(stop - offset, rows)
         if lo < hi:
-            data = _parse_body(body[lo:hi], delimiter, p)
-            if data is None:
-                return False
-            out[lo:hi] = data
-        offset += len(body)
-    return True
+            try:
+                _parse_rows(body, lo, hi, out)
+            except (_Refused, ValueError) as err:
+                return f"{body.path}: {err}"
+        offset += rows
+    return None
 
 
-def _load_parallel(paths, delimiter: str | None, cpus: list[int]) -> list[ViewMatrix] | None:
-    """The views of ``paths`` with their body rows parsed on up to one
-    process per CPU of ``cpus``; None when a file needs ``load_view``'s
-    error path (it cannot be read, has a bad header or too few rows, or a
-    run of its rows fails to parse)."""
+def _load(paths: list, delimiter: str | None, header: bool | None,
+          cpus: list[int]) -> list[ViewMatrix]:
+    """The views of ``paths`` from the byte reader: each file is scanned
+    for its header and row offsets, and the rows of all files are parsed
+    in line-aligned runs of about equal bytes, at most one per CPU of
+    ``cpus`` and one per MiB (one run with no CPUs), each run in its own
+    process. When the byte reader refuses any file, or a view it read is
+    invalid, every file goes through the text reader in order, which
+    raises the first error with its line and column."""
     try:
-        files = []
-        for path in paths:
-            delim, names, body, _first = _read_rows(path, delimiter, None)
-            files.append((delim, names, body, len(body[0].split(delim))))
-    except (SccaError, OSError, ValueError):
-        return None
-    line_bytes = np.array([len(line) + 1 for _d, _n, body, _p in files for line in body],
-                          dtype=float)
-    parts = min(len(cpus), max(2, int(line_bytes.sum()) >> 20))
-    shapes = [(len(body), p) for _d, _n, body, p in files]
-    shared = mmap.mmap(-1, 8 * sum(n * p for n, p in shapes))
-    arrays, offset = [], 0
-    for n, p in shapes:
-        arrays.append(np.frombuffer(shared, dtype=float, count=n * p,
-                                    offset=offset).reshape(n, p))
-        offset += 8 * n * p
-    cuts = _cuts(line_bytes, parts)
-    # each run writes its rows into the shared mapping, so a forked parser
-    # returns only whether its run parsed
-    if not all(cores.run_shares(lambda k: _parse_run(files, arrays, cuts[k], cuts[k + 1]),
-                                cpus[:len(cuts) - 1])):
-        return None
-    try:
-        return [_view(names, data) for (_d, names, _b, _p), data in zip(files, arrays)]
-    except SccaError:
-        return None
+        files = [_scan(path, delimiter, header) for path in paths]
+        line_bytes = np.concatenate([np.diff(body.starts) for body in files])
+        size = int(line_bytes.sum())
+        cuts = (_cuts(line_bytes, min(len(cpus), max(2, size >> 20))) if cpus
+                else [0, line_bytes.size])
+        shapes = [(body.starts.size - 1, body.p) for body in files]
+        if len(cuts) > 2:
+            shared = mmap.mmap(-1, 8 * sum(n * p for n, p in shapes))
+            arrays, offset = [], 0
+            for n, p in shapes:
+                arrays.append(np.frombuffer(shared, dtype=float, count=n * p,
+                                            offset=offset).reshape(n, p))
+                offset += 8 * n * p
+            # each run writes its rows into the shared mapping, so a forked
+            # parser returns only why it refused them, if it did
+            refusals = cores.run_shares(
+                lambda k: _parse_run(files, arrays, cuts[k], cuts[k + 1]), cpus[:len(cuts) - 1])
+        else:
+            arrays = [np.empty(shape) for shape in shapes]
+            refusals = [_parse_run(files, arrays, 0, cuts[-1])]
+        refused = next((reason for reason in refusals if reason is not None), None)
+        if refused is not None:
+            raise _Refused(refused)
+        views = [_view(body.names, data) for body, data in zip(files, arrays)]
+    except (_Refused, SccaError, OSError, ValueError) as err:
+        _log.debug("view load of %d file(s): text reader (%s)", len(paths), err)
+        return [_read_text(path, delimiter, header) for path in paths]
+    _log.debug("view load of %d file(s), %d bytes of rows: %d run(s) on %d process(es)",
+               len(paths), size, len(cuts) - 1, len(cuts) - 1)
+    return views
+
+
+def load_view(path, delimiter: str | None = None, header: bool | None = None) -> ViewMatrix:
+    """Read a delimited numeric matrix into a ViewMatrix.
+
+    The delimiter is inferred from the extension (.tsv/.tab -> tab, else
+    comma) unless given. ``header=None`` auto-detects a name row: the first
+    row is a header iff any of its cells is not a finite number. A blank or
+    repeated header name raises ParseError on line 1. Blank lines at the
+    end of the file are ignored.
+
+    The byte reader finds the rows by a vectorised search for LF and
+    parses them from the file in batches of about 256 KiB, so the file's
+    text is never held whole. A file it cannot take as the text reader
+    would (a stray line break in a row, a blank, ragged, non-numeric or
+    non-finite row, too few rows, a bad header) is read again as text,
+    which raises the error with its exact line and column.
+    """
+    return _load([path], delimiter, header, [])[0]
 
 
 def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
@@ -275,13 +400,14 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
     total at least 2 MiB, the body rows of all files are split into
     line-aligned runs of about equal bytes, at most one per usable CPU and
     one per MiB, and parsed at once: one run in this process, each other
-    in a forked child that writes its rows into a shared output buffer.
-    Each parser is pinned to its own CPU while it parses: on a 2-core VM
-    the scheduler otherwise kept the child on its parent's CPU, and each
-    half took as long as the whole. The values are bit-identical to the
-    serial parse. A file that this path cannot take whole (missing, a bad
-    header or cell, too few rows) sends every file through ``load_view``
-    in order, so the error is the one the serial loop raises.
+    in a forked child that reads its own byte range of the file and writes
+    its rows into a shared output buffer. Each parser is pinned to its own
+    CPU while it parses: on a 2-core VM the scheduler otherwise kept the
+    child on its parent's CPU, and each half took as long as the whole.
+    A file that the byte reader refuses sends every file through the text
+    reader in order, as in ``load_view``. Each load logs one debug record
+    on the ``scca`` logger: the files, bytes, runs and processes, or why
+    the text reader took over.
     """
     paths = list(paths)
     cpus = cores.usable_cpus()
@@ -290,9 +416,8 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
             big = sum(os.path.getsize(path) for path in paths) >= _PARALLEL_MIN_BYTES
         except OSError:
             big = False
-        views = _load_parallel(paths, delimiter, cpus) if big else None
-        if views is not None:
-            return views
+        if big:
+            return _load(paths, delimiter, None, cpus)
     return [load_view(path, delimiter=delimiter) for path in paths]
 
 
@@ -300,8 +425,7 @@ def write_view(view: ViewMatrix, path, delimiter: str | None = None,
                header: bool = True) -> Path:
     """Write a view back to disk with full-precision floats (round-trips to 1e-12)."""
     path = Path(path)
-    if delimiter is None:
-        delimiter = "\t" if path.suffix.lower() in {".tsv", ".tab"} else ","
+    delimiter = _delimiter(path, delimiter)
     lines = []
     if header:
         lines.append(delimiter.join(view.names))
@@ -311,23 +435,42 @@ def write_view(view: ViewMatrix, path, delimiter: str | None = None,
     return path
 
 
+def _standardize_owned(data: np.ndarray, scale: bool):
+    """:func:`standardize` of ``data`` written over ``data``, by the same
+    operations, so the bits match: (means, sds, constant)."""
+    if scale:
+        # max |x| per column, before centring, without an |x| copy of data
+        top = np.maximum(data.max(axis=0), -data.min(axis=0))
+    mean = data.mean(axis=0)
+    data -= mean
+    sd = np.ones(data.shape[1])
+    constant = np.zeros(data.shape[1], dtype=bool)
+    if scale:
+        sd = data.std(axis=0, ddof=1)
+        constant = sd <= 1e-12 * (top + 1.0)
+        data[:, constant] = 0.0
+        sd = np.where(constant, 1.0, sd)
+        data /= sd
+    return mean, sd, constant
+
+
 def standardize(data: np.ndarray, scale: bool = False):
     """Centre the columns of ``data`` and, with ``scale``, divide them by
     their sample sd. Returns (data, means, sds, constant): the sds are 1
     where nothing was divided, and constant columns (sd at rounding level)
     come back all-zero, so rows held out of ``data`` map as (x - means) / sds.
+    ``data`` itself is left as it is.
     """
-    mean = data.mean(axis=0)
-    out = data - mean
-    sd = np.ones(data.shape[1])
-    constant = np.zeros(data.shape[1], dtype=bool)
-    if scale:
-        sd = out.std(axis=0, ddof=1)
-        constant = sd <= 1e-12 * (np.abs(data).max(axis=0, initial=0.0) + 1.0)
-        out[:, constant] = 0.0
-        sd = np.where(constant, 1.0, sd)
-        out = out / sd
-    return out, mean, sd, constant
+    out = np.array(data, dtype=float)
+    return (out, *_standardize_owned(out, scale))
+
+
+def _centered(v: ViewMatrix, data: np.ndarray, scale: bool) -> ViewMatrix:
+    _mean, _sd, constant = _standardize_owned(data, scale)
+    notes = tuple(v.warnings) + tuple(f"constant column {v.names[j]!r} zeroed during "
+                                      "scaling" for j in np.flatnonzero(constant))
+    return ViewMatrix(data, list(v.names), centered=True, scaled=scale or v.scaled,
+                      warnings=notes)
 
 
 def center_scale(v: ViewMatrix, scale: bool = False) -> ViewMatrix:
@@ -335,14 +478,16 @@ def center_scale(v: ViewMatrix, scale: bool = False) -> ViewMatrix:
 
     Columns that are constant (zero variance after centering) are left
     all-zero and reported in the returned view's warning list rather than
-    rejected, so column indices stay stable.
+    rejected, so column indices stay stable. ``v`` is left as it is.
     """
-    data, _mean, _sd, constant = standardize(v.data, scale)
-    warnings = list(v.warnings)
-    warnings += [f"constant column {v.names[j]!r} zeroed during scaling"
-                 for j in np.flatnonzero(constant)]
-    return ViewMatrix(data, list(v.names), centered=True, scaled=scale or v.scaled,
-                      warnings=tuple(warnings))
+    return _centered(v, np.array(v.data), scale)
+
+
+def center_scale_owned(v: ViewMatrix, scale: bool = False) -> ViewMatrix:
+    """:func:`center_scale` written over ``v.data``, for a view nobody else
+    holds, such as one just loaded: the same bits without a copy of the data.
+    ``v`` must not be used after."""
+    return _centered(v, v.data, scale)
 
 
 def _divisor(n: int, divisor: str) -> int:

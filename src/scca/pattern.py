@@ -26,6 +26,9 @@ _STALL_LIMIT = 16
 # more than this relative margin, so rounding (which varies with how many
 # columns an ascent holds) never decides between starts that met at one point
 _TIE_RTOL = 1e-12
+# a batch member whose largest column norm is below its threshold by more than
+# this relative margin cannot move, and skips the ascent (see _batch_ascent)
+_SCREEN_RTOL = 1e-9
 
 PENALTIES = ("l1", "l0")
 
@@ -365,8 +368,8 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
 
     Projections, weights and updates are written to workspaces at the
     ascent's full width, and so is a PermutedCross's masked input; they are
-    local to the call, since tuning runs cells on threads. On a dense block
-    or a PermutedCross a step allocates no p x B array.
+    local to the call, which allocates them once. On a dense block or a
+    PermutedCross a step allocates no p x B array.
     """
     width = z0.shape[1]
     gammas = np.asarray(gammas, dtype=float)
@@ -727,13 +730,38 @@ def _batch_ascent(c: PermutedCross, gamma: float, rule: str, conv: ConvergenceSp
                   stall_guard: bool = True) -> tuple[Ascent, np.ndarray]:
     """One hinge ascent at ``gamma`` for every member, each started from its
     largest-norm column as ``init_direction`` starts it, and the members that
-    have a non-zero column (a zero member's update vanishes at once)."""
+    have a non-zero column (a zero member's update vanishes at once).
+
+    A member whose largest column norm (its square under "l0") is at most
+    gamma by a relative margin of _SCREEN_RTOL, which covers the norms'
+    rounding, cannot move: no projection of a unit vector exceeds a column
+    norm, so every weight is zero and its first update vanishes. The ascent
+    leaves it out, and it is recorded as that ascent would end: at its
+    start, with zero weights and objective, vanished after 0 iterations.
+    """
     norms = c.col_norms()
+    width = norms.shape[1]
     js = np.argmax(norms, axis=0)
-    top = norms[js, np.arange(js.size)]
-    run = _hinge_ascent(c, np.full(js.size, gamma), rule,
-                        c.columns(js) / np.where(top > 0, top, 1.0), conv,
-                        stall_guard=stall_guard)
+    top = norms[js, np.arange(width)]
+    z0 = c.columns(js) / np.where(top > 0, top, 1.0)
+    moves = np.flatnonzero((top if rule == "l1" else top * top)
+                           > gamma * (1.0 - _SCREEN_RTOL))
+    if moves.size == width:
+        return _hinge_ascent(c, np.full(width, gamma), rule, z0, conv,
+                             stall_guard=stall_guard), top > 0
+    run = Ascent(z0, np.zeros(width), np.zeros((c.shape[1], width)), np.zeros(width, dtype=int),
+                 np.ones(width, dtype=bool),
+                 [[0.0, 0.0] for _ in range(width)] if conv.objective_track else None,
+                 np.zeros(width, dtype=bool))
+    if moves.size:
+        part = _hinge_ascent(c.take(moves), np.full(moves.size, gamma), rule, z0[:, moves],
+                             conv, stall_guard=stall_guard)
+        run.z[:, moves], run.objective[moves], run.weights[:, moves] = part[:3]
+        run.iterations[moves], run.vanished[moves] = part.iterations, part.vanished
+        run.capped[moves] = part.capped
+        if run.traces is not None:
+            for k, trace in zip(moves.tolist(), part.traces):
+                run.traces[k] = trace
     return run, top > 0
 
 

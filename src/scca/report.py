@@ -7,12 +7,12 @@ bytes are a deterministic function of the solution and options.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import jsontext
 from .covariance import ViewMatrix
 from .errors import DimensionError, InsufficientFactorsError, IoError
 from .solve import CcaSolution, pearson
@@ -188,7 +188,7 @@ def write_report(data, path, format: str = "csv") -> Path:
         doc = {"rows": [{"entity_id": r[0], "view": r[1], "axis1": r[2],
                          "axis2": r[3], "kind": r[4]} for r in rows]}
         doc.update(extras)
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        payload = jsontext.dumps(doc) + "\n"
     elif format == "svg":
         payload = _svg(rows)
     else:

@@ -30,14 +30,13 @@ of process count or execution order.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from . import cores
+from . import cores, jsontext
 from .covariance import CrossOperator, PermutedCross, ViewMatrix, center_scale, standardize
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
@@ -120,7 +119,7 @@ class TuneReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return jsontext.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)

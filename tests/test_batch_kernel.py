@@ -12,10 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scca import (ConvergenceSpec, DegenerateInputError, FitConfig, gen_null, pearson,
-                  stage_two)
+from scca import (ConvergenceSpec, DegenerateInputError, EmptySupportError, FitConfig,
+                  gen_null, pearson, stage_two)
 from scca.covariance import PermutedCross
-from scca.pattern import _STALL_LIMIT, _batch_side, _hinge_ascent, _sq_norms
+from scca.pattern import (_STALL_LIMIT, _batch_ascent, _batch_side, _col_norms, _hinge_ascent,
+                          _sq_norms, first_block, first_side, pattern_first, pattern_pair,
+                          pattern_pair_batch, shrunk_block)
 from scca.solve import power_svd_batch
 from scca.tuning import _abs_correlations, _permutations, _PermSweep
 
@@ -304,3 +306,82 @@ def test_a_constant_covariate_gives_rho_zero_and_no_failure():
     want = _serial_rhos(batch, rmask, cmask)
     assert want[0] == 0.0
     np.testing.assert_allclose(rhos, want, rtol=0, atol=1e-10)
+
+
+# -- the screen of members that cannot move --------------------------------
+
+def _tops(blocks, rule: str) -> np.ndarray:
+    """Each block's largest column norm, squared under "l0": what a threshold
+    must stay below for its ascent to move."""
+    tops = np.array([_col_norms(block).max() for block in blocks])
+    return tops if rule == "l1" else tops ** 2
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("order", ["1-first", "2-first"])
+@pytest.mark.parametrize("rule", ["l1", "l0"])
+def test_screened_batches_match_pattern_pair_at_the_threshold(side, order, rule):
+    # thresholds 1e-12 above and below members' top norms: those below the
+    # threshold by more than the screen's margin skip the ascent, the ones
+    # within it ascend, and every member agrees with pattern_pair alone
+    sweep, perms = _null_sweep()
+    batch = sweep.batch(perms)
+    members = [batch.member(k) for k in range(WIDTH)]
+    lead = first_side(order, *batch.shape)
+    first_tops = _tops([first_block(m, lead) for m in members], rule)
+    g_first = 0.5 * np.median(first_tops)
+    if side == "first":
+        tops = first_tops
+    else:
+        leads = [pattern_first(m, g_first, lead, rule) for m in members]
+        tops = _tops([shrunk_block(m, res.pattern, lead) for m, res in zip(members, leads)],
+                     rule)
+    for target in np.quantile(tops, [0.25, 0.75], method="nearest"):
+        for shift in (-1e-12, 1e-12):
+            gamma = target * (1.0 + shift)
+            g_lead, g_other = (gamma, 0.5 * np.median(tops)) if side == "first" \
+                else (g_first, gamma)
+            g1, g2 = (g_lead, g_other) if lead == 1 else (g_other, g_lead)
+            screened = tops <= gamma * (1.0 - 1e-9)
+            assert 0 < screened.sum() < WIDTH - 1
+            found = pattern_pair_batch(batch, g1, g2, penalty=rule, order=order)
+            for k, member in enumerate(members):
+                try:
+                    want = pattern_pair(member, g1, g2, penalty=rule, order=order)
+                except EmptySupportError:
+                    assert not found.ok[k]
+                    continue
+                assert found.ok[k] and not screened[k]
+                assert found.tau1[:, k].tolist() == want.tau1.bits.tolist()
+                assert found.tau2[:, k].tolist() == want.tau2.bits.tolist()
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("rule", ["l1", "l0"])
+def test_screened_members_are_recorded_as_their_ascent_ends(side, rule):
+    # the unscreened ascent of every member against the screened batch: a
+    # member left out ends at its start, vanished after 0 iterations, with
+    # zero weights, objective and trace, as its own ascent ends
+    c = _batch(side, False, rule)
+    norms = c.col_norms()
+    js = np.argmax(norms, axis=0)
+    top = norms[js, np.arange(js.size)]
+    tops = top if rule == "l1" else top ** 2
+    gamma = float(np.median(tops))
+    conv = ConvergenceSpec(objective_track=True)
+    run, nonzero = _batch_ascent(c, gamma, rule, conv)
+    full = _hinge_ascent(c, np.full(js.size, gamma), rule, c.columns(js) / top, conv)
+    screened = tops <= gamma * (1.0 - 1e-9)
+    assert nonzero.all() and 0 < screened.sum() < js.size
+    assert full.vanished[screened].all() and (full.iterations[screened] == 0).all()
+    assert _bits(run.z[:, screened]) == _bits(full.z[:, screened])
+    # the ascent's zero weights may carry a projection's sign
+    assert not run.weights[:, screened].any() and not full.weights[:, screened].any()
+    assert (run.objective[screened] == 0.0).all() and (full.objective[screened] == 0.0).all()
+    np.testing.assert_array_equal(run.iterations, full.iterations)
+    np.testing.assert_array_equal(run.vanished, full.vanished)
+    np.testing.assert_array_equal(run.capped, full.capped)
+    assert run.traces == full.traces
+    np.testing.assert_allclose(run.z, full.z, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run.objective, full.objective, rtol=1e-12, atol=0)
+    assert ((run.weights != 0) == (full.weights != 0)).all()

@@ -4,6 +4,7 @@ import pytest
 from scca import (DimensionError, EmptySupportError, ParseError, SparsityPattern,
                   StateError, ViewMatrix, center_scale, cross_covariance,
                   gen_rank_one, load_view, write_view)
+from scca.covariance import center_scale_owned, standardize
 from scca.simulate import RankOneSpec
 
 
@@ -107,6 +108,44 @@ def test_center_scale_moments(rng):
     out = center_scale(v, scale=True)
     assert np.abs(out.data.mean(axis=0)).max() < 1e-12
     assert np.abs(out.data.std(axis=0, ddof=1) - 1.0).max() < 1e-12
+
+
+def _reference_standardize(data, scale):
+    """standardize as it was written before it worked in place."""
+    mean = data.mean(axis=0)
+    out = data - mean
+    sd = np.ones(data.shape[1])
+    constant = np.zeros(data.shape[1], dtype=bool)
+    if scale:
+        sd = out.std(axis=0, ddof=1)
+        constant = sd <= 1e-12 * (np.abs(data).max(axis=0, initial=0.0) + 1.0)
+        out[:, constant] = 0.0
+        sd = np.where(constant, 1.0, sd)
+        out = out / sd
+    return out, mean, sd, constant
+
+
+@pytest.mark.parametrize("scale", [False, True])
+def test_centring_in_place_has_the_bits_of_a_copy_and_copies_change_nothing(rng, scale):
+    data = rng.normal(3.0, 2.0, size=(9, 5))
+    # constant up to rounding: its centred values are not zero until zeroed
+    data[:, 1] = 7.25 + np.spacing(7.25) * (np.arange(9) % 2)
+    data[:, 2] = -np.abs(data[:, 2])    # all negative
+    data[:, 3] *= 1e-9
+    kept = data.copy()
+    want = _reference_standardize(data, scale)
+    for got, ref in zip(standardize(data, scale), want):
+        assert got.tobytes() == ref.tobytes()
+    v = ViewMatrix(data, [f"v{j}" for j in range(5)])
+    copied = center_scale(v, scale=scale)
+    assert data.tobytes() == kept.tobytes() and v.data.tobytes() == kept.tobytes()
+    assert copied.data.tobytes() == want[0].tobytes()
+    owned = center_scale_owned(ViewMatrix(kept, list(v.names)), scale=scale)
+    assert np.shares_memory(owned.data, kept)
+    assert owned.data.tobytes() == copied.data.tobytes()
+    assert (owned.warnings, owned.centered, owned.scaled) == (
+        copied.warnings, copied.centered, copied.scaled)
+    assert bool(owned.warnings) == scale
 
 
 def test_center_scale_idempotent(rng):

@@ -6,6 +6,7 @@ to 0; it then splits the bodies into one run per usable CPU (at least two).
 Chunk boundaries are swept over every line by replacing ``_cuts``.
 """
 
+import logging
 import os
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scca import ParseError, cores, covariance, load_view, load_views
+from scca import ParseError, SccaError, cores, covariance, load_view, load_views
 from scca.cli import main
 
 from conftest import no_children
@@ -205,3 +206,150 @@ def test_files_past_the_threshold_parse_on_one_process_per_cpu(tmp_path, monkeyp
     _same_views(views, [load_view(path) for path in paths])
     assert len(forks) == min(len(cores.usable_cpus()), size >> 20) - 1
     assert no_children()
+
+
+ROWS = ["1.5,-2,3e-3", "4,5.25,-6", "7,8,9.125", "-1e2,0.5,2"]
+
+
+def _lines(rows, end="\n", header="a,b,c"):
+    return end.join([header, *rows]) + end
+
+
+def _swap(row: int, text: str):
+    return ROWS[:row] + [text] + ROWS[row + 1:]
+
+
+# odd inputs, and whether the byte reader takes them itself (else the text
+# reader reads them, or reports what is wrong with them)
+ODD_FILES = {
+    "blank line mid-body": (_lines(ROWS[:2] + [""] + ROWS[2:]), False),
+    "blank CRLF line mid-body": (_lines(ROWS[:2] + [""] + ROWS[2:], "\r\n"), False),
+    "spaces-only line mid-body": (_lines(ROWS[:2] + ["   "] + ROWS[2:]), False),
+    "no final newline": (_lines(ROWS)[:-1], True),
+    "whitespace-only trailing lines": (_lines(ROWS) + "  \n\t\n \n  ", True),
+    "CRLF": (_lines(ROWS, "\r\n"), True),
+    "CRLF, no final newline": (_lines(ROWS, "\r\n")[:-2], True),
+    "CRLF and blank trailing lines": (_lines(ROWS, "\r\n") + "\r\n \r\n", True),
+    "UTF-8 BOM before a header": ("\ufeff" + _lines(ROWS), True),
+    "UTF-8 BOM before the data": ("\ufeff" + "\n".join(ROWS) + "\n", True),
+    "no header": ("\n".join(ROWS) + "\n", True),
+    "spaces and tabs around cells": (_lines(_swap(1, " 4 ,\t5.25, -6 ")), True),
+    "form feed inside a row": (_lines(_swap(1, "4,5.25\x0c,-6")), False),
+    "form feed splitting a row": (_lines(_swap(1, "4,5.25,-6\x0c7,8,9")), False),
+    "form feed ending a row": (_lines(_swap(3, "-1e2,0.5,2\x0c")), False),
+    "form feed line at the end": (_lines(ROWS) + "\x0c\n", False),
+    "vertical tab inside a row": (_lines(_swap(2, "7,\x0b8,9.125")), False),
+    "NEL inside a row": (_lines(_swap(1, "4,5.25\x85,-6")), False),
+    "NEL splitting a row": (_lines(_swap(1, "4,5.25,-6\x857,8,9")), False),
+    "line separator inside a row": (_lines(_swap(2, "7,8\u2028,9.125")), False),
+    "line separator splitting a row": (_lines(_swap(2, "7,8,9.125\u20281,2,3")), False),
+    "no-break space inside a row": (_lines(_swap(2, "7,\xa08,9.125")), False),
+    "lone CR splitting a row": (_lines(_swap(1, "4,5.25,-6\r7,8,9")), False),
+    "one CRLF row among LF rows": (_lines(_swap(1, "4,5.25,-6\r")), True),
+    "CR CR LF ending a row": (_lines(_swap(1, "4,5.25,-6\r"), "\r\n"), False),
+    "line separator in the header": (_lines(ROWS, header="a,b\u2028,c"), False),
+    "non-ASCII header": (_lines(ROWS, header="\u03b1,\u03b2,\u03b3"), True),
+    "header only": ("a,b,c\n", False),
+    "one row": (_lines(ROWS[:1]), False),
+    "non-finite cell": (_lines(_swap(2, "7,inf,9.125")), False),
+}
+
+
+def _outcome(read):
+    """The views a reader gives (names and bits), or its error's type, text and line."""
+    try:
+        views = read()
+    except (SccaError, OSError, ValueError) as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    return [(view.names, view.data.shape, view.data.tobytes()) for view in views]
+
+
+def _refuse_text(path, delimiter, header):
+    raise AssertionError("the text reader was called")
+
+
+@pytest.mark.parametrize("case", sorted(ODD_FILES))
+def test_odd_files_read_as_the_text_reader_reads_them(tmp_path, monkeypatch, case):
+    text, taken = ODD_FILES[case]
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    good = tmp_path / "good.csv"
+    good.write_text(_lines(ROWS))
+    want = _outcome(lambda: [covariance._read_text(path, None, None)])
+    want_pair = _outcome(lambda: [covariance._read_text(p, None, None) for p in (good, path)])
+    if taken:
+        assert isinstance(want, list)
+        monkeypatch.setattr(covariance, "_read_text", _refuse_text)
+    assert _outcome(lambda: [load_view(path)]) == want
+    assert _outcome(lambda: load_views([good, path])) == want_pair
+    if len(cores.usable_cpus()) > 1:
+        monkeypatch.setattr(covariance, "_PARALLEL_MIN_BYTES", 0)
+        monkeypatch.setattr(covariance, "_cuts", lambda _bytes, _parts: [0, 2, _bytes.size])
+        assert _outcome(lambda: load_views([good, path])) == want_pair
+        assert no_children()
+
+
+def _wide_file(path, n=60, p=4000):
+    rng = np.random.default_rng(4)
+    names = ",".join(f"v{j}" for j in range(p))
+    np.savetxt(path, rng.standard_normal((n, p)), delimiter=",", fmt="%.17g",
+               header=names, comments="")
+    return path.stat().st_size
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_the_loader_never_holds_a_files_text(tmp_path, monkeypatch, forked):
+    import tracemalloc
+    if forked and len(cores.usable_cpus()) < 2:
+        pytest.skip("the forked parse needs os.fork and at least two usable CPUs")
+    size = _wide_file(tmp_path / "x.csv")
+    assert size >= covariance._PARALLEL_MIN_BYTES
+    if not forked:
+        monkeypatch.setattr(cores, "usable_cpus", lambda: [])
+    monkeypatch.setattr(covariance, "_read_text", _refuse_text)
+    forks = _fork_counter(monkeypatch)
+    tracemalloc.start()
+    try:
+        (view,) = load_views([str(tmp_path / "x.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bool(forks) == forked
+    # a forked load writes the views into a shared mapping, which is not traced
+    held = peak - (0 if forked else view.data.nbytes)
+    assert held < size / 2, (held, size)
+    assert view.data.shape == (60, 4000)
+
+
+def test_each_load_logs_one_debug_record(tmp_path, monkeypatch, caplog):
+    paths = _bad_files(tmp_path)
+    caplog.set_level(logging.DEBUG, logger="scca")
+    monkeypatch.setattr(cores, "usable_cpus", lambda: [])
+    load_views([paths["x1"], paths["x2"]])
+    # each file has a 9-byte header, and its last row's LF is not counted
+    rows = {name: os.path.getsize(paths[name]) - 10 for name in ("x1", "x2")}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"view load of 1 file(s), {rows[name]} bytes of rows: 1 run(s) on 1 process(es)"
+        for name in ("x1", "x2")]
+    caplog.clear()
+    with pytest.raises(ParseError):
+        load_view(paths["nan"])
+    (record,) = caplog.records
+    assert record.getMessage().startswith("view load of 1 file(s): text reader (")
+    assert "are not rows of 3 finite numbers" in record.getMessage()
+    caplog.clear()
+    split = tmp_path / "split.csv"
+    split.write_text(_lines(_swap(1, "4,5.25,-6\x0c7,8,9")))
+    load_view(split)
+    (record,) = caplog.records
+    assert "rows 1-4 split into 5 lines as text" in record.getMessage()
+    if len(cores.usable_cpus()) > 1:
+        monkeypatch.undo()
+        caplog.set_level(logging.DEBUG, logger="scca")
+        caplog.clear()
+        monkeypatch.setattr(covariance, "_PARALLEL_MIN_BYTES", 0)
+        load_views([paths["x1"], paths["x2"]])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"view load of 2 file(s), {sum(rows.values())} bytes of rows: "
+            "2 run(s) on 2 process(es)"]
+        assert no_children()
