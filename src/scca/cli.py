@@ -269,9 +269,6 @@ def cmd_scca(args) -> int:
 def cmd_mscca(args) -> int:
     config = _load_config(args)
     r = _resolve_common(args, config)
-    factors = int(_opt(args, config, "factors", 1))
-    if factors != 1:
-        raise ValueError("the multi-view pipeline fits a single factor")
     stage2 = r["stage2"] or "power"
     views = _load_centered(args.views, r["delimiter"], r["scale"])
     gam = _gamma_matrix(_opt(args, config, "gamma_matrix", None) or args.gamma_matrix,
@@ -289,10 +286,18 @@ def cmd_dscca(args) -> int:
     mode = _opt(args, config, "mode", "dot")
     if mode not in _DSCCA_MODES:
         raise ValueError("mode must be dot, reg, stacked or two-stage")
-    eps1 = float(_opt(args, config, "eps1", 1.0))
-    eps2 = float(_opt(args, config, "eps2", 1.0))
     if mode == "stacked" and r["stage2"] is not None:
         raise ValueError("--stage2 does not apply to --mode stacked, which has no stage two")
+    keep_fraction = _opt(args, config, "keep_fraction", None)
+    if mode != "two-stage" and keep_fraction is not None:
+        raise ValueError("--keep-fraction applies only to --mode two-stage")
+    if mode == "two-stage" and any(_opt(args, config, key, None) is not None
+                                   for key in ("eps1", "eps2")):
+        raise ValueError("--eps1 and --eps2 do not apply to --mode two-stage, "
+                         "which screens against y instead of aligning with it")
+    # two-stage echoes the alignment weights at their defaults
+    eps1 = float(_opt(args, config, "eps1", 1.0))
+    eps2 = float(_opt(args, config, "eps2", 1.0))
     stage2 = r["stage2"] or "svd"
     x1, x2 = _load_centered([args.x1, args.x2], r["delimiter"], r["scale"])
     y = _load_accessory(args.y, r["delimiter"])
@@ -336,8 +341,7 @@ def cmd_tune(args) -> int:
     cfg = FitConfig(penalty=r["penalty"], stage2=r["stage2"] or "svd",
                     scale=r["scale"])
     tune = cv_tune if method == "cv" else perm_tune
-    report = tune(x1, x2, grid, penalty=r["penalty"], conv=_conv(r), cfg=cfg,
-                  jobs=_opt(args, config, "jobs", None))
+    report = tune(x1, x2, grid, conv=_conv(r), cfg=cfg, jobs=_opt(args, config, "jobs", None))
     echo = _echo(r, method=method, gamma1_grid=g1_grid, gamma2_grid=g2_grid,
                  subcommand="tune")
     doc = {"metadata": {"tool_version": __version__, "seed": r["seed"], "config": echo},
@@ -470,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mscca", help="multi-view sparse CCA", allow_abbrev=False)
     p.add_argument("--views", nargs="+", required=True)
     p.add_argument("--gamma-matrix", dest="gamma_matrix")
-    p.add_argument("--factors", type=int)
     _common(p, "mscca")
     p.set_defaults(func=cmd_mscca, config_keys=_config_keys(p))
 

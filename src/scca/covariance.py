@@ -1,8 +1,7 @@
 """Dataset ingestion, centering/scaling and cross-covariance blocks.
 
 Views are n x p observation matrices (rows = samples). Cross-covariance
-blocks use the divisor n by default; ``divisor="n-1"`` is available for
-cross-tool comparison. ``load_view`` parses a view file from its bytes,
+blocks divide by n. ``load_view`` parses a view file from its bytes,
 without decoding it; ``load_views`` reads several view files at once,
 parsing large ones on every usable CPU. ``CrossOperator`` keeps a
 cross-covariance as the centred data plus a low-rank deflation correction,
@@ -490,14 +489,6 @@ def center_scale_owned(v: ViewMatrix, scale: bool = False) -> ViewMatrix:
     return _centered(v, v.data, scale)
 
 
-def _divisor(n: int, divisor: str) -> int:
-    if divisor == "n":
-        return n
-    if divisor in ("n-1", "nm1"):
-        return n - 1
-    raise ValueError(f"unknown divisor {divisor!r}")
-
-
 def _check_pair(a: ViewMatrix, b: ViewMatrix) -> None:
     if a.n != b.n:
         raise DimensionError(f"sample counts differ: {a.n} vs {b.n}")
@@ -505,10 +496,10 @@ def _check_pair(a: ViewMatrix, b: ViewMatrix) -> None:
         raise StateError("cross_covariance requires centered views")
 
 
-def cross_covariance(a: ViewMatrix, b: ViewMatrix, divisor: str = "n") -> np.ndarray:
-    """Sample cross-covariance block of two centered views sharing samples."""
+def cross_covariance(a: ViewMatrix, b: ViewMatrix) -> np.ndarray:
+    """Sample cross-covariance block A'B/n of two centered views sharing samples."""
     _check_pair(a, b)
-    return a.data.T @ b.data / _divisor(a.n, divisor)
+    return a.data.T @ b.data / a.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,10 +533,10 @@ class CrossOperator:
             raise DimensionError("cross operator parts do not match")
 
     @classmethod
-    def from_views(cls, a: ViewMatrix, b: ViewMatrix, divisor: str = "n") -> "CrossOperator":
-        """The operator of ``cross_covariance(a, b, divisor)``; shares the views' data."""
+    def from_views(cls, a: ViewMatrix, b: ViewMatrix) -> "CrossOperator":
+        """The operator of ``cross_covariance(a, b)``; shares the views' data."""
         _check_pair(a, b)
-        return cls(a.data, b.data, _divisor(a.n, divisor),
+        return cls(a.data, b.data, a.n,
                    np.empty((a.p, 0)), np.empty(0), np.empty((b.p, 0)))
 
     @property

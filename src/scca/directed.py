@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CrossOperator, SparsityPattern, ViewMatrix, _check_pair, _divisor
-from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
-                     IndefiniteMatrixError, SingularityError)
+from .covariance import CrossOperator, SparsityPattern, ViewMatrix, _check_pair
+from .errors import (DegenerateInputError, DimensionError, IndefiniteMatrixError,
+                     SingularityError)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, _as_block, _col_norms,
                       _one, _solve, max_iter_warnings)
 from .solve import CcaSolution, check_stage2, covariates, fit_pair, stage_two
@@ -100,31 +100,29 @@ def directed_pattern_reg(c, beta1, beta2, params: DirectedParams, z0=None,
                                 restarts=restarts, seed=seed)
 
 
-def compute_beta(x: ViewMatrix, y: AccessoryVector, ridge: float = 0.0,
-                 univariate: bool = False) -> np.ndarray:
-    """Ridge least-squares coefficients of y on a view.
+def compute_beta(x: ViewMatrix, y: AccessoryVector, ridge: float = 0.0) -> np.ndarray:
+    """Ridge least-squares coefficients (X'X + ridge I)^-1 X'y of y on a view.
 
-    ``univariate=True`` returns per-column marginal coefficients
-    x_j'y / (x_j'x_j + ridge) instead of solving the joint normal equations.
+    For p <= n this solves the p x p normal equations. For p > n, where X'X
+    has rank at most n, it needs ridge > 0 and solves the equal n x n dual
+    form X'(XX' + ridge I)^-1 y, so no p x p matrix is formed.
     """
     if x.n != y.values.size:
         raise DimensionError("accessory length does not match the view")
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    yv = y.values
-    if univariate:
-        col_ss = (x.data * x.data).sum(axis=0) + ridge
-        if np.any(col_ss == 0.0):
-            raise SingularityError("zero-variance column with ridge=0 in univariate mode")
-        return x.data.T @ yv / col_ss
-    if ridge == 0 and x.p > x.n:
+    dual = x.p > x.n
+    if dual and ridge == 0:
         # rank(X'X) <= n < p: singular without forming the p x p Gram matrix
         raise SingularityError("normal equations are singular; re-run with ridge > 0")
-    gram = x.data.T @ x.data + ridge * np.eye(x.p)
+    gram = x.data @ x.data.T if dual else x.data.T @ x.data
+    gram = gram + ridge * np.eye(gram.shape[0])
     vals = np.linalg.eigvalsh(gram)
     if vals[0] <= 1e-10 * max(vals[-1], 1e-300):
         raise SingularityError("normal equations are singular; re-run with ridge > 0")
-    return np.linalg.solve(gram, x.data.T @ yv)
+    if dual:
+        return x.data.T @ np.linalg.solve(gram, y.values)
+    return np.linalg.solve(gram, x.data.T @ y.values)
 
 
 @dataclass(eq=False)
@@ -153,11 +151,11 @@ class StackedProblem:
             raise DimensionError("split must lie strictly inside the stacked coordinate")
 
     @classmethod
-    def build(cls, x1: ViewMatrix, x2: ViewMatrix, eps1: float, eps2: float,
-              divisor: str = "n") -> "StackedProblem":
+    def build(cls, x1: ViewMatrix, x2: ViewMatrix, eps1: float,
+              eps2: float) -> "StackedProblem":
         """Factor tilde_c in O(n^2 (p1+p2)): with thin QRs X_i' = Q_i R_i it is
         Q core Q' for Q = diag(Q1, Q2) and the core [[eps1 R1R1', R1R2'],
-        [R2R1', eps2 R2R2']]/div of size at most 2n, so root = H Q' for the
+        [R2R1', eps2 R2R2']]/n of size at most 2n, so root = H Q' for the
         core's square root H. The core's eigenvalues are tilde_c's non-zero
         ones, so IndefiniteMatrixError is raised exactly as for tilde_c."""
         _check_pair(x1, x2)
@@ -165,7 +163,7 @@ class StackedProblem:
         q2, r2 = np.linalg.qr(x2.data.T)
         r12 = r1 @ r2.T
         core = np.block([[eps1 * (r1 @ r1.T), r12], [r12.T, eps2 * (r2 @ r2.T)]])
-        h = _symmetric_sqrt(core / _divisor(x1.n, divisor))
+        h = _symmetric_sqrt(core / x1.n)
         k1 = r1.shape[0]
         root = np.hstack([h[:, :k1] @ q1.T, h[:, k1:] @ q2.T])
         return cls(root, np.hstack([eps1 * x1.data, eps2 * x2.data]), x1.p)
@@ -238,10 +236,10 @@ def directed_stacked_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
 
 @dataclass(frozen=True)
 class UnivariateSelector:
-    """Marginal-association ranking: keep the top fraction per view."""
+    """Marginal-association ranking: keep the top fraction per view, and at
+    least one column."""
 
     keep_fraction: float = 0.5
-    min_keep: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.keep_fraction <= 1.0:
@@ -254,24 +252,21 @@ class UnivariateSelector:
         norms = np.linalg.norm(xc, axis=0)
         safe = np.where(norms > 0, norms, 1.0)
         scores = np.where(norms > 0, np.abs(xc.T @ yc) / (safe * max(ys, 1e-300)), 0.0)
-        keep = max(int(np.ceil(self.keep_fraction * x.p)), self.min_keep)
-        keep = min(keep, x.p)
-        if keep == 0:
-            return np.array([], dtype=int)
+        keep = min(max(int(np.ceil(self.keep_fraction * x.p)), 1), x.p)
         order = np.argsort(-scores, kind="stable")
         return np.sort(order[:keep])
 
 
 def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
                  params: DirectedParams, mode: str = "dot", penalty: str = "l1",
-                 conv: ConvergenceSpec | None = None, stage2: str = "svd",
-                 ridge: float = 0.0, beta_ridge: float = 0.0, restarts: int = 0,
-                 seed: int = 0, divisor: str = "n") -> CcaSolution:
+                 conv: ConvergenceSpec | None = None,
+                 stage2: str = "svd") -> CcaSolution:
     """Full directed pipeline for the dot-product and regression variants.
 
     Stage one solves the aligned program for view 2's pattern (alignment
     vectors are the view-accessory cross-covariances for ``mode="dot"`` and
-    ridge regression coefficients for ``mode="reg"``), shrinks, solves the
+    least-squares coefficients, ``compute_beta`` at ridge 0, for
+    ``mode="reg"``) from its one deterministic start, shrinks, solves the
     transposed problem for view 1, then stage two fills in active entries.
     Stage two is ``stage_two`` on the CrossOperator, so only the doubly
     shrunken block and, for GEP, the within-view blocks on the supports are
@@ -286,23 +281,21 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     conv = conv or ConvergenceSpec()
     y = y.center()
 
-    c12 = CrossOperator.from_views(x1, x2, divisor=divisor)
+    c12 = CrossOperator.from_views(x1, x2)
     if mode == "dot":
         a1 = x1.data.T @ y.values / c12.div
         a2 = x2.data.T @ y.values / c12.div
     else:
-        a1 = compute_beta(x1, y, ridge=beta_ridge)
-        a2 = compute_beta(x2, y, ridge=beta_ridge)
+        a1 = compute_beta(x1, y)
+        a2 = compute_beta(x2, y)
 
-    res2 = directed_pattern_dot(c12, a1, a2, params, conv=conv,
-                                restarts=restarts, seed=seed)
+    res2 = directed_pattern_dot(c12, a1, a2, params, conv=conv)
     tau2 = res2.pattern
     sub = c12.cols(tau2.indices())
-    res1 = directed_pattern_dot(sub.T, a2[tau2.indices()], a1, params.swapped(),
-                                conv=conv, restarts=restarts, seed=seed)
+    res1 = directed_pattern_dot(sub.T, a2[tau2.indices()], a1, params.swapped(), conv=conv)
     tau1 = res1.pattern
 
-    est = stage_two({(0, 1): c12}, [tau1.indices(), tau2.indices()], stage2, ridge, conv)
+    est = stage_two({(0, 1): c12}, [tau1.indices(), tau2.indices()], stage2, conv)
     cov = covariates([x1.data, x2.data], est.directions)
     warn = max_iter_warnings(((2, res2), (1, res1))) + est.warnings
     if cov.degenerate:
@@ -320,26 +313,20 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
 def directed_two_stage(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
                        selector: UnivariateSelector, gamma1: float, gamma2: float,
                        penalty: str = "l1", conv: ConvergenceSpec | None = None,
-                       stage2: str = "svd", ridge: float = 0.0, order: str = "auto",
-                       restarts: int = 0, seed: int = 0,
-                       divisor: str = "n") -> CcaSolution:
+                       stage2: str = "svd", order: str = "auto") -> CcaSolution:
     """Select-then-solve baseline: univariate screening against y, then the
     undirected pipeline on the selected columns, re-expanded to full length."""
     if y.values.size != x1.n:
         raise DimensionError("accessory length does not match the views")
     q1 = selector.select(x1, y)
     q2 = selector.select(x2, y)
-    for q, view, label in ((q1, x1, "view 1"), (q2, x2, "view 2")):
-        if q.size == 0:
-            raise EmptySupportError(f"selector kept no columns of {label}", side=label)
 
     def subset(view: ViewMatrix, q: np.ndarray) -> ViewMatrix:
         return ViewMatrix(view.data[:, q], [view.names[j] for j in q],
                           centered=view.centered, scaled=view.scaled)
 
     sol = fit_pair(subset(x1, q1), subset(x2, q2), gamma1, gamma2, factors=1,
-                   penalty=penalty, conv=conv, stage2=stage2, ridge=ridge,
-                   order=order, restarts=restarts, seed=seed, divisor=divisor)
+                   penalty=penalty, conv=conv, stage2=stage2, order=order)
 
     z1, z2 = np.zeros(x1.p), np.zeros(x2.p)
     z1[q1], z2[q2] = sol.directions[0][:, 0], sol.directions[1][:, 0]

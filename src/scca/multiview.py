@@ -68,14 +68,14 @@ class MultiViewProblem:
     active: list[np.ndarray]
 
     @classmethod
-    def from_views(cls, views, divisor: str = "n") -> "MultiViewProblem":
+    def from_views(cls, views) -> "MultiViewProblem":
         views = list(views)
         if len(views) < 2:
             raise DimensionError("need at least two views")
         blocks = {}
         for r in range(len(views)):
             for s in range(r + 1, len(views)):
-                blocks[(r, s)] = CrossOperator.from_views(views[r], views[s], divisor)
+                blocks[(r, s)] = CrossOperator.from_views(views[r], views[s])
         return cls(views=views, blocks=blocks,
                    active=[np.arange(v.p) for v in views])
 
@@ -128,14 +128,14 @@ def _sweep_objective(problem: MultiViewProblem, s: int, zs: dict[int, np.ndarray
 
 
 def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
-                      inits: dict[int, np.ndarray] | None = None,
                       conv: ConvergenceSpec | None = None,
                       ) -> tuple[SparsityPattern, dict[int, np.ndarray], int,
                                  np.ndarray | None, bool]:
     """Sparsity pattern of view s from a cyclic sweep over the other views.
 
-    Returns (pattern over view s's current coordinates, final per-view
-    iterates, sweep count, optional objective trace, converged). Joint
+    Each other view starts at the largest-norm column of its block with
+    view s. Returns (pattern over view s's current coordinates, final
+    per-view iterates, sweep count, optional objective trace, converged). Joint
     convergence is the maximum per-view direction change falling below tol;
     ``converged`` is False when ``conv.max_iter`` sweeps ran without it.
     """
@@ -147,15 +147,7 @@ def multiview_pattern(problem: MultiViewProblem, gam: GammaMatrix, s: int,
     others = [r for r in range(problem.m) if r != s]
     thresh = gam.threshold(s)
 
-    zs: dict[int, np.ndarray] = {}
-    for r in others:
-        if inits is not None and r in inits:
-            z = np.asarray(inits[r], dtype=float)
-            if z.shape != (problem.dim(r),):
-                raise DimensionError(f"init for view {r} has the wrong length")
-            zs[r] = z / np.linalg.norm(z)
-        else:
-            zs[r] = init_direction(problem.tilde(r, s)).values
+    zs = {r: init_direction(problem.tilde(r, s)).values for r in others}
 
     trace = [] if conv.objective_track else None
     sweeps = 0
@@ -204,8 +196,8 @@ def multiview_screen(problem: MultiViewProblem, gam: GammaMatrix, s: int) -> Spa
 
 
 def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
-                   conv: ConvergenceSpec | None = None, stage2: str | None = None,
-                   ridge: float = 0.0, divisor: str = "n") -> CcaSolution:
+                   conv: ConvergenceSpec | None = None,
+                   stage2: str | None = None) -> CcaSolution:
     """Two-stage multi-view fit: successive-shrinkage patterns, then stage two.
 
     Patterns are computed for the last view first; every operator touching
@@ -221,7 +213,7 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
         raise ValueError("multi-view stage one is defined for the 'l1' penalty only")
     conv = conv or ConvergenceSpec()
     stage2 = stage2 or "power"
-    problem = MultiViewProblem.from_views(views, divisor=divisor)
+    problem = MultiViewProblem.from_views(views)
     m = problem.m
     if gam.m != m:
         raise DimensionError("gamma matrix size does not match the number of views")
@@ -247,7 +239,7 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
             traces[f"view{s + 1}"] = trace
         shrunk = shrunk.restrict(s, pat.bits)
 
-    est = stage_two(problem.blocks, shrunk.active, stage2, ridge, conv)
+    est = stage_two(problem.blocks, shrunk.active, stage2, conv)
     warnings += est.warnings
     cov = covariates([view.data for view in problem.views], est.directions)
     warnings += tuple(f"degenerate covariate pair ({r + 1},{s + 1})"

@@ -353,8 +353,7 @@ def check_stage2(method: str, views: int) -> None:
 
 
 def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[np.ndarray],
-              method: str, ridge: float = 0.0,
-              conv: ConvergenceSpec | None = None) -> StageTwo:
+              method: str, conv: ConvergenceSpec | None = None) -> StageTwo:
     """Estimate one factor's active entries on the doubly shrunken blocks.
 
     ``blocks`` maps each pair (r, s), r < s, to the CrossOperator between
@@ -400,15 +399,15 @@ def stage_two(blocks: Mapping[tuple[int, int], CrossOperator], active: Sequence[
         # a centred view has rank below n, so without a ridge a support of n or
         # more coordinates is singular whatever the rounding: it gets the
         # automatic ridge up front, any other pencil only if it fails
-        if ridge > 0 or all(a.shape[1] < a.shape[0] for a in subs):
+        if all(a.shape[1] < a.shape[0] for a in subs):
             try:
-                result = multiview_gep(cross, diag, ridge=ridge)
+                result = multiview_gep(cross, diag)
             except SingularityError:
                 pass
         if result is None:
             auto = max(1e-8 * sum(np.trace(d) / d.shape[0] for d in diag) / m, 1e-12)
-            result = multiview_gep(cross, diag, ridge=ridge + auto)
-            warnings += (f"singular within-view covariance: applied ridge {ridge + auto:.3e}",)
+            result = multiview_gep(cross, diag, ridge=auto)
+            warnings += (f"singular within-view covariance: applied ridge {auto:.3e}",)
         if result.uninformative:
             warnings += ("leading eigenvalue is ~0: cross blocks are uninformative",)
         if not all(np.any(z) for z in result.directions):
@@ -446,8 +445,7 @@ def _exhausted(residual: CrossOperator, base: float) -> bool:
 def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
                  gammas2: Sequence[float], penalty: str = "l1",
                  conv: ConvergenceSpec | None = None, stage2: str = "svd",
-                 ridge: float = 0.0, order: str = "auto", restarts: int = 0,
-                 seed: int = 0, divisor: str = "n") -> CcaSolution:
+                 order: str = "auto") -> CcaSolution:
     """Fit several canonical factors by pattern/estimate/deflate cycles.
 
     Parameters
@@ -475,7 +473,7 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
     check_stage2(stage2, 2)
     conv = conv or ConvergenceSpec()
 
-    residual = CrossOperator.from_views(x1, x2, divisor=divisor)
+    residual = CrossOperator.from_views(x1, x2)
     # only a later factor needs the scale: a zero first block fails in stage one
     base_scale = residual.fro_norm() if m > 1 else None
     factors = []
@@ -487,14 +485,13 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
                          "(data rank reached)",)
             break
         try:
-            pair = pattern_pair(residual, g1, g2, penalty=penalty, conv=conv,
-                                order=order, restarts=restarts, seed=seed)
+            pair = pattern_pair(residual, g1, g2, penalty=penalty, conv=conv, order=order)
         except (EmptySupportError, DegenerateInputError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break
         try:
             est = stage_two({(0, 1): residual}, [pair.tau1.indices(), pair.tau2.indices()],
-                            stage2, ridge, conv)
+                            stage2, conv)
         except (DegenerateInputError, SingularityError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break

@@ -130,9 +130,7 @@ class FitConfig:
     penalty: str = "l1"
     stage2: str = "svd"
     scale: bool = False
-    ridge: float = 0.0
     order: str = "auto"
-    divisor: str = "n"
 
 
 _log = logging.getLogger("scca")
@@ -182,7 +180,7 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
     d2, mu2, sd2, _ = standardize(x2.data[train], cfg.scale)
     op = CrossOperator.from_views(ViewMatrix(d1, x1.names, centered=True),
-                                  ViewMatrix(d2, x2.names, centered=True), cfg.divisor)
+                                  ViewMatrix(d2, x2.names, centered=True))
     held1, held2 = (x1.data[hold] - mu1) / sd1, (x2.data[hold] - mu2) / sd2
     side = first_side(cfg.order, *op.shape)
     kw = dict(penalty=cfg.penalty, conv=conv)
@@ -216,8 +214,7 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
         return kept(key)
 
     def held_out(tau1, tau2):
-        est = stage_two({(0, 1): op}, [tau1.indices(), tau2.indices()], cfg.stage2,
-                        cfg.ridge, conv)
+        est = stage_two({(0, 1): op}, [tau1.indices(), tau2.indices()], cfg.stage2, conv)
         z1, z2 = est.directions
         return pearson(held1 @ z1, held2 @ z2)
 
@@ -280,7 +277,7 @@ class _PermSweep:
     @classmethod
     def prepare(cls, x1: ViewMatrix, x2: ViewMatrix, cfg: FitConfig) -> "_PermSweep":
         v1, v2 = center_scale(x1, scale=cfg.scale), center_scale(x2, scale=cfg.scale)
-        return cls(v1, v2, CrossOperator.from_views(v1, v2, cfg.divisor).div,
+        return cls(v1, v2, CrossOperator.from_views(v1, v2).div,
                    v1.data @ v1.data.T, v2.data @ v2.data.T,
                    np.linalg.qr(v1.data.T, mode="r").T, np.linalg.qr(v2.data.T, mode="r").T)
 
@@ -340,7 +337,7 @@ def _batched_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
         try:
             est = stage_two({(0, 1): member}, [np.flatnonzero(found.tau1[:, k]),
                                                 np.flatnonzero(found.tau2[:, k])],
-                            cfg.stage2, cfg.ridge, conv)
+                            cfg.stage2, conv)
         except (DegenerateInputError, SingularityError):
             failures += 1
             continue
@@ -353,8 +350,7 @@ def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: Fit
                conv: ConvergenceSpec, cell_index: int) -> dict:
     try:
         sol = fit_pair(sweep.v1, sweep.v2, g1, g2, factors=1, penalty=cfg.penalty, conv=conv,
-                       stage2=cfg.stage2, ridge=cfg.ridge, order=cfg.order,
-                       divisor=cfg.divisor)
+                       stage2=cfg.stage2, order=cfg.order)
     except (EmptySupportError, DegenerateInputError) as err:
         return {"score": np.nan, "trace": np.zeros(grid.permutations),
                 "flags": [f"matched fit failed: {err}"], "failed": True,
@@ -365,7 +361,7 @@ def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: Fit
     p_value = float(np.mean(perm_rhos > rho))
     flags = []
     size = sum(view[0].active_count for view in sol.patterns)
-    if cfg.stage2 == "gep" and cfg.ridge == 0 and size >= sweep.v1.n:
+    if cfg.stage2 == "gep" and size >= sweep.v1.n:
         # centred views span at most n - 1 dimensions, so supports this
         # large share a covariate and the pencil's rho is 1 up to rounding
         flags.append(f"GEP stage two on |S1|+|S2| = {size} >= n = {sweep.v1.n} coordinates: "
@@ -482,18 +478,18 @@ def grid_orchestrate(mode: str, x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
 
 
 def cv_tune(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
-            penalty: str = "l1", conv: ConvergenceSpec | None = None,
-            cfg: FitConfig | None = None, jobs: int | None = None) -> TuneReport:
+            conv: ConvergenceSpec | None = None, cfg: FitConfig | None = None,
+            jobs: int | None = None) -> TuneReport:
     """k-fold cross-validated correlation over the grid; the chosen point
-    maximizes the fold-averaged held-out correlation, ties toward sparser."""
-    cfg = replace(cfg or FitConfig(), penalty=penalty)
+    maximizes the fold-averaged held-out correlation, ties toward sparser.
+    Each fit is ``cfg``'s (penalty included)."""
     return grid_orchestrate("cv", x1, x2, grid, cfg=cfg, conv=conv, jobs=jobs)
 
 
 def perm_tune(x1: ViewMatrix, x2: ViewMatrix, grid: TuneGrid,
-              penalty: str = "l1", conv: ConvergenceSpec | None = None,
-              cfg: FitConfig | None = None, jobs: int | None = None) -> TuneReport:
+              conv: ConvergenceSpec | None = None, cfg: FitConfig | None = None,
+              jobs: int | None = None) -> TuneReport:
     """Independence permutation test over the grid; the chosen point
-    minimizes the p-value, ties toward sparser."""
-    cfg = replace(cfg or FitConfig(), penalty=penalty)
+    minimizes the p-value, ties toward sparser. Each fit is ``cfg``'s
+    (penalty included)."""
     return grid_orchestrate("perm", x1, x2, grid, cfg=cfg, conv=conv, jobs=jobs)

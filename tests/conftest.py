@@ -109,8 +109,7 @@ def serial_perm_refits(x1, x2, g1, g2, perms, cfg):
     for perm in perms.T:
         try:
             sol = fit_pair(ViewMatrix(c1.data[perm], c1.names, centered=True), c2, g1, g2,
-                           penalty=cfg.penalty, stage2=cfg.stage2, ridge=cfg.ridge,
-                           order=cfg.order, divisor=cfg.divisor)
+                           penalty=cfg.penalty, stage2=cfg.stage2, order=cfg.order)
         except (EmptySupportError, DegenerateInputError):
             out.append(None)
             continue
@@ -132,8 +131,7 @@ def serial_cv_cell(x1, x2, g1, g2, folds, cfg):
         try:
             sol = fit_pair(ViewMatrix(d1, x1.names, centered=True),
                            ViewMatrix(d2, x2.names, centered=True), g1, g2,
-                           penalty=cfg.penalty, stage2=cfg.stage2, ridge=cfg.ridge,
-                           order=cfg.order, divisor=cfg.divisor)
+                           penalty=cfg.penalty, stage2=cfg.stage2, order=cfg.order)
         except (EmptySupportError, DegenerateInputError) as err:
             flags.append(f"fold {k + 1}: fit failed ({err}); rho recorded as 0")
             continue

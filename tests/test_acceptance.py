@@ -411,11 +411,13 @@ def test_criterion_10_monotone_objectives():
 
 
 def test_criterion_11_per_iteration_complexity_trend():
-    def per_iter_time(p, iters=240, repeats=5):
-        rng = np.random.default_rng(p)
-        block = rng.standard_normal((p, p))
-        gamma = 0.1 * np.linalg.norm(block, axis=0).max()
-        conv = ConvergenceSpec(tol=1e-300, max_iter=iters)
+    conv = ConvergenceSpec(tol=1e-300, max_iter=240)
+
+    def block_of(p):
+        block = np.random.default_rng(p).standard_normal((p, p))
+        return block, 0.1 * np.linalg.norm(block, axis=0).max()
+
+    def per_iter_time(block, gamma, repeats=3):
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -423,22 +425,28 @@ def test_criterion_11_per_iteration_complexity_trend():
             best = min(best, (time.perf_counter() - t0) / res.iterations)
         return best
 
-    # size-independent interpreter dispatch cost, measured on a tiny block
-    overhead = per_iter_time(8)
+    # The first block is tiny: its time is the size-independent interpreter
+    # dispatch cost. Each round times every size back to back and fits its own
+    # trend, and the median round is judged, so a stretch of load from other
+    # processes that slows one round, or the dispatch cost alone, moves no
+    # more than that round.
     sizes = [200, 400, 800]
-    times = np.array([per_iter_time(p) for p in sizes])
-    compute = np.maximum(times - overhead, 1e-9)
+    blocks = [block_of(p) for p in [8, *sizes]]
     x = np.log([p * p for p in sizes])
-    y = np.log(compute)
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = np.exp(intercept + slope * x)
-    residuals = np.abs(compute - fit) / fit
-    ok = 0.7 <= slope <= 1.3 and residuals.max() <= 0.3
+    rounds = []
+    for _ in range(5):
+        overhead, *times = [per_iter_time(*b) for b in blocks]
+        compute = np.maximum(np.array(times) - overhead, 1e-9)
+        slope, intercept = np.polyfit(x, np.log(compute), 1)
+        fit = np.exp(intercept + slope * x)
+        rounds.append((slope, (np.abs(compute - fit) / fit).max(), overhead))
+    slope, residual, overhead = np.median(rounds, axis=0)
+    ok = 0.7 <= slope <= 1.3 and residual <= 0.3
     _report(11, ok, f"per-iteration compute vs p1*p2: slope {slope:.2f} "
-                    f"(band [0.7,1.3]), max residual {residuals.max():.1%}, "
-                    f"dispatch overhead {overhead * 1e6:.1f}us")
+                    f"(band [0.7,1.3]), max residual {residual:.1%}, "
+                    f"dispatch overhead {overhead * 1e6:.1f}us (medians of 5 rounds)")
     assert 0.7 <= slope <= 1.3
-    assert residuals.max() <= 0.3
+    assert residual <= 0.3
 
 
 def test_criterion_12_determinism_byte_identical():

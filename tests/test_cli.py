@@ -450,6 +450,7 @@ def test_dscca_stacked_rejects_stage2(tmp_path, capsys):
 
 def test_flags_only_where_they_are_read(tmp_path, capsys):
     x = str(tmp_path / "missing.csv")
+    config = tmp_path / "cfg.json"
     report = ["report", "--solution", x, "--views", x]
     tune = ["tune", "--x1", x, "--x2", x, "--gamma1-grid", "0.1", "--gamma2-grid", "0.1"]
     for argv in (["scca", "--x1", x, "--x2", x, "--jobs", "2"],
@@ -467,11 +468,30 @@ def test_flags_only_where_they_are_read(tmp_path, capsys):
                  ["simulate", "--gamma1", "0.1"],
                  ["simulate", "--gamma2", "0.1"],
                  ["simulate", "--scale"],
-                 ["simulate", "--delimiter", ";"]):
+                 ["simulate", "--delimiter", ";"],
+                 ["mscca", "--views", x, x, "--factors", "1"]):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+    # dscca's mode-specific options, from a flag or a config, are checked before
+    # any input file is read
+    dscca = ["dscca", "--x1", x, "--x2", x, "--y", x]
+    keep = "error: --keep-fraction applies only to --mode two-stage\n"
+    eps = ("error: --eps1 and --eps2 do not apply to --mode two-stage, which screens "
+           "against y instead of aligning with it\n")
+    for key, mode, want in (("keep_fraction", "dot", keep), ("keep-fraction", "reg", keep),
+                            ("keep_fraction", "stacked", keep), ("eps1", "two-stage", eps),
+                            ("eps2", "two-stage", eps)):
+        flag = ["--" + key.replace("_", "-"), "0.5"]
+        config.write_text(json.dumps({key: 0.5}))
+        for argv in ([*dscca, "--mode", mode, *flag], [*dscca, "--mode", mode, "--config",
+                                                       str(config)]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == want
+    config.write_text(json.dumps({"keep-fraction": 0.5}))
+    assert main([*dscca, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == keep
+    assert not (tmp_path / "o").exists()
     # the stage-two value is checked before any input file is read, from a flag or a config
-    config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"stage2": "svd"}))
     for argv, choices in ((["tune", "--x1", x, "--x2", x, "--gamma1-grid", "0.1",
                             "--gamma2-grid", "0.1", "--stage2", "power"], "'svd' or 'gep'"),
@@ -495,7 +515,7 @@ def test_config_keys_must_be_options_of_the_subcommand(tmp_path, capsys):
              "report": ["report", "--solution", x, "--views", x]}
     cases = [("tune", "gamma1", 0.5), ("report", "scale", False), ("report", "no-scale", True),
              ("simulate", "delimiter", ";"), ("scca", "x1", x), ("scca", "config", x),
-             ("mscca", "gamma1_grid", [0.1])]
+             ("mscca", "gamma1_grid", [0.1]), ("mscca", "factors", 1)]
     cases += [(command, "max-iters", 5) for command in argvs]
     config = tmp_path / "cfg.json"
     for command, key, value in cases:
@@ -532,9 +552,11 @@ def test_a_config_of_its_own_options_works_for_every_subcommand(tmp_path):
                                    "scale": False})]) == 0
     assert echo("m")["gamma_matrix"] == [[0.0, 0.01], [0.01, 0.0]] and not echo("m")["scale"]
     assert main(["dscca", "--x1", x1, "--x2", x2, "--y", str(y), "--out", str(tmp_path / "d"),
-                 *config("dscca", {"mode": "two-stage", "keep-fraction": 0.5,
-                                   "eps1": 0.5})]) == 0
-    assert (echo("d")["mode"], echo("d")["eps1"]) == ("two-stage", 0.5)
+                 *config("dscca", {"mode": "dot", "eps1": 0.5})]) == 0
+    assert (echo("d")["mode"], echo("d")["eps1"]) == ("dot", 0.5)
+    assert main(["dscca", "--x1", x1, "--x2", x2, "--y", str(y), "--out", str(tmp_path / "d2"),
+                 *config("dscca2", {"mode": "two-stage", "keep-fraction": 0.5})]) == 0
+    assert echo("d2")["mode"] == "two-stage"
     assert main(["tune", "--x1", x1, "--x2", x2, "--out", str(tmp_path / "t"),
                  *config("tune", {"gamma1_grid": [0.0], "gamma2-grid": "0", "permutations": 3,
                                   "method": "perm", "jobs": 1, "seed": 2})]) == 0

@@ -187,14 +187,6 @@ def test_cross_covariance_transpose_symmetry():
     assert np.abs(ab.T - ba).max() < 1e-14
 
 
-def test_cross_covariance_divisor_override():
-    from conftest import make_views
-    a, b = make_views(10, 2, 2, seed=1)
-    n_block = cross_covariance(a, b)
-    nm1_block = cross_covariance(a, b, divisor="n-1")
-    np.testing.assert_allclose(n_block * 10 / 9, nm1_block)
-
-
 def test_cross_covariance_errors():
     from conftest import make_views
     a, _ = make_views(10, 2, 2, seed=1)

@@ -149,7 +149,7 @@ def test_compute_beta_matches_normal_equations(rng):
     assert np.abs(beta - oracle).max() < 1e-10
 
 
-def test_compute_beta_singular_and_univariate(rng):
+def test_compute_beta_collinear_columns_are_singular(rng):
     data = rng.standard_normal((10, 3))
     data[:, 2] = data[:, 0]  # collinear
     data -= data.mean(axis=0)
@@ -157,9 +157,6 @@ def test_compute_beta_singular_and_univariate(rng):
     y = AccessoryVector(rng.standard_normal(10)).center()
     with pytest.raises(SingularityError):
         compute_beta(x, y)
-    uni = compute_beta(x, y, ridge=0.1, univariate=True)
-    oracle = [data[:, j] @ y.values / (data[:, j] @ data[:, j] + 0.1) for j in range(3)]
-    np.testing.assert_allclose(uni, oracle, atol=1e-12)
 
 
 def test_compute_beta_wide_view_fails_before_the_gram(rng, monkeypatch):
@@ -179,6 +176,37 @@ def test_compute_beta_wide_view_fails_before_the_gram(rng, monkeypatch):
     assert np.abs(beta - oracle).max() < 1e-10
 
 
+@pytest.mark.parametrize("p", [11, 40])
+@pytest.mark.parametrize("ridge", [1e-3, 1.0])
+def test_compute_beta_wide_view_dual_matches_the_primal_formula(rng, p, ridge):
+    x, _ = make_views(10, p, 2, seed=p)
+    y = AccessoryVector(rng.standard_normal(10)).center()
+    primal = np.linalg.solve(x.data.T @ x.data + ridge * np.eye(p), x.data.T @ y.values)
+    np.testing.assert_allclose(compute_beta(x, y, ridge=ridge), primal, rtol=0, atol=1e-10)
+
+
+def test_compute_beta_wide_view_never_decomposes_a_p_by_p_matrix(rng, monkeypatch):
+    x, _ = make_views(10, 60, 2, seed=8)
+    y = AccessoryVector(rng.standard_normal(10)).center()
+    shapes = []
+
+    def recording(real):
+        def call(m, *rest):
+            shapes.append(np.shape(m))
+            return real(m, *rest)
+        return call
+
+    for name in ("eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    compute_beta(x, y, ridge=0.5)
+    assert shapes == [(10, 10), (10, 10)]
+    # the n x n matrix is checked for singularity as the p x p one is: a
+    # centred view has rank n - 1, so a negligible ridge leaves it singular
+    with pytest.raises(SingularityError) as err:
+        compute_beta(x, y, ridge=1e-30)
+    assert str(err.value) == "normal equations are singular; re-run with ridge > 0"
+
+
 def test_compute_beta_narrow_view_unchanged(rng):
     x, _ = make_views(10, 4, 2, seed=6)
     y = AccessoryVector(rng.standard_normal(10)).center()
@@ -191,16 +219,17 @@ def test_compute_beta_narrow_view_unchanged(rng):
     assert str(err.value) == "normal equations are singular; re-run with ridge > 0"
 
 
-def _dense_directed(x1, x2, y, params, stage2, div):
+def _dense_directed(x1, x2, y, params, stage2):
     """Reference dot-mode fit on the explicit blocks (full within-view blocks
     subset for GEP): (patterns, directions, rho, stage-two warnings)."""
-    block = x1.data.T @ x2.data / div
-    a1, a2 = x1.data.T @ y.values / div, x2.data.T @ y.values / div
+    n = x1.n
+    block = x1.data.T @ x2.data / n
+    a1, a2 = x1.data.T @ y.values / n, x2.data.T @ y.values / n
     res2 = directed_pattern_dot(block, a1, a2, params)
     ix2 = res2.pattern.indices()
     res1 = directed_pattern_dot(block[:, ix2].T, a2[ix2], a1, params.swapped())
     ix1 = res1.pattern.indices()
-    c11, c22 = x1.data.T @ x1.data / div, x2.data.T @ x2.data / div
+    c11, c22 = x1.data.T @ x1.data / n, x2.data.T @ x2.data / n
     z1, z2, warn = dense_stage_two(block[np.ix_(ix1, ix2)], c11[np.ix_(ix1, ix1)],
                                    c22[np.ix_(ix2, ix2)], stage2, ix1, ix2, x1.p, x2.p)
     rho, _ = pearson(x1.data @ z1, x2.data @ z2)
@@ -208,9 +237,9 @@ def _dense_directed(x1, x2, y, params, stage2, div):
 
 
 @pytest.mark.parametrize("n,p1,p2", [(40, 12, 10), (15, 40, 30)])
-@pytest.mark.parametrize("stage2", ["svd", "gep"])
-@pytest.mark.parametrize("divisor", ["n", "n-1"])
-def test_directed_fit_on_operator_matches_dense(n, p1, p2, stage2, divisor):
+# the "n-" in each id names the covariance divisor, which is always n
+@pytest.mark.parametrize("stage2", ["svd", "gep"], ids=lambda s: f"n-{s}")
+def test_directed_fit_on_operator_matches_dense(n, p1, p2, stage2):
     # full-rank noise plus a latent signal on four columns of each view
     rng = np.random.default_rng(p1)
     latent = 2.0 * rng.standard_normal(n)
@@ -220,11 +249,10 @@ def test_directed_fit_on_operator_matches_dense(n, p1, p2, stage2, divisor):
     x1 = center_scale(ViewMatrix(d1, [f"A{j}" for j in range(p1)]))
     x2 = center_scale(ViewMatrix(d2, [f"B{j}" for j in range(p2)]))
     y = AccessoryVector(latent + rng.standard_normal(n)).center()
-    div = n if divisor == "n" else n - 1
-    op = CrossOperator.from_views(x1, x2, divisor=divisor)
+    op = CrossOperator.from_views(x1, x2)
     params = DirectedParams(0.35 * op.T.col_norms().max(), 0.35 * op.col_norms().max())
-    bits, dirs, rho, warn = _dense_directed(x1, x2, y, params, stage2, div)
-    sol = directed_fit(x1, x2, y, params, mode="dot", stage2=stage2, divisor=divisor)
+    bits, dirs, rho, warn = _dense_directed(x1, x2, y, params, stage2)
+    sol = directed_fit(x1, x2, y, params, mode="dot", stage2=stage2)
     assert list(sol.warnings) == list(warn)
     for i in range(2):
         assert sol.patterns[i][0].bits.tolist() == bits[i].tolist()
@@ -386,12 +414,10 @@ def test_two_stage_support_contained_in_selection():
     assert set(np.flatnonzero(sol.patterns[1][0].bits)) <= set(q2.tolist())
 
 
-def test_two_stage_empty_selection_errors(rng):
-    x1, x2 = make_views(12, 4, 4, seed=14)
-    y = AccessoryVector(rng.standard_normal(12)).center()
-    with pytest.raises(EmptySupportError):
-        directed_two_stage(x1, x2, y, UnivariateSelector(keep_fraction=0.0, min_keep=0),
-                           0.0, 0.0)
+def test_selector_keeps_at_least_one_column():
+    x1, _x2 = make_views(12, 4, 4, seed=14)
+    y = AccessoryVector(x1.data[:, 3].copy()).center()
+    assert UnivariateSelector(keep_fraction=0.0).select(x1, y).tolist() == [3]
 
 
 # ---------------------------------------------------------------- equivalences

@@ -79,10 +79,11 @@ def _dense_pattern(blocks, dim_s, thresh, s, m, conv):
     return bits, sweeps
 
 
-def _dense_mscca(views, gam, div, stage2, ridge, conv):
+def _dense_mscca(views, gam, stage2, conv):
     """Reference multi-view fit: (patterns, sweeps, directions, pairwise rho)."""
     m = len(views)
-    blocks = {(r, s): views[r].data.T @ views[s].data / div
+    n = views[0].n
+    blocks = {(r, s): views[r].data.T @ views[s].data / n
               for r in range(m) for s in range(r + 1, m)}
     active = [np.arange(v.p) for v in views]
     patterns, sweeps = [None] * m, [None] * m
@@ -99,13 +100,13 @@ def _dense_mscca(views, gam, div, stage2, ridge, conv):
         diag = []
         for v, a in zip(views, active):
             sub = v.data[:, a]
-            diag.append(sub.T @ sub / div)
+            diag.append(sub.T @ sub / n)
         try:
-            actives = multiview_gep(blocks, diag, ridge=ridge).directions
+            actives = multiview_gep(blocks, diag).directions
         except SingularityError:
             # the automatic ridge: 1e-8 of the mean active variance
             auto = max(1e-8 * sum(np.trace(d) / d.shape[0] for d in diag) / m, 1e-12)
-            actives = multiview_gep(blocks, diag, ridge=ridge + auto).directions
+            actives = multiview_gep(blocks, diag, ridge=auto).directions
     directions = []
     for r in range(m):
         z = np.zeros(views[r].p)
@@ -129,27 +130,23 @@ def _dense_mscca(views, gam, div, stage2, ridge, conv):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(2, 4), n=st.integers(6, 40),
        ps=st.lists(st.integers(3, 30), min_size=4, max_size=4),
-       seed=st.integers(0, 2**16), divisor=st.sampled_from(["n", "n-1"]),
-       stage2=st.sampled_from(["power", "gep"]), ridge=st.sampled_from([0.0, 0.1]),
+       seed=st.integers(0, 2**16), stage2=st.sampled_from(["power", "gep"]),
        frac=st.floats(0.1, 0.7))
-def test_operator_multiview_equals_dense_multiview(m, n, ps, seed, divisor, stage2, ridge,
-                                                   frac):
+def test_operator_multiview_equals_dense_multiview(m, n, ps, seed, stage2, frac):
     views = _planted(n, ps[:m], seed, active=max(1, min(ps[:m]) // 3))
-    div = n if divisor == "n" else n - 1
-    gam = _gamma(MultiViewProblem.from_views(views, divisor=divisor), frac)
+    gam = _gamma(MultiViewProblem.from_views(views), frac)
     conv = ConvergenceSpec()
     try:
-        patterns, sweeps, directions, rho = _dense_mscca(views, gam, div, stage2, ridge,
-                                                         conv)
+        patterns, sweeps, directions, rho = _dense_mscca(views, gam, stage2, conv)
     except (EmptySupportError, DegenerateInputError, SingularityError) as err:
         with pytest.raises(type(err)):
-            multiview_scca(views, gam, stage2=stage2, ridge=ridge, divisor=divisor)
+            multiview_scca(views, gam, stage2=stage2)
         return
-    sol = multiview_scca(views, gam, stage2=stage2, ridge=ridge, divisor=divisor)
+    sol = multiview_scca(views, gam, stage2=stage2)
     for r in range(m):
         assert sol.patterns[r][0].bits.tolist() == patterns[r].tolist()
         assert sol.iterations[0][f"view{r + 1}"] == sweeps[r]
-    if stage2 == "gep" and ridge == 0 and max(b.sum() for b in patterns) >= n - 1:
+    if stage2 == "gep" and max(b.sum() for b in patterns) >= n - 1:
         # a support of n-1 or more leaves its centred within-view block
         # singular: the unridged pencil's eigenvector is then set by rounding
         return

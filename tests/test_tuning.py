@@ -167,15 +167,20 @@ def test_report_serializes():
     assert isinstance(report.to_json(), str)
 
 
-@pytest.mark.parametrize("penalty,order,divisor,scale,stage2", [
-    ("l1", "1-first", "n", False, "svd"),
-    ("l1", "2-first", "n-1", True, "gep"),
-    ("l0", "1-first", "n-1", True, "svd"),
-    ("l0", "2-first", "n", False, "gep"),
-    ("l1", "auto", "n", True, "gep"),
-    ("l0", "auto", "n-1", False, "svd"),
-])
-def test_batched_refits_match_the_serial_reference(penalty, order, divisor, scale, stage2):
+_BATCH_CASES = [
+    ("l1", "1-first", False, "svd"),
+    ("l1", "2-first", True, "gep"),
+    ("l0", "1-first", True, "svd"),
+    ("l0", "2-first", False, "gep"),
+    ("l1", "auto", True, "gep"),
+    ("l0", "auto", False, "svd"),
+]
+
+
+# the "-n" in each id names the covariance divisor, which is always n
+@pytest.mark.parametrize("penalty,order,scale,stage2", _BATCH_CASES,
+                         ids=[f"{p}-{o}-n-{s}-{t}" for p, o, s, t in _BATCH_CASES])
+def test_batched_refits_match_the_serial_reference(penalty, order, scale, stage2):
     from conftest import serial_perm_refits
 
     from scca.pattern import pattern_pair_batch
@@ -184,9 +189,9 @@ def test_batched_refits_match_the_serial_reference(penalty, order, divisor, scal
     g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
                           (0.15,), (0.15,))
     g1, g2 = (g1s[0] ** 2, g2s[0] ** 2) if penalty == "l0" else (g1s[0], g2s[0])
-    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order, divisor=divisor)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order)
     grid = TuneGrid((g1,), (g2,), permutations=40, seed=9)
-    report = perm_tune(x1, x2, grid, penalty=penalty, cfg=cfg)
+    report = perm_tune(x1, x2, grid, cfg=cfg)
 
     perms = _permutations(grid.seed, 0, x1.n, grid.permutations)
     ref = serial_perm_refits(x1, x2, g1, g2, perms, cfg)
@@ -329,7 +334,7 @@ def test_refit_failures_count_the_failed_refits(penalty, order, scale, stage2):
         g1s, g2s = tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s)
     cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order)
     grid = TuneGrid(g1s, g2s, permutations=20, seed=5)
-    report = perm_tune(x1, x2, grid, penalty=penalty, cfg=cfg)
+    report = perm_tune(x1, x2, grid, cfg=cfg)
     counts = []
     for cell, g1 in enumerate(g1s[:2]):
         perms = _permutations(grid.seed, cell, x1.n, grid.permutations)
@@ -348,6 +353,21 @@ def test_fit_config_takes_no_restarts():
     # tuning fits run stage one from one deterministic start
     with pytest.raises(TypeError):
         FitConfig(restarts=2)
+
+
+@pytest.mark.parametrize("mode", ["perm", "cv"])
+def test_tuners_fit_with_the_penalty_of_their_config(mode):
+    # the penalty comes from FitConfig alone: an l0 config gives the l0 sweep
+    tune = perm_tune if mode == "perm" else cv_tune
+    x1, x2, _ = _planted_views()
+    g1s, g2s = _frac_grid(x1, x2, (0.15, 0.3), (0.15, 0.3))
+    grid = TuneGrid(tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s), folds=3,
+                    permutations=10, seed=3)
+    l0 = tuning.grid_orchestrate(mode, x1, x2, grid, cfg=FitConfig(penalty="l0"), jobs=1)
+    assert tune(x1, x2, grid, cfg=FitConfig(penalty="l0"), jobs=1).to_json() == l0.to_json()
+    assert tune(x1, x2, grid, jobs=1).to_json() != l0.to_json()
+    with pytest.raises(TypeError):
+        tune(x1, x2, grid, penalty="l0")
 
 
 def _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) -> int:
@@ -374,18 +394,18 @@ def _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) -> int:
 
 @pytest.mark.parametrize("stage2", ["svd", "gep"])
 @pytest.mark.parametrize("scale", [False, True])
-@pytest.mark.parametrize("divisor", ["n", "n-1"])
-@pytest.mark.parametrize("order", ["auto", "1-first", "2-first"])
+# the "-n" in each id names the covariance divisor, which is always n
+@pytest.mark.parametrize("order", ["auto", "1-first", "2-first"], ids=lambda o: f"{o}-n")
 @pytest.mark.parametrize("penalty", ["l1", "l0"])
-def test_cv_tune_matches_the_per_cell_reference(penalty, order, divisor, scale, stage2):
+def test_cv_tune_matches_the_per_cell_reference(penalty, order, scale, stage2):
     x1, x2, _ = _planted_views()
     g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
                           (0.1, 0.8), (0.2, 0.5, 0.8))
     if penalty == "l0":
         g1s, g2s = tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s)
-    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order, divisor=divisor)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order)
     grid = TuneGrid(g1s, g2s, folds=3, seed=6)
-    report = cv_tune(x1, x2, grid, penalty=penalty, cfg=cfg)
+    report = cv_tune(x1, x2, grid, cfg=cfg)
     _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
 
 
@@ -497,9 +517,9 @@ needs_fork = pytest.mark.skipif(len(cores.usable_cpus()) < 2,
                                 reason="forked sweeps need os.fork and two usable CPUs")
 
 
-def _sweep(method, x1, x2, grid, penalty="l1", cfg=None, jobs=None):
+def _sweep(method, x1, x2, grid, cfg=None, jobs=None):
     tune = perm_tune if method == "perm" else cv_tune
-    return tune(x1, x2, grid, penalty=penalty, cfg=cfg, jobs=jobs)
+    return tune(x1, x2, grid, cfg=cfg, jobs=jobs)
 
 
 def _sweep_grid(x1, x2, penalty):
@@ -527,12 +547,12 @@ def _forks(monkeypatch) -> list:
 def test_forked_and_in_process_sweeps_write_the_same_report(monkeypatch, method, stage2,
                                                             penalty):
     x1, x2, _ = _planted_views()
-    grid, cfg = _sweep_grid(x1, x2, penalty), FitConfig(stage2=stage2)
+    grid, cfg = _sweep_grid(x1, x2, penalty), FitConfig(penalty=penalty, stage2=stage2)
     forks = _forks(monkeypatch)
-    forked = _sweep(method, x1, x2, grid, penalty, cfg)
+    forked = _sweep(method, x1, x2, grid, cfg)
     assert forks
     forks.clear()
-    here = _sweep(method, x1, x2, grid, penalty, cfg, jobs=1)
+    here = _sweep(method, x1, x2, grid, cfg, jobs=1)
     assert not forks
     assert forked.to_json() == here.to_json()
 
