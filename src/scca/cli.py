@@ -288,33 +288,34 @@ def cmd_dscca(args) -> int:
         raise ValueError("mode must be dot, reg, stacked or two-stage")
     if mode == "stacked" and r["stage2"] is not None:
         raise ValueError("--stage2 does not apply to --mode stacked, which has no stage two")
-    keep_fraction = _opt(args, config, "keep_fraction", None)
-    if mode != "two-stage" and keep_fraction is not None:
+    if mode != "two-stage" and _opt(args, config, "keep_fraction", None) is not None:
         raise ValueError("--keep-fraction applies only to --mode two-stage")
     if mode == "two-stage" and any(_opt(args, config, key, None) is not None
                                    for key in ("eps1", "eps2")):
         raise ValueError("--eps1 and --eps2 do not apply to --mode two-stage, "
                          "which screens against y instead of aligning with it")
-    # two-stage echoes the alignment weights at their defaults
-    eps1 = float(_opt(args, config, "eps1", 1.0))
-    eps2 = float(_opt(args, config, "eps2", 1.0))
+    # the echo carries the weights that the mode reads
+    if mode == "two-stage":
+        weights = {"keep_fraction": float(_opt(args, config, "keep_fraction", 0.5))}
+    else:
+        weights = {key: float(_opt(args, config, key, 1.0)) for key in ("eps1", "eps2")}
     stage2 = r["stage2"] or "svd"
     x1, x2 = _load_centered([args.x1, args.x2], r["delimiter"], r["scale"])
     y = _load_accessory(args.y, r["delimiter"])
     if y.values.size != x1.n:
         raise ValueError("accessory length does not match the views")
     conv = _conv(r)
-    params = DirectedParams(r["gamma1"], r["gamma2"], eps1, eps2)
-    if mode in ("dot", "reg"):
-        sol = directed_fit(x1, x2, y, params, mode=mode, penalty=r["penalty"],
-                           conv=conv, stage2=stage2)
+    if mode == "two-stage":
+        sol = directed_two_stage(x1, x2, y, UnivariateSelector(weights["keep_fraction"]),
+                                 r["gamma1"], r["gamma2"], penalty=r["penalty"], conv=conv,
+                                 stage2=stage2)
     elif mode == "stacked":
-        sol = directed_stacked_fit(x1, x2, y, params, penalty=r["penalty"], conv=conv)
+        sol = directed_stacked_fit(x1, x2, y, DirectedParams(r["gamma1"], r["gamma2"], **weights),
+                                   penalty=r["penalty"], conv=conv)
     else:
-        selector = UnivariateSelector(float(_opt(args, config, "keep_fraction", 0.5)))
-        sol = directed_two_stage(x1, x2, y, selector, r["gamma1"], r["gamma2"],
-                                 penalty=r["penalty"], conv=conv, stage2=stage2)
-    echo = _echo(r, mode=mode, eps1=eps1, eps2=eps2, stage2=stage2,
+        sol = directed_fit(x1, x2, y, DirectedParams(r["gamma1"], r["gamma2"], **weights),
+                           mode=mode, penalty=r["penalty"], conv=conv, stage2=stage2)
+    echo = _echo(r, mode=mode, **weights, stage2=stage2,
                  x1=args.x1, x2=args.x2, y=args.y, subcommand="dscca")
     return _finish_fit(sol, [x1, x2], r, echo)
 

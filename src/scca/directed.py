@@ -179,7 +179,7 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
-                     gamma2: float, v0=None, conv: ConvergenceSpec | None = None,
+                     gamma2: float, conv: ConvergenceSpec | None = None,
                      restarts: int = 0, seed: int = 0, status: dict | None = None,
                      ) -> tuple[SparsityPattern, Direction, Direction]:
     """Single-sphere ascent on the stacked squared-error-directed program.
@@ -187,11 +187,12 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     The hinge offsets are the literal 2*x_tilde_i'y terms and the columns of
     the factor ``sp.root`` play the role of the covariance columns; per-side
     thresholds apply below/above ``split``. The sphere lives in the factor's
-    k-dimensional row space: the maximizer v*, a start ``v0`` and the random
-    restarts are k-vectors, and v* enters the program as root'v*. Returns the
-    stacked pattern, v*, and the closed-form stacked direction z*. Pass a
-    dict as ``status`` to receive ``iterations`` and ``converged`` (False
-    when the ascent used all ``conv.max_iter`` updates).
+    k-dimensional row space: the maximizer v*, its start (the factor's
+    largest-norm column) and the random restarts are k-vectors, and v*
+    enters the program as root'v*. Returns the stacked pattern, v*, and the
+    closed-form stacked direction z*. Pass a dict as ``status`` to receive
+    ``iterations`` and ``converged`` (False when the ascent used all
+    ``conv.max_iter`` updates).
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("thresholds must be non-negative")
@@ -199,7 +200,7 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     if y.values.size != sp.tilde_x.shape[0]:
         raise DimensionError("accessory length does not match the stacked views")
     gamma_vec = np.where(np.arange(sp.root.shape[1]) < sp.split, gamma1, gamma2)
-    res = _one(_solve(sp.root, [gamma_vec], "l1", z0=v0, conv=conv, restarts=restarts,
+    res = _one(_solve(sp.root, [gamma_vec], "l1", z0=None, conv=conv, restarts=restarts,
                       seed=seed, side="stacked",
                       empty="both sides of the stacked pattern are empty",
                       offset=2.0 * (sp.tilde_x.T @ y.values)))

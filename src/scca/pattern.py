@@ -40,7 +40,10 @@ class ConvergenceSpec:
     The iteration stops once the relative change of the tracked functional
     falls below ``tol`` and the iterate has stopped moving (step below
     ``tol``), or after ``max_iter`` updates. In stage one a short stall guard
-    terminates sign-pattern cycles whose objective has flatlined.
+    terminates sign-pattern cycles whose objective has flatlined. The
+    multi-view stage one (``multiview_pattern``) reads the spec differently:
+    it stops once the largest per-view step of a sweep is at most ``tol``,
+    or after ``max_iter`` sweeps, with no functional check and no stall guard.
     """
 
     tol: float = 1e-8
@@ -161,21 +164,25 @@ def _workspace(rows: int, width: int, dtype=float):
     return lambda live: flat[:rows * live].reshape(rows, live)
 
 
-def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
-            stall_guard: bool = True) -> Ascent:
-    """Iterate each column of the p x B block z <- u/||u|| until its tracked
-    functional stalls.
+def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
+                  offset=None, pull=None, stall_guard: bool = True) -> Ascent:
+    """The generalized power method that every stage-one solver runs, on a
+    p x B block of iterates; the power stage twos run it at threshold 0,
+    without the stall guard.
 
-    ``value(z, cols)`` returns the functional of each column of z and their
-    update weights, and ``update(weights, cols)`` the updates u, which
-    maximize the linearization of a convex functional over the sphere, so
-    each column's tracked values are non-decreasing. Both may return
-    workspaces that the next call overwrites. ``cols`` lists the batch
-    columns that z holds, so that a batch of operators can pick the members
-    that go with them; it stays the same object until a column stops. Each
-    column stops on its own: once the relative change of its functional and
-    its step are both at most ``tol``, after _STALL_LIMIT stalled steps in a
-    row (only with ``stall_guard``), after ``max_iter`` updates, or when its
+    A step projects each column z onto the columns of its operator, shifted
+    by ``offset``, takes the update weights of the threshold rule and moves
+    to the update u = ``c @ weights``, normalised: z <- u/||u||. ``c`` is one
+    operator (a dense block or a CrossOperator) for every column, or a
+    PermutedCross whose member k goes with column k. ``gammas[k]`` is column
+    k's threshold: a scalar, or one per coordinate. A ``pull`` (eps, a) adds
+    the constant eps*a to the update and 2 eps a'z to the tracked functional,
+    which is otherwise the program objective; the update maximizes its
+    linearization, so each column's tracked values are non-decreasing.
+
+    Each column stops on its own: once the relative change of its functional
+    and its step are both at most ``tol``, after _STALL_LIMIT stalled steps in
+    a row (only with ``stall_guard``), after ``max_iter`` updates, or when its
     update vanishes. The guard ends the sign-pattern cycles of a threshold
     rule; updates linear in z cannot cycle, and there it would cut off a slow
     power iteration, whose functional converges faster than its step. A column
@@ -184,13 +191,62 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
     when one update is all the budget allows.
 
     The stop rule is array arithmetic over the live columns; once one of
-    them stalls, the steps come from one pass over their differences. The
-    live iterates and the next ones take turns in two workspaces at the full
-    width: a stopped column's iterate is written to the returned block, and
-    the live ones are packed to the front.
+    them stalls, the steps come from one pass over their differences.
+    Projections, weights and updates are written to workspaces at the
+    ascent's full width, and so is a PermutedCross's masked input; they are
+    local to the call, which allocates them once. The live iterates and the
+    next ones take turns in two more. When columns stop, their iterates are
+    written to the returned block, the live ones are packed to the front, and
+    the live columns' operator, thresholds and workspace prefixes are picked
+    again. On a dense block or a PermutedCross a step allocates no p x B array.
     """
     z = np.array(z0, dtype=float)
     p, width = z.shape
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.shape[:1] != (width,):
+        raise DimensionError(f"need one threshold per column: {width} columns, "
+                             f"thresholds of shape {gammas.shape}")
+    gammas = gammas.reshape(width, -1).T  # 1 x B, or p x B when they vary by coordinate
+    if (gammas == gammas[:, :1]).all():
+        # one threshold for every column broadcasts as a single column,
+        # which numpy applies faster than a row of equal values
+        gammas = gammas[:, :1]
+    shift = None if offset is None else offset[:, None]
+    push = None if pull is None else (pull[0] * pull[1])[:, None]
+    batch, dense, p_proj = isinstance(c, PermutedCross), isinstance(c, np.ndarray), c.shape[1]
+    # projections, update weights, updates, a masked batch's inputs (zeroed
+    # outside the members' masks) to each product, and l0's active marks
+    spaces = (_workspace(p_proj, width), _workspace(p_proj, width), _workspace(p, width),
+              _workspace(p, width) if batch and c.rmask is not None else None,
+              _workspace(p_proj, width) if batch and c.cmask is not None else None,
+              _workspace(p_proj, width, bool) if rule == "l0" else None)
+
+    def pick(cols):
+        # the operator of the batch columns ``cols`` with its update's
+        # workspaces, and what ``project`` needs of them, at their width
+        op = c.take(cols) if batch else c
+        proj, weights, update, masked_z, masked_w, active = (
+            None if space is None else space(cols.size) for space in spaces)
+        return (op, update, masked_w), (op.T, gammas if gammas.shape[1] == 1 else
+                                        gammas[:, cols], proj, weights, masked_z, active)
+
+    def product(op, x, out, masked):
+        # op @ x, written to ``out`` where the operator can: a PermutedCross
+        # masks x in ``masked`` first; a CrossOperator returns a new array
+        if batch:
+            return op.product(x, out, masked)
+        return np.matmul(op, x, out=out) if dense else op @ x
+
+    def project(z, op_t, gamma, proj, weights, masked, active):
+        # the tracked functional of each column of z, and its update weights
+        proj = product(op_t, z, proj, masked)
+        if shift is not None:
+            proj += shift
+        obj, weights = _hinge(proj, gamma, rule, weights, active)
+        if pull is not None:
+            obj = obj + 2.0 * pull[0] * (pull[1] @ z)
+        return obj, weights
+
     iterations = np.zeros(width, dtype=int)
     vanished = np.zeros(width, dtype=bool)
     capped = np.zeros(width, dtype=bool)
@@ -198,16 +254,21 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
     here, there = _workspace(p, width), _workspace(p, width)
     live, zl, zn = np.arange(width), here(width), there(width)
     zl[...] = z
+    # every column's picks, which the evaluation at the end reuses
+    (op, update, masked_w), full = pick(live)
+    at = full
     # per live column: its functional at the last step, the largest change
     # from it that counts as stalled, and its stalled steps in a row
     prev = bound = tail = None
     run = np.zeros(width, dtype=int)
     for step in range(1, conv.max_iter + 1):
-        obj, weights = value(zl, live)
+        obj, weights = project(zl, *at)
         if traces is not None:
             for col, val in zip(live.tolist(), obj.tolist()):
                 traces[col].append(val)
-        u = update(weights, live)
+        u = product(op, weights, update, masked_w)
+        if push is not None:
+            u += push
         nrm = np.sqrt(_sq_norms(u))
         gone = None if np.count_nonzero(nrm) == nrm.size else np.flatnonzero(nrm == 0.0)
         if gone is not None:
@@ -251,10 +312,11 @@ def _ascend(value, update, z0: np.ndarray, conv: ConvergenceSpec, *,
             live, run, obj = live[keep], run[keep], obj[keep]
             zl = np.take(z_new, keep, axis=1, out=here(keep.size), mode="clip")
             zn = there(keep.size)
+            (op, update, masked_w), at = pick(live)
         else:
             here, there, zl, zn = there, here, z_new, zl
         prev, bound = obj, conv.tol * np.maximum(1.0, np.abs(obj))
-    obj, weights = value(z, np.arange(width))
+    obj, weights = project(z, *full)
     if tail is not None:
         cols, last_obj, moved = tail
         capped[cols] = ((np.abs(obj[cols] - last_obj)
@@ -313,117 +375,6 @@ def _partner(proj: np.ndarray, gamma, rule: str) -> np.ndarray:
     weights = _hinge(proj, gamma, rule)[1]
     denom = np.sqrt(float(weights @ weights))
     return weights / denom if denom > 0 else np.zeros_like(proj)
-
-
-def _members(c, cols):
-    """The operator of batch columns ``cols``: those members of a
-    PermutedCross; any other operator serves every column."""
-    return c.take(cols) if isinstance(c, PermutedCross) else c
-
-
-class _Live(NamedTuple):
-    """What a step of :func:`_hinge_ascent` needs of the live columns
-    ``cols``: their operator and its transpose, their thresholds, and the
-    workspace blocks at their width."""
-
-    cols: np.ndarray
-    op: object
-    op_t: object
-    gamma: np.ndarray
-    proj: np.ndarray
-    weights: np.ndarray
-    update: np.ndarray
-    masked_z: np.ndarray | None
-    masked_w: np.ndarray | None
-    active: np.ndarray | None
-
-
-def _product_of(c):
-    """``product(op, x, out, masked)``: ``op @ x`` for the operators of
-    ``c``, written to ``out`` where they can. A dense block and a
-    PermutedCross (which masks x in ``masked``) can; a CrossOperator returns a
-    new array."""
-    if isinstance(c, PermutedCross):
-        return lambda op, x, out, masked: op.product(x, out, masked)
-    if isinstance(c, np.ndarray):
-        return lambda op, x, out, masked: np.matmul(op, x, out=out)
-    return lambda op, x, out, masked: op @ x
-
-
-def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
-                  offset=None, pull=None, stall_guard: bool = True) -> Ascent:
-    """The generalized power method that every stage-one solver runs, on a
-    p x B block of iterates; the power stage twos run it at threshold 0,
-    without the stall guard (see :func:`_ascend`).
-
-    A step projects each column z onto the columns of its operator, shifted
-    by ``offset``, takes the update weights of the threshold rule and moves
-    to the update ``c @ weights``. ``c`` is one operator (a dense block or a
-    CrossOperator) for every column, or a PermutedCross whose member k goes
-    with column k. ``gammas[k]`` is column k's threshold: a scalar, or one
-    per coordinate. A ``pull`` (eps, a) adds the constant eps*a to the update
-    and 2 eps a'z to the tracked functional, which is otherwise the program
-    objective; the update maximizes its linearization, so it is
-    non-decreasing.
-
-    Projections, weights and updates are written to workspaces at the
-    ascent's full width, and so is a PermutedCross's masked input; they are
-    local to the call, which allocates them once. On a dense block or a
-    PermutedCross a step allocates no p x B array.
-    """
-    width = z0.shape[1]
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape[:1] != (width,):
-        raise DimensionError(f"need one threshold per column: {width} columns, "
-                             f"thresholds of shape {gammas.shape}")
-    gammas = gammas.reshape(width, -1).T  # 1 x B, or p x B when they vary by coordinate
-    if (gammas == gammas[:, :1]).all():
-        # one threshold for every column broadcasts as a single column,
-        # which numpy applies faster than a row of equal values
-        gammas = gammas[:, :1]
-    shift = None if offset is None else offset[:, None]
-    push = None if pull is None else (pull[0] * pull[1])[:, None]
-    p_iter, p_proj = c.shape
-    proj_space, weight_space = _workspace(p_proj, width), _workspace(p_proj, width)
-    update_space = _workspace(p_iter, width)
-    active_space = _workspace(p_proj, width, bool) if rule == "l0" else None
-    masked_z = masked_w = None
-    if isinstance(c, PermutedCross):
-        # a masked batch zeroes its input outside the members' column masks
-        masked_z = _workspace(p_iter, width) if c.rmask is not None else None
-        masked_w = _workspace(p_proj, width) if c.cmask is not None else None
-    product = _product_of(c)
-    picked = [None]
-
-    def members(cols) -> _Live:
-        if picked[0] is None or picked[0].cols is not cols:
-            op, live = _members(c, cols), cols.size
-            picked[0] = _Live(cols, op, op.T,
-                              gammas if gammas.shape[1] == 1 else gammas[:, cols],
-                              proj_space(live), weight_space(live), update_space(live),
-                              None if masked_z is None else masked_z(live),
-                              None if masked_w is None else masked_w(live),
-                              None if active_space is None else active_space(live))
-        return picked[0]
-
-    def value(z, cols):
-        m = members(cols)
-        proj = product(m.op_t, z, m.proj, m.masked_z)
-        if shift is not None:
-            proj += shift
-        obj, weights = _hinge(proj, m.gamma, rule, m.weights, m.active)
-        if pull is not None:
-            obj = obj + 2.0 * pull[0] * (pull[1] @ z)
-        return obj, weights
-
-    def update(weights, cols):
-        m = members(cols)
-        u = product(m.op, weights, m.update, m.masked_w)
-        if push is not None:
-            u += push
-        return u
-
-    return _ascend(value, update, z0, conv, stall_guard=stall_guard)
 
 
 def _solve(c, gammas, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,
@@ -636,20 +587,11 @@ def pattern_first_many(c12, gammas, side: int, penalty: str = "l1",
     """The first side of :func:`pattern_pair` at every threshold of
     ``gammas``, as one ascent: view ``side``'s pattern on the full block. Per
     threshold, its PatternResult or the EmptySupportError that
-    :func:`pattern_first` raises there. ``z0`` overrides the start,
+    :func:`pattern_pair` raises there. ``z0`` overrides the start,
     ``init_direction(first_block(c12, side))``, which does not depend on the
     threshold."""
     return _side_solves(first_block(c12, side), gammas, side, penalty, conv, restarts, seed,
                         z0)
-
-
-def pattern_first(c12, gamma: float, side: int, penalty: str = "l1",
-                  conv: ConvergenceSpec | None = None, restarts: int = 0,
-                  seed: int = 0, z0=None) -> PatternResult:
-    """The first side of :func:`pattern_pair`: view ``side``'s pattern on the
-    full block, thresholded at that view's ``gamma``; see
-    :func:`pattern_first_many`."""
-    return _one(pattern_first_many(c12, [gamma], side, penalty, conv, restarts, seed, z0))
 
 
 def pattern_second_many(c12, lead: PatternResult, side: int, gammas, penalty: str = "l1",
@@ -658,7 +600,7 @@ def pattern_second_many(c12, lead: PatternResult, side: int, gammas, penalty: st
     """The rest of :func:`pattern_pair` after its first side ``lead`` (view
     ``side``'s) at every threshold of ``gammas``, as one ascent: the other
     view's pattern on the block shrunk to ``lead``'s support. Per threshold,
-    its PairPatterns or the EmptySupportError that :func:`pattern_second`
+    its PairPatterns or the EmptySupportError that :func:`pattern_pair`
     raises there. The solve depends on ``lead`` only through its support;
     ``z0`` overrides the start,
     ``init_direction(shrunk_block(c12, lead.pattern, side))``."""
@@ -679,15 +621,6 @@ def pattern_second_many(c12, lead: PatternResult, side: int, gammas, penalty: st
     return out
 
 
-def pattern_second(c12, lead: PatternResult, side: int, gamma: float, penalty: str = "l1",
-                   conv: ConvergenceSpec | None = None, restarts: int = 0,
-                   seed: int = 0, z0=None) -> PairPatterns:
-    """The rest of :func:`pattern_pair` after its first side ``lead``,
-    thresholded at the other view's ``gamma``; see :func:`pattern_second_many`."""
-    return _one(pattern_second_many(c12, lead, side, [gamma], penalty, conv, restarts, seed,
-                                    z0))
-
-
 def max_iter_warnings(solved) -> tuple[str, ...]:
     """A warning for each (view, PatternResult) of ``solved`` whose ascent
     used all ``max_iter`` updates, in the order given."""
@@ -700,9 +633,10 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
                  restarts: int = 0, seed: int = 0) -> PairPatterns:
     """Run the stage-one solver on both sides with successive shrinkage.
 
-    One side's pattern is computed on the full block (:func:`pattern_first`);
-    the block is then restricted to that support and the other side is
-    solved on the shrunken block (:func:`pattern_second`). ``c12`` may be a
+    One side's pattern is computed on the full block
+    (:func:`pattern_first_many`); the block is then restricted to that support
+    and the other side is solved on the shrunken block
+    (:func:`pattern_second_many`). ``c12`` may be a
     CrossOperator, which is shrunk without forming the block. ``order`` picks
     which side goes first: "auto" patterns the larger side first,
     "2-first"/"1-first" force it. A side that used all ``conv.max_iter``
@@ -713,8 +647,8 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
     side = first_side(order, *block.shape)
     gammas = (gamma1, gamma2) if side == 1 else (gamma2, gamma1)
     kw = dict(penalty=penalty, conv=conv, restarts=restarts, seed=seed)
-    lead = pattern_first(block, gammas[0], side, **kw)
-    return pattern_second(block, lead, side, gammas[1], **kw)
+    lead = _one(pattern_first_many(block, [gammas[0]], side, **kw))
+    return _one(pattern_second_many(block, lead, side, [gammas[1]], **kw))
 
 
 class BatchPatterns(NamedTuple):

@@ -255,7 +255,6 @@ def multiview_gep(cross: Mapping[tuple[int, int], np.ndarray],
 
 
 def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
-                    inits: Sequence[np.ndarray] | None = None,
                     conv: ConvergenceSpec | None = None,
                     status: dict | None = None) -> list[np.ndarray]:
     """Leading multi-view directions by per-view power sweeps.
@@ -273,19 +272,10 @@ def multiview_power(cross: Mapping[tuple[int, int], np.ndarray],
     m = len(dims)
     if m < 2:
         raise DimensionError("need at least two views")
-    zs: list[np.ndarray] = []
-    if inits is None:
-        for r in range(m):
-            partner = m - 1 if r != m - 1 else m - 2
-            zs.append(init_direction(_oriented(cross, r, partner)).values)
-    else:
-        if len(inits) != m:
-            raise DimensionError(f"expected {m} inits")
-        for r, z in enumerate(inits):
-            z = np.asarray(z, dtype=float)
-            if z.shape != (dims[r],):
-                raise DimensionError(f"init for view {r} has the wrong length")
-            zs.append(z / np.linalg.norm(z))
+    # each view starts on its block with the last view (the last view's with
+    # the one before it)
+    zs = [init_direction(_oriented(cross, r, m - 1 if r != m - 1 else m - 2)).values
+          for r in range(m)]
 
     iterations, converged = [0] * m, [False] * m
     for r in range(m - 1, -1, -1):

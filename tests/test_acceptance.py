@@ -9,8 +9,7 @@ import json
 import time
 
 import numpy as np
-import pytest
-from conftest import classical_correlations, orthonormal_columns, whitened_views
+from conftest import orthonormal_columns
 
 from scca import (AccessoryVector, ConvergenceSpec, DirectedParams, FitConfig,
                   GammaMatrix, TuneGrid, ViewMatrix, center_scale, compute_beta,

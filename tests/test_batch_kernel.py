@@ -4,7 +4,9 @@ batched SVD stage two of the permutation refits.
 The kernel writes its projections, weights and updates into workspaces and
 applies its stop rule as array arithmetic; ``_loop_ascent`` below is the
 reference it replaced, which allocates every block anew and stops each column
-in a Python loop. Both run the same products, so they agree to the bit.
+in a Python loop. Both run the same products, so they agree to the bit, on a
+batch as on the one operator (a directed fit's dense block, or a deflated
+CrossOperator) that serves every column.
 """
 
 from dataclasses import replace
@@ -14,31 +16,43 @@ import pytest
 
 from scca import (ConvergenceSpec, DegenerateInputError, EmptySupportError, FitConfig,
                   gen_null, pearson, stage_two)
-from scca.covariance import PermutedCross
-from scca.pattern import (_STALL_LIMIT, _batch_ascent, _batch_side, _col_norms, _hinge_ascent,
-                          _sq_norms, first_block, first_side, pattern_first, pattern_pair,
-                          pattern_pair_batch, shrunk_block)
+from scca.covariance import CrossOperator, PermutedCross
+from scca.pattern import (_STALL_LIMIT, _batch_ascent, _batch_side, _col_norms, _column,
+                          _hinge_ascent, _one, _sq_norms, first_block, first_side,
+                          pattern_first_many, pattern_pair, pattern_pair_batch, shrunk_block)
 from scca.solve import power_svd_batch
 from scca.tuning import _abs_correlations, _permutations, _PermSweep
 
 WIDTH = 30
 
 
-def _loop_ascent(c: PermutedCross, gammas: np.ndarray, rule: str, z0: np.ndarray,
-                 conv: ConvergenceSpec, stall_guard: bool = True):
-    """Reference hinge ascent: column k ascends on member k at threshold
-    gammas[k], each step on new arrays, each column's stop rule in a loop.
-    Returns (z, objective, weights, iterations, vanished, capped, traces,
-    stalled), ``stalled`` marking the columns that the stall guard stopped."""
+def _loop_ascent(c, gammas: np.ndarray, rule: str, z0: np.ndarray, conv: ConvergenceSpec,
+                 stall_guard: bool = True, offset=None, pull=None):
+    """Reference hinge ascent: column k ascends on member k of a PermutedCross
+    (on any other operator, on the operator itself) at threshold gammas[k],
+    with the projections shifted by ``offset`` and a ``pull`` (eps, a) adding
+    eps*a to each update and 2 eps a'z to the functional, each step on new
+    arrays, each column's stop rule in a loop. Returns (z, objective, weights,
+    iterations, vanished, capped, traces, stalled), ``stalled`` marking the
+    columns that the stall guard stopped."""
+
+    def operator(cols):
+        return c.take(cols) if isinstance(c, PermutedCross) else c
 
     def value(z, cols):
-        proj = c.take(cols).T @ z
+        proj = operator(cols).T @ z
+        if offset is not None:
+            proj = proj + offset[:, None]
         gamma = gammas[cols][None, :]
         if rule == "l1":
             w = np.maximum(np.abs(proj) - gamma, 0.0)
-            return _sq_norms(w), w * np.sign(proj)
-        clipped = np.maximum(proj * proj - gamma, 0.0)
-        return clipped.sum(axis=0), np.where(clipped > 0, proj, 0.0)
+            obj, weights = _sq_norms(w), w * np.sign(proj)
+        else:
+            clipped = np.maximum(proj * proj - gamma, 0.0)
+            obj, weights = clipped.sum(axis=0), np.where(clipped > 0, proj, 0.0)
+        if pull is not None:
+            obj = obj + 2.0 * pull[0] * (pull[1] @ z)
+        return obj, weights
 
     def distance(a, b):
         d = a - b
@@ -55,7 +69,9 @@ def _loop_ascent(c: PermutedCross, gammas: np.ndarray, rule: str, z0: np.ndarray
         obj, weights = value(zl, live)
         for col, val in zip(live.tolist(), obj.tolist()):
             traces[col].append(val)
-        u = c.take(live) @ weights
+        u = operator(live) @ weights
+        if pull is not None:
+            u = u + (pull[0] * pull[1])[:, None]
         nrm = np.sqrt(_sq_norms(u))
         gone = [i for i, size in enumerate(nrm.tolist()) if size == 0.0]
         if gone:
@@ -130,22 +146,54 @@ def _batch(side: str, transpose: bool, rule: str) -> PermutedCross:
     return lead.take(keep).cols(bits[:, keep]).T
 
 
+def _single(kind: str, transpose: bool, rule: str):
+    """One operator that serves every column, on the null sweep's views: the
+    dense block of a directed fit, whose projections are shifted by the
+    alignment with an accessory y and whose updates are pulled toward it, or
+    a CrossOperator with one deflation term: the residual that a second
+    factor ascends on.
+    Returns the operator, the starts (its WIDTH largest-norm columns), the
+    thresholds (rising from 0.1 to 0.8 of the largest column norm, and above
+    every norm for the last two columns) and the ascent's keyword arguments."""
+    sweep, _ = _null_sweep()
+    op, kw = CrossOperator.from_views(sweep.v1, sweep.v2), {}
+    if kind == "directed":
+        y = np.random.default_rng(6).standard_normal(sweep.v1.n)
+        aligned = [view.data.T @ y / sweep.div for view in (sweep.v1, sweep.v2)]
+        c = op.dense().T if transpose else op.dense()
+        lead, partner = aligned[::-1] if transpose else aligned
+        kw = dict(offset=partner, pull=(0.5, lead))
+    else:
+        u, _s, vt = np.linalg.svd(op.dense())
+        c = op.deflated(u[:, 0], vt[0])
+        c = c.T if transpose else c
+    norms = _col_norms(c)
+    js = np.argsort(norms, kind="stable")[::-1][:WIDTH]
+    z0 = np.column_stack([_column(c, j) / norms[j] for j in js])
+    gammas = np.linspace(0.1, 0.8, js.size) * norms.max()
+    gammas[-2:] = 1.5 * norms.max()
+    return c, z0, gammas if rule == "l1" else gammas ** 2, kw
+
+
 def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("kind", ["first", "second", "directed", "residual"])
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("rule", ["l1", "l0"])
 @pytest.mark.parametrize("max_iter", [10000, 8, 1])
-def test_batch_ascent_matches_the_loop_reference(side, transpose, rule, max_iter):
+def test_batch_ascent_matches_the_loop_reference(kind, transpose, rule, max_iter):
     # at max_iter 1 a start that is already the fixed point is not capped
-    c = _batch(side, transpose, rule)
-    z0, gammas = _starts(c, 0.5, rule)
+    if kind in ("first", "second"):
+        c, kw = _batch(kind, transpose, rule), {}
+        z0, gammas = _starts(c, 0.5, rule)
+    else:
+        c, z0, gammas, kw = _single(kind, transpose, rule)
     conv = ConvergenceSpec(max_iter=max_iter, objective_track=True)
-    run = _hinge_ascent(c, gammas, rule, z0, conv)
+    run = _hinge_ascent(c, gammas, rule, z0, conv, **kw)
     z, obj, weights, iterations, vanished, capped, traces, _ = _loop_ascent(
-        c, gammas, rule, z0, conv)
+        c, gammas, rule, z0, conv, **kw)
     assert _bits(run.z) == _bits(z)
     assert _bits(run.objective) == _bits(obj)
     assert _bits(run.weights) == _bits(weights)
@@ -153,9 +201,15 @@ def test_batch_ascent_matches_the_loop_reference(side, transpose, rule, max_iter
     np.testing.assert_array_equal(run.iterations, iterations)
     np.testing.assert_array_equal(run.vanished, vanished)
     np.testing.assert_array_equal(run.capped, capped)
-    assert vanished[-2:].all() and (iterations[-2:] == 0).all()
-    if max_iter < 10000:
-        assert 0 < capped.sum() < c.idx.shape[1] - 2
+    if "pull" in kw:
+        # a pulled update never vanishes, so the last two end on an empty
+        # support, and no start is its fixed point, so max_iter may cap all
+        assert not vanished.any() and not weights[:, -2:].any()
+        assert capped.any() == (max_iter < 10000)
+    else:
+        assert vanished[-2:].all() and (iterations[-2:] == 0).all()
+        if max_iter < 10000:
+            assert 0 < capped.sum() < z0.shape[1] - 2
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -333,7 +387,7 @@ def test_screened_batches_match_pattern_pair_at_the_threshold(side, order, rule)
     if side == "first":
         tops = first_tops
     else:
-        leads = [pattern_first(m, g_first, lead, rule) for m in members]
+        leads = [_one(pattern_first_many(m, [g_first], lead, rule)) for m in members]
         tops = _tops([shrunk_block(m, res.pattern, lead) for m, res in zip(members, leads)],
                      rule)
     for target in np.quantile(tops, [0.25, 0.75], method="nearest"):

@@ -187,6 +187,31 @@ def test_dscca_stacked_and_two_stage_modes(tmp_path):
         assert sol.factor_count == 1
 
 
+def test_dscca_echoes_only_the_weights_its_mode_reads(tmp_path):
+    # dot, reg and stacked align with y by eps1 and eps2; two-stage screens
+    # against y by the fraction it keeps. Views narrower than n, where reg fits
+    x1, x2 = make_views(30, 8, 6, seed=4)
+    write_view(x1, tmp_path / "x1.csv")
+    write_view(x2, tmp_path / "x2.csv")
+    y = x1.data[:, 0] + x2.data[:, 1]
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+    data = ["--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+            "--y", str(tmp_path / "y.csv"), "--gamma1", "0.05", "--gamma2", "0.05"]
+    common = {"delimiter", "gamma1", "gamma2", "max_iter", "mode", "penalty", "scale", "seed",
+              "stage2", "subcommand", "tol", "x1", "x2", "y"}
+    for mode, weights in (("dot", {"eps1": 1.0, "eps2": 1.0}),
+                          ("reg", {"eps1": 0.5, "eps2": 1.0}),
+                          ("stacked", {"eps1": 1.0, "eps2": 1.0}),
+                          ("two-stage", {"keep_fraction": 0.5})):
+        flags = ["--eps1", "0.5"] if mode == "reg" else []
+        assert main(["dscca", *data, "--mode", mode, *flags,
+                     "--out", str(tmp_path / mode)]) == 0
+        doc = json.loads((tmp_path / mode / "solution.json").read_text())
+        echo = doc["metadata"]["config"]
+        assert set(echo) == common | set(weights)
+        assert {key: echo[key] for key in weights} == weights
+
+
 def test_dscca_prints_its_warnings(tmp_path, capsys):
     # supports wider than n make the GEP stage two take its automatic ridge
     x1, x2, truths = _write_small_views(tmp_path, seed=10)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from scca import (DimensionError, EmptySupportError, ParseError, SparsityPattern,
-                  StateError, ViewMatrix, center_scale, cross_covariance,
-                  gen_rank_one, load_view, write_view)
+from scca import (DimensionError, ParseError, StateError, ViewMatrix, center_scale,
+                  cross_covariance, gen_rank_one, load_view, write_view)
 from scca.covariance import center_scale_owned, standardize
 from scca.simulate import RankOneSpec
 

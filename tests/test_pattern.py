@@ -431,8 +431,7 @@ def _each(solve, gammas):
 @pytest.mark.parametrize("kind", ["dense", "operator"])
 @pytest.mark.parametrize("rule", ["l1", "l0"])
 def test_threshold_batch_matches_one_threshold_solves(rule, kind, restarts, max_iter):
-    from scca.pattern import (first_block, pattern_first, pattern_first_many, pattern_second,
-                              pattern_second_many)
+    from scca.pattern import _one, first_block, pattern_first_many, pattern_second_many
     c = _planted_block(kind)
     top = float(np.linalg.norm(np.asarray(first_block(c, 1)), axis=0).max())
     scale = top if rule == "l1" else top ** 2
@@ -443,7 +442,8 @@ def test_threshold_batch_matches_one_threshold_solves(rule, kind, restarts, max_
 
     firsts = pattern_first_many(c, gammas, 1, **kw)
     assert len(firsts) == len(gammas)
-    for got, want in zip(firsts, _each(lambda g: pattern_first(c, g, 1, **kw), gammas)):
+    for got, want in zip(firsts,
+                         _each(lambda g: _one(pattern_first_many(c, [g], 1, **kw)), gammas)):
         _assert_same_solve(got, want)
     failed = [isinstance(r, EmptySupportError) for r in firsts]
     assert any(failed) and not all(failed)
@@ -455,7 +455,8 @@ def test_threshold_batch_matches_one_threshold_solves(rule, kind, restarts, max_
     others = [f * scale for f in (0.0, 0.2, 0.5, 2.0)]
     seconds = pattern_second_many(c, lead, 1, others, **kw)
     for got, want in zip(seconds,
-                         _each(lambda g: pattern_second(c, lead, 1, g, **kw), others)):
+                         _each(lambda g: _one(pattern_second_many(c, lead, 1, [g], **kw)),
+                               others)):
         _assert_same_solve(got, want)
     assert isinstance(seconds[-1], EmptySupportError)
     assert str(seconds[-1]).startswith("view 2 support collapsed")

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from conftest import make_views
 
 from scca import (InsufficientFactorsError, IoError, ViewMatrix, biplot_coords,
                   center_scale, fit_pair, interp_coords, write_report)
-from scca.report import BiplotData, InterpolationData
 
 
 def _two_factor_solution(seed=0, n=40, p1=12, p2=10):

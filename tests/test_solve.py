@@ -380,15 +380,6 @@ def test_multiview_power_three_view_planted(rng):
         assert abs(z @ d) > 0.999
 
 
-def test_multiview_power_orthogonal_init_can_stall():
-    # symmetric toy case: an init orthogonal to the planted direction is a
-    # fixed point of the quadratic update (measure-zero; restarts escape)
-    block = np.eye(2)
-    zs = multiview_power({(0, 1): block}, inits=[np.array([0.0, 1.0]),
-                                                 np.array([0.0, 1.0])])
-    np.testing.assert_allclose(np.abs(zs[1]), [0.0, 1.0], atol=1e-12)
-
-
 def test_solution_requires_sorted_correlations():
     with pytest.raises(ValueError):
         CcaSolution(directions=[np.zeros((2, 2)), np.zeros((2, 2))],

@@ -451,7 +451,7 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
     from scca import pattern, tuning
     from scca.covariance import CrossOperator, standardize
     from scca.errors import EmptySupportError
-    from scca.pattern import pattern_first, pattern_pair
+    from scca.pattern import _one, pattern_first_many, pattern_pair
     x1, x2, _ = _planted_views()
     g1s, g2s = _frac_grid(x1, x2, (0.2, 0.25, 0.3, 0.35, 0.4), (0.2, 0.3, 0.4))
     cfg = FitConfig(order="1-first")
@@ -498,7 +498,7 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
         firsts, pairs = set(), set()
         for _idx, _i, _j, g1, g2 in grid.cells():
             try:
-                firsts.add(pattern_first(op, g1, 1).pattern.bits.tobytes())
+                firsts.add(_one(pattern_first_many(op, [g1], 1)).pattern.bits.tobytes())
                 pair = pattern_pair(op, g1, g2, order="1-first")
             except EmptySupportError:
                 continue
