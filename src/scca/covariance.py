@@ -2,7 +2,7 @@
 
 Views are n x p observation matrices (rows = samples). Cross-covariance
 blocks divide by n. ``load_view`` parses a view file from its bytes,
-without decoding it; ``load_views`` reads several view files at once,
+a batch of rows at a time; ``load_views`` reads several view files at once,
 parsing large ones on every usable CPU. ``CrossOperator`` keeps a
 cross-covariance as the centred data plus a low-rank deflation correction,
 so restricting it to a sparsity pattern selects data columns instead of
@@ -160,14 +160,13 @@ def _delimiter(path, delimiter: str | None) -> str:
     return delimiter
 
 
-def _header_names(first: str, delimiter: str, header: bool | None) -> list[str] | None:
+def _header_names(first: str, delimiter: str) -> list[str] | None:
     """The names of a file whose first line is ``first``, or None when that
-    line is data: with ``header=None``, it is a header iff any of its cells
-    is not a finite number."""
+    line is data: it is a header iff any of its cells is not a finite number."""
     first_row = first.split(delimiter)
-    if header is None:
-        header = not all(_is_number(tok) for tok in first_row)
-    return [tok.strip() for tok in first_row] if header else None
+    if all(_is_number(tok) for tok in first_row):
+        return None
+    return [tok.strip() for tok in first_row]
 
 
 def _view(names: list[str] | None, data: np.ndarray) -> ViewMatrix:
@@ -181,37 +180,15 @@ def _view(names: list[str] | None, data: np.ndarray) -> ViewMatrix:
     return ViewMatrix(data, names, centered=False, scaled=False)
 
 
-def _read_text(path, delimiter: str | None, header: bool | None) -> ViewMatrix:
-    """The text reader: decodes the whole file, and reports a bad cell's
-    exact line and column."""
-    delimiter = _delimiter(path, delimiter)
-    lines = Path(path).read_text().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    names = _header_names(lines[0], delimiter, header)
-    body, first_line = (lines[1:], 2) if names is not None else (lines, 1)
-    if not body:
-        raise DimensionError("need at least 2 samples, got 0")
-    p = len(body[0].split(delimiter))
-    data = _parse_body(body, delimiter, p)
-    if data is None:
-        data = _parse_cells(body, delimiter, p, first_line)
-    return _view(names, data)
-
-
-# The byte reader reads this many bytes at a time, and parses batches of rows
-# that span about as many.
+# The reader reads this many bytes at a time, and parses batches of rows that
+# span about as many.
 _BLOCK = 1 << 18
 
-
-class _Refused(Exception):
-    """Why the byte reader leaves a file to the text reader."""
+_BOM = b"\xef\xbb\xbf"
 
 
 class _Body(NamedTuple):
-    """Where a view file's rows are, as the byte reader found them."""
+    """Where a view file's rows are, as the scan found them."""
 
     path: str
     delimiter: str
@@ -220,80 +197,75 @@ class _Body(NamedTuple):
     starts: np.ndarray    # byte offset of each row, then the end of the last one
 
 
-def _decode(raw: bytes) -> str:
-    """Bytes of whole lines, decoded as ``Path.read_text`` decodes a file."""
+def _text(fh, lo, hi) -> str:
+    """Bytes [lo, hi) of a file, whole rows, decoded as ``Path.read_text``
+    decodes a file: each row end (LF, CRLF or a lone CR) becomes one LF."""
+    fh.seek(int(lo))
+    raw = fh.read(int(hi - lo))
     return io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None)).read()
 
 
-def _body_stop(fh, start: int, stop: int) -> int:
-    """The offset past the last byte of [start, stop) that is not a space,
-    tab, CR or LF: blank lines at the end of a file are not rows."""
-    while stop > start:
-        at = max(start, stop - 4096)
-        fh.seek(at)
-        kept = fh.read(stop - at).rstrip(b" \t\r\n")
-        if kept:
-            return at + len(kept)
-        stop = at
-    return start
-
-
-def _line_feeds(fh, start: int, stop: int) -> np.ndarray:
-    """The offsets of the LF bytes in [start, stop), by a vectorised search."""
+def _row_ends(fh, start: int, stop: int) -> np.ndarray:
+    """The offsets just past each row end in [start, stop), by a vectorised
+    search: an LF, or a CR that no LF follows (a CRLF ends at its LF)."""
     fh.seek(start)
     block = bytearray(_BLOCK)
-    found, at = [], start
+    lfs, crs, at = [np.empty(0, int)], [np.empty(0, int)], start
     while at < stop:
         got = fh.readinto(memoryview(block)[:min(_BLOCK, stop - at)])
         if not got:
-            raise _Refused("the file shrank while it was read")
-        found.append(np.flatnonzero(np.frombuffer(block, np.uint8, got) == 10) + at)
+            raise OSError(f"{fh.name}: the file changed while it was read")
+        raw = np.frombuffer(block, np.uint8, got)
+        lfs.append(np.flatnonzero(raw == 10) + at)
+        crs.append(np.flatnonzero(raw == 13) + at)
         at += got
-    return np.concatenate(found)
+    lf, cr = np.concatenate(lfs), np.concatenate(crs)
+    return np.union1d(lf, cr[~np.isin(cr + 1, lf)]) + 1
 
 
-def _scan(path, delimiter: str | None, header: bool | None) -> _Body:
-    """A view file's header and the byte offsets of its body rows (one per
-    LF), found without decoding the body. Raises _Refused where the text
-    reader would not read the first line as one line, or finds no rows."""
+def _scan(path, delimiter: str | None) -> _Body:
+    """A view file's header and the byte offsets of its body rows, found
+    without decoding the body. A leading UTF-8 BOM is skipped, and lines at
+    the end that ``str.strip`` leaves empty are not rows. Raises ParseError
+    for a file of blank lines, DimensionError for a header with no rows."""
     delimiter = _delimiter(path, delimiter)
     with open(path, "rb") as fh:
-        first = fh.readline()
-        lines = _decode(first).splitlines()
-        if len(lines) != 1:
-            raise _Refused("the first line holds a line break of the text reader")
-        names = _header_names(lines[0], delimiter, header)
-        start = len(first) if names is not None else 0
-        stop = _body_stop(fh, start, os.fstat(fh.fileno()).st_size)
-        if stop == start:
-            raise _Refused("no body rows")
-        starts = np.concatenate([[start], _line_feeds(fh, start, stop) + 1, [stop]])
-        fh.seek(start)
-        p = len(_decode(fh.readline()).rstrip("\n").split(delimiter))
+        start = len(_BOM) if fh.read(len(_BOM)) == _BOM else 0
+        size = os.fstat(fh.fileno()).st_size
+        starts = np.concatenate([[start], _row_ends(fh, start, size), [size]])
+        rows = starts.size - 1
+        while rows and not _text(fh, starts[rows - 1], starts[rows]).strip():
+            rows -= 1
+        if not rows:
+            raise ParseError("empty file", line=1)
+        names = _header_names(_text(fh, starts[0], starts[1]), delimiter)
+        starts = starts[int(names is not None):rows + 1]
+        if starts.size == 1:
+            raise DimensionError("need at least 2 samples, got 0")
+        p = len(_text(fh, starts[0], starts[1]).split(delimiter))
     return _Body(str(path), delimiter, names, p, starts)
 
 
 def _parse_rows(body: _Body, lo: int, hi: int, out: np.ndarray) -> None:
     """Body rows [lo, hi) into ``out[lo:hi]``, read straight from the file in
-    batches of about _BLOCK bytes. Each batch is decoded and split as the
-    text reader decodes and splits the file, and parsed as it parses them.
-    Raises _Refused where the batch does not split into its rows (a line
-    break other than LF inside a row), or the parse would need the
-    per-cell path (a blank, ragged, non-numeric or non-finite row)."""
+    batches of about _BLOCK bytes. A batch that ``np.loadtxt`` cannot take
+    (a blank, ragged, non-numeric or non-finite row) is parsed cell by cell,
+    which raises its first error with its line and column."""
     starts = body.starts
     batch = max(1, _BLOCK * (hi - lo) // int(starts[hi] - starts[lo]))
+    first_line = 1 if body.names is None else 2
     with open(body.path, "rb") as fh, warnings.catch_warnings():
-        # an all-blank batch makes loadtxt warn; the text reader reports it
+        # an all-blank batch makes loadtxt warn; the cell parse reports it
         warnings.simplefilter("ignore")
-        fh.seek(int(starts[lo]))
         for at in range(lo, hi, batch):
             end = min(at + batch, hi)
-            lines = _decode(fh.read(int(starts[end] - starts[at]))).splitlines()
-            if len(lines) != end - at:
-                raise _Refused(f"rows {at + 1}-{end} split into {len(lines)} lines as text")
+            lines = _text(fh, starts[at], starts[end]).split("\n")
+            if len(lines) < end - at:
+                raise OSError(f"{body.path}: the file changed while it was read")
+            del lines[end - at:]
             data = _parse_body(lines, body.delimiter, body.p)
             if data is None:
-                raise _Refused(f"rows {at + 1}-{end} are not rows of {body.p} finite numbers")
+                data = _parse_cells(lines, body.delimiter, body.p, first_line + at)
             out[at:end] = data
 
 
@@ -314,81 +286,91 @@ def _cuts(line_bytes: np.ndarray, parts: int) -> list[int]:
     return sorted({0, *(int(c) for c in inner), int(ends.size)})
 
 
-def _parse_run(files: list[_Body], arrays, start: int, stop: int) -> str | None:
+def _parse_run(files: list[_Body], arrays, start: int,
+               stop: int) -> tuple[int, Exception] | None:
     """Parse rows [start, stop) of the concatenated bodies into ``arrays``;
-    None, or why the byte reader refuses them."""
+    None, or the index of the first file with a bad row in the run and the
+    error of its first bad row."""
     offset = 0
-    for body, out in zip(files, arrays):
+    for k, (body, out) in enumerate(zip(files, arrays)):
         rows = body.starts.size - 1
         lo, hi = max(start - offset, 0), min(stop - offset, rows)
         if lo < hi:
             try:
                 _parse_rows(body, lo, hi, out)
-            except (_Refused, ValueError) as err:
-                return f"{body.path}: {err}"
+            except (SccaError, OSError, ValueError) as err:
+                return k, err
         offset += rows
     return None
 
 
-def _load(paths: list, delimiter: str | None, header: bool | None,
-          cpus: list[int]) -> list[ViewMatrix]:
-    """The views of ``paths`` from the byte reader: each file is scanned
-    for its header and row offsets, and the rows of all files are parsed
-    in line-aligned runs of about equal bytes, at most one per CPU of
-    ``cpus`` and one per MiB (one run with no CPUs), each run in its own
-    process. When the byte reader refuses any file, or a view it read is
-    invalid, every file goes through the text reader in order, which
-    raises the first error with its line and column."""
-    try:
-        files = [_scan(path, delimiter, header) for path in paths]
-        line_bytes = np.concatenate([np.diff(body.starts) for body in files])
-        size = int(line_bytes.sum())
-        cuts = (_cuts(line_bytes, min(len(cpus), max(2, size >> 20))) if cpus
-                else [0, line_bytes.size])
-        shapes = [(body.starts.size - 1, body.p) for body in files]
-        if len(cuts) > 2:
-            shared = mmap.mmap(-1, 8 * sum(n * p for n, p in shapes))
-            arrays, offset = [], 0
-            for n, p in shapes:
-                arrays.append(np.frombuffer(shared, dtype=float, count=n * p,
-                                            offset=offset).reshape(n, p))
-                offset += 8 * n * p
-            # each run writes its rows into the shared mapping, so a forked
-            # parser returns only why it refused them, if it did
-            refusals = cores.run_shares(
-                lambda k: _parse_run(files, arrays, cuts[k], cuts[k + 1]), cpus[:len(cuts) - 1])
-        else:
-            arrays = [np.empty(shape) for shape in shapes]
-            refusals = [_parse_run(files, arrays, 0, cuts[-1])]
-        refused = next((reason for reason in refusals if reason is not None), None)
-        if refused is not None:
-            raise _Refused(refused)
-        views = [_view(body.names, data) for body, data in zip(files, arrays)]
-    except (_Refused, SccaError, OSError, ValueError) as err:
-        _log.debug("view load of %d file(s): text reader (%s)", len(paths), err)
-        return [_read_text(path, delimiter, header) for path in paths]
+def _load(paths: list, delimiter: str | None, cpus: list[int]) -> list[ViewMatrix]:
+    """The views of ``paths``: each file is scanned for its header and row
+    offsets, and the rows of all files are parsed in line-aligned runs of
+    about equal bytes, at most one per CPU of ``cpus`` and one per MiB (one
+    run with no CPUs), each run in its own process. Raises the first error
+    of the first file that has one: its scan error (no later file is
+    scanned), then its first bad row, then its header or view error."""
+    files, failed = [], None
+    for path in paths:
+        try:
+            files.append(_scan(path, delimiter))
+        except (SccaError, OSError, ValueError) as err:
+            failed = err
+            break
+    if not files:
+        if failed is None:
+            return []
+        raise failed
+    line_bytes = np.concatenate([np.diff(body.starts) for body in files])
+    size = int(line_bytes.sum())
+    cuts = (_cuts(line_bytes, min(len(cpus), max(2, size >> 20))) if cpus
+            else [0, line_bytes.size])
+    shapes = [(body.starts.size - 1, body.p) for body in files]
+    if len(cuts) > 2:
+        shared = mmap.mmap(-1, 8 * sum(n * p for n, p in shapes))
+        arrays, offset = [], 0
+        for n, p in shapes:
+            arrays.append(np.frombuffer(shared, dtype=float, count=n * p,
+                                        offset=offset).reshape(n, p))
+            offset += 8 * n * p
+        # each run writes its rows into the shared mapping, so a forked
+        # parser returns only its first bad row's error, if it has one
+        errors = cores.run_shares(
+            lambda k: _parse_run(files, arrays, cuts[k], cuts[k + 1]), cpus[:len(cuts) - 1])
+    else:
+        arrays = [np.empty(shape) for shape in shapes]
+        errors = [_parse_run(files, arrays, 0, cuts[-1])]
+    bad, err = next((error for error in errors if error is not None), (len(files), None))
+    views = [_view(body.names, data) for body, data in zip(files[:bad], arrays)]
+    if err is not None:
+        raise err
+    if failed is not None:
+        raise failed
     _log.debug("view load of %d file(s), %d bytes of rows: %d run(s) on %d process(es)",
                len(paths), size, len(cuts) - 1, len(cuts) - 1)
     return views
 
 
-def load_view(path, delimiter: str | None = None, header: bool | None = None) -> ViewMatrix:
+def load_view(path, delimiter: str | None = None) -> ViewMatrix:
     """Read a delimited numeric matrix into a ViewMatrix.
 
     The delimiter is inferred from the extension (.tsv/.tab -> tab, else
-    comma) unless given. ``header=None`` auto-detects a name row: the first
-    row is a header iff any of its cells is not a finite number. A blank or
-    repeated header name raises ParseError on line 1. Blank lines at the
-    end of the file are ignored.
+    comma) unless given. The first row is a header iff any of its cells is
+    not a finite number. A blank or repeated header name raises ParseError
+    on line 1. A leading UTF-8 BOM is skipped, and lines at the end of the
+    file that ``str.strip`` leaves empty are ignored.
 
-    The byte reader finds the rows by a vectorised search for LF and
-    parses them from the file in batches of about 256 KiB, so the file's
-    text is never held whole. A file it cannot take as the text reader
-    would (a stray line break in a row, a blank, ragged, non-numeric or
-    non-finite row, too few rows, a bad header) is read again as text,
-    which raises the error with its exact line and column.
+    A row ends at LF, CRLF or a lone CR, as in Python's text mode; any
+    other character (a form feed, NEL, U+2028) is cell text, which
+    ``float`` takes as whitespace around a number or rejects. The reader
+    finds the rows by a vectorised search of the file's bytes and parses
+    them from the file in batches of about 256 KiB, so the file's text is
+    never held whole. A batch that ``np.loadtxt`` cannot take is parsed
+    cell by cell, which raises the first bad row's ParseError with its
+    line and column; the file is read once.
     """
-    return _load([path], delimiter, header, [])[0]
+    return _load([path], delimiter, [])[0]
 
 
 def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
@@ -403,10 +385,10 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
     its rows into a shared output buffer. Each parser is pinned to its own
     CPU while it parses: on a 2-core VM the scheduler otherwise kept the
     child on its parent's CPU, and each half took as long as the whole.
-    A file that the byte reader refuses sends every file through the text
-    reader in order, as in ``load_view``. Each load logs one debug record
-    on the ``scca`` logger: the files, bytes, runs and processes, or why
-    the text reader took over.
+    A run stops at its first bad row and returns that row's error, and
+    the errors are raised in file order as ``load_view`` raises them. Each
+    load that succeeds logs one debug record on the ``scca`` logger: the
+    files, bytes, runs and processes.
     """
     paths = list(paths)
     cpus = cores.usable_cpus()
@@ -416,7 +398,7 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
         except OSError:
             big = False
         if big:
-            return _load(paths, delimiter, None, cpus)
+            return _load(paths, delimiter, cpus)
     return [load_view(path, delimiter=delimiter) for path in paths]
 
 

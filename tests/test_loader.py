@@ -8,13 +8,14 @@ Chunk boundaries are swept over every line by replacing ``_cuts``.
 
 import logging
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scca import ParseError, SccaError, cores, covariance, load_view, load_views
+from scca import DimensionError, ParseError, SccaError, cores, covariance, load_view, load_views
 from scca.cli import main
 
 from conftest import no_children
@@ -48,8 +49,9 @@ CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 @st.composite
 def view_files(draw):
-    """Text of 1-3 view files, each with 2-6 rows of 1-4 columns, a header
-    or not, comma or tab, LF or CRLF endings, and 0-2 trailing blank lines."""
+    """Text and sample count of 1-3 view files, each with 2-6 rows of 1-4
+    columns, a header or not, comma or tab, LF, CRLF or CR endings, 0-2
+    trailing blank lines and a leading UTF-8 BOM or not."""
     files = []
     for k in range(draw(st.integers(1, 3))):
         n, p = draw(st.integers(2, 6)), draw(st.integers(1, 4))
@@ -58,9 +60,10 @@ def view_files(draw):
         rows = [[draw(CELL) for _ in range(p)] for _ in range(n)]
         if draw(st.booleans()):
             rows.insert(0, [f"v{k}_{j}" for j in range(p)])
-        end = draw(st.sampled_from(["\n", "\r\n"]))
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
         tail = draw(st.sampled_from(["", end, end + "  " + end]))
-        files.append((ext, end.join(sep.join(row) for row in rows) + end + tail))
+        bom = draw(st.sampled_from(["", "\ufeff"]))
+        files.append((ext, bom + end.join(sep.join(row) for row in rows) + end + tail, n))
     return files
 
 
@@ -70,11 +73,12 @@ def view_files(draw):
 def test_parallel_parse_is_bit_identical_at_every_chunk_boundary(tmp_path_factory, files):
     root = tmp_path_factory.mktemp("views")
     paths = []
-    for k, (ext, text) in enumerate(files):
+    for k, (ext, text, _n) in enumerate(files):
         path = root / f"x{k}{ext}"
         path.write_bytes(text.encode())
         paths.append(str(path))
     want = [load_view(path) for path in paths]
+    assert [view.n for view in want] == [n for _ext, _text, n in files]
     lines = sum(view.n for view in want)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariance, "_PARALLEL_MIN_BYTES", 0)
@@ -177,6 +181,24 @@ def test_nan_is_reported_before_a_missing_second_file(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == "error: line 4: non-finite value 'nan' in column 2\n"
 
 
+@needs_fork
+@pytest.mark.parametrize("x1,x2", [
+    ("duplicate", "nan"), ("blank", "token"), ("nan", "ragged"), ("duplicate", "empty"),
+    ("x1", "missing")])
+def test_the_first_files_first_error_wins_at_every_cut(tmp_path, monkeypatch, x1, x2):
+    # a header error of the first file beats a bad row of the second, a bad
+    # row beats a later row's, and the second file's scan error comes last
+    paths = _bad_files(tmp_path)
+    want = _outcome(lambda: [load_view(paths[x1]), load_view(paths[x2])])
+    assert not isinstance(want, list)
+    monkeypatch.setattr(covariance, "_PARALLEL_MIN_BYTES", 0)
+    for cut in range(1, 12):
+        monkeypatch.setattr(covariance, "_cuts", lambda _bytes, _parts, cut=cut:
+                            [0, min(cut, _bytes.size - 1), _bytes.size])
+        assert _outcome(lambda: load_views([paths[x1], paths[x2]])) == want
+        assert no_children()
+
+
 def _raise_on_fork():
     raise AssertionError("os.fork was called")
 
@@ -219,39 +241,76 @@ def _swap(row: int, text: str):
     return ROWS[:row] + [text] + ROWS[row + 1:]
 
 
-# odd inputs, and whether the byte reader takes them itself (else the text
-# reader reads them, or reports what is wrong with them)
+def _read_text(path):
+    """The reader the byte reader replaced, kept as a reference: it decodes
+    the whole file and splits it into lines with ``str.splitlines``."""
+    delimiter = covariance._delimiter(path, None)
+    lines = Path(path).read_text().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    names = covariance._header_names(lines[0], delimiter)
+    body, first_line = (lines[1:], 2) if names is not None else (lines, 1)
+    if not body:
+        raise DimensionError("need at least 2 samples, got 0")
+    p = len(body[0].split(delimiter))
+    data = covariance._parse_body(body, delimiter, p)
+    if data is None:
+        data = covariance._parse_cells(body, delimiter, p, first_line)
+    return covariance._view(names, data)
+
+
+# odd inputs, read as the reference reads them unless NEW_OUTCOMES says otherwise
 ODD_FILES = {
-    "blank line mid-body": (_lines(ROWS[:2] + [""] + ROWS[2:]), False),
-    "blank CRLF line mid-body": (_lines(ROWS[:2] + [""] + ROWS[2:], "\r\n"), False),
-    "spaces-only line mid-body": (_lines(ROWS[:2] + ["   "] + ROWS[2:]), False),
-    "no final newline": (_lines(ROWS)[:-1], True),
-    "whitespace-only trailing lines": (_lines(ROWS) + "  \n\t\n \n  ", True),
-    "CRLF": (_lines(ROWS, "\r\n"), True),
-    "CRLF, no final newline": (_lines(ROWS, "\r\n")[:-2], True),
-    "CRLF and blank trailing lines": (_lines(ROWS, "\r\n") + "\r\n \r\n", True),
-    "UTF-8 BOM before a header": ("\ufeff" + _lines(ROWS), True),
-    "UTF-8 BOM before the data": ("\ufeff" + "\n".join(ROWS) + "\n", True),
-    "no header": ("\n".join(ROWS) + "\n", True),
-    "spaces and tabs around cells": (_lines(_swap(1, " 4 ,\t5.25, -6 ")), True),
-    "form feed inside a row": (_lines(_swap(1, "4,5.25\x0c,-6")), False),
-    "form feed splitting a row": (_lines(_swap(1, "4,5.25,-6\x0c7,8,9")), False),
-    "form feed ending a row": (_lines(_swap(3, "-1e2,0.5,2\x0c")), False),
-    "form feed line at the end": (_lines(ROWS) + "\x0c\n", False),
-    "vertical tab inside a row": (_lines(_swap(2, "7,\x0b8,9.125")), False),
-    "NEL inside a row": (_lines(_swap(1, "4,5.25\x85,-6")), False),
-    "NEL splitting a row": (_lines(_swap(1, "4,5.25,-6\x857,8,9")), False),
-    "line separator inside a row": (_lines(_swap(2, "7,8\u2028,9.125")), False),
-    "line separator splitting a row": (_lines(_swap(2, "7,8,9.125\u20281,2,3")), False),
-    "no-break space inside a row": (_lines(_swap(2, "7,\xa08,9.125")), False),
-    "lone CR splitting a row": (_lines(_swap(1, "4,5.25,-6\r7,8,9")), False),
-    "one CRLF row among LF rows": (_lines(_swap(1, "4,5.25,-6\r")), True),
-    "CR CR LF ending a row": (_lines(_swap(1, "4,5.25,-6\r"), "\r\n"), False),
-    "line separator in the header": (_lines(ROWS, header="a,b\u2028,c"), False),
-    "non-ASCII header": (_lines(ROWS, header="\u03b1,\u03b2,\u03b3"), True),
-    "header only": ("a,b,c\n", False),
-    "one row": (_lines(ROWS[:1]), False),
-    "non-finite cell": (_lines(_swap(2, "7,inf,9.125")), False),
+    "blank line mid-body": _lines(ROWS[:2] + [""] + ROWS[2:]),
+    "blank CRLF line mid-body": _lines(ROWS[:2] + [""] + ROWS[2:], "\r\n"),
+    "spaces-only line mid-body": _lines(ROWS[:2] + ["   "] + ROWS[2:]),
+    "no final newline": _lines(ROWS)[:-1],
+    "whitespace-only trailing lines": _lines(ROWS) + "  \n\t\n \n  ",
+    "no-break space line at the end": _lines(ROWS) + "\xa0\n",
+    "CRLF": _lines(ROWS, "\r\n"),
+    "CRLF, no final newline": _lines(ROWS, "\r\n")[:-2],
+    "CRLF and blank trailing lines": _lines(ROWS, "\r\n") + "\r\n \r\n",
+    "CR": _lines(ROWS, "\r"),
+    "UTF-8 BOM before a header": "\ufeff" + _lines(ROWS),
+    "UTF-8 BOM before the data": "\ufeff" + "\n".join(ROWS) + "\n",
+    "no header": "\n".join(ROWS) + "\n",
+    "spaces and tabs around cells": _lines(_swap(1, " 4 ,\t5.25, -6 ")),
+    "form feed inside a row": _lines(_swap(1, "4,5.25\x0c,-6")),
+    "form feed splitting a row": _lines(_swap(1, "4,5.25,-6\x0c7,8,9")),
+    "form feed ending a row": _lines(_swap(3, "-1e2,0.5,2\x0c")),
+    "form feed line at the end": _lines(ROWS) + "\x0c\n",
+    "vertical tab inside a row": _lines(_swap(2, "7,\x0b8,9.125")),
+    "NEL inside a row": _lines(_swap(1, "4,5.25\x85,-6")),
+    "NEL splitting a row": _lines(_swap(1, "4,5.25,-6\x857,8,9")),
+    "line separator inside a row": _lines(_swap(2, "7,8\u2028,9.125")),
+    "line separator splitting a row": _lines(_swap(2, "7,8,9.125\u20281,2,3")),
+    "no-break space inside a row": _lines(_swap(2, "7,\xa08,9.125")),
+    "lone CR splitting a row": _lines(_swap(1, "4,5.25,-6\r7,8,9")),
+    "one CRLF row among LF rows": _lines(_swap(1, "4,5.25,-6\r")),
+    "CR CR LF ending a row": _lines(_swap(1, "4,5.25,-6\r"), "\r\n"),
+    "line separator in the header": _lines(ROWS, header="a,b\u2028,c"),
+    "non-ASCII header": _lines(ROWS, header="\u03b1,\u03b2,\u03b3"),
+    "header only": "a,b,c\n",
+    "one row": _lines(ROWS[:1]),
+    "non-finite cell": _lines(_swap(2, "7,inf,9.125")),
+}
+
+# where the reader differs from the reference: a row ends only at LF, CRLF or
+# CR, so other line breaks of str.splitlines are cell text, and a leading BOM
+# is skipped. An error is (type, text, line); a text is a file read alike.
+NEW_OUTCOMES = {
+    "form feed splitting a row": ("ParseError", "line 3: expected 3 fields, got 5", 3),
+    "NEL splitting a row": ("ParseError", "line 3: expected 3 fields, got 5", 3),
+    "line separator splitting a row": ("ParseError", "line 4: expected 3 fields, got 5", 4),
+    "form feed inside a row": _lines(ROWS),
+    "vertical tab inside a row": _lines(ROWS),
+    "NEL inside a row": _lines(ROWS),
+    "line separator inside a row": _lines(ROWS),
+    "line separator in the header": _lines(ROWS),
+    "UTF-8 BOM before a header": _lines(ROWS),
+    "UTF-8 BOM before the data": "\n".join(ROWS) + "\n",
 }
 
 
@@ -264,22 +323,18 @@ def _outcome(read):
     return [(view.names, view.data.shape, view.data.tobytes()) for view in views]
 
 
-def _refuse_text(path, delimiter, header):
-    raise AssertionError("the text reader was called")
-
-
 @pytest.mark.parametrize("case", sorted(ODD_FILES))
 def test_odd_files_read_as_the_text_reader_reads_them(tmp_path, monkeypatch, case):
-    text, taken = ODD_FILES[case]
     path = tmp_path / "x.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(ODD_FILES[case].encode())
     good = tmp_path / "good.csv"
     good.write_text(_lines(ROWS))
-    want = _outcome(lambda: [covariance._read_text(path, None, None)])
-    want_pair = _outcome(lambda: [covariance._read_text(p, None, None) for p in (good, path)])
-    if taken:
-        assert isinstance(want, list)
-        monkeypatch.setattr(covariance, "_read_text", _refuse_text)
+    want = NEW_OUTCOMES.get(case)
+    if not isinstance(want, tuple):
+        alike = tmp_path / "alike.csv"
+        alike.write_bytes(ODD_FILES[case].encode() if want is None else want.encode())
+        want = _outcome(lambda: [_read_text(alike)])
+    want_pair = _outcome(lambda: [_read_text(good)]) + want if isinstance(want, list) else want
     assert _outcome(lambda: [load_view(path)]) == want
     assert _outcome(lambda: load_views([good, path])) == want_pair
     if len(cores.usable_cpus()) > 1:
@@ -306,7 +361,6 @@ def test_the_loader_never_holds_a_files_text(tmp_path, monkeypatch, forked):
     assert size >= covariance._PARALLEL_MIN_BYTES
     if not forked:
         monkeypatch.setattr(cores, "usable_cpus", lambda: [])
-    monkeypatch.setattr(covariance, "_read_text", _refuse_text)
     forks = _fork_counter(monkeypatch)
     tracemalloc.start()
     try:
@@ -321,28 +375,42 @@ def test_the_loader_never_holds_a_files_text(tmp_path, monkeypatch, forked):
     assert view.data.shape == (60, 4000)
 
 
+def test_a_bad_last_row_raises_without_holding_the_files_text(tmp_path, monkeypatch):
+    import tracemalloc
+    data = np.random.default_rng(4).standard_normal((60, 4000))
+    data[-1, 7] = np.nan
+    path = tmp_path / "x.csv"
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    size = path.stat().st_size
+    monkeypatch.setattr(cores, "usable_cpus", lambda: [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            load_views([str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 60: non-finite value 'nan' in column 8"
+    # the rows before the last batch are parsed into the view's array first
+    held = peak - data.nbytes
+    assert held < size / 2, (held, size)
+
+
 def test_each_load_logs_one_debug_record(tmp_path, monkeypatch, caplog):
     paths = _bad_files(tmp_path)
     caplog.set_level(logging.DEBUG, logger="scca")
     monkeypatch.setattr(cores, "usable_cpus", lambda: [])
     load_views([paths["x1"], paths["x2"]])
-    # each file has a 9-byte header, and its last row's LF is not counted
-    rows = {name: os.path.getsize(paths[name]) - 10 for name in ("x1", "x2")}
+    # each file has a 9-byte header
+    rows = {name: os.path.getsize(paths[name]) - 9 for name in ("x1", "x2")}
     assert [r.getMessage() for r in caplog.records] == [
         f"view load of 1 file(s), {rows[name]} bytes of rows: 1 run(s) on 1 process(es)"
         for name in ("x1", "x2")]
     caplog.clear()
+    # a load that fails raises its error and logs nothing
     with pytest.raises(ParseError):
         load_view(paths["nan"])
-    (record,) = caplog.records
-    assert record.getMessage().startswith("view load of 1 file(s): text reader (")
-    assert "are not rows of 3 finite numbers" in record.getMessage()
-    caplog.clear()
-    split = tmp_path / "split.csv"
-    split.write_text(_lines(_swap(1, "4,5.25,-6\x0c7,8,9")))
-    load_view(split)
-    (record,) = caplog.records
-    assert "rows 1-4 split into 5 lines as text" in record.getMessage()
+    assert not caplog.records
     if len(cores.usable_cpus()) > 1:
         monkeypatch.undo()
         caplog.set_level(logging.DEBUG, logger="scca")
