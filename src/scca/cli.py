@@ -5,6 +5,12 @@ with flags winning over an optional JSON --config file, which wins over
 built-in defaults; every run echoes its resolved configuration into the
 output so identical (inputs, config, seed) give byte-identical files.
 Exit codes: 0 success, 1 usage or I/O failure, 2 degenerate solution.
+
+Every subcommand runs with each loaded OpenBLAS at one thread
+(``cores.one_blas_thread``), so its output bytes do not depend on the CPU
+count, and it spends less CPU time: a second BLAS thread cut a wide fit's
+time by less than it added in CPU. A command's parallel work comes only
+from its own forks (the loader's parsers and the tuning sweeps).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, jsontext
+from . import __version__, cores, jsontext
 from .covariance import (SparsityPattern, ViewMatrix, center_scale_owned,
                          load_view, load_views, write_view)
 from .directed import (AccessoryVector, DirectedParams, UnivariateSelector,
@@ -250,8 +256,7 @@ def _echo(resolved: dict, **extra) -> dict:
     return echo
 
 
-def cmd_scca(args) -> int:
-    config = _load_config(args)
+def cmd_scca(args, config: dict) -> int:
     r = _resolve_common(args, config)
     factors = int(_opt(args, config, "factors", 1))
     if factors < 1:
@@ -266,8 +271,7 @@ def cmd_scca(args) -> int:
     return _finish_fit(sol, [x1, x2], r, echo)
 
 
-def cmd_mscca(args) -> int:
-    config = _load_config(args)
+def cmd_mscca(args, config: dict) -> int:
     r = _resolve_common(args, config)
     stage2 = r["stage2"] or "power"
     views = _load_centered(args.views, r["delimiter"], r["scale"])
@@ -280,8 +284,7 @@ def cmd_mscca(args) -> int:
     return _finish_fit(sol, views, r, echo)
 
 
-def cmd_dscca(args) -> int:
-    config = _load_config(args)
+def cmd_dscca(args, config: dict) -> int:
     r = _resolve_common(args, config)
     mode = _opt(args, config, "mode", "dot")
     if mode not in _DSCCA_MODES:
@@ -320,8 +323,7 @@ def cmd_dscca(args) -> int:
     return _finish_fit(sol, [x1, x2], r, echo)
 
 
-def cmd_tune(args) -> int:
-    config = _load_config(args)
+def cmd_tune(args, config: dict) -> int:
     r = _resolve_common(args, config)
     method = _opt(args, config, "method", "perm")
     if method not in _TUNE_METHODS:
@@ -369,8 +371,7 @@ def _parse_supports(spec):
     return tuple(pairs)
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
+def cmd_simulate(args, config: dict) -> int:
     r = _resolve_common(args, config)
     model = _opt(args, config, "model", "pair")
     n = int(_opt(args, config, "n", 50))
@@ -427,8 +428,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    config = _load_config(args)
+def cmd_report(args, config: dict) -> int:
     r = _resolve_common(args, config)
     kind = _opt(args, config, "kind", "biplot")
     fmt = _opt(args, config, "format", "csv")
@@ -535,7 +535,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        config = _load_config(args)
+        if _opt(args, config, "stage2", None) == "gep":
+            # scipy brings its own OpenBLAS: load it before the cap, so that
+            # the cap covers it too
+            import scipy.linalg  # noqa: F401
+        with cores.one_blas_thread():
+            return args.func(args, config)
     except (EmptySupportError, DegenerateInputError, InsufficientFactorsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ input without pickling and returns its result through a pipe.
 ``load_views`` uses it to parse large files, and the tuning sweeps to run
 permutation cells or CV folds. ``one_blas_thread`` sets every loaded
 OpenBLAS to one thread for the length of a block, so pinned processes do
-not share their one CPU with BLAS threads.
+not share their one CPU with BLAS threads. The command line holds it
+around every subcommand, and each tuning sweep around itself.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _openblas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]
     process, found by file name in its memory map and by the
     ``*_get_num_threads*``/``*_set_num_threads*`` symbols that stock and
     scipy-openblas builds export; empty where none is found."""
-    import ctypes      # loaded here: only a capped sweep needs it
+    import ctypes      # loaded here: only a capped block needs it
 
     try:
         with open("/proc/self/maps") as maps:

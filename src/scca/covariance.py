@@ -103,7 +103,7 @@ def _default_names(p: int) -> list[str]:
 
 def _is_number(token: str) -> bool:
     try:
-        value = float(token)
+        value = float(token.strip())
     except ValueError:
         return False
     return np.isfinite(value)
@@ -131,7 +131,9 @@ def _parse_cells(lines: list[str], delimiter: str, p: int, first_line: int) -> n
             raise ParseError(f"expected {p} fields, got {len(row)}", line=lineno)
         for j, tok in enumerate(row):
             try:
-                value = float(tok)
+                # stripped as np.loadtxt strips a cell: float keeps FS, GS,
+                # RS and US, which str.strip removes as whitespace
+                value = float(tok.strip())
             except ValueError:
                 raise ParseError(f"non-numeric value {tok.strip()!r} in column {j + 1}",
                                  line=lineno) from None
@@ -220,7 +222,11 @@ def _row_ends(fh, start: int, stop: int) -> np.ndarray:
         crs.append(np.flatnonzero(raw == 13) + at)
         at += got
     lf, cr = np.concatenate(lfs), np.concatenate(crs)
-    return np.union1d(lf, cr[~np.isin(cr + 1, lf)]) + 1
+    # both runs are sorted and disjoint, so a search finds the CRs of CRLFs and
+    # a stable sort merges the rest in; unlike np.isin and np.union1d, neither
+    # imports numpy.ma
+    crlf = np.append(lf, -1)[np.searchsorted(lf, cr + 1)] == cr + 1
+    return np.sort(np.concatenate((lf, cr[~crlf])), kind="stable") + 1
 
 
 def _scan(path, delimiter: str | None) -> _Body:
@@ -362,13 +368,14 @@ def load_view(path, delimiter: str | None = None) -> ViewMatrix:
     file that ``str.strip`` leaves empty are ignored.
 
     A row ends at LF, CRLF or a lone CR, as in Python's text mode; any
-    other character (a form feed, NEL, U+2028) is cell text, which
-    ``float`` takes as whitespace around a number or rejects. The reader
-    finds the rows by a vectorised search of the file's bytes and parses
-    them from the file in batches of about 256 KiB, so the file's text is
-    never held whole. A batch that ``np.loadtxt`` cannot take is parsed
-    cell by cell, which raises the first bad row's ParseError with its
-    line and column; the file is read once.
+    other character (a form feed, NEL, U+2028, FS/GS/RS/US) is cell text.
+    A cell is stripped as ``str.strip`` strips it, so such a character
+    around a number is whitespace, and one inside a number fails the row.
+    The reader finds the rows by a vectorised search of the file's bytes
+    and parses them from the file in batches of about 256 KiB, so the
+    file's text is never held whole. A batch that ``np.loadtxt`` cannot
+    take is parsed cell by cell, which raises the first bad row's
+    ParseError with its line and column; the file is read once.
     """
     return _load([path], delimiter, [])[0]
 

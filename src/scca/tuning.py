@@ -176,7 +176,9 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     A failed step is kept as its error text, so every cell that needs it
     fails with the same flag.
     """
-    train = np.setdiff1d(np.arange(x1.n), hold)
+    # a mask, not np.setdiff1d: that imports numpy.ma, once in every forked share
+    train = np.ones(x1.n, dtype=bool)
+    train[hold] = False
     d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
     d2, mu2, sd2, _ = standardize(x2.data[train], cfg.scale)
     op = CrossOperator.from_views(ViewMatrix(d1, x1.names, centered=True),

@@ -5,11 +5,15 @@ assertion."""
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import scca
 from scca import (DegenerateInputError, EmptySupportError, SingularityError, ViewMatrix,
                   cca_gep, center_scale, fit_pair, pearson, power_svd)
 from scca.covariance import standardize
@@ -22,6 +26,17 @@ def no_children() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter on this checkout's package, with
+    no BLAS thread variable set, and require it to exit 0."""
+    src = str(Path(scca.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def make_views(n, p1, p2, seed=0):

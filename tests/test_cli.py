@@ -1,19 +1,14 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import scca
-from scca import (FitConfig, TuneGrid, ViewMatrix, center_scale, cv_tune, gen_rank_one,
-                  load_view, perm_tune, write_view)
+from scca import (FitConfig, TuneGrid, ViewMatrix, center_scale, cli, cores, cv_tune,
+                  gen_rank_one, load_view, perm_tune, write_view)
 from scca.cli import load_solution, main
 from scca.simulate import RankOneSpec
 
-from conftest import make_views
+from conftest import make_views, run_fresh
 
 SMALL = ["--n", "20", "--p", "40,30", "--sigma", "0.15", "--supports", "5:5,4:4"]
 
@@ -710,11 +705,110 @@ def test_scipy_loads_only_for_the_gep_pencil():
         " [f'v{j}' for j in range(p)])) for p in (6, 5))\n"
         "sol = fit_pair(x1, x2, 0.0, 0.0, stage2='gep')\n"
         "assert sol.normalization == 'cov' and 'scipy' in sys.modules\n")
-    src = str(Path(scca.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(script)
+
+
+def test_a_cv_sweep_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique and the set operations built on it import numpy.ma, which each
+    # forked share of the sweep would import again
+    data = _simulate(tmp_path)
+    argv = ["tune", "--method", "cv", "--folds", "2", "--x1", str(data / "x1.csv"),
+            "--x2", str(data / "x2.csv"), "--gamma1-grid", "0", "--gamma2-grid", "0",
+            "--out", str(tmp_path / "cv")]
+    script = ("import sys\n"
+              "from scca.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "assert 'numpy.ma' not in sys.modules\n")
+    run_fresh(script)
+
+
+@pytest.fixture
+def blas_thread_counts():
+    """The thread-count readers of every loaded OpenBLAS, each set to two
+    threads where it takes two, so that a cap shows; the old counts are put
+    back after."""
+    controls = cores._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found")
+    old = [get() for get, _put in controls]
+    for _get, put in controls:
+        put(2)
+    yield [get for get, _put in controls]
+    for (_get, put), count in zip(controls, old):
+        put(count)
+
+
+def test_every_subcommand_runs_at_one_blas_thread(tmp_path, monkeypatch, blas_thread_counts):
+    seen = []
+    for name in ("scca", "mscca", "dscca", "tune", "simulate", "report"):
+        def command(args, config, real=getattr(cli, "cmd_" + name)):
+            seen.append([get() for get in blas_thread_counts])
+            try:
+                return real(args, config)
+            finally:
+                seen.append([get() for get in blas_thread_counts])
+        monkeypatch.setattr(cli, "cmd_" + name, command)
+    data = tmp_path / "data"
+    x1, x2, y = (str(data / name) for name in ("x1.csv", "x2.csv", "y.csv"))
+    views = ["--x1", x1, "--x2", x2]
+    runs = [
+        (["simulate", "--model", "null", "--n", "20", "--p", "8,6", "--out", str(data)], 0),
+        (["scca", *views, "--factors", "2", "--out", str(tmp_path / "fit")], 0),
+        (["scca", *views, "--gamma2", "1e9", "--out", str(tmp_path / "empty")], 2),
+        (["scca", "--x1", x1, "--x2", str(tmp_path / "missing.csv")], 1),
+        (["mscca", "--views", x1, x2, "--out", str(tmp_path / "m")], 0),
+        (["dscca", *views, "--y", y, "--out", str(tmp_path / "d")], 0),
+        (["tune", *views, "--gamma1-grid", "0", "--gamma2-grid", "0", "--permutations", "3",
+          "--out", str(tmp_path / "t")], 0),
+        (["report", "--solution", str(tmp_path / "fit" / "solution.json"),
+          "--views", x1, x2, "--out", str(tmp_path / "r")], 0),
+    ]
+    before = [get() for get in blas_thread_counts]
+    for argv, code in runs:
+        seen.clear()
+        assert main(argv) == code, argv
+        # on entry and on leaving, also when the command raises
+        assert seen == [[1] * len(before)] * 2, argv
+        assert [get() for get in blas_thread_counts] == before, argv
+        if argv[0] == "simulate":
+            (data / "y.csv").write_text(
+                "y\n" + "\n".join(str(v) for v in np.linspace(-1.0, 1.0, 20)) + "\n")
+
+
+@pytest.mark.skipif(len(cores.usable_cpus()) < 2,
+                    reason="OpenBLAS starts at one thread on one CPU, so no cap shows")
+@pytest.mark.skipif(not cores._openblas_controls(), reason="no OpenBLAS thread control found")
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_the_gep_pencil_runs_with_scipys_openblas_at_one_thread(tmp_path, where):
+    # scipy brings its own OpenBLAS and is not loaded in a fresh process until the
+    # command line loads it for --stage2 gep, before it takes the cap
+    data = _simulate(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stage2": "gep"}))
+    stage2 = ["--stage2", "gep"] if where == "flag" else ["--config", str(config)]
+    argv = ["scca", "--x1", str(data / "x1.csv"), "--x2", str(data / "x2.csv"), *stage2,
+            "--out", str(tmp_path / "fit")]
+    script = (
+        "import sys\n"
+        "from scca import cli, cores, solve\n"
+        "assert 'scipy' not in sys.modules\n"
+        "real_pencil, counts = solve._pencil, []\n"
+        "def pencil(*args, **kwargs):\n"
+        "    import scipy.linalg\n"
+        "    real_eigh = scipy.linalg.eigh\n"
+        "    def eigh(*a, **k):\n"
+        "        counts.append([get() for get, _put in cores._openblas_controls()])\n"
+        "        return real_eigh(*a, **k)\n"
+        "    scipy.linalg.eigh = eigh\n"
+        "    try:\n"
+        "        return real_pencil(*args, **kwargs)\n"
+        "    finally:\n"
+        "        scipy.linalg.eigh = real_eigh\n"
+        "solve._pencil = pencil\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert counts and all(c == [1] * len(c) for c in counts), counts\n"
+        "assert len(counts[0]) == len(cores._openblas_controls()), counts\n")
+    run_fresh(script)
 
 
 def test_report_prints_constant_columns(tmp_path, capsys):

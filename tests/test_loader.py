@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scca import DimensionError, ParseError, SccaError, cores, covariance, load_view, load_views
 from scca.cli import main
 
-from conftest import no_children
+from conftest import no_children, run_fresh
 
 needs_fork = pytest.mark.skipif(
     len(cores.usable_cpus()) < 2,
@@ -295,11 +295,18 @@ ODD_FILES = {
     "header only": "a,b,c\n",
     "one row": _lines(ROWS[:1]),
     "non-finite cell": _lines(_swap(2, "7,inf,9.125")),
+    "FS, GS, RS and US around cells": _lines(_swap(1, "\x1c4,5.25\x1d,\x1e-6\x1f")),
+    "FS, GS, RS and US around cells, a bad row later":
+        _lines(_swap(1, "\x1c4,5.25\x1d,\x1e-6\x1f")[:3] + ["-1e2,inf,2"]),
+    "US in the first row of headerless data": "\n".join(_swap(0, "\x1f1.5,-2,3e-3")) + "\n",
 }
 
 # where the reader differs from the reference: a row ends only at LF, CRLF or
 # CR, so other line breaks of str.splitlines are cell text, and a leading BOM
-# is skipped. An error is (type, text, line); a text is a file read alike.
+# is skipped. FS, GS, RS and US around a number are whitespace, whether the
+# batch is parsed whole or cell by cell and in the header check, so their rows
+# read as the same files without them. An error is (type, text, line); a text
+# is a file read alike.
 NEW_OUTCOMES = {
     "form feed splitting a row": ("ParseError", "line 3: expected 3 fields, got 5", 3),
     "NEL splitting a row": ("ParseError", "line 3: expected 3 fields, got 5", 3),
@@ -311,6 +318,9 @@ NEW_OUTCOMES = {
     "line separator in the header": _lines(ROWS),
     "UTF-8 BOM before a header": _lines(ROWS),
     "UTF-8 BOM before the data": "\n".join(ROWS) + "\n",
+    "FS, GS, RS and US around cells": _lines(ROWS),
+    "FS, GS, RS and US around cells, a bad row later": _lines(ROWS[:3] + ["-1e2,inf,2"]),
+    "US in the first row of headerless data": "\n".join(ROWS) + "\n",
 }
 
 
@@ -421,3 +431,18 @@ def test_each_load_logs_one_debug_record(tmp_path, monkeypatch, caplog):
             f"view load of 2 file(s), {sum(rows.values())} bytes of rows: "
             "2 run(s) on 2 process(es)"]
         assert no_children()
+
+
+def test_loading_a_view_leaves_numpy_ma_unimported(tmp_path):
+    # the row-end search must not import numpy.ma, whatever the file's row ends,
+    # so that a fresh process does not pay for that import on its first load
+    paths = []
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_bytes(_lines(ROWS, end).encode())
+    script = ("import sys\n"
+              "from scca import load_view\n"
+              f"for path in {[str(p) for p in paths]!r}:\n"
+              "    assert load_view(path).data.shape == (4, 3)\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by the load'\n")
+    run_fresh(script)
