@@ -313,10 +313,11 @@ def _parse_run(files: list[_Body], arrays, start: int,
 def _load(paths: list, delimiter: str | None, cpus: list[int]) -> list[ViewMatrix]:
     """The views of ``paths``: each file is scanned for its header and row
     offsets, and the rows of all files are parsed in line-aligned runs of
-    about equal bytes, at most one per CPU of ``cpus`` and one per MiB (one
-    run with no CPUs), each run in its own process. Raises the first error
-    of the first file that has one: its scan error (no later file is
-    scanned), then its first bad row, then its header or view error."""
+    about equal bytes, one per MiB and at least two (one run with no CPUs).
+    The runs are pulled from one queue by one process per CPU of ``cpus``,
+    at most one per run. Raises the first error of the first file that has
+    one: its scan error (no later file is scanned), then its first bad
+    row, then its header or view error."""
     files, failed = [], None
     for path in paths:
         try:
@@ -330,10 +331,10 @@ def _load(paths: list, delimiter: str | None, cpus: list[int]) -> list[ViewMatri
         raise failed
     line_bytes = np.concatenate([np.diff(body.starts) for body in files])
     size = int(line_bytes.sum())
-    cuts = (_cuts(line_bytes, min(len(cpus), max(2, size >> 20))) if cpus
-            else [0, line_bytes.size])
+    cuts = _cuts(line_bytes, max(2, size >> 20)) if cpus else [0, line_bytes.size]
+    runs = len(cuts) - 1
     shapes = [(body.starts.size - 1, body.p) for body in files]
-    if len(cuts) > 2:
+    if runs > 1:
         shared = mmap.mmap(-1, 8 * sum(n * p for n, p in shapes))
         arrays, offset = [], 0
         for n, p in shapes:
@@ -342,19 +343,20 @@ def _load(paths: list, delimiter: str | None, cpus: list[int]) -> list[ViewMatri
             offset += 8 * n * p
         # each run writes its rows into the shared mapping, so a forked
         # parser returns only its first bad row's error, if it has one
-        errors = cores.run_shares(
-            lambda k: _parse_run(files, arrays, cuts[k], cuts[k + 1]), cpus[:len(cuts) - 1])
+        errors, taken = cores.run_queue(
+            lambda k: _parse_run(files, arrays, cuts[k], cuts[k + 1]), runs, cpus[:runs])
     else:
         arrays = [np.empty(shape) for shape in shapes]
-        errors = [_parse_run(files, arrays, 0, cuts[-1])]
+        errors, taken = [_parse_run(files, arrays, 0, cuts[-1])], [1]
     bad, err = next((error for error in errors if error is not None), (len(files), None))
     views = [_view(body.names, data) for body, data in zip(files[:bad], arrays)]
     if err is not None:
         raise err
     if failed is not None:
         raise failed
-    _log.debug("view load of %d file(s), %d bytes of rows: %d run(s) on %d process(es)",
-               len(paths), size, len(cuts) - 1, len(cuts) - 1)
+    _log.debug("view load of %d file(s), %d bytes of rows: %d run(s) on %d process(es)%s",
+               len(paths), size, runs, len(taken),
+               f" (runs per process: {', '.join(map(str, taken))})" if runs > 1 else "")
     return views
 
 
@@ -386,16 +388,18 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
 
     Where ``os.fork`` exists, more than one CPU is usable and the files
     total at least 2 MiB, the body rows of all files are split into
-    line-aligned runs of about equal bytes, at most one per usable CPU and
-    one per MiB, and parsed at once: one run in this process, each other
-    in a forked child that reads its own byte range of the file and writes
-    its rows into a shared output buffer. Each parser is pinned to its own
-    CPU while it parses: on a 2-core VM the scheduler otherwise kept the
-    child on its parent's CPU, and each half took as long as the whole.
-    A run stops at its first bad row and returns that row's error, and
-    the errors are raised in file order as ``load_view`` raises them. Each
-    load that succeeds logs one debug record on the ``scca`` logger: the
-    files, bytes, runs and processes.
+    line-aligned runs of about equal bytes, one per MiB, and parsed at
+    once by one process per usable CPU (at most one per run): this one and
+    forked children, each taking the next run that no process has taken
+    yet until none is left. A parser reads its runs' byte ranges of the
+    file and writes their rows into a shared output buffer. Each parser is
+    pinned to its own CPU while it parses: on a 2-core VM the scheduler
+    otherwise kept the child on its parent's CPU, and each half took as
+    long as the whole. A run stops at its first bad row and returns that
+    row's error, and the errors are raised in file order as ``load_view``
+    raises them. Each load that succeeds logs one debug record on the
+    ``scca`` logger: the files, bytes, runs and processes, and how many
+    runs each process parsed.
     """
     paths = list(paths)
     cpus = cores.usable_cpus()
@@ -677,17 +681,21 @@ class PermutedCross:
     def _lift(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A[idx_k]'y_k/div for every column k of the n x K block y, row-masked,
         written to ``out`` when given."""
-        out = np.matmul(self.a.T, y.take(self._gather), out=out)
-        out /= self.div
+        # dividing the gathered n x K block costs less than the p_r x K product
+        gathered = y.take(self._gather)
+        gathered /= self.div
+        out = np.matmul(self.a.T, gathered, out=out)
         if self.rmask is not None:
             out *= self.rmask
         return out
 
     def take(self, members) -> "PermutedCross":
         """The batch of the members listed in ``members``, in that order."""
-        return replace(self, idx=self.idx[:, members], inv=self.inv[:, members],
-                       rmask=None if self.rmask is None else self.rmask[:, members],
-                       cmask=None if self.cmask is None else self.cmask[:, members])
+        return PermutedCross(self.a, self.b, self.div, self.idx[:, members],
+                             self.inv[:, members], self.gram_a, self.gram_b, self.root_a,
+                             self.root_b,
+                             None if self.rmask is None else self.rmask[:, members],
+                             None if self.cmask is None else self.cmask[:, members])
 
     def cols(self, mask: np.ndarray) -> "PermutedCross":
         """Every member k with the columns outside column k of ``mask`` zeroed."""

@@ -224,7 +224,7 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
     def pick(cols):
         # the operator of the batch columns ``cols`` with its update's
         # workspaces, and what ``project`` needs of them, at their width
-        op = c.take(cols) if batch else c
+        op = c.take(cols) if batch and cols.size < width else c
         proj, weights, update, masked_z, masked_w, active = (
             None if space is None else space(cols.size) for space in spaces)
         return (op, update, masked_w), (op.T, gammas if gammas.shape[1] == 1 else

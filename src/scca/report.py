@@ -82,14 +82,18 @@ def biplot_coords(solution: CcaSolution, views) -> BiplotData:
     flags: list[str] = []
     for i, view in enumerate(views):
         coords = np.zeros((view.p, 2))
-        active = _active_two(solution, i, view.p)
-        for j in np.flatnonzero(active):
-            col = view.data[:, j]
-            r1, d1 = pearson(col, covs[i][:, 0])
-            r2, d2 = pearson(col, covs[i][:, 1])
-            if d1 or d2:
-                flags.append(f"view {i + 1} variable {view.names[j]!r} is constant")
-            coords[j] = (r1, r2)
+        active = np.flatnonzero(_active_two(solution, i, view.p))
+        # the active variables as rows, each centred by its own mean as
+        # ``pearson`` centres it, and the centred covariates
+        rows = view.data.T[active]
+        rows -= rows.mean(axis=1, keepdims=True)
+        cov = covs[i] - covs[i].mean(axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None] * np.linalg.norm(cov, axis=0)
+        # a constant variable or covariate has correlation 0, as ``pearson`` records it
+        degenerate = norms == 0.0
+        coords[active] = np.where(degenerate, 0.0, rows @ cov / np.where(degenerate, 1.0, norms))
+        flags.extend(f"view {i + 1} variable {view.names[j]!r} is constant"
+                     for j in active[degenerate.any(axis=1)])
         variable_coords.append(coords)
     rho_pairs = {}
     for r in range(len(views)):

@@ -17,11 +17,13 @@ instead of n(p1 + p2). With the SVD stage two the refits whose supports
 survive run stage two as one batch too, each masked to its supports, and
 their correlations come from one product per view; the GEP stage two
 solves each refit's pencil in turn.
-A sweep runs on processes, not threads: its folds or cells are dealt out by
-index to one process per usable CPU (at most ``jobs``), this one and forked
-children, each pinned to its own CPU, with every loaded OpenBLAS at one
-thread for the whole sweep. ``jobs=1``, or a ``taskset`` to one CPU, keeps
-it in this process.
+A sweep runs on processes, not threads: one per usable CPU (at most
+``jobs``), this one and forked children, each pinned to its own CPU, with
+every loaded OpenBLAS at one thread for the whole sweep. Each process takes
+the next fold or cell that no process has taken yet, in grid order, until
+none is left, so a costly cell or a slow CPU holds up only the process that
+has it; on ascending grids the costly small-gamma cells start first.
+``jobs=1``, or a ``taskset`` to one CPU, keeps it in this process.
 Every fit runs stage one from the one deterministic start the pair pipeline
 uses, so the only randomness is in the folds and permutations. Their seeds
 derive from (master seed, cell index), so reports are reproducible regardless
@@ -176,7 +178,7 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     A failed step is kept as its error text, so every cell that needs it
     fails with the same flag.
     """
-    # a mask, not np.setdiff1d: that imports numpy.ma, once in every forked share
+    # a mask, not np.setdiff1d: that imports numpy.ma, once in every forked process
     train = np.ones(x1.n, dtype=bool)
     train[hold] = False
     d1, mu1, sd1, _ = standardize(x1.data[train], cfg.scale)
@@ -374,13 +376,13 @@ def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: Fit
 
 def _map(fn: Callable, items: list, jobs: int | None, capped: bool, what: str) -> list:
     """``fn`` of every item, in order, on min(usable CPUs, items, ``jobs``)
-    processes: with W of them, share k takes items k, k + W, ...; this
-    process runs share 0 and forked, pinned children the others
-    (``cores.run_shares``). Runs here, item by item, for ``jobs=1``, one
+    processes: this one and forked, pinned children, each taking the next
+    item not yet taken, in item order, until none is left
+    (``cores.run_queue``). Runs here, item by item, for ``jobs=1``, one
     usable CPU, no ``os.fork``, one item, or no OpenBLAS thread control
     (``capped`` False: pinned processes would share their CPU with BLAS
-    threads). Logs one debug record: the process count, and why it runs
-    here."""
+    threads). Logs one debug record: the process count and how many items
+    each process returned, or why it runs here."""
     cpus = cores.usable_cpus()
     reason = ("jobs=1" if jobs == 1 else "no fork" if not cpus else
               "one CPU" if len(cpus) == 1 else "one item" if len(items) == 1 else
@@ -389,12 +391,9 @@ def _map(fn: Callable, items: list, jobs: int | None, capped: bool, what: str) -
         _log.debug("tuning sweep of %d %s: 1 process (%s)", len(items), what, reason)
         return [fn(item) for item in items]
     workers = min(len(cpus), len(items), jobs or len(cpus))
-    _log.debug("tuning sweep of %d %s: %d processes", len(items), what, workers)
-    shares = cores.run_shares(lambda k: [fn(item) for item in items[k::workers]],
-                              cpus[:workers])
-    out: list = [None] * len(items)
-    for k, share in enumerate(shares):
-        out[k::workers] = share
+    out, taken = cores.run_queue(lambda k: fn(items[k]), len(items), cpus[:workers])
+    _log.debug("tuning sweep of %d %s: %d processes (items per process: %s)", len(items),
+               what, workers, ", ".join(map(str, taken)))
     return out
 
 

@@ -8,6 +8,7 @@ Chunk boundaries are swept over every line by replacing ``_cuts``.
 
 import logging
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,20 @@ def test_a_bad_row_in_any_run_gives_the_serial_error(tmp_path, monkeypatch):
             load_views([paths["x2"], paths["ragged"]])
         assert str(parallel.value) == str(serial.value)
         assert no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("x1,x2", [("x1", "x2"), ("x2", "ragged"), ("token", "nan")])
+def test_a_forked_load_with_more_runs_than_cpus_gives_the_serial_outcome(tmp_path, monkeypatch,
+                                                                         x1, x2):
+    # one run per row: more runs than processes, which each take runs until none is left
+    paths = _bad_files(tmp_path)
+    want = _outcome(lambda: [load_view(paths[x1]), load_view(paths[x2])])
+    monkeypatch.setattr(covariance, "_PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(covariance, "_cuts", lambda _bytes, _parts: list(range(_bytes.size + 1)))
+    assert len(cores.usable_cpus()) < 12
+    assert _outcome(lambda: load_views([paths[x1], paths[x2]])) == want
+    assert no_children()
 
 
 def test_nan_is_reported_before_a_missing_second_file(tmp_path, monkeypatch, capsys):
@@ -408,6 +423,7 @@ def test_a_bad_last_row_raises_without_holding_the_files_text(tmp_path, monkeypa
 
 def test_each_load_logs_one_debug_record(tmp_path, monkeypatch, caplog):
     paths = _bad_files(tmp_path)
+    forkable = len(cores.usable_cpus()) > 1
     caplog.set_level(logging.DEBUG, logger="scca")
     monkeypatch.setattr(cores, "usable_cpus", lambda: [])
     load_views([paths["x1"], paths["x2"]])
@@ -421,15 +437,18 @@ def test_each_load_logs_one_debug_record(tmp_path, monkeypatch, caplog):
     with pytest.raises(ParseError):
         load_view(paths["nan"])
     assert not caplog.records
-    if len(cores.usable_cpus()) > 1:
+    if forkable:
         monkeypatch.undo()
         caplog.set_level(logging.DEBUG, logger="scca")
         caplog.clear()
         monkeypatch.setattr(covariance, "_PARALLEL_MIN_BYTES", 0)
         load_views([paths["x1"], paths["x2"]])
-        assert [r.getMessage() for r in caplog.records] == [
-            f"view load of 2 file(s), {sum(rows.values())} bytes of rows: "
-            "2 run(s) on 2 process(es)"]
+        (record,) = caplog.records
+        found = re.fullmatch(
+            f"view load of 2 file\\(s\\), {sum(rows.values())} bytes of rows: 2 run\\(s\\) "
+            r"on 2 process\(es\) \(runs per process: (\d+), (\d+)\)", record.getMessage())
+        assert found, record.getMessage()
+        assert sum(map(int, found.groups())) == 2
         assert no_children()
 
 

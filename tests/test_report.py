@@ -5,7 +5,7 @@ import pytest
 from conftest import make_views
 
 from scca import (InsufficientFactorsError, IoError, ViewMatrix, biplot_coords,
-                  center_scale, fit_pair, interp_coords, write_report)
+                  center_scale, fit_pair, interp_coords, pearson, write_report)
 
 
 def _two_factor_solution(seed=0, n=40, p1=12, p2=10):
@@ -73,6 +73,48 @@ def test_biplot_constant_variable_flagged():
     out = biplot_coords(sol2, [view, views[1]])
     np.testing.assert_array_equal(out.variable_coords[0][4], [0.0, 0.0])
     assert out.flags
+
+
+def _pearson_loop(sol, views):
+    """The variable coordinates and flags of a per-variable ``pearson`` loop."""
+    coords, flags = [], []
+    for i, view in enumerate(views):
+        out = np.zeros((view.p, 2))
+        active = sol.patterns[i][0].bits | sol.patterns[i][1].bits
+        for j in np.flatnonzero(active):
+            r1, d1 = pearson(view.data[:, j], sol.covariates[i][:, 0])
+            r2, d2 = pearson(view.data[:, j], sol.covariates[i][:, 1])
+            if d1 or d2:
+                flags.append(f"view {i + 1} variable {view.names[j]!r} is constant")
+            out[j] = (r1, r2)
+        coords.append(out)
+    return coords, flags
+
+
+@pytest.mark.parametrize("constant_covariate", [False, True])
+def test_biplot_matches_the_per_variable_pearson_loop(constant_covariate):
+    from scca import CcaSolution, SparsityPattern
+    sol, views = _two_factor_solution(seed=2)
+    data = views[0].data + 3.0       # uncentred, so the block centres each variable
+    data[:, 2] = 0.1                 # constant, and its mean rounds back to 0.1
+    data[:, 6] = 0.0
+    views = [ViewMatrix(data, views[0].names), views[1]]
+    covariates = [cv.copy() for cv in sol.covariates]
+    if constant_covariate:
+        covariates[1][:, 1] = 2.5
+    every = [[SparsityPattern(np.ones(v.p, dtype=bool))] * 2 for v in views]
+    sol = CcaSolution(directions=sol.directions, correlations=sol.correlations,
+                      factor_count=sol.factor_count, normalization=sol.normalization,
+                      covariates=covariates, patterns=every)
+    want_coords, want_flags = _pearson_loop(sol, views)
+    got = biplot_coords(sol, views)
+    for got_view, want_view in zip(got.variable_coords, want_coords):
+        np.testing.assert_allclose(got_view, want_view, rtol=0, atol=1e-12)
+    assert list(got.flags) == want_flags
+    # A2 and A6, and every variable of view 2 when its covariate is constant
+    assert want_flags[:2] == ["view 1 variable 'A2' is constant",
+                              "view 1 variable 'A6' is constant"]
+    assert len(want_flags) == 2 + (10 if constant_covariate else 0)
 
 
 def test_biplot_active_rows_dominate_and_inactive_zero():

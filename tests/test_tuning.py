@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -612,7 +613,7 @@ def test_an_error_in_a_child_share_is_raised_as_the_serial_sweep_raises_it(monke
     seen = []
 
     def failing(*args):
-        # the second cell or fold is the first item of the first child's share
+        # the second cell or fold fails wherever it runs
         item = args[-1] if method == "perm" else int(np.array_equal(args[2], second))
         seen.append(item)
         if item == 1:
@@ -625,7 +626,8 @@ def test_an_error_in_a_child_share_is_raised_as_the_serial_sweep_raises_it(monke
         with pytest.raises(DimensionError) as err:
             _sweep(method, x1, x2, grid, jobs=jobs)
         outcomes.append((str(err.value), seen[-1]))
-    # the forked sweep met the error here only when it ran the child's share again
+    # the forked sweep met the error here: in the item this process took, or when it
+    # ran again the items of the child that failed
     assert outcomes == [(f"{method} item failed", 1)] * 2
     assert no_children()
 
@@ -682,7 +684,16 @@ def test_each_sweep_logs_its_process_count_and_why_it_runs_here(monkeypatch, cap
     monkeypatch.setattr(cores, "usable_cpus", lambda: list(cpus))
     with caplog.at_level(logging.DEBUG, logger="scca"):
         perm_tune(x1, x2, grid, jobs=jobs)
-    assert [r.getMessage() for r in caplog.records] == [f"tuning sweep of {message}"]
+    (record,) = caplog.records
+    text = record.getMessage()
+    assert text.startswith(f"tuning sweep of {message}"), text
+    rest = text[len(f"tuning sweep of {message}"):]
+    if message.endswith("processes"):
+        # a forked sweep says how many cells each process returned: all of them
+        counts = re.fullmatch(r" \(items per process: (\d+), (\d+)\)", rest)
+        assert counts and sum(map(int, counts.groups())) == 6, text
+    else:
+        assert rest == ""
 
 
 def test_the_scca_logger_is_silent_by_default(capsys):
