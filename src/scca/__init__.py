@@ -22,8 +22,7 @@ from .multiview import (GammaMatrix, MultiViewProblem, multiview_pattern,
                         multiview_scca, multiview_screen)
 from .pattern import (ConvergenceSpec, Direction, PatternResult, init_direction,
                       objective_l0, objective_l1, pattern_l0, pattern_l1,
-                      reconstruct_l0, reconstruct_l1, scca_pair, screen_l0,
-                      screen_l1)
+                      reconstruct_l0, reconstruct_l1, scca_pair, screen_l1)
 from .report import (BiplotData, InterpolationData, biplot_coords, interp_coords,
                      write_report)
 from .simulate import (MetricReport, NoiseSweepSpec, RankOneSpec,

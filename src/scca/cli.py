@@ -3,7 +3,8 @@
 Subcommands: scca, mscca, dscca, tune, simulate, report. Options resolve
 with flags winning over an optional JSON --config file, which wins over
 built-in defaults; every run echoes its resolved configuration into the
-output so identical (inputs, config, seed) give byte-identical files.
+output so identical inputs and config (and, for tune and simulate, seed)
+give byte-identical files.
 Exit codes: 0 success, 1 usage or I/O failure, 2 degenerate solution.
 
 Every subcommand runs with each loaded OpenBLAS at one thread
@@ -88,8 +89,10 @@ def _gamma_matrix(spec, m: int, gamma1: float, gamma2: float) -> GammaMatrix:
     return GammaMatrix(values)
 
 
-def _solution_dict(sol: CcaSolution, view_names: list[list[str]], seed: int,
+def _solution_dict(sol: CcaSolution, view_names: list[list[str]], seed: int | None,
                    config: dict) -> dict:
+    """The solution file's document; its metadata records ``seed`` only when
+    it is not None (the fits draw nothing at random, so they pass None)."""
     factors = []
     for k in range(sol.factor_count):
         iterations = {}
@@ -104,10 +107,13 @@ def _solution_dict(sol: CcaSolution, view_names: list[list[str]], seed: int,
                          if sol.patterns is not None else None),
             "iterations": iterations,
         })
+    metadata = {"tool_version": __version__, "config": config}
+    if seed is not None:
+        metadata["seed"] = seed
     doc = {
         "format": "scca-solution",
         "version": 1,
-        "metadata": {"tool_version": __version__, "seed": seed, "config": config},
+        "metadata": metadata,
         "normalization": sol.normalization,
         "views": [{"index": i + 1, "variables": names}
                   for i, names in enumerate(view_names)],
@@ -170,7 +176,7 @@ def _finish_fit(sol: CcaSolution, views: list[ViewMatrix], resolved: dict,
     """Write solution.json with the views' and the fit's warnings, print them
     to stderr and the path to stdout."""
     sol = replace(sol, warnings=_view_warnings(views) + sol.warnings)
-    path = _write_json(_solution_dict(sol, [v.names for v in views], resolved["seed"], echo),
+    path = _write_json(_solution_dict(sol, [v.names for v in views], None, echo),
                        _out_dir(resolved) / "solution.json")
     _print_warnings(sol.warnings)
     print(path)
@@ -204,15 +210,17 @@ _SHARED_FLAGS = {
     "gamma2": (0.0, float, dict(type=float)),
     "tol": (1e-8, float, dict(type=float)),
     "max_iter": (10000, int, dict(type=int)),
-    "seed": (0, int, dict(type=int, help="seed for tune and simulate; fits use no random "
-                          "restarts, so scca, mscca and dscca only echo it")),
+    "seed": (0, int, dict(type=int, help="seed of the resamples (tune) or of the data "
+                          "(simulate)")),
     "scale": (True, bool, dict(action=argparse.BooleanOptionalAction, default=None)),
     "delimiter": (None, None, {}),
 }
-_FIT_FLAGS = tuple(_SHARED_FLAGS)
+_FIT_FLAGS = tuple(key for key in _SHARED_FLAGS if key != "seed")
 # the shared options each subcommand reads; every one also takes --config and
-# --out, and the ones in _STAGE2 take --stage2
-_SHARED = {"scca": _FIT_FLAGS, "mscca": _FIT_FLAGS, "dscca": _FIT_FLAGS,
+# --out, and the ones in _STAGE2 take --stage2. The fits draw nothing at
+# random, so they take no --seed, and mscca's stage one is l1 only
+_SHARED = {"scca": _FIT_FLAGS, "dscca": _FIT_FLAGS,
+           "mscca": tuple(key for key in _FIT_FLAGS if key != "penalty"),
            "tune": ("penalty", "tol", "max_iter", "seed", "scale", "delimiter"),
            "simulate": ("penalty", "tol", "max_iter", "seed"),
            "report": ("delimiter",)}
@@ -236,7 +244,7 @@ def _resolve_common(args, config) -> dict:
         default, convert, _ = _SHARED_FLAGS[key]
         value = _opt(args, config, key, default)
         resolved[key] = value if convert is None else convert(value)
-    if min(resolved.get("gamma1", 0.0), resolved.get("gamma2", 0.0)) < 0:
+    if not all(resolved.get(key, 0.0) >= 0 for key in ("gamma1", "gamma2")):
         raise ValueError("sparsity parameters must be non-negative")
     if resolved.get("tol", 1.0) <= 0 or resolved.get("max_iter", 1) < 1:
         raise ValueError("tol must be positive and max-iter at least 1")
@@ -277,8 +285,7 @@ def cmd_mscca(args, config: dict) -> int:
     views = _load_centered(args.views, r["delimiter"], r["scale"])
     gam = _gamma_matrix(_opt(args, config, "gamma_matrix", None) or args.gamma_matrix,
                         len(views), r["gamma1"], r["gamma2"])
-    sol = multiview_scca(views, gam, penalty=r["penalty"], conv=_conv(r),
-                         stage2=stage2)
+    sol = multiview_scca(views, gam, conv=_conv(r), stage2=stage2)
     echo = _echo(r, stage2=stage2, views=list(args.views),
                  gamma_matrix=gam.values.tolist(), subcommand="mscca")
     return _finish_fit(sol, views, r, echo)
@@ -289,6 +296,8 @@ def cmd_dscca(args, config: dict) -> int:
     mode = _opt(args, config, "mode", "dot")
     if mode not in _DSCCA_MODES:
         raise ValueError("mode must be dot, reg, stacked or two-stage")
+    if mode != "two-stage" and r["penalty"] != "l1":
+        raise ValueError("directed stage one is defined for the 'l1' penalty only")
     if mode == "stacked" and r["stage2"] is not None:
         raise ValueError("--stage2 does not apply to --mode stacked, which has no stage two")
     if mode != "two-stage" and _opt(args, config, "keep_fraction", None) is not None:
@@ -314,10 +323,10 @@ def cmd_dscca(args, config: dict) -> int:
                                  stage2=stage2)
     elif mode == "stacked":
         sol = directed_stacked_fit(x1, x2, y, DirectedParams(r["gamma1"], r["gamma2"], **weights),
-                                   penalty=r["penalty"], conv=conv)
+                                   conv=conv)
     else:
         sol = directed_fit(x1, x2, y, DirectedParams(r["gamma1"], r["gamma2"], **weights),
-                           mode=mode, penalty=r["penalty"], conv=conv, stage2=stage2)
+                           mode=mode, conv=conv, stage2=stage2)
     echo = _echo(r, mode=mode, **weights, stage2=stage2,
                  x1=args.x1, x2=args.x2, y=args.y, subcommand="dscca")
     return _finish_fit(sol, [x1, x2], r, echo)

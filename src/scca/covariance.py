@@ -395,22 +395,22 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
     file and writes their rows into a shared output buffer. Each parser is
     pinned to its own CPU while it parses: on a 2-core VM the scheduler
     otherwise kept the child on its parent's CPU, and each half took as
-    long as the whole. A run stops at its first bad row and returns that
-    row's error, and the errors are raised in file order as ``load_view``
-    raises them. Each load that succeeds logs one debug record on the
-    ``scca`` logger: the files, bytes, runs and processes, and how many
-    runs each process parsed.
+    long as the whole. Below 2 MiB, or on one usable CPU, this process
+    parses the rows of all files as one run. A run stops at its first bad
+    row and returns that row's error, and the errors are raised in file
+    order as ``load_view`` raises them. Each load that succeeds logs one
+    debug record on the ``scca`` logger: the files, bytes, runs and
+    processes, and how many runs each process parsed.
     """
     paths = list(paths)
     cpus = cores.usable_cpus()
+    big = False
     if len(cpus) > 1:
         try:
             big = sum(os.path.getsize(path) for path in paths) >= _PARALLEL_MIN_BYTES
         except OSError:
-            big = False
-        if big:
-            return _load(paths, delimiter, cpus)
-    return [load_view(path, delimiter=delimiter) for path in paths]
+            pass
+    return _load(paths, delimiter, cpus if big else [])
 
 
 def write_view(view: ViewMatrix, path, delimiter: str | None = None,

@@ -49,21 +49,15 @@ class DirectedParams:
     eps2: float = 1.0
 
     def __post_init__(self):
-        if min(self.gamma1, self.gamma2, self.eps1, self.eps2) < 0:
+        if not all(v >= 0 for v in (self.gamma1, self.gamma2, self.eps1, self.eps2)):
             raise ValueError("all directed parameters must be non-negative")
 
     def swapped(self) -> "DirectedParams":
         return DirectedParams(self.gamma2, self.gamma1, self.eps2, self.eps1)
 
 
-def _require_l1(penalty: str) -> None:
-    if penalty != "l1":
-        raise ValueError("directed stage one is defined for the 'l1' penalty only")
-
-
 def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
-                         conv: ConvergenceSpec | None = None, restarts: int = 0,
-                         seed: int = 0) -> PatternResult:
+                         conv: ConvergenceSpec | None = None) -> PatternResult:
     """Partner support with dot-product alignment toward the accessory vector.
 
     ``x1ty`` and ``x2ty`` are the per-view products with y (the caller picks
@@ -86,18 +80,15 @@ def directed_pattern_dot(c, x1ty, x2ty, params: DirectedParams, z0=None,
         if not np.any(pull):
             raise DegenerateInputError("zero block and zero alignment")
         z0 = pull / np.linalg.norm(pull)
-    return _one(_solve(block, [params.gamma2], "l1", z0=z0, conv=conv,
-                       restarts=restarts, seed=seed, side="partner",
+    return _one(_solve(block, [params.gamma2], "l1", z0=z0, conv=conv, side="partner",
                        empty="every aligned projection is at or below the threshold",
                        offset=params.eps2 * x2ty, pull=(params.eps1, x1ty)))
 
 
 def directed_pattern_reg(c, beta1, beta2, params: DirectedParams, z0=None,
-                         conv: ConvergenceSpec | None = None, restarts: int = 0,
-                         seed: int = 0) -> PatternResult:
+                         conv: ConvergenceSpec | None = None) -> PatternResult:
     """Dot-product variant with regression coefficients in place of X_i'y."""
-    return directed_pattern_dot(c, beta1, beta2, params, z0=z0, conv=conv,
-                                restarts=restarts, seed=seed)
+    return directed_pattern_dot(c, beta1, beta2, params, z0=z0, conv=conv)
 
 
 def compute_beta(x: ViewMatrix, y: AccessoryVector, ridge: float = 0.0) -> np.ndarray:
@@ -180,28 +171,27 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
 
 def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
                      gamma2: float, conv: ConvergenceSpec | None = None,
-                     restarts: int = 0, seed: int = 0, status: dict | None = None,
+                     status: dict | None = None,
                      ) -> tuple[SparsityPattern, Direction, Direction]:
     """Single-sphere ascent on the stacked squared-error-directed program.
 
     The hinge offsets are the literal 2*x_tilde_i'y terms and the columns of
     the factor ``sp.root`` play the role of the covariance columns; per-side
     thresholds apply below/above ``split``. The sphere lives in the factor's
-    k-dimensional row space: the maximizer v*, its start (the factor's
-    largest-norm column) and the random restarts are k-vectors, and v*
-    enters the program as root'v*. Returns the stacked pattern, v*, and the
-    closed-form stacked direction z*. Pass a dict as ``status`` to receive
-    ``iterations`` and ``converged`` (False when the ascent used all
-    ``conv.max_iter`` updates).
+    k-dimensional row space: the maximizer v* and its one start (the
+    factor's largest-norm column) are k-vectors, and v* enters the program
+    as root'v*. Returns the stacked pattern, v*, and the closed-form stacked
+    direction z*. Pass a dict as ``status`` to receive ``iterations`` and
+    ``converged`` (False when the ascent used all ``conv.max_iter``
+    updates).
     """
-    if gamma1 < 0 or gamma2 < 0:
+    if not (gamma1 >= 0 and gamma2 >= 0):
         raise ValueError("thresholds must be non-negative")
     y = y.center()
     if y.values.size != sp.tilde_x.shape[0]:
         raise DimensionError("accessory length does not match the stacked views")
     gamma_vec = np.where(np.arange(sp.root.shape[1]) < sp.split, gamma1, gamma2)
-    res = _one(_solve(sp.root, [gamma_vec], "l1", z0=None, conv=conv, restarts=restarts,
-                      seed=seed, side="stacked",
+    res = _one(_solve(sp.root, [gamma_vec], "l1", z0=None, conv=conv, side="stacked",
                       empty="both sides of the stacked pattern are empty",
                       offset=2.0 * (sp.tilde_x.T @ y.values)))
     if status is not None:
@@ -210,12 +200,12 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
 
 
 def directed_stacked_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
-                         params: DirectedParams, penalty: str = "l1",
+                         params: DirectedParams,
                          conv: ConvergenceSpec | None = None) -> CcaSolution:
     """Stacked pipeline as a solution: build the stacked problem, solve it,
     and split the closed-form direction z* per view. The stacked form has no
-    stage two; its normalization is ``"stacked"``."""
-    _require_l1(penalty)
+    stage two; its normalization is ``"stacked"``. Its stage one is the
+    absolute-value (l1) threshold rule."""
     sp = StackedProblem.build(x1, x2, params.eps1, params.eps2)
     status: dict = {}
     pattern, _v, z = directed_stacked(sp, y, params.gamma1, params.gamma2, conv=conv,
@@ -259,12 +249,12 @@ class UnivariateSelector:
 
 
 def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
-                 params: DirectedParams, mode: str = "dot", penalty: str = "l1",
+                 params: DirectedParams, mode: str = "dot",
                  conv: ConvergenceSpec | None = None,
                  stage2: str = "svd") -> CcaSolution:
     """Full directed pipeline for the dot-product and regression variants.
 
-    Stage one solves the aligned program for view 2's pattern (alignment
+    Stage one solves the aligned l1 program for view 2's pattern (alignment
     vectors are the view-accessory cross-covariances for ``mode="dot"`` and
     least-squares coefficients, ``compute_beta`` at ridge 0, for
     ``mode="reg"``) from its one deterministic start, shrinks, solves the
@@ -273,7 +263,6 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
     shrunken block and, for GEP, the within-view blocks on the supports are
     formed.
     """
-    _require_l1(penalty)
     if mode not in ("dot", "reg"):
         raise ValueError("mode must be 'dot' or 'reg'")
     if y.values.size != x1.n:
@@ -314,7 +303,7 @@ def directed_fit(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
 def directed_two_stage(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
                        selector: UnivariateSelector, gamma1: float, gamma2: float,
                        penalty: str = "l1", conv: ConvergenceSpec | None = None,
-                       stage2: str = "svd", order: str = "auto") -> CcaSolution:
+                       stage2: str = "svd") -> CcaSolution:
     """Select-then-solve baseline: univariate screening against y, then the
     undirected pipeline on the selected columns, re-expanded to full length."""
     if y.values.size != x1.n:
@@ -327,7 +316,7 @@ def directed_two_stage(x1: ViewMatrix, x2: ViewMatrix, y: AccessoryVector,
                           centered=view.centered, scaled=view.scaled)
 
     sol = fit_pair(subset(x1, q1), subset(x2, q2), gamma1, gamma2, factors=1,
-                   penalty=penalty, conv=conv, stage2=stage2, order=order)
+                   penalty=penalty, conv=conv, stage2=stage2)
 
     z1, z2 = np.zeros(x1.p), np.zeros(x2.p)
     z1[q1], z2[q2] = sol.directions[0][:, 0], sol.directions[1][:, 0]

@@ -34,7 +34,7 @@ class GammaMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DimensionError("gamma matrix must be square")
-        if np.any(values < 0):
+        if not np.all(values >= 0):
             raise ValueError("gamma matrix entries must be non-negative")
         if np.any(np.diag(values) != 0):
             raise ValueError("gamma matrix diagonal must be zero")
@@ -195,8 +195,7 @@ def multiview_screen(problem: MultiViewProblem, gam: GammaMatrix, s: int) -> Spa
     return SparsityPattern(norms > gam.threshold(s))
 
 
-def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
-                   conv: ConvergenceSpec | None = None,
+def multiview_scca(views, gam: GammaMatrix, conv: ConvergenceSpec | None = None,
                    stage2: str | None = None) -> CcaSolution:
     """Two-stage multi-view fit: successive-shrinkage patterns, then stage two.
 
@@ -206,11 +205,10 @@ def multiview_scca(views, gam: GammaMatrix, penalty: str = "l1",
     (default ``"power"``, the cyclic power method; ``"gep"``, the block
     generalized eigenproblem with its automatic ridge retry; ``"svd"`` for
     two views). A view whose stage one used all ``conv.max_iter`` sweeps
-    without converging is reported in the warnings. Only the absolute-value
-    threshold rule is defined for more than two views.
+    without converging is reported in the warnings. Stage one is the
+    absolute-value (l1) threshold rule, the only one defined for more than
+    two views.
     """
-    if penalty != "l1":
-        raise ValueError("multi-view stage one is defined for the 'l1' penalty only")
     conv = conv or ConvergenceSpec()
     stage2 = stage2 or "power"
     problem = MultiViewProblem.from_views(views)

@@ -4,10 +4,11 @@ The sparsity pattern of one canonical direction is found by maximizing a
 convex functional of the partner direction over the sphere; the maximizer's
 thresholded projections give the pattern, and the partner direction itself
 has a closed form. Both an absolute-value (L1) and a squared (L0) threshold
-rule are provided, together with data-only screening bounds and the
-two-sided pattern pass used by the full pipeline. The ascent runs on a
-block of iterates, so one fit is a single column and ``pattern_pair_batch``
-solves a whole batch of permuted problems at once.
+rule are provided, together with the two-sided pattern pass used by the
+full pipeline and ``screen_l1``, a data-only bound on the l1 pattern that
+the pipeline does not apply. The ascent runs on a block of iterates, so
+one fit is a single column and ``pattern_pair_batch`` solves a whole
+batch of permuted problems at once.
 """
 
 from __future__ import annotations
@@ -377,8 +378,8 @@ def _partner(proj: np.ndarray, gamma, rule: str) -> np.ndarray:
     return weights / denom if denom > 0 else np.zeros_like(proj)
 
 
-def _solve(c, gammas, rule: str, *, z0, conv: ConvergenceSpec | None, restarts: int,
-           seed: int, side: str, empty: str, offset=None, pull=None) -> list:
+def _solve(c, gammas, rule: str, *, z0, conv: ConvergenceSpec | None, side: str,
+           empty: str, restarts: int = 0, seed: int = 0, offset=None, pull=None) -> list:
     """Stage-one solves at every threshold of ``gammas`` (each a scalar or one
     per coordinate) as one hinge ascent. Its columns are thresholds x starts:
     each threshold from the deterministic init and from optional random
@@ -454,11 +455,11 @@ _EMPTY = {"l1": "every coordinate is at or below the threshold",
           "l0": "every squared projection is at or below the threshold"}
 
 
-def _patterns(c, gammas, rule: str, z0, conv: ConvergenceSpec | None, restarts: int,
-              seed: int) -> list:
+def _patterns(c, gammas, rule: str, z0, conv: ConvergenceSpec | None, restarts: int = 0,
+              seed: int = 0) -> list:
     """The partner pattern under ``rule`` at every threshold of ``gammas``, as
     one :func:`_solve`: per threshold its PatternResult or EmptySupportError."""
-    if any(g < 0 for g in gammas):
+    if any(not g >= 0 for g in gammas):
         raise ValueError("gamma2 must be non-negative")
     return _solve(_as_block(c), gammas, rule, z0=z0, conv=conv, restarts=restarts,
                   seed=seed, side="partner", empty=_EMPTY[rule])
@@ -520,11 +521,6 @@ def screen_l1(c, gamma2: float) -> SparsityPattern:
     return SparsityPattern(_col_norms(_as_block(c)) > gamma2)
 
 
-def screen_l0(c, gamma2: float) -> SparsityPattern:
-    """Data-only bound for the squared rule: ||c_i||^2 <= gamma2 is inactive."""
-    return SparsityPattern(_col_norms(_as_block(c)) ** 2 > gamma2)
-
-
 @dataclass(eq=False)
 class PairPatterns:
     """Both patterns from the two-sided stage-one pass, plus diagnostics."""
@@ -553,7 +549,7 @@ def _check_penalty(penalty: str) -> None:
 
 
 def _side_solves(block, gammas, side: int, penalty: str, conv: ConvergenceSpec | None,
-                 restarts: int, seed: int, z0=None) -> list:
+                 z0=None) -> list:
     """View ``side``'s pattern at every threshold of ``gammas`` from the block
     whose columns are its coordinates, started from ``z0`` (by default the
     block's largest-norm column): per threshold its PatternResult, or the
@@ -562,7 +558,7 @@ def _side_solves(block, gammas, side: int, penalty: str, conv: ConvergenceSpec |
     return [EmptySupportError(f"view {side} support collapsed: {res}", side=f"view {side}",
                               last_iterate=res.last_iterate)
             if isinstance(res, EmptySupportError) else res
-            for res in _patterns(block, gammas, penalty, z0, conv, restarts, seed)]
+            for res in _patterns(block, gammas, penalty, z0, conv)]
 
 
 def first_block(c12, side: int):
@@ -582,21 +578,18 @@ def shrunk_block(c12, support: SparsityPattern, side: int):
 
 
 def pattern_first_many(c12, gammas, side: int, penalty: str = "l1",
-                       conv: ConvergenceSpec | None = None, restarts: int = 0,
-                       seed: int = 0, z0=None) -> list:
+                       conv: ConvergenceSpec | None = None, z0=None) -> list:
     """The first side of :func:`pattern_pair` at every threshold of
     ``gammas``, as one ascent: view ``side``'s pattern on the full block. Per
     threshold, its PatternResult or the EmptySupportError that
     :func:`pattern_pair` raises there. ``z0`` overrides the start,
     ``init_direction(first_block(c12, side))``, which does not depend on the
     threshold."""
-    return _side_solves(first_block(c12, side), gammas, side, penalty, conv, restarts, seed,
-                        z0)
+    return _side_solves(first_block(c12, side), gammas, side, penalty, conv, z0)
 
 
 def pattern_second_many(c12, lead: PatternResult, side: int, gammas, penalty: str = "l1",
-                        conv: ConvergenceSpec | None = None, restarts: int = 0,
-                        seed: int = 0, z0=None) -> list:
+                        conv: ConvergenceSpec | None = None, z0=None) -> list:
     """The rest of :func:`pattern_pair` after its first side ``lead`` (view
     ``side``'s) at every threshold of ``gammas``, as one ascent: the other
     view's pattern on the block shrunk to ``lead``'s support. Per threshold,
@@ -607,7 +600,7 @@ def pattern_second_many(c12, lead: PatternResult, side: int, gammas, penalty: st
     other = 3 - side
     out = []
     for res in _side_solves(shrunk_block(c12, lead.pattern, side), gammas, other, penalty,
-                            conv, restarts, seed, z0):
+                            conv, z0):
         if isinstance(res, EmptySupportError):
             out.append(res)
             continue
@@ -629,11 +622,11 @@ def max_iter_warnings(solved) -> tuple[str, ...]:
 
 
 def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
-                 conv: ConvergenceSpec | None = None, order: str = "auto",
-                 restarts: int = 0, seed: int = 0) -> PairPatterns:
+                 conv: ConvergenceSpec | None = None, order: str = "auto") -> PairPatterns:
     """Run the stage-one solver on both sides with successive shrinkage.
 
-    One side's pattern is computed on the full block
+    Each side runs from its one deterministic start, the largest-norm column
+    of its block. One side's pattern is computed on the full block
     (:func:`pattern_first_many`); the block is then restricted to that support
     and the other side is solved on the shrunken block
     (:func:`pattern_second_many`). ``c12`` may be a
@@ -646,7 +639,7 @@ def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
     block = _as_block(c12)
     side = first_side(order, *block.shape)
     gammas = (gamma1, gamma2) if side == 1 else (gamma2, gamma1)
-    kw = dict(penalty=penalty, conv=conv, restarts=restarts, seed=seed)
+    kw = dict(penalty=penalty, conv=conv)
     lead = _one(pattern_first_many(block, [gammas[0]], side, **kw))
     return _one(pattern_second_many(block, lead, side, [gammas[1]], **kw))
 
@@ -711,7 +704,7 @@ def _batch_side(c: PermutedCross, gamma: float, rule: str,
 def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
                        penalty: str = "l1", conv: ConvergenceSpec | None = None,
                        order: str = "auto") -> BatchPatterns:
-    """:func:`pattern_pair` without restarts for every member of a batch at once.
+    """:func:`pattern_pair` for every member of a batch at once.
 
     Each side is one p x K hinge ascent with pattern_pair's start and stop
     rule per member. The first side runs on the thin factor of the view its
@@ -737,10 +730,8 @@ def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
 
 def scca_pair(x1: ViewMatrix, x2: ViewMatrix, gamma1: float, gamma2: float,
               penalty: str = "l1", conv: ConvergenceSpec | None = None,
-              order: str = "auto", restarts: int = 0, seed: int = 0,
-              ) -> tuple[SparsityPattern, SparsityPattern]:
+              order: str = "auto") -> tuple[SparsityPattern, SparsityPattern]:
     """Stage-one patterns for a pair of centered views (full-length both sides)."""
     c12 = CrossOperator.from_views(x1, x2)
-    pair = pattern_pair(c12, gamma1, gamma2, penalty=penalty, conv=conv,
-                        order=order, restarts=restarts, seed=seed)
+    pair = pattern_pair(c12, gamma1, gamma2, penalty=penalty, conv=conv, order=order)
     return pair.tau1, pair.tau2

@@ -63,7 +63,7 @@ class TuneGrid:
         g2 = tuple(float(g) for g in self.gamma2_values)
         if not g1 or not g2:
             raise ValueError("grids must be non-empty")
-        if any(g < 0 for g in g1 + g2):
+        if any(not g >= 0 for g in g1 + g2):
             raise ValueError("sparsity values must be non-negative")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")

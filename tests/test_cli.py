@@ -85,6 +85,27 @@ def test_scca_l0_penalty(tmp_path):
     assert 0 < sol.patterns[0][0].active_count
 
 
+@pytest.mark.parametrize("argv", [
+    ["scca", "--x1", "x1.csv", "--x2", "x2.csv", "--gamma1", "nan"],
+    ["mscca", "--views", "x1.csv", "x2.csv", "--gamma-matrix", "[[0,NaN],[0.1,0]]"],
+    ["dscca", "--x1", "x1.csv", "--x2", "x2.csv", "--y", "y.csv", "--eps1", "nan"],
+    ["dscca", "--x1", "x1.csv", "--x2", "x2.csv", "--y", "y.csv", "--mode", "stacked",
+     "--gamma1", "nan"],
+    ["tune", "--x1", "x1.csv", "--x2", "x2.csv", "--gamma1-grid", "nan,0.1",
+     "--gamma2-grid", "0.1", "--permutations", "3"]],
+    ids=["scca", "mscca", "dscca-eps1", "dscca-stacked", "tune"])
+def test_nan_sparsity_parameters_exit_1(tmp_path, capsys, argv):
+    # NaN fails every comparison, so a check must refuse what is not >= 0
+    x1, _x2, _truths = _write_small_views(tmp_path)
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in x1.data[:, 0])
+                                    + "\n")
+    argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert "non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_scca_missing_file_exits_1(tmp_path):
     assert main(["scca", "--x1", str(tmp_path / "nope.csv"), "--x2",
                  str(tmp_path / "nope2.csv")]) == 1
@@ -106,7 +127,7 @@ def test_byte_identical_reruns(tmp_path):
     _write_small_views(tmp_path)
     args = ["scca", "--x1", str(tmp_path / "x1.csv"), "--x2",
             str(tmp_path / "x2.csv"), "--gamma1", "0.5", "--gamma2", "0.5",
-            "--no-scale", "--seed", "9"]
+            "--no-scale"]
     assert main(args + ["--out", str(tmp_path / "r1")]) == 0
     assert main(args + ["--out", str(tmp_path / "r2")]) == 0
     assert ((tmp_path / "r1" / "solution.json").read_bytes()
@@ -192,7 +213,7 @@ def test_dscca_echoes_only_the_weights_its_mode_reads(tmp_path):
     (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
     data = ["--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
             "--y", str(tmp_path / "y.csv"), "--gamma1", "0.05", "--gamma2", "0.05"]
-    common = {"delimiter", "gamma1", "gamma2", "max_iter", "mode", "penalty", "scale", "seed",
+    common = {"delimiter", "gamma1", "gamma2", "max_iter", "mode", "penalty", "scale",
               "stage2", "subcommand", "tol", "x1", "x2", "y"}
     for mode, weights in (("dot", {"eps1": 1.0, "eps2": 1.0}),
                           ("reg", {"eps1": 0.5, "eps2": 1.0}),
@@ -226,16 +247,19 @@ def test_dscca_l0_penalty_fails_loudly_outside_two_stage(tmp_path, capsys):
     x1, x2, truths = _write_small_views(tmp_path, seed=10)
     y = center_scale(x1).data @ truths[0]
     (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+    flags = ["--gamma1", "0.05", "--gamma2", "0.05", "--no-scale", "--penalty", "l0"]
     data = ["--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
-            "--y", str(tmp_path / "y.csv"), "--gamma1", "0.05", "--gamma2", "0.05",
-            "--no-scale", "--penalty", "l0"]
+            "--y", str(tmp_path / "y.csv"), *flags]
     capsys.readouterr()
-    for mode in ("dot", "reg", "stacked"):
-        out = tmp_path / mode
-        assert main(["dscca", *data, "--mode", mode, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: directed stage one is defined for the 'l1' penalty only\n")
-        assert not (out / "solution.json").exists()
+    # the refusal comes before any input is read: missing files give it too
+    missing = str(tmp_path / "missing.csv")
+    for inputs in (data, ["--x1", missing, "--x2", missing, "--y", missing, *flags]):
+        for mode in ("dot", "reg", "stacked"):
+            out = tmp_path / mode
+            assert main(["dscca", *inputs, "--mode", mode, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: directed stage one is defined for the 'l1' penalty only\n")
+            assert not out.exists()
     assert main(["dscca", *data, "--mode", "two-stage", "--out", str(tmp_path / "ts")]) == 0
     doc = json.loads((tmp_path / "ts" / "solution.json").read_text())
     assert doc["metadata"]["config"]["penalty"] == "l0"
@@ -483,6 +507,10 @@ def test_flags_only_where_they_are_read(tmp_path, capsys):
                  [*report, "--max-iter", "5"],
                  [*report, "--seed", "1"],
                  [*report, "--no-scale"],
+                 ["scca", "--x1", x, "--x2", x, "--seed", "1"],
+                 ["mscca", "--views", x, x, "--seed", "1"],
+                 ["dscca", "--x1", x, "--x2", x, "--y", x, "--seed", "1"],
+                 ["mscca", "--views", x, x, "--penalty", "l1"],
                  [*tune, "--gamma1", "0.1"],
                  [*tune, "--gamma2", "0.1"],
                  ["simulate", "--gamma1", "0.1"],
@@ -535,7 +563,8 @@ def test_config_keys_must_be_options_of_the_subcommand(tmp_path, capsys):
              "report": ["report", "--solution", x, "--views", x]}
     cases = [("tune", "gamma1", 0.5), ("report", "scale", False), ("report", "no-scale", True),
              ("simulate", "delimiter", ";"), ("scca", "x1", x), ("scca", "config", x),
-             ("mscca", "gamma1_grid", [0.1]), ("mscca", "factors", 1)]
+             ("mscca", "gamma1_grid", [0.1]), ("mscca", "factors", 1), ("scca", "seed", 1),
+             ("mscca", "seed", 1), ("dscca", "seed", 1), ("mscca", "penalty", "l1")]
     cases += [(command, "max-iters", 5) for command in argvs]
     config = tmp_path / "cfg.json"
     for command, key, value in cases:
@@ -864,7 +893,7 @@ def test_bad_input_exits_1_naming_the_fault(tmp_path, capsys, command, x1, x2, m
     capsys.readouterr()
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+    assert not (tmp_path / "o").exists()
 
 
 def test_tune_grids_from_config_mean_what_their_flags_mean(tmp_path, capsys):

@@ -44,18 +44,21 @@ def test_zero_block_follows_alignment():
 
 
 def test_directed_screening_bound(rng):
-    # coordinates with ||c_i|| + eps2 ||x2ty_i|| <= gamma2 are always inactive
+    # coordinates with ||c_i|| + eps2 ||x2ty_i|| <= gamma2 are always inactive,
+    # from the deterministic start and from random ones alike
     for seed in range(10):
         x1, x2, _y, block, a1, a2 = _directed_inputs(seed=seed)
         bound = np.linalg.norm(block, axis=0) + 1.3 * np.abs(a2)
         gamma2 = float(np.quantile(bound, 0.5))
         params = DirectedParams(0.0, gamma2, eps1=0.7, eps2=1.3)
-        try:
-            res = directed_pattern_dot(block, a1, a2, params, restarts=4, seed=seed)
-        except EmptySupportError:
-            continue
-        screened_out = bound <= gamma2
-        assert not np.any(res.pattern.bits & screened_out)
+        randoms = np.random.default_rng(seed).standard_normal((4, a1.size))
+        for z0 in [None, *(z / np.linalg.norm(z) for z in randoms)]:
+            try:
+                res = directed_pattern_dot(block, a1, a2, params, z0=z0)
+            except EmptySupportError:
+                continue
+            screened_out = bound <= gamma2
+            assert not np.any(res.pattern.bits & screened_out)
 
 
 def test_directed_objective_trace_monotone():
@@ -294,6 +297,20 @@ def _stacked_offsets(x1, x2, y, eps1, eps2):
     return 2.0 * np.concatenate([eps1 * x1.data.T @ y.values, eps2 * x2.data.T @ y.values])
 
 
+def test_nan_parameters_are_refused(rng):
+    x1, x2 = make_views(25, 2, 2, seed=9)
+    y = AccessoryVector(rng.standard_normal(25))
+    sp = StackedProblem.build(x1, x2, eps1=0.8, eps2=1.2)
+    for args in ((np.nan, 0.1), (0.1, np.nan)):
+        with pytest.raises(ValueError, match="non-negative"):
+            directed_stacked(sp, y, *args)
+    for k in range(4):
+        values = [0.1] * 4
+        values[k] = np.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            DirectedParams(*values)
+
+
 def test_stacked_matches_grid_oracle(rng):
     x1, x2 = make_views(25, 2, 2, seed=9)
     y = AccessoryVector(rng.standard_normal(25)).center()
@@ -301,7 +318,7 @@ def test_stacked_matches_grid_oracle(rng):
     tilde_c, root_vals, root = _dense_stacked(x1, x2, 0.8, 1.2)
     assert root_vals.min() > -1e-10
     gamma1 = gamma2 = 0.05
-    pattern, v_star, z_star = directed_stacked(sp, y, gamma1, gamma2, restarts=8)
+    pattern, v_star, z_star = directed_stacked(sp, y, gamma1, gamma2)
     # dense grid oracle on the stacked objective
     grid = np.random.default_rng(1).normal(size=(40000, 4))
     grid /= np.linalg.norm(grid, axis=1, keepdims=True)

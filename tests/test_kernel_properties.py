@@ -17,6 +17,10 @@ of one view permutes that view's pattern and direction the same way and
 leaves the other view's and the correlation, up to rounding and the sign
 convention that makes a direction's first non-zero entry positive.
 
+At zero penalty every coordinate is active under either rule, so a fit in
+either order is the leading singular pair of the dense block (the dense
+limit of acceptance criterion 6), whenever that pair is identified.
+
 A GEP stage two keeps its correlation to rounding under a sample
 permutation, but its directions move: at n=4 by up to a few 1e-6 (relative)
 when a support of n or more coordinates gets the automatic ridge, and by
@@ -29,11 +33,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scca import (ConvergenceSpec, CrossOperator, EmptySupportError, ViewMatrix, fit_pair,
-                  pattern_l0, pattern_l1)
+                  pattern_l0, pattern_l1, power_svd)
 
 from conftest import make_views
 
@@ -231,3 +235,22 @@ def test_permuting_the_columns_of_view_1_permutes_its_pattern(n, p1, p2, seed, f
     sign = 1.0 if out.directions[0][:, 0] @ z1 > 0 else -1.0
     np.testing.assert_allclose(out.directions[0][:, 0], sign * z1, rtol=0, atol=1e-10)
     np.testing.assert_allclose(out.directions[1][:, 0], sign * z2, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 30), p1=st.integers(2, 25), p2=st.integers(2, 25),
+       seed=st.integers(0, 2**16), penalty=st.sampled_from(["l1", "l0"]),
+       order=st.sampled_from(["auto", "1-first", "2-first"]))
+def test_zero_penalty_fit_is_the_dense_singular_pair(n, p1, p2, seed, penalty, order):
+    x1, x2 = make_views(n, p1, p2, seed=seed)
+    block = x1.data.T @ x2.data / n
+    sigmas = np.linalg.svd(block, compute_uv=False)
+    # a leading singular value within 10 % of the next leaves the pair
+    # unidentified, and slows both power iterations to a crawl
+    assume(sigmas[1] <= 0.9 * sigmas[0])
+    sol = fit_pair(x1, x2, 0.0, 0.0, penalty=penalty, order=order)
+    assert [p[0].active_count for p in sol.patterns] == [p1, p2]
+    u, v, _sigma = power_svd(block, ConvergenceSpec(tol=1e-12))
+    for direction, dense in zip(sol.directions, (u.values, v.values)):
+        cos = abs(direction[:, 0] @ dense) / np.linalg.norm(direction[:, 0])
+        assert cos >= 1 - 1e-6

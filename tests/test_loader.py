@@ -430,8 +430,7 @@ def test_each_load_logs_one_debug_record(tmp_path, monkeypatch, caplog):
     # each file has a 9-byte header
     rows = {name: os.path.getsize(paths[name]) - 9 for name in ("x1", "x2")}
     assert [r.getMessage() for r in caplog.records] == [
-        f"view load of 1 file(s), {rows[name]} bytes of rows: 1 run(s) on 1 process(es)"
-        for name in ("x1", "x2")]
+        f"view load of 2 file(s), {sum(rows.values())} bytes of rows: 1 run(s) on 1 process(es)"]
     caplog.clear()
     # a load that fails raises its error and logs nothing
     with pytest.raises(ParseError):

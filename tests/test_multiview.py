@@ -14,6 +14,8 @@ from scca.solve import fit_pair
 def test_gamma_matrix_validation():
     with pytest.raises(ValueError):
         GammaMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        GammaMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         GammaMatrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(DimensionError):
@@ -243,12 +245,6 @@ def test_stage_one_converged_in_its_only_sweep_is_not_a_warning():
     cut = multiview_scca(views, gam, conv=ConvergenceSpec(max_iter=1))
     assert not any("max_iter" in w for w in cut.warnings)
     assert cut.iterations[0] == multiview_scca(views, gam).iterations[0]
-
-
-def test_multiview_rejects_l0():
-    x1, x2 = make_views(10, 3, 3, seed=0)
-    with pytest.raises(ValueError):
-        multiview_scca([x1, x2], GammaMatrix.for_pair(0.0, 0.0), penalty="l0")
 
 
 def test_two_view_gep_retries_with_the_pair_pipelines_ridge():

@@ -11,7 +11,7 @@ from scca import (CrossOperator, DegenerateInputError, DimensionError,
                   EmptySupportError, ParseError, ViewMatrix, center_scale,
                   deflate, fit_pair, load_view)
 from scca.covariance import _parse_cells
-from scca.pattern import pattern_pair
+from scca.pattern import first_block, first_side, pattern_l0, pattern_l1, pattern_pair
 from scca.solve import pearson
 
 from conftest import dense_stage_two, make_views
@@ -138,16 +138,27 @@ def test_operator_path_equals_dense_path(n, p1, p2, seed, penalty, order, factor
     kw = dict(penalty=penalty, order=order)
     op = CrossOperator.from_views(x1, x2)
 
-    # stage one alone, also from random restarts; a fit runs from one start
+    # stage one alone
     try:
-        want = pattern_pair(block, g1, g2, restarts=restarts, seed=seed, **kw)
+        want = pattern_pair(block, g1, g2, **kw)
     except EmptySupportError:
         with pytest.raises(EmptySupportError):
-            pattern_pair(op, g1, g2, restarts=restarts, seed=seed, **kw)
+            pattern_pair(op, g1, g2, **kw)
     else:
-        got = pattern_pair(op, g1, g2, restarts=restarts, seed=seed, **kw)
+        got = pattern_pair(op, g1, g2, **kw)
         assert got.tau1.bits.tolist() == want.tau1.bits.tolist()
         assert got.tau2.bits.tolist() == want.tau2.bits.tolist()
+    # the first side also from random restarts, which the pair pass never takes
+    side = first_side(order, p1, p2)
+    solver, gamma = pattern_l1 if penalty == "l1" else pattern_l0, (g1, g2)[side - 1]
+    try:
+        want = solver(first_block(block, side), gamma, restarts=restarts, seed=seed)
+    except EmptySupportError:
+        with pytest.raises(EmptySupportError):
+            solver(first_block(op, side), gamma, restarts=restarts, seed=seed)
+    else:
+        got = solver(first_block(op, side), gamma, restarts=restarts, seed=seed)
+        assert got.pattern.bits.tolist() == want.pattern.bits.tolist()
 
     factors = min(factors, n, p1, p2)
     ref, _ = _dense_fit(x1, x2, g1, g2, factors, **kw)

@@ -4,9 +4,9 @@ from conftest import assert_monotone, make_views
 
 from scca import (ConvergenceSpec, DegenerateInputError, DimensionError, EmptySupportError, center_scale, gen_rank_one,
                   init_direction, pattern_l0, pattern_l1, reconstruct_l0,
-                  reconstruct_l1, scca_pair, screen_l0, screen_l1)
+                  reconstruct_l1, scca_pair, screen_l1)
 from scca.covariance import CrossOperator
-from scca.pattern import objective_l0, objective_l1, pattern_pair
+from scca.pattern import first_block, objective_l0, objective_l1, pattern_pair, shrunk_block
 from scca.simulate import RankOneSpec
 
 TRACK = ConvergenceSpec(objective_track=True)
@@ -190,16 +190,6 @@ def test_screen_l1_examples(rng):
     assert screen_l1(block, gamma).bits.tolist() == oracle
 
 
-def test_screen_l0_examples(rng):
-    assert screen_l0(np.array([[3.0, 0.0], [4.0, 0.0]]), 1.0).bits.tolist() == [True, False]
-    block = rng.normal(size=(4, 6))
-    block[:, 1] = 0.0
-    assert screen_l0(block, 0.0).bits.tolist() == [True, False, True, True, True, True]
-    gamma = 1.3
-    oracle = [sum(block[i, j] ** 2 for i in range(4)) > gamma for j in range(6)]
-    assert screen_l0(block, gamma).bits.tolist() == oracle
-
-
 def test_screening_an_operator_never_forms_the_block(monkeypatch):
     x1, x2 = make_views(10, 30, 20, seed=5)
     block = x1.data.T @ x2.data / 10
@@ -208,30 +198,28 @@ def test_screening_an_operator_never_forms_the_block(monkeypatch):
                       (block.T, CrossOperator.from_views(x2, x1))):
         norms = np.sort(np.linalg.norm(dense, axis=0))
         gamma = 0.5 * (norms[8] + norms[9])  # halfway between two column norms
-        want = (screen_l1(dense, gamma).bits, screen_l0(dense, gamma ** 2).bits)
-        assert 0 < want[0].sum() < want[0].size
+        want = screen_l1(dense, gamma).bits
+        assert 0 < want.sum() < want.size
         cases.append((op, gamma, want))
 
     def no_dense(_self):
         raise AssertionError("screening formed the block")
 
     monkeypatch.setattr(CrossOperator, "dense", no_dense)
-    for op, gamma, (want1, want0) in cases:
-        assert screen_l1(op, gamma).bits.tolist() == want1.tolist()
-        assert screen_l0(op, gamma ** 2).bits.tolist() == want0.tolist()
-        assert want0.tolist() == want1.tolist()
+    for op, gamma, want in cases:
+        assert screen_l1(op, gamma).bits.tolist() == want.tolist()
 
 
 def test_screen_is_sound_for_solver(rng):
-    # everything screened out is inactive in the full solve at the same gamma
-    for penalty, solver, screen in (("l1", pattern_l1, screen_l1),
-                                    ("l0", pattern_l0, screen_l0)):
+    # everything screened out is inactive in the full solve at the same gamma;
+    # under l0 a column is out when its squared norm is at most gamma
+    for penalty, solver in (("l1", pattern_l1), ("l0", pattern_l0)):
         for seed in range(10):
             r = np.random.default_rng(seed)
             block = r.normal(size=(5, 8))
             norms = np.linalg.norm(block, axis=0)
             gamma = float(np.quantile(norms if penalty == "l1" else norms ** 2, 0.4))
-            screened = screen(block, gamma)
+            screened = screen_l1(block, gamma if penalty == "l1" else np.sqrt(gamma))
             try:
                 res = solver(block, gamma, restarts=4, seed=seed)
             except EmptySupportError:
@@ -269,9 +257,11 @@ def test_scca_pair_matches_grid_oracle_on_tiny_instance():
     block = x1.data.T @ x2.data / 10
     gamma1 = 0.25 * np.linalg.norm(block, axis=1).max()
     gamma2 = 0.25 * np.linalg.norm(block, axis=0).max()
-    tau1, tau2 = scca_pair(x1, x2, gamma1, gamma2, order="2-first", restarts=16)
+    # scca_pair's two sides (view 2 first), each from 16 random restarts too
+    lead = pattern_l1(first_block(block, 2), gamma2, restarts=16)
+    tau1 = pattern_l1(shrunk_block(block, lead.pattern, 2), gamma1, restarts=16).pattern
     o1, o2 = _grid_pattern_oracle(block, gamma1, gamma2)
-    assert tau2.bits.tolist() == o2.tolist()
+    assert lead.pattern.bits.tolist() == o2.tolist()
     assert tau1.bits.tolist() == o1.tolist()
 
 
@@ -298,6 +288,15 @@ def test_scca_pair_l0_planted_model():
     tau1, tau2 = scca_pair(x1c, x2c, g1, g2, penalty="l0")
     assert np.all(tau1.bits[truths[0] != 0])
     assert np.all(tau2.bits[truths[1] != 0])
+
+
+def test_nan_thresholds_are_refused():
+    block = _planted_block("dense")
+    for solver in (pattern_l1, pattern_l0):
+        with pytest.raises(ValueError, match="non-negative"):
+            solver(block, float("nan"))
+    with pytest.raises(ValueError, match="non-negative"):
+        pattern_pair(block, 0.1, float("nan"))
 
 
 def test_pair_empty_side_names_view():
@@ -431,15 +430,25 @@ def _each(solve, gammas):
 @pytest.mark.parametrize("kind", ["dense", "operator"])
 @pytest.mark.parametrize("rule", ["l1", "l0"])
 def test_threshold_batch_matches_one_threshold_solves(rule, kind, restarts, max_iter):
-    from scca.pattern import _one, first_block, pattern_first_many, pattern_second_many
+    from scca.pattern import _one, _patterns, pattern_first_many, pattern_second_many
     c = _planted_block(kind)
     top = float(np.linalg.norm(np.asarray(first_block(c, 1)), axis=0).max())
     scale = top if rule == "l1" else top ** 2
     # above 1 the first update vanishes: no projection exceeds the threshold
     gammas = [f * scale for f in (0.0, 0.1, 0.3, 0.45, 0.6, 0.8, 1.05, 1.3)]
     conv = ConvergenceSpec(max_iter=max_iter, objective_track=True)
-    kw = dict(penalty=rule, conv=conv, restarts=restarts, seed=7)
 
+    # the one-side solve that pattern_l1 and pattern_l0 run, each threshold
+    # from the same deterministic and random starts
+    solver = pattern_l1 if rule == "l1" else pattern_l0
+    block = first_block(c, 1)
+    batch = _patterns(block, gammas, rule, None, conv, restarts, 7)
+    for got, want in zip(batch, _each(lambda g: solver(block, g, conv=conv, restarts=restarts,
+                                                       seed=7), gammas)):
+        _assert_same_solve(got, want)
+
+    # the pair pass, whose sides run from their one deterministic start
+    kw = dict(penalty=rule, conv=conv)
     firsts = pattern_first_many(c, gammas, 1, **kw)
     assert len(firsts) == len(gammas)
     for got, want in zip(firsts,

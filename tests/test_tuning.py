@@ -155,6 +155,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         TuneGrid((-0.1,), (0.1,))
     with pytest.raises(ValueError):
+        TuneGrid((0.1,), (float("nan"),))
+    with pytest.raises(ValueError):
         TuneGrid((0.1,), (0.1,), permutations=0)
 
 
