@@ -28,8 +28,8 @@ from .report import (BiplotData, InterpolationData, biplot_coords, interp_coords
 from .simulate import (MetricReport, NoiseSweepSpec, RankOneSpec,
                        StabilitySweepSpec, evaluate, gen_null, gen_rank_one,
                        gen_rank_one_threeview, planted_direction, sweep)
-from .solve import (CcaSolution, cca_gep, deflate, fit_pair, multi_factor,
-                    multiview_gep, multiview_power, pearson, power_svd, stage_two)
+from .solve import (CcaSolution, cca_gep, deflate, fit_pair, multiview_gep,
+                    multiview_power, pearson, power_svd, stage_two)
 from .tuning import (FitConfig, TuneGrid, TuneReport, cv_tune, grid_orchestrate,
                      perm_tune)
 

@@ -244,8 +244,8 @@ def _resolve_common(args, config) -> dict:
         default, convert, _ = _SHARED_FLAGS[key]
         value = _opt(args, config, key, default)
         resolved[key] = value if convert is None else convert(value)
-    if not all(resolved.get(key, 0.0) >= 0 for key in ("gamma1", "gamma2")):
-        raise ValueError("sparsity parameters must be non-negative")
+    if not all(0 <= resolved.get(key, 0.0) < np.inf for key in ("gamma1", "gamma2")):
+        raise ValueError("sparsity parameters must be finite and non-negative")
     if resolved.get("tol", 1.0) <= 0 or resolved.get("max_iter", 1) < 1:
         raise ValueError("tol must be positive and max-iter at least 1")
     choices = _STAGE2.get(args.command)
@@ -337,6 +337,10 @@ def cmd_tune(args, config: dict) -> int:
     method = _opt(args, config, "method", "perm")
     if method not in _TUNE_METHODS:
         raise ValueError("method must be 'cv' or 'perm'")
+    # each method reads one resample count: the permutations' or the folds'
+    count_key, unread = ("folds", "permutations") if method == "cv" else ("permutations", "folds")
+    if _opt(args, config, unread, None) is not None:
+        raise ValueError(f"--{unread} does not apply to --method {method}")
     grids = []
     for key in ("gamma1_grid", "gamma2_grid"):
         grid = _opt(args, config, key, None)
@@ -355,7 +359,7 @@ def cmd_tune(args, config: dict) -> int:
     tune = cv_tune if method == "cv" else perm_tune
     report = tune(x1, x2, grid, conv=_conv(r), cfg=cfg, jobs=_opt(args, config, "jobs", None))
     echo = _echo(r, method=method, gamma1_grid=g1_grid, gamma2_grid=g2_grid,
-                 subcommand="tune")
+                 **{count_key: getattr(grid, count_key)}, subcommand="tune")
     doc = {"metadata": {"tool_version": __version__, "seed": r["seed"], "config": echo},
            "report": report.to_dict()}
     out = _out_dir(r)
@@ -387,8 +391,6 @@ def cmd_simulate(args, config: dict) -> int:
     sigma = _opt(args, config, "sigma", None)
     sigmas = None if sigma is None else _floats(sigma)
     supports = _parse_supports(_opt(args, config, "supports", None))
-    out = _out_dir(r)
-    written = []
     if model == "pair":
         p = [int(v) for v in _floats(_opt(args, config, "p", "500,400"))]
         sig = tuple(sigmas) if sigmas else (0.2, 0.2)
@@ -410,6 +412,8 @@ def cmd_simulate(args, config: dict) -> int:
         views, truths = [x1, x2], None
     else:
         raise ValueError("model must be pair, three or null")
+    out = _out_dir(r)
+    written = []
     for i, view in enumerate(views):
         written.append(write_view(view, out / f"x{i + 1}.csv"))
     if truths is not None:

@@ -413,14 +413,13 @@ def load_views(paths, delimiter: str | None = None) -> list[ViewMatrix]:
     return _load(paths, delimiter, cpus if big else [])
 
 
-def write_view(view: ViewMatrix, path, delimiter: str | None = None,
-               header: bool = True) -> Path:
-    """Write a view back to disk with full-precision floats (round-trips to 1e-12)."""
+def write_view(view: ViewMatrix, path) -> Path:
+    """Write a view back to disk, with its header row and full-precision
+    floats (round-trips to 1e-12), tab-separated for a .tsv or .tab path and
+    comma-separated otherwise."""
     path = Path(path)
-    delimiter = _delimiter(path, delimiter)
-    lines = []
-    if header:
-        lines.append(delimiter.join(view.names))
+    delimiter = _delimiter(path, None)
+    lines = [delimiter.join(view.names)]
     for row in view.data:
         lines.append(delimiter.join(repr(float(x)) for x in row))
     path.write_text("\n".join(lines) + "\n")

@@ -41,7 +41,7 @@ class AccessoryVector:
 
 @dataclass(frozen=True)
 class DirectedParams:
-    """Sparsity thresholds and alignment weights (all non-negative)."""
+    """Sparsity thresholds and alignment weights (all finite and non-negative)."""
 
     gamma1: float
     gamma2: float
@@ -49,8 +49,8 @@ class DirectedParams:
     eps2: float = 1.0
 
     def __post_init__(self):
-        if not all(v >= 0 for v in (self.gamma1, self.gamma2, self.eps1, self.eps2)):
-            raise ValueError("all directed parameters must be non-negative")
+        if not all(0 <= v < np.inf for v in (self.gamma1, self.gamma2, self.eps1, self.eps2)):
+            raise ValueError("all directed parameters must be finite and non-negative")
 
     def swapped(self) -> "DirectedParams":
         return DirectedParams(self.gamma2, self.gamma1, self.eps2, self.eps1)
@@ -185,8 +185,8 @@ def directed_stacked(sp: StackedProblem, y: AccessoryVector, gamma1: float,
     ``converged`` (False when the ascent used all ``conv.max_iter``
     updates).
     """
-    if not (gamma1 >= 0 and gamma2 >= 0):
-        raise ValueError("thresholds must be non-negative")
+    if not (0 <= gamma1 < np.inf and 0 <= gamma2 < np.inf):
+        raise ValueError("thresholds must be finite and non-negative")
     y = y.center()
     if y.values.size != sp.tilde_x.shape[0]:
         raise DimensionError("accessory length does not match the stacked views")

@@ -23,7 +23,7 @@ from .solve import CcaSolution, check_stage2, covariates, stage_two
 
 @dataclass(frozen=True, eq=False)
 class GammaMatrix:
-    """m x m non-negative sparsity parameter matrix with zero diagonal.
+    """m x m finite, non-negative sparsity parameter matrix with zero diagonal.
 
     Row s's sum is the effective threshold for view s's coordinates.
     """
@@ -34,8 +34,8 @@ class GammaMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DimensionError("gamma matrix must be square")
-        if not np.all(values >= 0):
-            raise ValueError("gamma matrix entries must be non-negative")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise ValueError("gamma matrix entries must be finite and non-negative")
         if np.any(np.diag(values) != 0):
             raise ValueError("gamma matrix diagonal must be zero")
         object.__setattr__(self, "values", values)

@@ -7,8 +7,10 @@ has a closed form. Both an absolute-value (L1) and a squared (L0) threshold
 rule are provided, together with the two-sided pattern pass used by the
 full pipeline and ``screen_l1``, a data-only bound on the l1 pattern that
 the pipeline does not apply. The ascent runs on a block of iterates, so
-one fit is a single column and ``pattern_pair_batch`` solves a whole
-batch of permuted problems at once.
+one fit is a single column, ``pattern_grid`` solves the two-sided pass at
+every cell of a threshold grid with one ascent per side and first-side
+support, and ``pattern_pair_batch`` solves a whole batch of permuted
+problems at once.
 """
 
 from __future__ import annotations
@@ -548,17 +550,19 @@ def _check_penalty(penalty: str) -> None:
         raise ValueError(f"penalty must be one of {PENALTIES}")
 
 
-def _side_solves(block, gammas, side: int, penalty: str, conv: ConvergenceSpec | None,
-                 z0=None) -> list:
+def _side_solves(block, gammas, side: int, penalty: str, conv: ConvergenceSpec | None) -> list:
     """View ``side``'s pattern at every threshold of ``gammas`` from the block
-    whose columns are its coordinates, started from ``z0`` (by default the
-    block's largest-norm column): per threshold its PatternResult, or the
-    EmptySupportError naming the view that it fails with."""
-    _check_penalty(penalty)
+    whose columns are its coordinates, started from the block's largest-norm
+    column, as one ascent: per threshold its PatternResult, the
+    EmptySupportError naming the view that it fails with, or, for a block
+    with no non-zero column, its DegenerateInputError."""
+    try:
+        results = _patterns(block, gammas, penalty, None, conv)
+    except DegenerateInputError as err:
+        return [err] * len(gammas)
     return [EmptySupportError(f"view {side} support collapsed: {res}", side=f"view {side}",
                               last_iterate=res.last_iterate)
-            if isinstance(res, EmptySupportError) else res
-            for res in _patterns(block, gammas, penalty, z0, conv)]
+            if isinstance(res, EmptySupportError) else res for res in results]
 
 
 def first_block(c12, side: int):
@@ -577,43 +581,6 @@ def shrunk_block(c12, support: SparsityPattern, side: int):
     return _rows(block, idx) if side == 1 else _cols(block, idx).T
 
 
-def pattern_first_many(c12, gammas, side: int, penalty: str = "l1",
-                       conv: ConvergenceSpec | None = None, z0=None) -> list:
-    """The first side of :func:`pattern_pair` at every threshold of
-    ``gammas``, as one ascent: view ``side``'s pattern on the full block. Per
-    threshold, its PatternResult or the EmptySupportError that
-    :func:`pattern_pair` raises there. ``z0`` overrides the start,
-    ``init_direction(first_block(c12, side))``, which does not depend on the
-    threshold."""
-    return _side_solves(first_block(c12, side), gammas, side, penalty, conv, z0)
-
-
-def pattern_second_many(c12, lead: PatternResult, side: int, gammas, penalty: str = "l1",
-                        conv: ConvergenceSpec | None = None, z0=None) -> list:
-    """The rest of :func:`pattern_pair` after its first side ``lead`` (view
-    ``side``'s) at every threshold of ``gammas``, as one ascent: the other
-    view's pattern on the block shrunk to ``lead``'s support. Per threshold,
-    its PairPatterns or the EmptySupportError that :func:`pattern_pair`
-    raises there. The solve depends on ``lead`` only through its support;
-    ``z0`` overrides the start,
-    ``init_direction(shrunk_block(c12, lead.pattern, side))``."""
-    other = 3 - side
-    out = []
-    for res in _side_solves(shrunk_block(c12, lead.pattern, side), gammas, other, penalty,
-                            conv, z0):
-        if isinstance(res, EmptySupportError):
-            out.append(res)
-            continue
-        res1, res2 = (lead, res) if side == 1 else (res, lead)
-        solved = ((side, lead), (other, res))
-        out.append(PairPatterns(
-            res1.pattern, res2.pattern, side,
-            {f"side{v}": r.iterations for v, r in solved},
-            {f"side{v}": r.objective_trace for v, r in solved},
-            max_iter_warnings(solved)))
-    return out
-
-
 def max_iter_warnings(solved) -> tuple[str, ...]:
     """A warning for each (view, PatternResult) of ``solved`` whose ascent
     used all ``max_iter`` updates, in the order given."""
@@ -621,27 +588,66 @@ def max_iter_warnings(solved) -> tuple[str, ...]:
                  for v, r in solved if not r.converged)
 
 
+def pattern_grid(c12, gammas1, gammas2, penalty: str = "l1",
+                 conv: ConvergenceSpec | None = None, order: str = "auto") -> dict:
+    """:func:`pattern_pair` at every cell of the grid ``gammas1`` x
+    ``gammas2``, keyed by (gamma1, gamma2): the cell's PairPatterns, or the
+    EmptySupportError or DegenerateInputError that pattern_pair raises there.
+
+    Each side runs from its block's largest-norm column, so no solve depends
+    on the cell it serves: the first side runs once at every distinct
+    first-side gamma, as one ascent, and the second side once per distinct
+    first-side support, at every second-side gamma, as one ascent. A cell's
+    PairPatterns reports its own first side's iterations, traces and warnings.
+    """
+    _check_penalty(penalty)
+    block = _as_block(c12)
+    side = first_side(order, *block.shape)
+    other = 3 - side
+    gammas = list(dict.fromkeys(gammas1)), list(dict.fromkeys(gammas2))
+    firsts, seconds = gammas if side == 1 else gammas[::-1]
+    leads = dict(zip(firsts, _side_solves(first_block(block, side), firsts, side, penalty,
+                                          conv)))
+    by_support: dict = {}
+    out = {}
+    for g1 in gammas[0]:
+        for g2 in gammas[1]:
+            g_first, g_second = (g1, g2) if side == 1 else (g2, g1)
+            lead = leads[g_first]
+            if isinstance(lead, Exception):
+                out[g1, g2] = lead
+                continue
+            key = lead.pattern.bits.tobytes()
+            if key not in by_support:
+                by_support[key] = dict(zip(seconds, _side_solves(
+                    shrunk_block(block, lead.pattern, side), seconds, other, penalty, conv)))
+            res = by_support[key][g_second]
+            if isinstance(res, Exception):
+                out[g1, g2] = res
+                continue
+            res1, res2 = (lead, res) if side == 1 else (res, lead)
+            solved = ((side, lead), (other, res))
+            out[g1, g2] = PairPatterns(res1.pattern, res2.pattern, side,
+                                       {f"side{v}": r.iterations for v, r in solved},
+                                       {f"side{v}": r.objective_trace for v, r in solved},
+                                       max_iter_warnings(solved))
+    return out
+
+
 def pattern_pair(c12, gamma1: float, gamma2: float, penalty: str = "l1",
                  conv: ConvergenceSpec | None = None, order: str = "auto") -> PairPatterns:
     """Run the stage-one solver on both sides with successive shrinkage.
 
     Each side runs from its one deterministic start, the largest-norm column
-    of its block. One side's pattern is computed on the full block
-    (:func:`pattern_first_many`); the block is then restricted to that support
-    and the other side is solved on the shrunken block
-    (:func:`pattern_second_many`). ``c12`` may be a
-    CrossOperator, which is shrunk without forming the block. ``order`` picks
-    which side goes first: "auto" patterns the larger side first,
-    "2-first"/"1-first" force it. A side that used all ``conv.max_iter``
-    updates is reported in the warnings.
+    of its block. One side's pattern is computed on the full block; the block
+    is then restricted to that support and the other side is solved on the
+    shrunken block. ``c12`` may be a CrossOperator, which is shrunk without
+    forming the block. ``order`` picks which side goes first: "auto" patterns
+    the larger side first (view 2 on a tie), "2-first"/"1-first" force it. A
+    side that used all ``conv.max_iter`` updates is reported in the warnings.
+    This is the one-cell :func:`pattern_grid`.
     """
-    _check_penalty(penalty)
-    block = _as_block(c12)
-    side = first_side(order, *block.shape)
-    gammas = (gamma1, gamma2) if side == 1 else (gamma2, gamma1)
-    kw = dict(penalty=penalty, conv=conv)
-    lead = _one(pattern_first_many(block, [gammas[0]], side, **kw))
-    return _one(pattern_second_many(block, lead, side, [gammas[1]], **kw))
+    return _one([pattern_grid(c12, [gamma1], [gamma2], penalty, conv, order)[gamma1, gamma2]])
 
 
 class BatchPatterns(NamedTuple):
@@ -702,8 +708,8 @@ def _batch_side(c: PermutedCross, gamma: float, rule: str,
 
 
 def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
-                       penalty: str = "l1", conv: ConvergenceSpec | None = None,
-                       order: str = "auto") -> BatchPatterns:
+                       penalty: str = "l1", conv: ConvergenceSpec | None = None
+                       ) -> BatchPatterns:
     """:func:`pattern_pair` for every member of a batch at once.
 
     Each side is one p x K hinge ascent with pattern_pair's start and stop
@@ -715,7 +721,7 @@ def pattern_pair_batch(batch: PermutedCross, gamma1: float, gamma2: float,
     """
     _check_penalty(penalty)
     conv = conv or ConvergenceSpec()
-    first = first_side(order, *batch.shape)
+    first = first_side("auto", *batch.shape)
     # the lead operator's columns are the coordinates of the side found first
     lead_op, gammas = (batch.T, (gamma1, gamma2)) if first == 1 else (batch, (gamma2, gamma1))
     lead, ok = _batch_side(lead_op.thin(), gammas[0], penalty, conv)

@@ -55,7 +55,7 @@ class RankOneSpec:
             raise DimensionError("need one noise sd per view")
         if self.supports is not None and len(self.supports) != len(self.p):
             raise DimensionError("need one planted support per view")
-        if any(s < 0 for s in self.sigma):
+        if not all(s >= 0 for s in self.sigma):
             raise ValueError("noise sd must be non-negative")
         if self.n < 1:
             raise ValueError("need n >= 1")
@@ -120,7 +120,7 @@ class MetricReport:
     flags: tuple[str, ...] = ()
 
 
-def evaluate(estimated: CcaSolution, truths, views=None) -> MetricReport:
+def evaluate(estimated: CcaSolution, truths) -> MetricReport:
     """Compare the leading factor of a solution against planted directions."""
     truths = [np.asarray(t, dtype=float) for t in truths]
     if len(truths) != len(estimated.directions):
@@ -205,18 +205,18 @@ def _scaled_gammas(x1: ViewMatrix, x2: ViewMatrix, fractions: tuple[float, float
     return fractions[0] * row_scale, fractions[1] * col_scale
 
 
-def sweep(spec, penalty: str = "l1", conv: ConvergenceSpec | None = None,
-          stage2: str = "svd") -> SweepTable:
-    """Run a seeded experiment grid; per-point failures are recorded and the
-    sweep continues. The experiment kind is chosen by the argument type."""
+def sweep(spec, penalty: str = "l1", conv: ConvergenceSpec | None = None) -> SweepTable:
+    """Run a seeded experiment grid of SVD stage-two fits; per-point failures
+    are recorded and the sweep continues. The experiment kind is chosen by
+    the argument type."""
     if isinstance(spec, NoiseSweepSpec):
-        return _sweep_noise(spec, penalty, conv, stage2)
+        return _sweep_noise(spec, penalty, conv)
     if isinstance(spec, StabilitySweepSpec):
-        return _sweep_stability(spec, penalty, conv, stage2)
+        return _sweep_stability(spec, penalty, conv)
     raise TypeError("spec must be a NoiseSweepSpec or StabilitySweepSpec")
 
 
-def _sweep_noise(spec: NoiseSweepSpec, penalty, conv, stage2) -> SweepTable:
+def _sweep_noise(spec: NoiseSweepSpec, penalty, conv) -> SweepTable:
     conv = conv or ConvergenceSpec()
     columns = ["kind", "sigma", "seed", "cos1", "cos2", "eta1", "eta2",
                "fp1", "fp2", "rho", "error"]
@@ -231,8 +231,7 @@ def _sweep_noise(spec: NoiseSweepSpec, penalty, conv, stage2) -> SweepTable:
             x1c, x2c = center_scale(x1), center_scale(x2)
             g1, g2 = _scaled_gammas(x1c, x2c, spec.gamma_fraction)
             try:
-                sol = fit_pair(x1c, x2c, g1, g2, factors=1, penalty=penalty,
-                               conv=conv, stage2=stage2)
+                sol = fit_pair(x1c, x2c, g1, g2, penalty=penalty, conv=conv)
             except (EmptySupportError, DegenerateInputError) as err:
                 rows.append(["replicate", sigma, seed] + [np.nan] * 7 + [str(err)])
                 continue
@@ -255,7 +254,7 @@ def _sweep_noise(spec: NoiseSweepSpec, penalty, conv, stage2) -> SweepTable:
     return SweepTable(columns, rows)
 
 
-def _sweep_stability(spec: StabilitySweepSpec, penalty, conv, stage2) -> SweepTable:
+def _sweep_stability(spec: StabilitySweepSpec, penalty, conv) -> SweepTable:
     """Correlation of the sparse direction with the dense solution, and the
     estimated correlation, as functions of the active cardinality."""
     conv = conv or ConvergenceSpec()
@@ -272,8 +271,7 @@ def _sweep_stability(spec: StabilitySweepSpec, penalty, conv, stage2) -> SweepTa
             _u, v_dense, _s = power_svd(c, conv)
             gamma2 = frac * float(np.linalg.norm(c, axis=0).max())
             try:
-                sol = fit_pair(x1c, x2c, 0.0, gamma2, factors=1, penalty=penalty,
-                               conv=conv, stage2=stage2)
+                sol = fit_pair(x1c, x2c, 0.0, gamma2, penalty=penalty, conv=conv)
             except (EmptySupportError, DegenerateInputError) as err:
                 rows.append(["replicate", frac, seed, np.nan, np.nan, np.nan, str(err)])
                 continue

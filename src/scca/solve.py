@@ -1,7 +1,7 @@
 """Stage-two estimation on shrunken problems and multi-factor deflation.
 
-``stage_two`` is the one stage two of every pipeline (``multi_factor``,
-so ``fit_pair``; ``directed_fit``; ``multiview_scca``): it shrinks each
+``stage_two`` is the one stage two of every pipeline (``fit_pair``,
+``directed_fit``, ``multiview_scca``): it shrinks each
 pair's cross-covariance operator to the supports found by stage one and
 fills in the active entries by a power-iteration SVD (two views,
 inversion-free default), cyclic multi-view power sweeps, or the block
@@ -432,50 +432,47 @@ def _exhausted(residual: CrossOperator, base: float) -> bool:
     return residual.fro_norm() <= 1e-7 * floor
 
 
-def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
-                 gammas2: Sequence[float], penalty: str = "l1",
-                 conv: ConvergenceSpec | None = None, stage2: str = "svd",
-                 order: str = "auto") -> CcaSolution:
-    """Fit several canonical factors by pattern/estimate/deflate cycles.
+def fit_pair(x1: ViewMatrix, x2: ViewMatrix, gamma1: float, gamma2: float, factors: int = 1,
+             penalty: str = "l1", conv: ConvergenceSpec | None = None,
+             stage2: str = "svd") -> CcaSolution:
+    """Fit ``factors`` canonical factors by pattern/estimate/deflate cycles.
 
     Parameters
     ----------
-    gammas1, gammas2 : sequences of float
-        Per-factor sparsity thresholds (equal length m <= min(n, p1, p2)).
+    gamma1, gamma2 : float
+        Sparsity thresholds of views 1 and 2, the same for every factor.
+    factors : int
+        Number of factors, at most min(n, p1, p2).
     stage2 : {"svd", "power", "gep"}
         ``stage_two`` back-end filling in active entries on each shrunken residual.
 
-    Each factor's patterns come from the current residual cross-covariance;
-    the residual is then deflated by the fitted rank-one term (directions
-    renormalized to unit Euclidean norm). The residual is a CrossOperator,
-    so only the blocks shrunk to each factor's supports are formed. A factor
-    whose support collapses truncates the solution with a diagnostic instead
-    of raising. Factors are ordered by decreasing sample canonical correlation.
+    Each factor's patterns come from the current residual cross-covariance
+    (``pattern_pair``); the residual is then deflated by the fitted rank-one
+    term (directions renormalized to unit Euclidean norm). The residual is a
+    CrossOperator, so only the blocks shrunk to each factor's supports are
+    formed. A factor whose support collapses truncates the solution with a
+    diagnostic instead of raising. Factors are ordered by decreasing sample
+    canonical correlation.
     """
-    gammas1 = list(gammas1)
-    gammas2 = list(gammas2)
-    if len(gammas1) != len(gammas2):
-        raise DimensionError("gamma vectors must have equal length")
-    m = len(gammas1)
     bound = min(x1.n, x1.p, x2.p)
-    if not 1 <= m <= bound:
+    if not 1 <= factors <= bound:
         raise DimensionError(f"factor count must be in [1, {bound}]")
     check_stage2(stage2, 2)
     conv = conv or ConvergenceSpec()
 
     residual = CrossOperator.from_views(x1, x2)
     # only a later factor needs the scale: a zero first block fails in stage one
-    base_scale = residual.fro_norm() if m > 1 else None
-    factors = []
+    base_scale = residual.fro_norm() if factors > 1 else None
+    fitted = []
     warnings: tuple[str, ...] = ()
     normalization = "unit"
-    for i, (g1, g2) in enumerate(zip(gammas1, gammas2)):
+    for i in range(factors):
         if i and _exhausted(residual, base_scale):
             warnings += (f"factor {i + 1}: residual numerically exhausted "
                          "(data rank reached)",)
             break
         try:
-            pair = pattern_pair(residual, g1, g2, penalty=penalty, conv=conv, order=order)
+            pair = pattern_pair(residual, gamma1, gamma2, penalty=penalty, conv=conv)
         except (EmptySupportError, DegenerateInputError) as err:
             warnings += (f"factor {i + 1}: {err}",)
             break
@@ -490,29 +487,23 @@ def multi_factor(x1: ViewMatrix, x2: ViewMatrix, gammas1: Sequence[float],
         cov = covariates([x1.data, x2.data], est.directions)
         if cov.degenerate:
             warnings += (f"factor {i + 1}: degenerate covariate, correlation set to 0",)
-        if i + 1 < m:
+        if i + 1 < factors:
             residual = deflate(residual, *(z / np.linalg.norm(z) for z in est.directions))
         info = dict(pair.iterations)
         if conv.objective_track:
             info["traces"] = pair.traces
-        factors.append((cov.rho[0, 1], est.directions, cov.values, (pair.tau1, pair.tau2), info))
+        fitted.append((cov.rho[0, 1], est.directions, cov.values, (pair.tau1, pair.tau2), info))
 
-    if not factors:
+    if not fitted:
         raise EmptySupportError("no factor could be fitted: " + "; ".join(warnings))
 
-    factors.sort(key=lambda f: -f[0])
+    fitted.sort(key=lambda f: -f[0])
     return CcaSolution(
-        directions=[np.column_stack([f[1][r] for f in factors]) for r in (0, 1)],
-        correlations=np.array([f[0] for f in factors]),
-        factor_count=len(factors),
+        directions=[np.column_stack([f[1][r] for f in fitted]) for r in (0, 1)],
+        correlations=np.array([f[0] for f in fitted]),
+        factor_count=len(fitted),
         normalization=normalization,
-        covariates=[np.column_stack([f[2][r] for f in factors]) for r in (0, 1)],
-        patterns=[[f[3][r] for f in factors] for r in (0, 1)],
-        iterations=[f[4] for f in factors],
+        covariates=[np.column_stack([f[2][r] for f in fitted]) for r in (0, 1)],
+        patterns=[[f[3][r] for f in fitted] for r in (0, 1)],
+        iterations=[f[4] for f in fitted],
         warnings=warnings)
-
-
-def fit_pair(x1: ViewMatrix, x2: ViewMatrix, gamma1: float, gamma2: float,
-             factors: int = 1, **kwargs) -> CcaSolution:
-    """Single-call pipeline: constant per-factor thresholds through multi_factor."""
-    return multi_factor(x1, x2, [gamma1] * factors, [gamma2] * factors, **kwargs)

@@ -3,13 +3,14 @@
 Both tuners sweep a (gamma1, gamma2) grid. Cross-validation scores a cell by
 the average held-out correlation of the fitted canonical covariates. It runs
 fold by fold, and within a fold it does each step of a fit once for each
-distinct value of what the step depends on: the first side's start once, the
-first side at every first-side gamma as one ascent, the second side once per
-first-side support at every second-side gamma as one ascent, and stage two
-with the held-out correlation once per support pair. The permutation test
-scores a cell by the fraction of row-permuted refits whose correlation beats
-the matched fit, and counts the refits that failed; it centres the views
-once per sweep and refits each cell's permutations as one batch. Every
+distinct value of what the step depends on: stage one by ``pattern_grid``,
+which runs the first side at every first-side gamma as one ascent and the
+second side once per first-side support at every second-side gamma as one
+ascent, then stage two with the held-out correlation once per support
+pair. The permutation test scores a cell by the fraction of row-permuted
+refits whose correlation beats the matched fit, and counts the refits that
+failed; it centres the views once per sweep and refits each cell's
+permutations as one batch. Every
 first-side iterate of a refit lies in the row space of the other view's
 n x p data, so the batch's first side runs on a thin n x r factor of that
 view (r <= n, formed once per sweep): a member-step costs n(r + p_first)
@@ -42,9 +43,7 @@ from . import cores, jsontext
 from .covariance import CrossOperator, PermutedCross, ViewMatrix, center_scale, standardize
 from .errors import (DegenerateInputError, DimensionError, EmptySupportError,
                      SingularityError)
-from .pattern import (ConvergenceSpec, first_block, first_side, init_direction,
-                      pattern_first_many, pattern_pair_batch, pattern_second_many,
-                      shrunk_block)
+from .pattern import ConvergenceSpec, pattern_grid, pattern_pair_batch
 from .solve import check_stage2, fit_pair, pearson, power_svd_batch, stage_two
 
 
@@ -63,8 +62,8 @@ class TuneGrid:
         g2 = tuple(float(g) for g in self.gamma2_values)
         if not g1 or not g2:
             raise ValueError("grids must be non-empty")
-        if any(not g >= 0 for g in g1 + g2):
-            raise ValueError("sparsity values must be non-negative")
+        if not all(0 <= g < np.inf for g in g1 + g2):
+            raise ValueError("sparsity values must be finite and non-negative")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
         if self.permutations < 1:
@@ -132,7 +131,6 @@ class FitConfig:
     penalty: str = "l1"
     stage2: str = "svd"
     scale: bool = False
-    order: str = "auto"
 
 
 _log = logging.getLogger("scca")
@@ -154,10 +152,6 @@ def _fold_slices(n: int, k: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
-class _Failed(Exception):
-    """A step of a fold's fit failed; the text is its error's."""
-
-
 def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
              cfg: FitConfig, conv: ConvergenceSpec) -> list[tuple[float, str | None]]:
     """One fold's held-out correlation of every cell, each with its flag or None.
@@ -167,16 +161,12 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     cross operator. Each step of a cell's ``fit_pair`` factor is then done
     once per fold for each distinct value of what it depends on (each side
     starts deterministically, so no step depends on the cell itself):
-    - the first side's start, the largest-norm column of the full block:
-      once per fold;
     - the first side: at every first-side gamma, as one ascent;
-    - the second side's start, on the block shrunk to the first side's
-      support: once per first-side support;
     - the second side: once per first-side support, at every second-side
-      gamma, as one ascent;
+      gamma, as one ascent (these two are ``pattern_grid``);
     - stage two and the held-out correlation: once per support pair.
-    A failed step is kept as its error text, so every cell that needs it
-    fails with the same flag.
+    A failed step is kept as its error, so every cell that needs it fails
+    with the same flag.
     """
     # a mask, not np.setdiff1d: that imports numpy.ma, once in every forked process
     train = np.ones(x1.n, dtype=bool)
@@ -186,62 +176,28 @@ def _cv_fold(x1: ViewMatrix, x2: ViewMatrix, hold: np.ndarray, cells: list,
     op = CrossOperator.from_views(ViewMatrix(d1, x1.names, centered=True),
                                   ViewMatrix(d2, x2.names, centered=True))
     held1, held2 = (x1.data[hold] - mu1) / sd1, (x2.data[hold] - mu2) / sd2
-    side = first_side(cfg.order, *op.shape)
-    kw = dict(penalty=cfg.penalty, conv=conv)
-    # the distinct gammas of each side, in cell order
-    axes = {"first": list(dict.fromkeys(c[3] if side == 1 else c[4] for c in cells)),
-            "second": list(dict.fromkeys(c[4] if side == 1 else c[3] for c in cells))}
-    memo: dict = {}
-
-    def kept(key):
-        if isinstance(memo[key], str):
-            raise _Failed(memo[key])
-        return memo[key]
-
-    def once(key, fn):
-        """fn() the first time ``key`` comes up, its kept value after that."""
-        if key not in memo:
-            try:
-                memo[key] = fn()
-            except (EmptySupportError, DegenerateInputError, SingularityError) as err:
-                memo[key] = str(err)
-        return kept(key)
-
-    def each(kind, context, gamma, solve):
-        """The ``kind`` side's solve at ``gamma``. The first time (kind,
-        context) comes up, ``solve(gammas)`` solves every gamma of the side's
-        axis and returns each one's result or EmptySupportError."""
-        key = (kind, context, gamma)
-        if key not in memo:
-            for g, res in zip(axes[kind], solve(axes[kind])):
-                memo[kind, context, g] = str(res) if isinstance(res, EmptySupportError) else res
-        return kept(key)
-
-    def held_out(tau1, tau2):
-        est = stage_two({(0, 1): op}, [tau1.indices(), tau2.indices()], cfg.stage2, conv)
-        z1, z2 = est.directions
-        return pearson(held1 @ z1, held2 @ z2)
-
+    pairs = pattern_grid(op, [c[3] for c in cells], [c[4] for c in cells], cfg.penalty, conv)
+    held_out: dict = {}
     out = []
     for *_, g1, g2 in cells:
-        g_first, g_second = (g1, g2) if side == 1 else (g2, g1)
-        try:
-            start = once("start", lambda: init_direction(first_block(op, side)))
-            lead = each("first", None, g_first, lambda gammas: pattern_first_many(
-                op, gammas, side, z0=start, **kw))
-            support = lead.pattern.bits.tobytes()
-            start2 = once(("start2", support), lambda: init_direction(
-                shrunk_block(op, lead.pattern, side)))
-            pair = each("second", support, g_second, lambda gammas: pattern_second_many(
-                op, lead, side, gammas, z0=start2, **kw))
-            rho, degenerate = once(("stage two", pair.tau1.bits.tobytes(),
-                                    pair.tau2.bits.tobytes()),
-                                   lambda: held_out(pair.tau1, pair.tau2))
-        except _Failed as err:
+        result = pairs[g1, g2]
+        if not isinstance(result, Exception):
+            key = (result.tau1.bits.tobytes(), result.tau2.bits.tobytes())
+            if key not in held_out:
+                try:
+                    est = stage_two({(0, 1): op}, [result.tau1.indices(), result.tau2.indices()],
+                                    cfg.stage2, conv)
+                    z1, z2 = est.directions
+                    held_out[key] = pearson(held1 @ z1, held2 @ z2)
+                except (DegenerateInputError, SingularityError) as err:
+                    held_out[key] = err
+            result = held_out[key]
+        if isinstance(result, Exception):
             # worded as fit_pair words a fit whose one factor failed
-            out.append((0.0, f"fit failed (no factor could be fitted: factor 1: {err}); "
+            out.append((0.0, f"fit failed (no factor could be fitted: factor 1: {result}); "
                              "rho recorded as 0"))
             continue
+        rho, degenerate = result
         out.append((rho, "degenerate held-out covariate; rho recorded as 0"
                     if degenerate else None))
     return out
@@ -324,7 +280,7 @@ def _batched_refits(sweep: _PermSweep, perms: np.ndarray, g1: float, g2: float,
     pencil in turn. A failed refit counts as rho 0, so it never beats the
     matched fit."""
     batch = sweep.batch(perms)
-    found = pattern_pair_batch(batch, g1, g2, penalty=cfg.penalty, conv=conv, order=cfg.order)
+    found = pattern_pair_batch(batch, g1, g2, penalty=cfg.penalty, conv=conv)
     rhos = np.zeros(perms.shape[1])
     failures = int((~found.ok).sum())
     keep = np.flatnonzero(found.ok)
@@ -354,7 +310,7 @@ def _perm_cell(sweep: _PermSweep, g1: float, g2: float, grid: TuneGrid, cfg: Fit
                conv: ConvergenceSpec, cell_index: int) -> dict:
     try:
         sol = fit_pair(sweep.v1, sweep.v2, g1, g2, factors=1, penalty=cfg.penalty, conv=conv,
-                       stage2=cfg.stage2, order=cfg.order)
+                       stage2=cfg.stage2)
     except (EmptySupportError, DegenerateInputError) as err:
         return {"score": np.nan, "trace": np.zeros(grid.permutations),
                 "flags": [f"matched fit failed: {err}"], "failed": True,

@@ -1,6 +1,6 @@
-"""Shared helpers: data builders, a dense stage-two reference, serial
-permutation-refit and cross-validation references and the monotone-trace
-assertion."""
+"""Shared helpers: data builders, the view orientations of stage one, a
+dense stage-two reference, serial permutation-refit and cross-validation
+references and the monotone-trace assertion."""
 
 from __future__ import annotations
 
@@ -49,6 +49,15 @@ def make_views(n, p1, p2, seed=0):
     v1 = ViewMatrix(d1, [f"A{j}" for j in range(p1)], centered=True)
     v2 = ViewMatrix(d2, [f"B{j}" for j in range(p2)], centered=True)
     return v1, v2
+
+
+def oriented(x1, x2, first: str):
+    """The pair (x1, x2) of unequal widths, or (x2, x1), such that stage one,
+    which finds the wider view's pattern first, starts from the view that
+    ``first`` names: "1-first" or "2-first"; "auto" keeps the pair as given."""
+    if first == "auto" or (first == "1-first") == (x1.p > x2.p):
+        return x1, x2
+    return x2, x1
 
 
 def whiten(data: np.ndarray) -> np.ndarray:
@@ -124,7 +133,7 @@ def serial_perm_refits(x1, x2, g1, g2, perms, cfg):
     for perm in perms.T:
         try:
             sol = fit_pair(ViewMatrix(c1.data[perm], c1.names, centered=True), c2, g1, g2,
-                           penalty=cfg.penalty, stage2=cfg.stage2, order=cfg.order)
+                           penalty=cfg.penalty, stage2=cfg.stage2)
         except (EmptySupportError, DegenerateInputError):
             out.append(None)
             continue
@@ -146,7 +155,7 @@ def serial_cv_cell(x1, x2, g1, g2, folds, cfg):
         try:
             sol = fit_pair(ViewMatrix(d1, x1.names, centered=True),
                            ViewMatrix(d2, x2.names, centered=True), g1, g2,
-                           penalty=cfg.penalty, stage2=cfg.stage2, order=cfg.order)
+                           penalty=cfg.penalty, stage2=cfg.stage2)
         except (EmptySupportError, DegenerateInputError) as err:
             flags.append(f"fold {k + 1}: fit failed ({err}); rho recorded as 0")
             continue

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from scca import (ConvergenceSpec, DegenerateInputError, EmptySupportError, FitConfig,
-                  gen_null, pearson, stage_two)
+                  gen_null, pattern_l0, pattern_l1, pearson, stage_two)
 from scca.covariance import CrossOperator, PermutedCross
 from scca.pattern import (_STALL_LIMIT, _batch_ascent, _batch_side, _col_norms, _column,
-                          _hinge_ascent, _one, _sq_norms, first_block, first_side,
-                          pattern_first_many, pattern_pair, pattern_pair_batch, shrunk_block)
+                          _hinge_ascent, _sq_norms, first_block, first_side, pattern_pair,
+                          pattern_pair_batch, shrunk_block)
 from scca.solve import power_svd_batch
 from scca.tuning import _abs_correlations, _permutations, _PermSweep
 
@@ -113,11 +113,13 @@ def _loop_ascent(c, gammas: np.ndarray, rule: str, z0: np.ndarray, conv: Converg
     return z, obj, weights, iterations, vanished, capped, traces, stalled
 
 
-def _null_sweep():
-    """Null views of 24 samples and 40 and 30 coordinates: their ascents run
-    from 2 to about 80 steps, some stopped by the stall guard. Returns the
-    permutation sweep and WIDTH row permutations."""
+def _null_sweep(swap: bool = False):
+    """Null views of 24 samples and 40 and 30 coordinates (30 and 40 with
+    ``swap``): their ascents run from 2 to about 80 steps, some stopped by the
+    stall guard. Returns the permutation sweep and WIDTH row permutations."""
     x1, x2 = gen_null(24, 40, 30, seed=3)
+    if swap:
+        x1, x2 = x2, x1
     return _PermSweep.prepare(x1, x2, FitConfig(scale=True)), _permutations(7, 0, 24, WIDTH)
 
 
@@ -372,22 +374,25 @@ def _tops(blocks, rule: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("side", ["first", "second"])
-@pytest.mark.parametrize("order", ["1-first", "2-first"])
+# the view stage one starts from: the wider one, view 1 as generated
+@pytest.mark.parametrize("first", ["1-first", "2-first"])
 @pytest.mark.parametrize("rule", ["l1", "l0"])
-def test_screened_batches_match_pattern_pair_at_the_threshold(side, order, rule):
+def test_screened_batches_match_pattern_pair_at_the_threshold(side, first, rule):
     # thresholds 1e-12 above and below members' top norms: those below the
     # threshold by more than the screen's margin skip the ascent, the ones
     # within it ascend, and every member agrees with pattern_pair alone
-    sweep, perms = _null_sweep()
+    sweep, perms = _null_sweep(swap=first == "2-first")
     batch = sweep.batch(perms)
     members = [batch.member(k) for k in range(WIDTH)]
-    lead = first_side(order, *batch.shape)
+    lead = first_side("auto", *batch.shape)
+    assert lead == int(first[0])
     first_tops = _tops([first_block(m, lead) for m in members], rule)
     g_first = 0.5 * np.median(first_tops)
     if side == "first":
         tops = first_tops
     else:
-        leads = [_one(pattern_first_many(m, [g_first], lead, rule)) for m in members]
+        solver = pattern_l1 if rule == "l1" else pattern_l0
+        leads = [solver(first_block(m, lead), g_first) for m in members]
         tops = _tops([shrunk_block(m, res.pattern, lead) for m, res in zip(members, leads)],
                      rule)
     for target in np.quantile(tops, [0.25, 0.75], method="nearest"):
@@ -398,10 +403,10 @@ def test_screened_batches_match_pattern_pair_at_the_threshold(side, order, rule)
             g1, g2 = (g_lead, g_other) if lead == 1 else (g_other, g_lead)
             screened = tops <= gamma * (1.0 - 1e-9)
             assert 0 < screened.sum() < WIDTH - 1
-            found = pattern_pair_batch(batch, g1, g2, penalty=rule, order=order)
+            found = pattern_pair_batch(batch, g1, g2, penalty=rule)
             for k, member in enumerate(members):
                 try:
-                    want = pattern_pair(member, g1, g2, penalty=rule, order=order)
+                    want = pattern_pair(member, g1, g2, penalty=rule)
                 except EmptySupportError:
                     assert not found.ok[k]
                     continue

@@ -92,10 +92,19 @@ def test_scca_l0_penalty(tmp_path):
     ["dscca", "--x1", "x1.csv", "--x2", "x2.csv", "--y", "y.csv", "--mode", "stacked",
      "--gamma1", "nan"],
     ["tune", "--x1", "x1.csv", "--x2", "x2.csv", "--gamma1-grid", "nan,0.1",
+     "--gamma2-grid", "0.1", "--permutations", "3"],
+    ["scca", "--x1", "x1.csv", "--x2", "x2.csv", "--gamma2", "inf"],
+    ["mscca", "--views", "x1.csv", "x2.csv", "--gamma-matrix", "[[0,Infinity],[0.1,0]]"],
+    ["dscca", "--x1", "x1.csv", "--x2", "x2.csv", "--y", "y.csv", "--eps1", "inf"],
+    ["dscca", "--x1", "x1.csv", "--x2", "x2.csv", "--y", "y.csv", "--mode", "stacked",
+     "--eps2", "inf"],
+    ["tune", "--x1", "x1.csv", "--x2", "x2.csv", "--gamma1-grid", "0.5,inf",
      "--gamma2-grid", "0.1", "--permutations", "3"]],
-    ids=["scca", "mscca", "dscca-eps1", "dscca-stacked", "tune"])
+    ids=["scca", "mscca", "dscca-eps1", "dscca-stacked", "tune", "scca-inf", "mscca-inf",
+         "dscca-eps1-inf", "dscca-stacked-inf", "tune-inf"])
 def test_nan_sparsity_parameters_exit_1(tmp_path, capsys, argv):
-    # NaN fails every comparison, so a check must refuse what is not >= 0
+    # NaN fails every comparison and infinity passes >= 0, so a check must
+    # refuse what is not finite and non-negative
     x1, _x2, _truths = _write_small_views(tmp_path)
     (tmp_path / "y.csv").write_text("y\n" + "\n".join(repr(float(v)) for v in x1.data[:, 0])
                                     + "\n")
@@ -104,6 +113,43 @@ def test_nan_sparsity_parameters_exit_1(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert "non-negative" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "0.1,nan"])
+def test_simulate_nan_sigma_exits_1(tmp_path, capsys, sigma):
+    # a NaN noise sd fails every comparison: it was taken for no noise at all
+    assert main(["simulate", "--sigma", sigma, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: noise sd must be non-negative\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_tune_echoes_the_resample_count_its_method_reads(tmp_path, capsys):
+    _write_small_views(tmp_path, seed=12)
+    views = ["--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv")]
+    grids = ["--gamma1-grid", "0.5", "--gamma2-grid", "0.5"]
+    for method, count, want in (("perm", [], {"permutations": 100}),
+                                ("perm", ["--permutations", "3"], {"permutations": 3}),
+                                ("cv", [], {"folds": 5}), ("cv", ["--folds", "3"], {"folds": 3})):
+        out = tmp_path / f"{method}{len(count)}"
+        assert main(["tune", *views, *grids, "--method", method, *count, "--jobs", "1",
+                     "--out", str(out)]) == 0
+        echo = json.loads((out / "tune.json").read_text())["metadata"]["config"]
+        assert {key: echo[key] for key in ("permutations", "folds") if key in echo} == want
+        width = len(json.loads((out / "tune.json").read_text())["report"]["traces"][0][0])
+        assert width == next(iter(want.values()))
+    # the count that the other method reads is refused, from a flag or a config,
+    # before any input file is read
+    missing = str(tmp_path / "missing.csv")
+    config = tmp_path / "cfg.json"
+    for method, key in (("cv", "permutations"), ("perm", "folds")):
+        config.write_text(json.dumps({key: 5}))
+        for extra in (["--" + key, "5"], ["--config", str(config)]):
+            out = tmp_path / "refused"
+            assert main(["tune", "--x1", missing, "--x2", missing, *grids, "--method", method,
+                         *extra, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (f"error: --{key} does not apply to "
+                                               f"--method {method}\n")
+            assert not out.exists()
 
 
 def test_scca_missing_file_exits_1(tmp_path):
@@ -705,8 +751,9 @@ def test_fits_report_constant_columns(tmp_path, capsys, command):
 @pytest.mark.parametrize("method", ["cv", "perm"])
 def test_tune_prints_constant_columns_but_keeps_its_report(tmp_path, capsys, method):
     x1, x2, _y = _views_with_a_constant_column(tmp_path)
+    count = ["--folds", "2"] if method == "cv" else ["--permutations", "3"]
     run = ["tune", "--x1", x1, "--x2", x2, "--method", method, "--gamma1-grid", "0,0.1",
-           "--gamma2-grid", "0", "--folds", "2", "--permutations", "3"]
+           "--gamma2-grid", "0", *count]
     capsys.readouterr()
     assert main([*run, "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == (
@@ -939,7 +986,8 @@ def test_tune_jobs_below_one_exits_1(tmp_path, capsys, method):
     out = tmp_path / "o"
     assert main(["tune", "--method", method, "--x1", str(tmp_path / "x1.csv"),
                  "--x2", str(tmp_path / "x2.csv"), "--gamma1-grid", "0.1",
-                 "--gamma2-grid", "0.1", "--folds", "2", "--permutations", "3",
+                 "--gamma2-grid", "0.1",
+                 *(["--folds", "2"] if method == "cv" else ["--permutations", "3"]),
                  "--jobs", "0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
     assert not (out / "tune.json").exists()

@@ -305,10 +305,13 @@ def test_nan_parameters_are_refused(rng):
         with pytest.raises(ValueError, match="non-negative"):
             directed_stacked(sp, y, *args)
     for k in range(4):
-        values = [0.1] * 4
-        values[k] = np.nan
-        with pytest.raises(ValueError, match="non-negative"):
-            DirectedParams(*values)
+        for bad in (np.nan, np.inf):
+            values = [0.1] * 4
+            values[k] = bad
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                DirectedParams(*values)
+    with pytest.raises(ValueError, match="finite"):
+        directed_stacked(sp, y, 0.1, np.inf)
 
 
 def test_stacked_matches_grid_oracle(rng):

@@ -16,6 +16,8 @@ def test_gamma_matrix_validation():
         GammaMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="non-negative"):
         GammaMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        GammaMatrix(np.array([[0.0, np.inf], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         GammaMatrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(DimensionError):
@@ -136,8 +138,8 @@ def test_multiview_flow_two_views_reproduces_pair_path():
                          conv=ConvergenceSpec(tol=1e-12))
     assert sol.patterns[0][0].bits.tolist() == tau1.bits.tolist()
     assert sol.patterns[1][0].bits.tolist() == tau2.bits.tolist()
-    pair_sol = fit_pair(x1, x2, g1, g2, order="2-first",
-                        conv=ConvergenceSpec(tol=1e-12))
+    # view 2, the wider, goes first, as in the multi-view stage one
+    pair_sol = fit_pair(x1, x2, g1, g2, conv=ConvergenceSpec(tol=1e-12))
     for i in range(2):
         a = sol.directions[i][:, 0]
         b = pair_sol.directions[i][:, 0]
@@ -256,7 +258,7 @@ def test_two_view_gep_retries_with_the_pair_pipelines_ridge():
     block = x1c.data.T @ x2c.data / 30
     g1 = 0.35 * np.linalg.norm(block, axis=1).max()
     g2 = 0.35 * np.linalg.norm(block, axis=0).max()
-    pair = fit_pair(x1c, x2c, g1, g2, stage2="gep", order="2-first")
+    pair = fit_pair(x1c, x2c, g1, g2, stage2="gep")
     multi = multiview_scca([x1c, x2c], GammaMatrix.for_pair(g1, g2), stage2="gep")
     assert pair.warnings == ("singular within-view covariance: applied ridge 1.306e-08",)
     assert multi.warnings == pair.warnings

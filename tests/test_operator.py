@@ -124,18 +124,17 @@ def _assert_same_fit(sol, ref, atol):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(6, 40), p1=st.integers(3, 30), p2=st.integers(3, 30),
        seed=st.integers(0, 2**16), penalty=st.sampled_from(["l1", "l0"]),
-       order=st.sampled_from(["auto", "1-first", "2-first"]),
        factors=st.integers(1, 3), restarts=st.integers(0, 2),
        frac=st.floats(0.05, 0.6))
-def test_operator_path_equals_dense_path(n, p1, p2, seed, penalty, order, factors,
-                                         restarts, frac):
+def test_operator_path_equals_dense_path(n, p1, p2, seed, penalty, factors, restarts,
+                                         frac):
     x1, x2 = _planted_views(n, p1, p2, seed, active=max(1, min(p1, p2) // 3))
     block = x1.data.T @ x2.data / n
     g1 = frac * np.linalg.norm(block, axis=1).max()
     g2 = frac * np.linalg.norm(block, axis=0).max()
     if penalty == "l0":
         g1, g2 = g1 ** 2, g2 ** 2
-    kw = dict(penalty=penalty, order=order)
+    kw = dict(penalty=penalty)
     op = CrossOperator.from_views(x1, x2)
 
     # stage one alone
@@ -149,7 +148,7 @@ def test_operator_path_equals_dense_path(n, p1, p2, seed, penalty, order, factor
         assert got.tau1.bits.tolist() == want.tau1.bits.tolist()
         assert got.tau2.bits.tolist() == want.tau2.bits.tolist()
     # the first side also from random restarts, which the pair pass never takes
-    side = first_side(order, p1, p2)
+    side = first_side("auto", p1, p2)
     solver, gamma = pattern_l1 if penalty == "l1" else pattern_l0, (g1, g2)[side - 1]
     try:
         want = solver(first_block(block, side), gamma, restarts=restarts, seed=seed)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from conftest import assert_monotone, make_views
 
-from scca import (ConvergenceSpec, DegenerateInputError, DimensionError, EmptySupportError, center_scale, gen_rank_one,
+from scca import (ConvergenceSpec, DegenerateInputError, DimensionError, EmptySupportError,
+                  ViewMatrix, center_scale, gen_rank_one,
                   init_direction, pattern_l0, pattern_l1, reconstruct_l0,
                   reconstruct_l1, scca_pair, screen_l1)
 from scca.covariance import CrossOperator
-from scca.pattern import first_block, objective_l0, objective_l1, pattern_pair, shrunk_block
+from scca.pattern import (first_block, objective_l0, objective_l1, pattern_grid, pattern_pair,
+                          shrunk_block)
 from scca.simulate import RankOneSpec
 
 TRACK = ConvergenceSpec(objective_track=True)
@@ -430,7 +432,7 @@ def _each(solve, gammas):
 @pytest.mark.parametrize("kind", ["dense", "operator"])
 @pytest.mark.parametrize("rule", ["l1", "l0"])
 def test_threshold_batch_matches_one_threshold_solves(rule, kind, restarts, max_iter):
-    from scca.pattern import _one, _patterns, pattern_first_many, pattern_second_many
+    from scca.pattern import _patterns
     c = _planted_block(kind)
     top = float(np.linalg.norm(np.asarray(first_block(c, 1)), axis=0).max())
     scale = top if rule == "l1" else top ** 2
@@ -447,28 +449,70 @@ def test_threshold_batch_matches_one_threshold_solves(rule, kind, restarts, max_
                                                        seed=7), gammas)):
         _assert_same_solve(got, want)
 
-    # the pair pass, whose sides run from their one deterministic start
-    kw = dict(penalty=rule, conv=conv)
-    firsts = pattern_first_many(c, gammas, 1, **kw)
-    assert len(firsts) == len(gammas)
-    for got, want in zip(firsts,
-                         _each(lambda g: _one(pattern_first_many(c, [g], 1, **kw)), gammas)):
-        _assert_same_solve(got, want)
-    failed = [isinstance(r, EmptySupportError) for r in firsts]
-    assert any(failed) and not all(failed)
-    assert str(firsts[-1]).startswith("view 1 support collapsed: update vanished")
-    if max_iter == 3:
-        assert any(not r.converged for r, bad in zip(firsts, failed) if not bad)
 
-    lead = firsts[2]
-    others = [f * scale for f in (0.0, 0.2, 0.5, 2.0)]
-    seconds = pattern_second_many(c, lead, 1, others, **kw)
-    for got, want in zip(seconds,
-                         _each(lambda g: _one(pattern_second_many(c, lead, 1, [g], **kw)),
-                               others)):
-        _assert_same_solve(got, want)
-    assert isinstance(seconds[-1], EmptySupportError)
-    assert str(seconds[-1]).startswith("view 2 support collapsed")
+def _assert_grid_is_pattern_pair(c, gammas1, gammas2, rule, conv):
+    """Every cell of pattern_grid against pattern_pair alone: its patterns,
+    iterations and warnings, or its error's type and text."""
+    cells = pattern_grid(c, gammas1, gammas2, rule, conv)
+    assert list(cells) == [(g1, g2) for g1 in dict.fromkeys(gammas1)
+                           for g2 in dict.fromkeys(gammas2)]
+    for (g1, g2), got in cells.items():
+        try:
+            want = pattern_pair(c, g1, g2, penalty=rule, conv=conv)
+        except (EmptySupportError, DegenerateInputError) as err:
+            assert type(got) is type(err) and str(got) == str(err)
+            continue
+        assert got.first_side == want.first_side
+        assert got.tau1.bits.tolist() == want.tau1.bits.tolist()
+        assert got.tau2.bits.tolist() == want.tau2.bits.tolist()
+        assert got.iterations == want.iterations and got.warnings == want.warnings
+    return cells
+
+
+@pytest.mark.parametrize("max_iter", [10000, 4])
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "operator"])
+@pytest.mark.parametrize("rule", ["l1", "l0"])
+def test_pattern_grid_is_pattern_pair_cell_by_cell(rule, kind, swap, max_iter):
+    # p1 = 40 > p2 = 25, so view 1 goes first; swapped, view 2 does
+    c = _planted_block(kind)
+    c = c.T if swap else c
+    first = 2 if swap else 1
+    block = np.asarray(first_block(c, first))
+    power = 1 if rule == "l1" else 2
+    top1 = float(np.linalg.norm(block, axis=0).max()) ** power
+    top2 = float(np.linalg.norm(block, axis=1).max()) ** power
+    # a repeated value, thresholds above every column norm (1.05 and 3.0), and
+    # first-side thresholds that share a support
+    g_first = [f * top1 for f in (0.0, 0.3, 0.31, 0.45, 0.3, 1.05, 3.0)]
+    g_second = [f * top2 for f in (0.0, 0.2, 0.5, 0.2, 3.0)]
+    gammas1, gammas2 = (g_first, g_second) if first == 1 else (g_second, g_first)
+    conv = ConvergenceSpec(max_iter=max_iter)
+    cells = _assert_grid_is_pattern_pair(c, gammas1, gammas2, rule, conv)
+    errors = {str(cell).split(":")[0] for cell in cells.values()
+              if isinstance(cell, EmptySupportError)}
+    assert errors == {"view 1 support collapsed", "view 2 support collapsed"}
+    solved = [cell for cell in cells.values() if not isinstance(cell, EmptySupportError)]
+    assert solved and all(cell.first_side == first for cell in solved)
+    leads = {cell_gammas[first - 1]: (cell.tau1, cell.tau2)[first - 1].bits.tobytes()
+             for cell_gammas, cell in cells.items() if not isinstance(cell, EmptySupportError)}
+    assert 1 < len(set(leads.values())) < len(leads)
+    if max_iter == 4:
+        assert any(cell.warnings for cell in solved)
+
+
+@pytest.mark.parametrize("kind", ["dense", "operator"])
+def test_pattern_grid_records_a_zero_block_as_every_cells_error(kind):
+    # the first side's start has no non-zero column to take, which pattern_pair raises
+    c = np.zeros((5, 4))
+    if kind == "operator":
+        zero = ViewMatrix(np.zeros((6, 5)), list("abcde"), centered=True)
+        c = CrossOperator.from_views(zero, ViewMatrix(np.zeros((6, 4)), list("vwxy"),
+                                                      centered=True))
+    cells = _assert_grid_is_pattern_pair(c, [0.0, 0.5], [0.0, 0.1], "l1", None)
+    assert len(cells) == 4
+    assert all(isinstance(cell, DegenerateInputError)
+               and str(cell) == "all columns of the block are zero" for cell in cells.values())
 
 
 def test_threshold_batch_keeps_pulled_collapses():

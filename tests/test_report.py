@@ -23,9 +23,8 @@ def _two_factor_solution(seed=0, n=40, p1=12, p2=10):
     x1 = center_scale(ViewMatrix(d1, [f"A{j}" for j in range(p1)]))
     x2 = center_scale(ViewMatrix(d2, [f"B{j}" for j in range(p2)]))
     block = x1.data.T @ x2.data / n
-    g = 0.25 * np.linalg.norm(block, axis=0).max()
-    from scca import multi_factor
-    sol = multi_factor(x1, x2, [g, 0.3 * g], [g, 0.3 * g])
+    g = 0.075 * np.linalg.norm(block, axis=0).max()
+    sol = fit_pair(x1, x2, g, g, factors=2)
     return sol, [x1, x2]
 
 

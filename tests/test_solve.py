@@ -4,8 +4,10 @@ from conftest import classical_correlations, make_views, whitened_views
 
 from scca import (AccessoryVector, CcaSolution, ConvergenceSpec, DegenerateInputError,
                   DimensionError, DirectedParams, GammaMatrix, SingularityError,
-                  ViewMatrix, cca_gep, deflate, directed_fit, fit_pair, multi_factor,
-                  multiview_gep, multiview_power, multiview_scca, power_svd)
+                  ViewMatrix, cca_gep, deflate, directed_fit, fit_pair, multiview_gep,
+                  multiview_power, multiview_scca, power_svd, stage_two)
+from scca.covariance import CrossOperator
+from scca.pattern import pattern_pair
 
 
 # ---------------------------------------------------------------- power_svd
@@ -227,14 +229,19 @@ def test_deflate_requires_unit_norm():
         deflate(np.eye(2), np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0]))
 
 
-# ---------------------------------------------------------------- multi_factor
+# ---------------------------------------------------------------- multi-factor fits
 
 def test_multi_factor_single_equals_pair_pipeline():
+    # one factor is the pair pipeline: stage one, then stage two on its supports
     x1, x2 = make_views(12, 5, 4, seed=3)
     one = fit_pair(x1, x2, 0.02, 0.02, factors=1)
-    many = multi_factor(x1, x2, [0.02], [0.02])
-    np.testing.assert_array_equal(one.directions[0], many.directions[0])
-    np.testing.assert_array_equal(one.correlations, many.correlations)
+    op = CrossOperator.from_views(x1, x2)
+    pair = pattern_pair(op, 0.02, 0.02)
+    est = stage_two({(0, 1): op}, [pair.tau1.indices(), pair.tau2.indices()], "svd")
+    for got, want in zip(one.directions, est.directions):
+        np.testing.assert_array_equal(got[:, 0], want)
+    assert one.patterns[0][0].bits.tolist() == pair.tau1.bits.tolist()
+    assert one.patterns[1][0].bits.tolist() == pair.tau2.bits.tolist()
 
 
 def _two_factor_views(rng, n=60, p1=30, p2=24):
@@ -264,8 +271,10 @@ def test_multi_factor_two_planted_factors(rng):
     block = x1.data.T @ x2.data / x1.n
     g1 = 0.25 * np.linalg.norm(block, axis=1).max()
     g2 = 0.25 * np.linalg.norm(block, axis=0).max()
-    # the deflated residual lives on the weak factor's scale (0.45^2 of the base)
-    sol = multi_factor(x1, x2, [g1, 0.15 * g1], [g2, 0.15 * g2])
+    # the deflated residual lives on the weak factor's scale (0.45^2 of the
+    # base), so the thresholds sit below it; the supports are disjoint and
+    # noise-free, so the strong factor keeps its support exactly
+    sol = fit_pair(x1, x2, 0.15 * g1, 0.15 * g2, factors=2)
     assert sol.factor_count == 2
     # factor 1 carries the strong support, factor 2 the weak one
     strong1 = sol.patterns[0][0].bits
@@ -289,7 +298,7 @@ def test_multi_factor_beyond_rank_truncates(rng):
     d2 -= d2.mean(axis=0)
     x1 = ViewMatrix(d1, list("abcdef"), centered=True)
     x2 = ViewMatrix(d2, list("vwxyz"), centered=True)
-    sol = multi_factor(x1, x2, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    sol = fit_pair(x1, x2, 0.0, 0.0, factors=3)
     assert sol.factor_count < 3
     assert sol.warnings
 
@@ -302,7 +311,7 @@ def test_multi_factor_zero_gamma_reproduces_classical_cca():
     c12 = x1.data.T @ x2.data / 10
     oracle = classical_correlations(c11, c12, c22)
     for stage2 in ("svd", "gep"):
-        sol = multi_factor(x1, x2, [0.0] * 3, [0.0] * 3, stage2=stage2)
+        sol = fit_pair(x1, x2, 0.0, 0.0, factors=3, stage2=stage2)
         assert sol.factor_count == 3
         np.testing.assert_allclose(sol.correlations, oracle, atol=1e-6)
     # every other caller of the shared stage two: full supports at gamma 0

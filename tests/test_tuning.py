@@ -9,7 +9,7 @@ from scca import (DimensionError, FitConfig, TuneGrid, ViewMatrix, center_scale,
                   cv_tune, fit_pair, gen_null, gen_rank_one, perm_tune, tuning)
 from scca.simulate import RankOneSpec
 
-from conftest import no_children
+from conftest import no_children, oriented
 
 SMALL_SPEC = RankOneSpec(p=(40, 30), n=24, sigma=(0.15, 0.15), seed=2,
                          supports=((5, 5), (4, 4)))
@@ -156,6 +156,8 @@ def test_grid_validation():
         TuneGrid((-0.1,), (0.1,))
     with pytest.raises(ValueError):
         TuneGrid((0.1,), (float("nan"),))
+    with pytest.raises(ValueError, match="finite"):
+        TuneGrid((0.5, float("inf")), (0.1,))
     with pytest.raises(ValueError):
         TuneGrid((0.1,), (0.1,), permutations=0)
 
@@ -180,19 +182,21 @@ _BATCH_CASES = [
 ]
 
 
-# the "-n" in each id names the covariance divisor, which is always n
-@pytest.mark.parametrize("penalty,order,scale,stage2", _BATCH_CASES,
+# the middle of each id names the view that stage one starts from ("auto": the
+# views as generated, whose wider view 1 goes first); the "-n" names the
+# covariance divisor, which is always n
+@pytest.mark.parametrize("penalty,first,scale,stage2", _BATCH_CASES,
                          ids=[f"{p}-{o}-n-{s}-{t}" for p, o, s, t in _BATCH_CASES])
-def test_batched_refits_match_the_serial_reference(penalty, order, scale, stage2):
+def test_batched_refits_match_the_serial_reference(penalty, first, scale, stage2):
     from conftest import serial_perm_refits
 
     from scca.pattern import pattern_pair_batch
     from scca.tuning import _permutations, _PermSweep
-    x1, x2, _ = _planted_views()
+    x1, x2 = oriented(*_planted_views()[:2], first)
     g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
                           (0.15,), (0.15,))
     g1, g2 = (g1s[0] ** 2, g2s[0] ** 2) if penalty == "l0" else (g1s[0], g2s[0])
-    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale)
     grid = TuneGrid((g1,), (g2,), permutations=40, seed=9)
     report = perm_tune(x1, x2, grid, cfg=cfg)
 
@@ -201,7 +205,7 @@ def test_batched_refits_match_the_serial_reference(penalty, order, scale, stage2
     np.testing.assert_allclose(report.traces[0, 0], [r[0] if r else 0.0 for r in ref],
                                rtol=0, atol=1e-10)
     found = pattern_pair_batch(_PermSweep.prepare(x1, x2, cfg).batch(perms), g1, g2,
-                               penalty=penalty, order=order)
+                               penalty=penalty)
     for k, want in enumerate(ref):
         if want is None:
             assert report.traces[0, 0, k] == 0.0
@@ -214,18 +218,19 @@ def test_batched_refits_match_the_serial_reference(penalty, order, scale, stage2
     assert not found.tau1[:, ~found.ok].any() and not found.tau2[:, ~found.ok].any()
 
 
-def _sweep_and_perms(p1, p2, count=30):
-    """Planted views of 24 samples, their permutation sweep and ``count``
-    row permutations."""
+def _sweep_and_perms(p1, p2, count=30, first="auto"):
+    """Planted views of 24 samples, ``oriented`` to start from ``first``,
+    their permutation sweep and ``count`` row permutations."""
     from scca.tuning import _permutations, _PermSweep
     x1, x2, _ = gen_rank_one(RankOneSpec(p=(p1, p2), n=24, sigma=(0.15, 0.15), seed=3,
                                          supports=((3, 2), (3, 2))))
+    x1, x2 = oriented(x1, x2, first)
     perms = _permutations(7, 0, x1.n, count)
     return x1, x2, _PermSweep.prepare(x1, x2, FitConfig(scale=True)), perms
 
 
-# the iterate side (view 2 under 1-first, view 1 under 2-first) is wider than
-# n=24, or narrower
+# the generated widths; the iterate side, the narrower view once the pair is
+# oriented, is wider than n=24, or narrower
 SHAPES = [(40, 30), (40, 10), (10, 30)]
 
 
@@ -259,21 +264,21 @@ def test_thin_batch_is_an_isometric_image_of_the_full_batch(p1, p2, transpose):
 
 
 @pytest.mark.parametrize("p1,p2", SHAPES)
-@pytest.mark.parametrize("order", ["1-first", "2-first"])
+@pytest.mark.parametrize("first", ["1-first", "2-first"])
 @pytest.mark.parametrize("penalty", ["l1", "l0"])
-def test_thin_first_side_finds_the_full_batch_supports(p1, p2, order, penalty):
+def test_thin_first_side_finds_the_full_batch_supports(p1, p2, first, penalty):
     from dataclasses import replace
 
     from scca.pattern import pattern_pair_batch
-    x1, x2, sweep, perms = _sweep_and_perms(p1, p2, count=60)
+    x1, x2, sweep, perms = _sweep_and_perms(p1, p2, count=60, first=first)
     batch = sweep.batch(perms)
     g1s, g2s = _frac_grid(center_scale(x1, scale=True), center_scale(x2, scale=True),
                           (0.2,), (0.2,))
     g1, g2 = (g1s[0] ** 2, g2s[0] ** 2) if penalty == "l0" else (g1s[0], g2s[0])
-    thin = pattern_pair_batch(batch, g1, g2, penalty=penalty, order=order)
+    thin = pattern_pair_batch(batch, g1, g2, penalty=penalty)
     # with the data as their own factors, both sides run on the full data
     full = pattern_pair_batch(replace(batch, root_a=batch.a, root_b=batch.b), g1, g2,
-                              penalty=penalty, order=order)
+                              penalty=penalty)
     assert 0 < thin.ok.sum() < perms.shape[1]
     np.testing.assert_array_equal(thin.ok, full.ok)
     np.testing.assert_array_equal(thin.tau1, full.tau1)
@@ -321,21 +326,21 @@ def test_batch_column_norms_match_the_dense_members():
     np.testing.assert_allclose(masked.col_norms(), want, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("penalty,order,scale,stage2", [
+@pytest.mark.parametrize("penalty,first,scale,stage2", [
     ("l1", "1-first", False, "svd"),
     ("l0", "2-first", True, "gep"),
     ("l1", "auto", True, "svd"),
 ])
-def test_refit_failures_count_the_failed_refits(penalty, order, scale, stage2):
+def test_refit_failures_count_the_failed_refits(penalty, first, scale, stage2):
     from conftest import serial_perm_refits
 
     from scca.tuning import _permutations
-    x1, x2, _ = _planted_views()
+    x1, x2 = oriented(*_planted_views()[:2], first)
     g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
                           (0.1, 0.2, 5.0), (0.15,))
     if penalty == "l0":
         g1s, g2s = tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s)
-    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale)
     grid = TuneGrid(g1s, g2s, permutations=20, seed=5)
     report = perm_tune(x1, x2, grid, cfg=cfg)
     counts = []
@@ -397,16 +402,16 @@ def _assert_cv_matches_the_reference(x1, x2, grid, cfg, report) -> int:
 
 @pytest.mark.parametrize("stage2", ["svd", "gep"])
 @pytest.mark.parametrize("scale", [False, True])
-# the "-n" in each id names the covariance divisor, which is always n
-@pytest.mark.parametrize("order", ["auto", "1-first", "2-first"], ids=lambda o: f"{o}-n")
+# the view that stage one starts from, as in the batched refits' ids
+@pytest.mark.parametrize("first", ["auto", "1-first", "2-first"], ids=lambda o: f"{o}-n")
 @pytest.mark.parametrize("penalty", ["l1", "l0"])
-def test_cv_tune_matches_the_per_cell_reference(penalty, order, scale, stage2):
-    x1, x2, _ = _planted_views()
+def test_cv_tune_matches_the_per_cell_reference(penalty, first, scale, stage2):
+    x1, x2 = oriented(*_planted_views()[:2], first)
     g1s, g2s = _frac_grid(center_scale(x1, scale=scale), center_scale(x2, scale=scale),
                           (0.1, 0.8), (0.2, 0.5, 0.8))
     if penalty == "l0":
         g1s, g2s = tuple(g ** 2 for g in g1s), tuple(g ** 2 for g in g2s)
-    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale, order=order)
+    cfg = FitConfig(penalty=penalty, stage2=stage2, scale=scale)
     grid = TuneGrid(g1s, g2s, folds=3, seed=6)
     report = cv_tune(x1, x2, grid, cfg=cfg)
     _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
@@ -451,21 +456,22 @@ def test_degenerate_holdout_fold_matches_the_per_cell_reference():
 
 
 def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
-    from scca import pattern, tuning
+    from scca import pattern, pattern_l1, tuning
     from scca.covariance import CrossOperator, standardize
     from scca.errors import EmptySupportError
-    from scca.pattern import _one, pattern_first_many, pattern_pair
+    from scca.pattern import first_block, pattern_pair
     x1, x2, _ = _planted_views()
+    assert x1.p > x2.p  # view 1 goes first
     g1s, g2s = _frac_grid(x1, x2, (0.2, 0.25, 0.3, 0.35, 0.4), (0.2, 0.3, 0.4))
-    cfg = FitConfig(order="1-first")
+    cfg = FitConfig()
     grid = TuneGrid(g1s, g2s, folds=3, seed=5)
-    real_init, real_stage_two, real_fold = tuning.init_direction, tuning.stage_two, tuning._cv_fold
-    real_ascent = pattern._hinge_ascent
+    real_init, real_ascent = pattern.init_direction, pattern._hinge_ascent
+    real_stage_two, real_fold = tuning.stage_two, tuning._cv_fold
     calls, per_fold = {}, []
 
     def init_direction(block):
-        # view 1 goes first: its start is on the full p2 x p1 block, the
-        # second side's on a block shrunk to view 1's support
+        # the first side starts on the full p2 x p1 block, the second side on
+        # a block shrunk to view 1's support
         calls["first starts" if block.shape == (x2.p, x1.p) else "second starts"] += 1
         return real_init(block)
 
@@ -483,12 +489,13 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
         per_fold.append((hold, dict(calls)))
         return out
 
-    monkeypatch.setattr(tuning, "init_direction", init_direction)
+    monkeypatch.setattr(pattern, "init_direction", init_direction)
     monkeypatch.setattr(tuning, "stage_two", stage_two)
     monkeypatch.setattr(tuning, "_cv_fold", cv_fold)
     monkeypatch.setattr(pattern, "_hinge_ascent", hinge_ascent)
     # in this process, where the counters are
     report = cv_tune(x1, x2, grid, cfg=cfg, jobs=1)
+    monkeypatch.undo()
     _assert_cv_matches_the_reference(x1, x2, grid, cfg, report)
 
     assert len(per_fold) == grid.folds
@@ -501,8 +508,8 @@ def test_cv_fold_solves_each_distinct_subproblem_once(monkeypatch):
         firsts, pairs = set(), set()
         for _idx, _i, _j, g1, g2 in grid.cells():
             try:
-                firsts.add(_one(pattern_first_many(op, [g1], 1)).pattern.bits.tobytes())
-                pair = pattern_pair(op, g1, g2, order="1-first")
+                firsts.add(pattern_l1(first_block(op, 1), g1).pattern.bits.tobytes())
+                pair = pattern_pair(op, g1, g2)
             except EmptySupportError:
                 continue
             pairs.add((pair.tau1.bits.tobytes(), pair.tau2.bits.tobytes()))
