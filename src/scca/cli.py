@@ -44,9 +44,18 @@ def _floats(value) -> list[float]:
     """A comma-separated flag value, or a JSON array from --config, as floats."""
     if isinstance(value, str):
         return [float(tok) for tok in value.split(",") if tok.strip() != ""]
-    if not isinstance(value, list):
+    if not isinstance(value, list) or any(isinstance(v, bool) for v in value):
         raise ValueError(f"expected comma-separated numbers or a JSON array, got {value!r}")
     return [float(v) for v in value]
+
+
+def _exact(value, kind: type, key: str):
+    """Option ``key``'s ``value`` as a ``kind``: float, int or bool. --config
+    may give any JSON value, and one that kind() would change is refused."""
+    number = float(value) if isinstance(value, str) and kind is not bool else value
+    if isinstance(number, bool) != (kind is bool) or kind is int and number % 1:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(number)
 
 
 def _load_config(args) -> dict:
@@ -63,11 +72,12 @@ def _load_config(args) -> dict:
     return {key.replace("-", "_"): value for key, value in doc.items()}
 
 
-def _opt(args, config: dict, key: str, default):
+def _opt(args, config: dict, key: str, default, kind: type | None = None):
+    """Option ``key`` from its flag, else --config, else ``default``, as a ``kind``."""
     value = getattr(args, key, None)
     if value is None:
         value = config.get(key, default)
-    return value
+    return value if kind is None or value is None else _exact(value, kind, key)
 
 
 def _conv(resolved: dict) -> ConvergenceSpec:
@@ -203,7 +213,7 @@ _STAGE2 = {"scca": ("svd", "gep"), "mscca": ("power", "gep"), "dscca": ("svd", "
            "tune": ("svd", "gep")}
 
 
-# shared options: key -> (default, conversion of a set value or None, flag keywords)
+# shared options: key -> (default, kind of a set value or None, flag keywords)
 _SHARED_FLAGS = {
     "penalty": ("l1", None, dict(choices=["l1", "l0"])),
     "gamma1": (0.0, float, dict(type=float)),
@@ -241,13 +251,12 @@ def _resolve_common(args, config) -> dict:
     --config, else its default."""
     resolved = {"out": _opt(args, config, "out", ".")}
     for key in _SHARED[args.command]:
-        default, convert, _ = _SHARED_FLAGS[key]
-        value = _opt(args, config, key, default)
-        resolved[key] = value if convert is None else convert(value)
+        default, kind, _ = _SHARED_FLAGS[key]
+        resolved[key] = _opt(args, config, key, default, kind)
     if not all(0 <= resolved.get(key, 0.0) < np.inf for key in ("gamma1", "gamma2")):
         raise ValueError("sparsity parameters must be finite and non-negative")
-    if resolved.get("tol", 1.0) <= 0 or resolved.get("max_iter", 1) < 1:
-        raise ValueError("tol must be positive and max-iter at least 1")
+    if not 0 < resolved.get("tol", 1.0) < np.inf or resolved.get("max_iter", 1) < 1:
+        raise ValueError("tol must be positive and finite, and max-iter at least 1")
     choices = _STAGE2.get(args.command)
     if choices:
         resolved["stage2"] = _opt(args, config, "stage2", None)
@@ -266,7 +275,7 @@ def _echo(resolved: dict, **extra) -> dict:
 
 def cmd_scca(args, config: dict) -> int:
     r = _resolve_common(args, config)
-    factors = int(_opt(args, config, "factors", 1))
+    factors = _opt(args, config, "factors", 1, int)
     if factors < 1:
         raise ValueError("--factors must be at least 1")
     stage2 = r["stage2"] or "svd"
@@ -308,9 +317,9 @@ def cmd_dscca(args, config: dict) -> int:
                          "which screens against y instead of aligning with it")
     # the echo carries the weights that the mode reads
     if mode == "two-stage":
-        weights = {"keep_fraction": float(_opt(args, config, "keep_fraction", 0.5))}
+        weights = {"keep_fraction": _opt(args, config, "keep_fraction", 0.5, float)}
     else:
-        weights = {key: float(_opt(args, config, key, 1.0)) for key in ("eps1", "eps2")}
+        weights = {key: _opt(args, config, key, 1.0, float) for key in ("eps1", "eps2")}
     stage2 = r["stage2"] or "svd"
     x1, x2 = _load_centered([args.x1, args.x2], r["delimiter"], r["scale"])
     y = _load_accessory(args.y, r["delimiter"])
@@ -350,14 +359,14 @@ def cmd_tune(args, config: dict) -> int:
         grids.append(_floats(grid))
     g1_grid, g2_grid = grids
     grid = TuneGrid(tuple(g1_grid), tuple(g2_grid),
-                    folds=int(_opt(args, config, "folds", 5)),
-                    permutations=int(_opt(args, config, "permutations", 100)),
+                    folds=_opt(args, config, "folds", 5, int),
+                    permutations=_opt(args, config, "permutations", 100, int),
                     seed=r["seed"])
     x1, x2 = load_views([args.x1, args.x2], r["delimiter"])
     cfg = FitConfig(penalty=r["penalty"], stage2=r["stage2"] or "svd",
                     scale=r["scale"])
     tune = cv_tune if method == "cv" else perm_tune
-    report = tune(x1, x2, grid, conv=_conv(r), cfg=cfg, jobs=_opt(args, config, "jobs", None))
+    report = tune(x1, x2, grid, conv=_conv(r), cfg=cfg, jobs=_opt(args, config, "jobs", None, int))
     echo = _echo(r, method=method, gamma1_grid=g1_grid, gamma2_grid=g2_grid,
                  **{count_key: getattr(grid, count_key)}, subcommand="tune")
     doc = {"metadata": {"tool_version": __version__, "seed": r["seed"], "config": echo},
@@ -380,19 +389,19 @@ def _parse_supports(spec):
     pairs = []
     for token in tokens:
         pos, neg = token.split(":") if isinstance(token, str) else token
-        pairs.append((int(pos), int(neg)))
+        pairs.append((_exact(pos, int, "supports"), _exact(neg, int, "supports")))
     return tuple(pairs)
 
 
 def cmd_simulate(args, config: dict) -> int:
     r = _resolve_common(args, config)
     model = _opt(args, config, "model", "pair")
-    n = int(_opt(args, config, "n", 50))
+    n = _opt(args, config, "n", 50, int)
     sigma = _opt(args, config, "sigma", None)
     sigmas = None if sigma is None else _floats(sigma)
     supports = _parse_supports(_opt(args, config, "supports", None))
     if model == "pair":
-        p = [int(v) for v in _floats(_opt(args, config, "p", "500,400"))]
+        p = [_exact(v, int, "p") for v in _floats(_opt(args, config, "p", "500,400"))]
         sig = tuple(sigmas) if sigmas else (0.2, 0.2)
         if len(sig) == 1:
             sig = (sig[0], sig[0])
@@ -401,13 +410,13 @@ def cmd_simulate(args, config: dict) -> int:
         x1, x2, truths = gen_rank_one(spec)
         views = [x1, x2]
     elif model == "three":
-        p = [int(v) for v in _floats(_opt(args, config, "p", "500,400,600"))]
+        p = [_exact(v, int, "p") for v in _floats(_opt(args, config, "p", "500,400,600"))]
         sig = tuple(sigmas) if sigmas else (0.2, 0.2, 0.1)
         spec = RankOneSpec(p=tuple(p), n=n, sigma=sig, seed=r["seed"],
                            supports=supports)
         views, truths = gen_rank_one_threeview(spec)
     elif model == "null":
-        p = [int(v) for v in _floats(_opt(args, config, "p", "60,60"))]
+        p = [_exact(v, int, "p") for v in _floats(_opt(args, config, "p", "60,60"))]
         x1, x2 = gen_null(n, p[0], p[1], seed=r["seed"])
         views, truths = [x1, x2], None
     else:
@@ -452,7 +461,7 @@ def cmd_report(args, config: dict) -> int:
     if kind == "biplot":
         data = biplot_coords(sol, views)
     elif kind == "interp":
-        markers = int(_opt(args, config, "markers", 5))
+        markers = _opt(args, config, "markers", 5, int)
         data = interp_coords(sol, views, markers_per_variable=markers)
     else:
         raise ValueError("kind must be 'biplot' or 'interp'")

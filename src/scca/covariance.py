@@ -614,13 +614,14 @@ class PermutedCross:
     its rows and columns optionally masked, diag(r_k) C_k diag(c_k).
 
     Column k of ``idx`` (n x K) permutes the rows of A and column k of ``inv``
-    is its inverse, so C_k = A'B[inv_k]/div too. A product with a p_s x K
-    block, one column per member, is two GEMMs and a per-column row gather;
-    permuted copies of A or B are never stacked. ``gram_a`` and ``gram_b`` are
-    AA' and BB', shared by every member: member k's column norms come from
-    gram_a gathered by idx_k. The masks (p_r x K and p_s x K booleans) restrict
-    each member to its own support, which stands in for shrinking members to
-    different sizes.
+    is its inverse, so C_k = A'B[inv_k]/div too. ``batch @ z``, with a p_s x K
+    block z, one column per member, returns a new p_r x K block, as ``@``
+    does for a dense block or a CrossOperator: it is two GEMMs and a
+    per-column row gather, and permuted copies of A or B are never stacked.
+    ``gram_a`` and ``gram_b`` are AA' and BB', shared by every member: member
+    k's column norms come from gram_a gathered by idx_k. The masks (p_r x K
+    and p_s x K booleans) restrict each member to its own support, which
+    stands in for shrinking members to different sizes.
 
     ``root_a`` and ``root_b`` are thin factors of A and B: n x r matrices F
     with FF' = AA' (r <= n), say from a thin QR A' = QF'. ``thin`` puts
@@ -666,24 +667,16 @@ class PermutedCross:
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """C_k z_k for every member k, z_k being column k of the p_s x K block z."""
-        return self.product(z)
-
-    def product(self, z: np.ndarray, out: np.ndarray | None = None,
-                masked: np.ndarray | None = None) -> np.ndarray:
-        """``self @ z``, written to ``out`` (p_r x K) when given; with a
-        column mask, the masked z is written to ``masked`` (p_s x K) when
-        given. The buffers change where the result goes, not its bits."""
         if self.cmask is not None:
-            z = np.multiply(z, self.cmask, out=masked)
-        return self._lift(self.b @ z, out)
+            z = z * self.cmask
+        return self._lift(self.b @ z)
 
-    def _lift(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A[idx_k]'y_k/div for every column k of the n x K block y, row-masked,
-        written to ``out`` when given."""
+    def _lift(self, y: np.ndarray) -> np.ndarray:
+        """A[idx_k]'y_k/div for every column k of the n x K block y, row-masked."""
         # dividing the gathered n x K block costs less than the p_r x K product
         gathered = y.take(self._gather)
         gathered /= self.div
-        out = np.matmul(self.a.T, gathered, out=out)
+        out = self.a.T @ gathered
         if self.rmask is not None:
             out *= self.rmask
         return out

@@ -54,8 +54,8 @@ class ConvergenceSpec:
     objective_track: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -160,13 +160,6 @@ class Ascent(NamedTuple):
     capped: np.ndarray      # the column was still moving after ``max_iter`` updates
 
 
-def _workspace(rows: int, width: int, dtype=float):
-    """Scratch space for a rows x width block whose live width L is the
-    contiguous prefix of rows*L entries: ``space(L)`` is that rows x L block."""
-    flat = np.empty(rows * width, dtype=dtype)
-    return lambda live: flat[:rows * live].reshape(rows, live)
-
-
 def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *,
                   offset=None, pull=None, stall_guard: bool = True) -> Ascent:
     """The generalized power method that every stage-one solver runs, on a
@@ -194,14 +187,10 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
     when one update is all the budget allows.
 
     The stop rule is array arithmetic over the live columns; once one of
-    them stalls, the steps come from one pass over their differences.
-    Projections, weights and updates are written to workspaces at the
-    ascent's full width, and so is a PermutedCross's masked input; they are
-    local to the call, which allocates them once. The live iterates and the
-    next ones take turns in two more. When columns stop, their iterates are
-    written to the returned block, the live ones are packed to the front, and
-    the live columns' operator, thresholds and workspace prefixes are picked
-    again. On a dense block or a PermutedCross a step allocates no p x B array.
+    them stalls, the steps come from one pass over their differences. A step
+    allocates its arrays and leaves the inputs as they are. Stopped columns
+    are written to the returned block, and the live ones are packed into a
+    new one, with their operator and thresholds picked again.
     """
     z = np.array(z0, dtype=float)
     p, width = z.shape
@@ -216,36 +205,20 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
         gammas = gammas[:, :1]
     shift = None if offset is None else offset[:, None]
     push = None if pull is None else (pull[0] * pull[1])[:, None]
-    batch, dense, p_proj = isinstance(c, PermutedCross), isinstance(c, np.ndarray), c.shape[1]
-    # projections, update weights, updates, a masked batch's inputs (zeroed
-    # outside the members' masks) to each product, and l0's active marks
-    spaces = (_workspace(p_proj, width), _workspace(p_proj, width), _workspace(p, width),
-              _workspace(p, width) if batch and c.rmask is not None else None,
-              _workspace(p_proj, width) if batch and c.cmask is not None else None,
-              _workspace(p_proj, width, bool) if rule == "l0" else None)
+    batch = isinstance(c, PermutedCross)
 
     def pick(cols):
-        # the operator of the batch columns ``cols`` with its update's
-        # workspaces, and what ``project`` needs of them, at their width
+        # the operator of the batch columns ``cols``, and what ``project``
+        # needs of it: its transpose and the columns' thresholds
         op = c.take(cols) if batch and cols.size < width else c
-        proj, weights, update, masked_z, masked_w, active = (
-            None if space is None else space(cols.size) for space in spaces)
-        return (op, update, masked_w), (op.T, gammas if gammas.shape[1] == 1 else
-                                        gammas[:, cols], proj, weights, masked_z, active)
+        return op, (op.T, gammas if gammas.shape[1] == 1 else gammas[:, cols])
 
-    def product(op, x, out, masked):
-        # op @ x, written to ``out`` where the operator can: a PermutedCross
-        # masks x in ``masked`` first; a CrossOperator returns a new array
-        if batch:
-            return op.product(x, out, masked)
-        return np.matmul(op, x, out=out) if dense else op @ x
-
-    def project(z, op_t, gamma, proj, weights, masked, active):
+    def project(z, op_t, gamma):
         # the tracked functional of each column of z, and its update weights
-        proj = product(op_t, z, proj, masked)
+        proj = op_t @ z
         if shift is not None:
             proj += shift
-        obj, weights = _hinge(proj, gamma, rule, weights, active)
+        obj, weights = _hinge(proj, gamma, rule)
         if pull is not None:
             obj = obj + 2.0 * pull[0] * (pull[1] @ z)
         return obj, weights
@@ -254,11 +227,10 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
     vanished = np.zeros(width, dtype=bool)
     capped = np.zeros(width, dtype=bool)
     traces = [[] for _ in range(width)] if conv.objective_track else None
-    here, there = _workspace(p, width), _workspace(p, width)
-    live, zl, zn = np.arange(width), here(width), there(width)
-    zl[...] = z
+    # the live iterates, z itself when C-ordered: z is written only after a step's reads
+    live, zl = np.arange(width), np.ascontiguousarray(z)
     # every column's picks, which the evaluation at the end reuses
-    (op, update, masked_w), full = pick(live)
+    op, full = pick(live)
     at = full
     # per live column: its functional at the last step, the largest change
     # from it that counts as stalled, and its stalled steps in a row
@@ -269,24 +241,22 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
         if traces is not None:
             for col, val in zip(live.tolist(), obj.tolist()):
                 traces[col].append(val)
-        u = product(op, weights, update, masked_w)
+        u = op @ weights
         if push is not None:
             u += push
         nrm = np.sqrt(_sq_norms(u))
         gone = None if np.count_nonzero(nrm) == nrm.size else np.flatnonzero(nrm == 0.0)
         if gone is not None:
             # a vanished update stops its column at the iterate before it
-            for i in gone:
-                u[:, i], nrm[i] = zl[:, i], 1.0
-        z_new = np.divide(u, nrm, out=zn)
+            u[:, gone], nrm[gone] = zl[:, gone], 1.0
+        z_new = u / nrm
         last = step == conv.max_iter
         flat = np.zeros(live.size, dtype=bool) if prev is None else np.abs(obj - prev) <= bound
         stop, stalling = flat, np.count_nonzero(flat)
         if stall_guard:
             run = (run + 1) * flat if stalling else np.zeros_like(run)
         if last or stalling:
-            # every live column's step, from its difference written over zl
-            moved = np.sqrt(_sq_norms(np.subtract(z_new, zl, out=zl)))
+            moved = np.sqrt(_sq_norms(z_new - zl))
             stop = flat & (moved <= conv.tol)
             if stall_guard:
                 # a stalled run is at least one step long, so it is flat now
@@ -304,8 +274,7 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
             tail = live[rest], obj[rest], moved[rest]
             break
         if (stalling or gone is not None) and np.count_nonzero(stop):
-            for i in np.flatnonzero(stop):
-                z[:, live[i]] = z_new[:, i]
+            z[:, live[stop]] = z_new[:, stop]
             iterations[live[stop]] = step
             if gone is not None:
                 iterations[live[gone]] -= 1
@@ -313,11 +282,11 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
             if not keep.size:
                 break
             live, run, obj = live[keep], run[keep], obj[keep]
-            zl = np.take(z_new, keep, axis=1, out=here(keep.size), mode="clip")
-            zn = there(keep.size)
-            (op, update, masked_w), at = pick(live)
+            # z_new[:, keep] need not be C-ordered, and the products' bits follow the layout
+            zl = np.take(z_new, keep, axis=1)
+            op, at = pick(live)
         else:
-            here, there, zl, zn = there, here, z_new, zl
+            zl = z_new
         prev, bound = obj, conv.tol * np.maximum(1.0, np.abs(obj))
     obj, weights = project(z, *full)
     if tail is not None:
@@ -328,7 +297,7 @@ def _hinge_ascent(c, gammas, rule: str, z0: np.ndarray, conv: ConvergenceSpec, *
     if traces is not None:
         for trace, val in zip(traces, obj):
             trace.append(float(val))
-    return Ascent(z, obj, weights.copy(), iterations, vanished, traces, capped)
+    return Ascent(z, obj, weights, iterations, vanished, traces, capped)
 
 
 def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarray]:
@@ -343,8 +312,7 @@ def _random_units(rng: np.random.Generator, p: int, count: int) -> list[np.ndarr
     return inits
 
 
-def _hinge(proj: np.ndarray, gamma, rule: str, out: np.ndarray | None = None,
-           active: np.ndarray | None = None):
+def _hinge(proj: np.ndarray, gamma, rule: str):
     """The threshold rule at projections ``proj``: (program objective, update weights).
 
     ``proj`` is one vector, or a p x B block with one objective per column.
@@ -352,23 +320,18 @@ def _hinge(proj: np.ndarray, gamma, rule: str, out: np.ndarray | None = None,
     "l1" soft-thresholds |proj| (objective: the sum of squared hinges;
     weights: the signed hinges), "l0" clips proj^2 (objective: the sum of
     clipped squares; weights: the active projections). A coordinate is active
-    exactly when its weight is non-zero. The weights are written to ``out``
-    (proj's shape) when given, and "l0" marks the active coordinates in
-    ``active`` (a boolean block of that shape) when given.
+    exactly when its weight is non-zero. The weights are a new array; ``proj``
+    is left as it is.
     """
     if rule == "l1":
-        w = np.abs(proj, out=out)
-        w -= gamma
-        np.maximum(w, 0.0, out=w)
+        w = np.maximum(np.abs(proj) - gamma, 0.0)
         # copysign is w * sign(proj) to the bit but at a projection of -0,
         # where its zero weight keeps the sign
         return _sq_norms(w), np.copysign(w, proj, out=w)
-    w = np.multiply(proj, proj, out=out)
-    w -= gamma
-    np.maximum(w, 0.0, out=w)
+    w = np.maximum(proj * proj - gamma, 0.0)
     obj = w.sum(axis=0)
     # an inactive coordinate's clipped square is already +0
-    np.copyto(w, proj, where=np.greater(w, 0.0, out=active))
+    np.copyto(w, proj, where=w > 0.0)
     return obj, w
 
 

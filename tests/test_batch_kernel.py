@@ -1,12 +1,11 @@
 """The p x B hinge ascent on a batch of permuted cross-covariances, and the
 batched SVD stage two of the permutation refits.
 
-The kernel writes its projections, weights and updates into workspaces and
-applies its stop rule as array arithmetic; ``_loop_ascent`` below is the
-reference it replaced, which allocates every block anew and stops each column
-in a Python loop. Both run the same products, so they agree to the bit, on a
-batch as on the one operator (a directed fit's dense block, or a deflated
-CrossOperator) that serves every column.
+The kernel applies its stop rule as array arithmetic; ``_loop_ascent`` below
+is the reference it replaced, which stops each column in a Python loop. Both
+run the same products, so they agree to the bit, on a batch as on the one
+operator (a directed fit's dense block, or a deflated CrossOperator) that
+serves every column.
 """
 
 from dataclasses import replace
@@ -97,7 +96,7 @@ def _loop_ascent(c, gammas: np.ndarray, rule: str, z0: np.ndarray, conv: Converg
             iterations[live[gone]] -= 1
             vanished[live[gone]] = True
             keep = [i for i in range(live.size) if i not in stop]
-            # packed C-contiguous, as the kernel packs its workspace
+            # packed C-contiguous, as the kernel packs its live iterates
             live, zl, before = live[keep], np.ascontiguousarray(zl[:, keep]), before[:, keep]
             prev, run = [prev[i] for i in keep], [run[i] for i in keep]
             if not keep:
@@ -270,6 +269,31 @@ def test_a_second_ascent_leaves_the_first_results_alone():
     for a in (first.z, first.weights):
         for b in (second.z, second.weights):
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kind", ["dense", "residual", "masked"])
+@pytest.mark.parametrize("rule", ["l1", "l0"])
+@pytest.mark.parametrize("per_coordinate", [False, True])
+def test_the_ascent_leaves_its_inputs_alone(kind, rule, per_coordinate):
+    # the projections are shifted and the updates pulled in place, on arrays
+    # the kernel allocates: no step, before or after live columns are
+    # packed, may write to the caller's starts, thresholds, offset or pull
+    if kind == "masked":
+        c = _batch("second", False, rule)
+        z0, gammas = _starts(c, 0.5, rule)
+    else:
+        c, z0, gammas, _ = _single("directed" if kind == "dense" else "residual", False, rule)
+    rng = np.random.default_rng(8)
+    offset, pull = 0.1 * rng.standard_normal(c.shape[1]), (0.5, rng.standard_normal(c.shape[0]))
+    if per_coordinate:
+        gammas = np.outer(gammas, rng.uniform(0.5, 1.5, c.shape[1]))
+    inputs = (z0, gammas, offset, pull[1])
+    kept = [a.copy() for a in inputs]
+    run = _hinge_ascent(c, gammas, rule, z0, ConvergenceSpec(max_iter=200), offset=offset,
+                        pull=pull)
+    assert run.iterations.min() < run.iterations.max()
+    for got, want in zip(inputs, kept):
+        assert _bits(got) == _bits(want)
 
 
 # -- the batched SVD stage two -------------------------------------------

@@ -115,6 +115,64 @@ def test_nan_sparsity_parameters_exit_1(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, doc, error", [
+    (["scca", "--tol", "inf"], {}, "tol must be positive and finite, and max-iter at least 1"),
+    (["scca"], {"tol": float("inf")}, "tol must be positive and finite, and max-iter at least 1"),
+    (["scca"], {"scale": "false"}, "scale must be bool, got 'false'"),
+    (["mscca"], {"scale": 0}, "scale must be bool, got 0"),
+    (["scca"], {"max_iter": 2.5}, "max_iter must be int, got 2.5"),
+    (["scca"], {"max-iter": True}, "max_iter must be int, got True"),
+    (["scca"], {"factors": 1.9}, "factors must be int, got 1.9"),
+    (["scca"], {"gamma1": True}, "gamma1 must be float, got True"),
+    (["dscca"], {"eps1": True}, "eps1 must be float, got True"),
+    (["tune"], {"permutations": 3.7}, "permutations must be int, got 3.7"),
+    (["tune", "--method", "cv"], {"folds": 2.5}, "folds must be int, got 2.5"),
+    (["tune"], {"jobs": 1.5}, "jobs must be int, got 1.5"),
+    (["tune"], {"seed": "1.5"}, "seed must be int, got '1.5'"),
+    (["simulate"], {"n": 20.5}, "n must be int, got 20.5"),
+    (["simulate"], {"p": [40, 30.5]}, "p must be int, got 30.5"),
+    (["simulate"], {"p": [True, 30]},
+     "expected comma-separated numbers or a JSON array, got [True, 30]"),
+    (["simulate"], {"supports": [[4.5, 4], [3, 3]]}, "supports must be int, got 4.5"),
+    (["report", "--kind", "interp"], {"markers": 2.5}, "markers must be int, got 2.5")],
+    ids=["tol-inf-flag", "tol-inf", "scale-text", "scale-number", "max-iter-fraction",
+         "max-iter-bool", "factors", "gamma1-bool", "eps1-bool", "permutations", "folds",
+         "jobs", "seed-text", "n", "p-fraction", "p-bool", "supports", "markers"])
+def test_values_that_a_conversion_would_change_exit_1(tmp_path, capsys, argv, doc, error):
+    # int(2.5) is 2, int(True) is 1, float(True) is 1.0 and bool("false") is
+    # True: a --config value of the wrong kind, and an infinite tolerance, are
+    # refused before anything is written, not run as something else
+    _write_small_views(tmp_path)
+    (tmp_path / "y.csv").write_text("y\n" + "\n".join(map(str, range(20))) + "\n")
+    if argv[0] == "report":
+        assert main(["scca", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+                     "--out", str(tmp_path / "fit")]) == 0
+    inputs = {"scca": ["--x1", "x1.csv", "--x2", "x2.csv"],
+              "mscca": ["--views", "x1.csv", "x2.csv"],
+              "dscca": ["--x1", "x1.csv", "--x2", "x2.csv", "--y", "y.csv"],
+              "tune": ["--x1", "x1.csv", "--x2", "x2.csv", "--gamma1-grid", "0.5",
+                       "--gamma2-grid", "0.5"],
+              "simulate": [],
+              "report": ["--solution", "fit/solution.json", "--views", "x1.csv", "x2.csv"]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    argv = [*argv, *(str(tmp_path / arg) if arg.endswith((".csv", ".json")) else arg
+                     for arg in inputs[argv[0]])]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_whole_numbers_from_config_still_count(tmp_path):
+    # a JSON float that holds a whole number, or its text, is that number
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": "20", "p": [12.0, 10], "seed": 1.0}))
+    assert main(["simulate", "--model", "null", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 0
+    assert load_view(tmp_path / "data" / "x1.csv").data.shape == (20, 12)
+
+
 @pytest.mark.parametrize("sigma", ["nan", "0.1,nan"])
 def test_simulate_nan_sigma_exits_1(tmp_path, capsys, sigma):
     # a NaN noise sd fails every comparison: it was taken for no noise at all

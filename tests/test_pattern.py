@@ -292,6 +292,13 @@ def test_scca_pair_l0_planted_model():
     assert np.all(tau2.bits[truths[1] != 0])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_convergence_tolerance_must_be_positive_and_finite(tol):
+    # an infinite tolerance would stop every ascent after its second step
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        ConvergenceSpec(tol=tol)
+
+
 def test_nan_thresholds_are_refused():
     block = _planted_block("dense")
     for solver in (pattern_l1, pattern_l0):
